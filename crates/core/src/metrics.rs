@@ -5,6 +5,8 @@
 //! announce/collect tax of the Figure 7 transform is known to be ~300µs/op
 //! and quadratic in the object's op count (views grow with every operation),
 //! and `linrv_drv_view_size` measures exactly that growth on a live run.
+//! `linrv_verifier_tuples` does the same for the verdict path: the size of
+//! `τ` per sketch, to read a `linrv_drv_sketch_ns` sample against.
 //!
 //! Everything here is gated on [`linrv_obs::enabled`] at the call sites in
 //! [`crate::drv`] and [`crate::sketch`]: with recording disabled (the
@@ -20,6 +22,8 @@ const COLLECT_NS: &str = "linrv_drv_collect_ns";
 const COLLECT_NS_HELP: &str = "DRV collect phase latency (Figure 7 lines 05-07), nanoseconds";
 const SKETCH_NS: &str = "linrv_drv_sketch_ns";
 const SKETCH_NS_HELP: &str = "sketch_history construction latency, nanoseconds";
+const VERIFIER_TUPLES: &str = "linrv_verifier_tuples";
+const VERIFIER_TUPLES_HELP: &str = "tuples in the set a sketch is built from, per verdict";
 const VIEW_SIZE: &str = "linrv_drv_view_size";
 const VIEW_SIZE_HELP: &str = "announce-view size per collected operation (invocation pairs)";
 const OPS_ANNOUNCED: &str = "linrv_drv_ops_announced_total";
@@ -43,6 +47,13 @@ pub fn collect_ns() -> &'static Histogram {
 pub fn sketch_ns() -> &'static Histogram {
     static SLOT: OnceLock<Histogram> = OnceLock::new();
     SLOT.get_or_init(|| Registry::global().histogram(SKETCH_NS, SKETCH_NS_HELP))
+}
+
+/// Size of the tuple set `τ` handed to `sketch_history` (one sample per sketch):
+/// the input size to read a slow [`sketch_ns`] sample against.
+pub fn verifier_tuples() -> &'static Histogram {
+    static SLOT: OnceLock<Histogram> = OnceLock::new();
+    SLOT.get_or_init(|| Registry::global().histogram(VERIFIER_TUPLES, VERIFIER_TUPLES_HELP))
 }
 
 /// Announce-view size distribution (one sample per collected operation).
@@ -72,6 +83,7 @@ pub fn declare() {
     registry.declare(ANNOUNCE_NS, MetricKind::Histogram, ANNOUNCE_NS_HELP);
     registry.declare(COLLECT_NS, MetricKind::Histogram, COLLECT_NS_HELP);
     registry.declare(SKETCH_NS, MetricKind::Histogram, SKETCH_NS_HELP);
+    registry.declare(VERIFIER_TUPLES, MetricKind::Histogram, VERIFIER_TUPLES_HELP);
     registry.declare(VIEW_SIZE, MetricKind::Histogram, VIEW_SIZE_HELP);
     registry.declare(OPS_ANNOUNCED, MetricKind::Counter, OPS_ANNOUNCED_HELP);
     registry.declare(OPS_COLLECTED, MetricKind::Counter, OPS_COLLECTED_HELP);

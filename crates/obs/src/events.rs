@@ -64,6 +64,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_skips_the_detail_closure() {
+        let _global = crate::global_state_lock();
         crate::set_enabled(false);
         clear_events();
         event("test.skip", || {
@@ -74,6 +75,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_newest_events() {
+        let _global = crate::global_state_lock();
         if !crate::set_enabled(true) {
             return; // compiled out
         }

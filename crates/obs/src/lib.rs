@@ -141,12 +141,24 @@ pub fn time<R>(target: &Histogram, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// Serializes the unit tests that flip or read the process-global switch,
+/// event ring or sequence: `cargo test` runs them on parallel threads, and
+/// one test's `set_enabled(false)` otherwise lands inside another's
+/// enabled section.
+#[cfg(test)]
+pub(crate) fn global_state_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that failed while holding the lock must not fail the others.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_spans_are_inert() {
+        let _global = global_state_lock();
         set_enabled(false);
         let h = Histogram::standalone();
         let span = Span::start(&h);
@@ -156,6 +168,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_record_on_drop_and_stop() {
+        let _global = global_state_lock();
         if !set_enabled(true) {
             return; // compile-off build
         }
@@ -174,6 +187,7 @@ mod tests {
 
     #[test]
     fn counters_record_regardless_of_the_switch() {
+        let _global = global_state_lock();
         set_enabled(false);
         let c = Counter::standalone();
         c.inc();

@@ -103,7 +103,9 @@ proptest! {
     }
 
     /// The session latency histogram carries exactly one sample per completed
-    /// operation — the same count the verifier's sketched history reports.
+    /// operation — the same count the verifier's sketched history reports — and
+    /// every Enforce-mode verdict adds one sketch timing and, next to it, the
+    /// size of the tuple set it was built from.
     #[test]
     fn session_latency_samples_match_the_history(op_count in 1..30usize) {
         let _guard = lock();
@@ -111,6 +113,8 @@ proptest! {
             return;
         }
         let samples0 = linrv::metrics::op_ns().snapshot_values().count;
+        let sketches0 = linrv_core::metrics::sketch_ns().snapshot_values().count;
+        let tuples0 = linrv_core::metrics::verifier_tuples().snapshot_values();
         let monitor = Monitor::builder(CounterSpec::new())
             .processes(2)
             .build(AtomicCounter::new());
@@ -121,6 +125,12 @@ proptest! {
         linrv_obs::set_enabled(false);
 
         let samples = linrv::metrics::op_ns().snapshot_values().count - samples0;
+        let sketches = linrv_core::metrics::sketch_ns().snapshot_values().count - sketches0;
+        let tuples = linrv_core::metrics::verifier_tuples().snapshot_values();
+        prop_assert_eq!(sketches as usize, op_count);
+        prop_assert_eq!(tuples.count - tuples0.count, sketches);
+        // One session: the k-th verdict sees exactly its own k tuples.
+        prop_assert_eq!((tuples.sum - tuples0.sum) as usize, op_count * (op_count + 1) / 2);
         let scanner = monitor.as_raw().register().expect("second slot is free");
         let history = monitor
             .as_raw()

@@ -1,0 +1,447 @@
+//! Differential tests of the linear-time verdict path against the all-pairs definitions.
+//!
+//! `linrv_core::view::check_view_properties` and `linrv_core::sketch::sketch_interval`
+//! decide Remark 7.2 and build `X(λ)` from one size-sorted pass (chain lemma and
+//! latest-witness lemma, `crates/core/src/view.rs`). The [`reference`] module below keeps
+//! the implementation they replaced — every pair of tuples compared, distinct views
+//! found by whole-set equality — as the oracle:
+//!
+//! * on tuple sets taken from seeded `DRV` schedules (1–5 processes, operations still
+//!   pending, tuples published late) the interval history and the flattened `History`
+//!   must be identical, step for step and event for event;
+//! * on those sets with one fault planted (and on small forged sets) both must reach the
+//!   same `Ok` / error variant — which offending pair an error names may differ;
+//! * a tuple set too large for the all-pairs loop must still go through.
+
+use linrv_core::drv::{Announced, Drv};
+use linrv_core::sketch::{sketch_history, sketch_interval, SketchError};
+use linrv_core::view::{
+    check_view_properties, InvocationPair, TupleSet, View, ViewPropertyError, ViewTuple,
+};
+use linrv_history::{OpId, OpValue, ProcessId};
+use linrv_runtime::impls::SpecObject;
+use linrv_spec::ops::queue;
+use linrv_spec::QueueSpec;
+use std::mem::discriminant;
+use std::time::{Duration, Instant};
+
+/// The verdict path as it was before the chain-checked rewrite, kept verbatim in
+/// behaviour: O(t²·v) property check, O(m²·v) distinct-view search.
+mod reference {
+    use linrv_core::view::{TupleSet, View, ViewPropertyError, ViewTuple};
+    use linrv_history::IntervalHistory;
+    use std::collections::BTreeMap;
+
+    pub(crate) fn check_view_properties(tuples: &TupleSet) -> Result<(), ViewPropertyError> {
+        for tuple in tuples {
+            if !tuple.view.contains(&tuple.pair) {
+                return Err(ViewPropertyError::SelfInclusion {
+                    pair: tuple.pair.clone(),
+                });
+            }
+        }
+        for a in tuples {
+            for b in tuples {
+                if a == b {
+                    continue;
+                }
+                if !a.view.is_subset(&b.view) && !b.view.is_subset(&a.view) {
+                    return Err(ViewPropertyError::Incomparable {
+                        left: a.pair.clone(),
+                        right: b.pair.clone(),
+                    });
+                }
+                if a.pair.process == b.pair.process
+                    && a.pair.op_id != b.pair.op_id
+                    && a.view.contains(&b.pair)
+                    && b.view.contains(&a.pair)
+                {
+                    return Err(ViewPropertyError::ProcessSequentiality {
+                        first: a.pair.clone(),
+                        second: b.pair.clone(),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    pub(crate) fn sketch_interval(tuples: &TupleSet) -> Result<IntervalHistory, ViewPropertyError> {
+        check_view_properties(tuples)?;
+        let mut distinct: Vec<&View> = Vec::new();
+        for tuple in tuples {
+            if !distinct.contains(&&tuple.view) {
+                distinct.push(&tuple.view);
+            }
+        }
+        distinct.sort_by_key(|v| v.len());
+        let mut by_view: BTreeMap<usize, Vec<&ViewTuple>> = BTreeMap::new();
+        for tuple in tuples {
+            let index = distinct
+                .iter()
+                .position(|v| *v == &tuple.view)
+                .expect("view collected above");
+            by_view.entry(index).or_default().push(tuple);
+        }
+        let mut interval = IntervalHistory::new();
+        let mut previous = View::new();
+        for (k, view) in distinct.iter().enumerate() {
+            let fresh: Vec<_> = view.difference(&previous).cloned().collect();
+            if !fresh.is_empty() {
+                interval.push_invocations(
+                    fresh
+                        .iter()
+                        .map(|pair| (pair.process, pair.op_id, pair.operation.clone()))
+                        .collect(),
+                );
+            }
+            interval.push_responses(
+                by_view[&k]
+                    .iter()
+                    .map(|t| (t.pair.process, t.pair.op_id, t.response.clone()))
+                    .collect(),
+            );
+            previous = (*view).clone();
+        }
+        Ok(interval)
+    }
+}
+
+/// splitmix64: the schedules below are a pure function of the seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Asserts that the rewrite and the oracle agree on `tuples`: identical sketches when the
+/// views are valid, the same error variant when they are not. Returns that verdict.
+fn assert_agree(tuples: &TupleSet, context: &str) -> Result<(), ViewPropertyError> {
+    let expected = reference::check_view_properties(tuples);
+    let actual = check_view_properties(tuples);
+    assert_eq!(
+        actual.as_ref().map_err(discriminant),
+        expected.as_ref().map_err(discriminant),
+        "{context}: check_view_properties says {actual:?}, the all-pairs check {expected:?}"
+    );
+    match reference::sketch_interval(tuples) {
+        Ok(interval) => {
+            assert_eq!(
+                sketch_interval(tuples).as_ref(),
+                Ok(&interval),
+                "{context}: interval sketch differs"
+            );
+            let history = sketch_history(tuples).expect("valid views");
+            assert_eq!(history, interval.flatten(), "{context}: history differs");
+        }
+        Err(expected) => {
+            let SketchError::ViewProperty(actual) =
+                sketch_history(tuples).expect_err("the oracle rejects these views");
+            assert_eq!(
+                discriminant(&actual),
+                discriminant(&expected),
+                "{context}: sketch_history says {actual:?}, the oracle {expected:?}"
+            );
+        }
+    }
+    expected
+}
+
+/// Runs a seeded interleaving of announce / call / collect / publish over `processes`
+/// processes and checks the agreement on the published set `τ` after every publication
+/// and once more at the end, when some operations are still pending (announced, no
+/// tuple) and some tuples are collected but not yet published.
+fn run_schedule(seed: u64, processes: usize, steps: usize) -> TupleSet {
+    #[derive(Default)]
+    struct Lane {
+        announced: Option<Announced>,
+        called: Option<(Announced, OpValue)>,
+        unpublished: Vec<ViewTuple>,
+        issued: usize,
+    }
+    let mut rng = Rng(seed);
+    let drv = Drv::new(SpecObject::new(QueueSpec::new()), processes);
+    let mut lanes: Vec<Lane> = (0..processes).map(|_| Lane::default()).collect();
+    let mut published = TupleSet::new();
+    for step in 0..steps {
+        let index = rng.below(processes);
+        let lane = &mut lanes[index];
+        // One time in four a process with collected tuples publishes them — so other
+        // processes' later tuples reach `τ` first (late publication).
+        if !lane.unpublished.is_empty() && rng.below(4) == 0 {
+            published.extend(lane.unpublished.drain(..));
+            let context = format!("seed {seed}, {processes} processes, step {step}");
+            assert_eq!(assert_agree(&published, &context), Ok(()), "{context}");
+        } else if let Some((announced, value)) = lane.called.take() {
+            lane.unpublished.push(drv.collect(announced, value).tuple());
+        } else if let Some(announced) = lane.announced.take() {
+            let value = drv.call_inner(&announced);
+            lane.called = Some((announced, value));
+        } else {
+            let op = if rng.below(2) == 0 {
+                queue::enqueue((index * 1000 + lane.issued) as i64)
+            } else {
+                queue::dequeue()
+            };
+            lane.issued += 1;
+            lane.announced = Some(drv.announce(ProcessId::new(index as u32), &op));
+        }
+    }
+    let context = format!("seed {seed}, {processes} processes, end");
+    assert_eq!(assert_agree(&published, &context), Ok(()), "{context}");
+    published
+}
+
+#[test]
+fn seeded_drv_schedules_sketch_identically() {
+    let mut tuples_seen = 0;
+    for seed in 0..40 {
+        for processes in 1..=5 {
+            tuples_seen += run_schedule(seed, processes, 30 + 12 * processes).len();
+        }
+    }
+    assert!(
+        tuples_seen > 1000,
+        "schedules too short: {tuples_seen} tuples"
+    );
+}
+
+/// A pair no schedule announces.
+fn foreign_pair(process: u32) -> InvocationPair {
+    InvocationPair {
+        process: ProcessId::new(process),
+        op_id: OpId::new(1 << 40),
+        operation: queue::enqueue(-1),
+    }
+}
+
+/// Replaces `old` by a copy whose view is `view`.
+fn with_view(tuples: &TupleSet, old: &ViewTuple, view: View) -> TupleSet {
+    let mut mutated = tuples.clone();
+    mutated.remove(old);
+    mutated.insert(ViewTuple::new(old.pair.clone(), old.response.clone(), view));
+    mutated
+}
+
+/// Two tuples of one process in announcement order, if the set has such a pair.
+fn same_process_pair(tuples: &TupleSet) -> Option<(&ViewTuple, &ViewTuple)> {
+    tuples.iter().find_map(|a| {
+        tuples
+            .iter()
+            .find(|b| b.pair.process == a.pair.process && b.pair.op_id > a.pair.op_id)
+            .map(|b| (a, b))
+    })
+}
+
+#[test]
+fn planted_faults_are_reported_as_the_same_variant() {
+    let mut mutual = 0;
+    for seed in 100..130 {
+        for processes in 1..=5 {
+            let tuples = run_schedule(seed, processes, 40 + 12 * processes);
+            if tuples.len() < 2 {
+                continue;
+            }
+            let mut rng = Rng(seed);
+            let victim = tuples
+                .iter()
+                .nth(rng.below(tuples.len()))
+                .expect("index in range");
+            let context = format!("seed {seed}, {processes} processes");
+
+            // Own pair removed from a view.
+            let mut view = victim.view.clone();
+            view.remove(&victim.pair);
+            assert!(matches!(
+                assert_agree(&with_view(&tuples, victim, view), &context),
+                Err(ViewPropertyError::SelfInclusion { .. })
+            ));
+
+            // One view replaced by one that is incomparable with every other: it lacks
+            // their own pairs and holds a pair none of them has.
+            let view = View::from([victim.pair.clone(), foreign_pair(7)]);
+            assert!(matches!(
+                assert_agree(&with_view(&tuples, victim, view), &context),
+                Err(ViewPropertyError::Incomparable { .. })
+            ));
+
+            // Two views of the same size and different content — the case a sketch that
+            // identifies views by size alone would merge into one step.
+            let twin = foreign_pair(processes as u32);
+            let mut view = victim.view.clone();
+            view.remove(&victim.pair);
+            view.insert(twin.clone());
+            assert_eq!(view.len(), victim.view.len());
+            let mut mutated = tuples.clone();
+            mutated.insert(ViewTuple::new(twin, OpValue::Bool(true), view));
+            assert!(matches!(
+                assert_agree(&mutated, &context),
+                Err(ViewPropertyError::Incomparable { .. })
+            ));
+
+            // Two operations of one process that see each other: the earlier one is
+            // given the later one's view.
+            if let Some((earlier, later)) = same_process_pair(&tuples) {
+                mutual += 1;
+                let mutated = with_view(&tuples, earlier, later.view.clone());
+                assert!(matches!(
+                    assert_agree(&mutated, &context),
+                    Err(ViewPropertyError::ProcessSequentiality { .. })
+                ));
+                // Forged second responses of the later operation, sitting between the
+                // two in every order, must not hide the fault...
+                let mut forged = mutated.clone();
+                for response in [OpValue::Int(-7), OpValue::Error] {
+                    forged.insert(ViewTuple::new(
+                        later.pair.clone(),
+                        response,
+                        later.view.clone(),
+                    ));
+                }
+                assert!(matches!(
+                    assert_agree(&forged, &context),
+                    Err(ViewPropertyError::ProcessSequentiality { .. })
+                ));
+                // ...and are not a fault themselves: one operation, one pair.
+                let mut forged = tuples.clone();
+                forged.insert(ViewTuple::new(
+                    later.pair.clone(),
+                    OpValue::Int(-7),
+                    later.view.clone(),
+                ));
+                assert_eq!(assert_agree(&forged, &context), Ok(()));
+            }
+        }
+    }
+    assert!(
+        mutual >= 60,
+        "only {mutual} schedules had two tuples of one process"
+    );
+}
+
+/// Small forged sets over a universe of six pairs (two processes, three operations
+/// each), views drawn at random: most violate several properties at once. Here the two
+/// may name different variants (the all-pairs loop reports whichever pair it meets
+/// first), but never disagree on validity, and self-inclusion takes precedence in both.
+#[test]
+fn forged_sets_are_accepted_and_rejected_alike() {
+    let universe: Vec<InvocationPair> = (0..6u64)
+        .map(|id| InvocationPair {
+            process: ProcessId::new((id / 3) as u32),
+            // Operations 1 and 2 of each process share an `op_id`.
+            op_id: OpId::new(id - u64::from(id % 3 == 2)),
+            operation: queue::enqueue(id as i64),
+        })
+        .collect();
+    let mut rng = Rng(7);
+    let (mut valid, mut invalid) = (0, 0);
+    for case in 0..20_000 {
+        let mut tuples = TupleSet::new();
+        // Mostly nested views (prefixes of one random order), sometimes arbitrary.
+        let mut order = universe.clone();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i + 1));
+        }
+        for _ in 0..1 + rng.below(4) {
+            let pair = universe[rng.below(universe.len())].clone();
+            let view: View = if rng.below(8) == 0 {
+                universe
+                    .iter()
+                    .filter(|_| rng.below(2) == 0)
+                    .cloned()
+                    .collect()
+            } else {
+                let position = order.iter().position(|p| *p == pair).expect("in universe");
+                let end = position + 1 + rng.below(order.len() - position);
+                order[..end].iter().cloned().collect()
+            };
+            tuples.insert(ViewTuple::new(pair, OpValue::Bool(true), view));
+        }
+        let expected = reference::check_view_properties(&tuples);
+        let actual = check_view_properties(&tuples);
+        assert_eq!(
+            actual.is_ok(),
+            expected.is_ok(),
+            "case {case}: {actual:?} against the all-pairs {expected:?} on {tuples:#?}"
+        );
+        assert_eq!(
+            matches!(actual, Err(ViewPropertyError::SelfInclusion { .. })),
+            matches!(expected, Err(ViewPropertyError::SelfInclusion { .. })),
+            "case {case}: self-inclusion is checked first by both"
+        );
+        if expected.is_ok() {
+            valid += 1;
+            assert_agree(&tuples, &format!("forged case {case}")).expect("valid");
+        } else {
+            invalid += 1;
+        }
+    }
+    assert!(
+        valid > 2_000 && invalid > 2_000,
+        "{valid} valid, {invalid} invalid"
+    );
+}
+
+/// A count-free guard against the all-pairs loop coming back: 2 000 tuples with views
+/// of up to 2 000 pairs are ~10¹⁰ pair comparisons for an O(t²·v) check, which a debug
+/// build does not finish; the chain-checked path visits ~10⁷.
+#[test]
+fn two_thousand_tuples_sketch_in_linear_time() {
+    const PROCESSES: u64 = 4;
+    const ROUNDS: u64 = 500;
+    let pair = |id: u64| InvocationPair {
+        process: ProcessId::new((id % PROCESSES) as u32),
+        op_id: OpId::new(id),
+        operation: queue::enqueue(id as i64),
+    };
+    let mut tuples = TupleSet::new();
+    let mut announced = View::new();
+    for round in 0..ROUNDS {
+        let ids = round * PROCESSES..(round + 1) * PROCESSES;
+        if round % 2 == 0 {
+            // All four announce, then all four collect: one shared view.
+            announced.extend(ids.clone().map(pair));
+            for id in ids {
+                tuples.insert(ViewTuple::new(
+                    pair(id),
+                    OpValue::Bool(true),
+                    announced.clone(),
+                ));
+            }
+        } else {
+            // One after the other: four views, each one pair larger.
+            for id in ids {
+                announced.insert(pair(id));
+                tuples.insert(ViewTuple::new(
+                    pair(id),
+                    OpValue::Bool(true),
+                    announced.clone(),
+                ));
+            }
+        }
+    }
+    assert_eq!(tuples.len(), 2_000);
+
+    let started = Instant::now();
+    let history = sketch_history(&tuples).expect("valid views");
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "sketch_history took {elapsed:?} on 2 000 tuples"
+    );
+    assert_eq!(history.len(), 4_000);
+    assert!(history.is_well_formed());
+    assert_eq!(history.pending_operations().count(), 0);
+    // 250 shared views + 250 × 4 single ones, an invocation and a response step each.
+    assert_eq!(sketch_interval(&tuples).expect("valid views").len(), 2_500);
+}
