@@ -20,6 +20,8 @@
 //! * [`SetLinSpec`] — set-linearizability for set-sequential specifications.
 //! * [`tasks`] — one-shot tasks and their interval-linearizability membership
 //!   (Section 9.3).
+//! * [`StreamingChecker`] — the online form of [`LinSpec`]: a per-event frontier of
+//!   reachable configurations that latches a violation at the response causing it.
 //!
 //! ```
 //! use linrv_check::{GenLinObject, LinSpec};

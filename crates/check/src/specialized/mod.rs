@@ -7,9 +7,14 @@
 //! register, counter — *unambiguous* histories (no two insertions of the same
 //! value) admit log-linear decision procedures in the style of Lee & Mathur's
 //! decrease-and-conquer monitors and Abdulla et al.'s per-type algorithms.
-//! This module implements them behind [`CheckerStrategy`] / [`StrategyChecker`]
-//! so that `linrv check`, [`StreamingChecker`](crate::stream::StreamingChecker)
-//! and the `linrv` facade all benefit transparently.
+//! This module implements them behind [`CheckerStrategy`] / [`StrategyChecker`],
+//! which is what every *batch* decision runs: the `linrv` facade's verdicts,
+//! the pool's incremental checks, and — for
+//! [`StreamingChecker`](crate::stream::StreamingChecker) and `linrv check` —
+//! the one confirmation that turns an empty per-event frontier into a
+//! violation certificate, plus every whole-prefix re-check after a fallback.
+//! The frontier itself steps the sequential specification and does not use
+//! these monitors.
 //!
 //! # Soundness architecture
 //!

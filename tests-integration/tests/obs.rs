@@ -141,3 +141,78 @@ proptest! {
         prop_assert_eq!(samples as usize, op_count);
     }
 }
+
+/// The streaming checker decides a clean trace on its per-event frontier
+/// alone: one frontier-size sample per response, no fallback, and not one
+/// whole-prefix decision — the re-check loop cannot come back unnoticed. A
+/// corrupted trace costs exactly one, the confirmation of its violation.
+#[test]
+fn a_clean_trace_is_decided_without_a_single_recheck() {
+    let _guard = lock();
+    if !linrv_obs::set_enabled(true) {
+        return;
+    }
+    let measure = |name: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("traces")
+            .join(name);
+        let reader = linrv_trace::TraceReader::new(std::fs::File::open(path).expect("open trace"))
+            .expect("golden trace header");
+        let configs0 = linrv_check::metrics::frontier_configs().snapshot_values();
+        let fallbacks0 = linrv_check::metrics::frontier_fallbacks_total().get();
+        let rechecks0 = linrv_check::metrics::rechecks_total().get();
+        let (consumed, verdict) = linrv_check::check_events(QueueSpec::new(), reader)
+            .expect("golden trace must be readable");
+        let configs = linrv_check::metrics::frontier_configs().snapshot_values();
+        let responses = consumed.events().iter().filter(|e| e.is_response()).count();
+        assert_eq!((configs.count - configs0.count) as usize, responses);
+        assert_eq!(
+            linrv_check::metrics::frontier_fallbacks_total().get(),
+            fallbacks0
+        );
+        (
+            verdict,
+            configs.sum - configs0.sum,
+            linrv_check::metrics::rechecks_total().get() - rechecks0,
+        )
+    };
+    let (verdict, configs, rechecks) = measure("queue-correct.jsonl");
+    assert!(verdict.is_member());
+    assert!(configs > 0);
+    assert_eq!(rechecks, 0);
+    let (verdict, _, rechecks) = measure("queue-faulty.jsonl");
+    assert!(verdict.is_violation());
+    assert_eq!(rechecks, 1);
+    linrv_obs::set_enabled(false);
+}
+
+/// Giving the frontier up is counted and leaves one event naming the reason
+/// and the index of the offending event.
+#[test]
+fn a_fallback_is_counted_and_explained() {
+    use linrv_history::{Event, OpId, OpValue, ProcessId};
+    let _guard = lock();
+    if !linrv_obs::set_enabled(true) {
+        return;
+    }
+    let fallbacks0 = linrv_check::metrics::frontier_fallbacks_total().get();
+    linrv_obs::clear_events();
+    let mut checker = linrv_check::StreamingChecker::new(CounterSpec::new());
+    let p = ProcessId::new(0);
+    checker.push(Event::invocation(p, OpId::new(0), counter::inc()));
+    // A response nobody is waiting for.
+    checker.push(Event::response(p, OpId::new(9), OpValue::Int(0)));
+    assert!(checker.finish().1.is_violation());
+    let events = linrv_obs::recent_events();
+    linrv_obs::set_enabled(false);
+    assert_eq!(
+        linrv_check::metrics::frontier_fallbacks_total().get() - fallbacks0,
+        1
+    );
+    let fallback: Vec<_> = events
+        .iter()
+        .filter(|event| event.name == "check.frontier.fallback")
+        .collect();
+    assert_eq!(fallback.len(), 1);
+    assert_eq!(fallback[0].detail, "reason=ill-formed event=2");
+}
