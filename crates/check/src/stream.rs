@@ -46,9 +46,9 @@
 //!   response form a contiguous block of `L` that ends with the responder —
 //!   exactly one of the sequences the response step enumerates.
 //!
-//! A violation is therefore latched at the response that causes it, whatever
-//! the schedule below; at the end of the stream a non-empty set is membership
-//! (pending operations may stay unplaced).
+//! A violation is therefore latched at the response that causes it, not at a
+//! point of the fallback schedule below; at the end of the stream a non-empty
+//! set is membership (pending operations may stay unplaced).
 //!
 //! # Cost model
 //!
@@ -79,20 +79,15 @@
 //! any event that breaks well-formedness (a re-used operation id, a response
 //! without its invocation or on another process, a second open operation of a
 //! process), the checker drops the set for the rest of the stream and
-//! continues on the whole-prefix schedule it was built with — never wrong,
-//! only slower:
-//!
-//! * [`StreamingChecker::new`] re-decides the consumed prefix at
-//!   [`DEFAULT_STRIDE`] completed operations and at every doubling: the prefix
-//!   sizes sum to less than twice the final length.
-//! * [`StreamingChecker::with_stride`] re-decides every `stride` completed
-//!   operations: latency of `stride - 1` operations for `n / stride` full
-//!   checks.
+//! continues on the whole-prefix schedule — never wrong, only slower: the
+//! consumed prefix is re-decided at 64 completed operations and at every
+//! doubling after that, so the prefix sizes sum to less than twice the final
+//! length.
 //!
 //! Each such check runs the [`StrategyChecker`] from scratch (log-linear
 //! specialized monitor where it applies, worst-case exponential general search
 //! otherwise), and the schedule keeps counting while the frontier is alive, so
-//! a stream that falls back is never re-checked more often than its schedule
+//! a stream that falls back is never re-checked more often than the schedule
 //! alone would. The verdict is identical on every path; only latency and cost
 //! move.
 
@@ -102,22 +97,13 @@ use linrv_history::{Event, EventKind, History, OpId, OpValue, Operation, Process
 use linrv_spec::SequentialSpec;
 use std::collections::{BTreeMap, HashSet};
 
-/// First re-check point of [`StreamingChecker::new`]'s geometric fallback
-/// schedule, and the historical default stride, in completed operations.
-pub const DEFAULT_STRIDE: usize = 64;
+/// First re-check point of the geometric fallback schedule, in completed
+/// operations.
+const FIRST_RECHECK: usize = 64;
 
 /// Configurations one response may visit before the checker gives the
 /// frontier up for the whole-prefix schedule.
 const FRONTIER_BOUND: usize = 1 << 12;
-
-/// When the checker re-decides the consumed prefix once the frontier is gone.
-enum Schedule {
-    /// Every `n` completed operations: bounded latency, `n / stride` checks.
-    Every(usize),
-    /// At [`DEFAULT_STRIDE`] and every doubling after it: amortised-constant
-    /// overhead relative to the final check.
-    Geometric,
-}
 
 /// Why the frontier is given up, as `check.frontier.fallback` reports it:
 /// `"bound"`, `"ill-formed"` or `"disagreement"`.
@@ -288,7 +274,6 @@ pub struct StreamingChecker<S: SequentialSpec> {
     completed: usize,
     /// The schedule's next re-check is due when `completed` reaches this.
     next_check: usize,
-    schedule: Schedule,
     /// Latched at the first non-member prefix; never cleared (prefix closure).
     verdict: Option<Verdict>,
 }
@@ -296,33 +281,15 @@ pub struct StreamingChecker<S: SequentialSpec> {
 impl<S: SequentialSpec> StreamingChecker<S> {
     /// Starts a streaming check against `spec`. Should the frontier be given
     /// up, the rest of the stream is re-decided on the geometric schedule
-    /// (first at [`DEFAULT_STRIDE`] completed operations, then at every
-    /// doubling) — see the [module docs](self).
+    /// (first at 64 completed operations, then at every doubling) — see the
+    /// [module docs](self).
     pub fn new(spec: S) -> Self {
-        Self::with_schedule(spec, Schedule::Geometric, DEFAULT_STRIDE)
-    }
-
-    /// Starts a streaming check whose fallback re-decides every `stride`
-    /// completed operations. While the frontier decides — on every
-    /// well-formed stream within the bound — `stride` changes nothing: a
-    /// violation is latched at the response that causes it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero.
-    pub fn with_stride(spec: S, stride: usize) -> Self {
-        assert!(stride > 0, "stride must be positive");
-        Self::with_schedule(spec, Schedule::Every(stride), stride)
-    }
-
-    fn with_schedule(spec: S, schedule: Schedule, first_check: usize) -> Self {
         StreamingChecker {
             frontier: Some(Frontier::new(&spec)),
             object: StrategyChecker::new(spec),
             history: History::new(),
             completed: 0,
-            next_check: first_check,
-            schedule,
+            next_check: FIRST_RECHECK,
             verdict: None,
         }
     }
@@ -344,10 +311,7 @@ impl<S: SequentialSpec> StreamingChecker<S> {
         if is_response {
             self.completed += 1;
             if self.completed >= self.next_check {
-                self.next_check = match self.schedule {
-                    Schedule::Every(stride) => self.completed + stride,
-                    Schedule::Geometric => self.completed * 2,
-                };
+                self.next_check = self.completed * 2;
                 due = true;
             }
         }
@@ -511,7 +475,7 @@ mod tests {
     #[test]
     fn violations_stop_consumption_early() {
         let history = violating_history();
-        let mut checker = StreamingChecker::with_stride(QueueSpec::new(), 1);
+        let mut checker = StreamingChecker::new(QueueSpec::new());
         let mut fed = 0;
         for event in history.events() {
             fed += 1;
@@ -519,7 +483,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(fed, 2, "stride 1 latches at the first bad response");
+        assert_eq!(fed, 2, "the frontier latches at the first bad response");
         let (consumed, verdict) = checker.finish();
         assert!(verdict.is_violation());
         assert_eq!(consumed.len(), 2);
@@ -528,20 +492,8 @@ mod tests {
     }
 
     #[test]
-    fn stride_changes_latency_not_the_verdict() {
-        let history = violating_history();
-        for stride in [1, 2, 7, 1000] {
-            let mut checker = StreamingChecker::with_stride(QueueSpec::new(), stride);
-            for event in history.events() {
-                checker.push(event.clone());
-            }
-            assert!(checker.finish().1.is_violation(), "stride {stride}");
-        }
-    }
-
-    #[test]
     fn pushing_after_a_latched_verdict_is_inert() {
-        let mut checker = StreamingChecker::with_stride(QueueSpec::new(), 1);
+        let mut checker = StreamingChecker::new(QueueSpec::new());
         for event in violating_history().events() {
             checker.push(event.clone());
         }
@@ -565,12 +517,6 @@ mod tests {
             check_events(QueueSpec::new(), events).unwrap_err(),
             "torn trace"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "stride must be positive")]
-    fn zero_stride_is_rejected() {
-        let _ = StreamingChecker::with_stride(QueueSpec::new(), 0);
     }
 
     const LANES: u32 = 4;
@@ -662,7 +608,6 @@ mod tests {
 
     #[test]
     fn a_fallen_back_stream_keeps_to_its_schedule() {
-        const STRIDE: usize = 10;
         // Falls back at the 9th response; 12 + 58 = 70 completed operations.
         let (mut b, _) = concurrent_enqueue_rounds(3);
         for value in 100..158 {
@@ -673,22 +618,41 @@ mod tests {
             );
         }
         let history = b.build();
+        // Two events per operation: the 63rd response is event 126.
+        let (before, after) = history.events().split_at(2 * (FIRST_RECHECK - 1));
 
+        // One initial state for the frontier, one per whole-prefix decision.
         let initial_states = AtomicUsize::new(0);
-        let mut checker = StreamingChecker::with_stride(CountedQueue(&initial_states), STRIDE);
-        stream(&mut checker, &history);
+        let mut checker = StreamingChecker::new(CountedQueue(&initial_states));
+        for event in before {
+            checker.push(event.clone());
+        }
         assert!(checker.frontier.is_none(), "the bound was not reached");
+        assert_eq!(
+            initial_states.load(Ordering::Relaxed),
+            1,
+            "nothing is due before the schedule's first point, fallback or not"
+        );
+        for event in after {
+            checker.push(event.clone());
+        }
+        assert_eq!(
+            initial_states.load(Ordering::Relaxed),
+            2,
+            "one re-check at 64 completed operations, none before 128"
+        );
         assert!(checker.finish().1.is_member());
-        // One initial state for the frontier; then the schedule's points
-        // after the fallback (10, 20, ... 70) and the final decision.
-        let rechecks = initial_states.load(Ordering::Relaxed) - 1;
-        assert_eq!(rechecks, 70 / STRIDE + 1);
+        assert_eq!(
+            initial_states.load(Ordering::Relaxed),
+            3,
+            "the final decision"
+        );
     }
 
     #[test]
     fn a_decided_stream_is_never_rechecked() {
         let initial_states = AtomicUsize::new(0);
-        let mut checker = StreamingChecker::with_stride(CountedQueue(&initial_states), 1);
+        let mut checker = StreamingChecker::new(CountedQueue(&initial_states));
         stream(&mut checker, &correct_history(50));
         assert!(checker.finish().1.is_member());
         assert_eq!(initial_states.load(Ordering::Relaxed), 1);

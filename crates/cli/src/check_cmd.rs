@@ -13,10 +13,7 @@ use crate::args::Parsed;
 use crate::io::{describe, open_input};
 use linrv_check::stream::StreamingChecker;
 use linrv_check::Verdict;
-use linrv_spec::{
-    ConsensusSpec, CounterSpec, ObjectKind, PriorityQueueSpec, QueueSpec, RegisterSpec,
-    SequentialSpec, SetSpec, StackSpec,
-};
+use linrv_spec::{with_spec, SequentialSpec};
 use linrv_trace::TraceReader;
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -27,10 +24,6 @@ pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, String> {
         return Err("check takes at most one trace file".into());
     }
     let path = parsed.positionals().first().map(String::as_str);
-    let stride: usize = parsed.get_or("stride", linrv_check::stream::DEFAULT_STRIDE)?;
-    if stride == 0 {
-        return Err("--stride must be positive".into());
-    }
     let quiet = parsed.has("quiet");
     let explain = parsed.has("explain");
     let stats = crate::stats::init(parsed);
@@ -38,29 +31,9 @@ pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, String> {
     let reader = TraceReader::new(input)
         .map_err(|err| format!("cannot read {}: {err}", describe(path, "stdin")))?;
     let source = describe(path, "stdin");
-    let code = match reader.header().kind {
-        ObjectKind::Queue => check(QueueSpec::new(), reader, stride, quiet, explain, &source),
-        ObjectKind::Stack => check(StackSpec::new(), reader, stride, quiet, explain, &source),
-        ObjectKind::Set => check(SetSpec::new(), reader, stride, quiet, explain, &source),
-        ObjectKind::PriorityQueue => check(
-            PriorityQueueSpec::new(),
-            reader,
-            stride,
-            quiet,
-            explain,
-            &source,
-        ),
-        ObjectKind::Counter => check(CounterSpec::new(), reader, stride, quiet, explain, &source),
-        ObjectKind::Register => check(RegisterSpec::new(), reader, stride, quiet, explain, &source),
-        ObjectKind::Consensus => check(
-            ConsensusSpec::new(),
-            reader,
-            stride,
-            quiet,
-            explain,
-            &source,
-        ),
-    }?;
+    let code = with_spec!(reader.header().kind, |spec| check(
+        spec, reader, quiet, explain, &source
+    ))?;
     if let Some(stats) = &stats {
         stats.emit()?;
     }
@@ -79,7 +52,6 @@ fn describe_object(object: Option<u64>) -> String {
 fn check<S: SequentialSpec + Clone>(
     spec: S,
     mut reader: TraceReader<impl Read>,
-    stride: usize,
     quiet: bool,
     explain: bool,
     source: &str,
@@ -94,7 +66,7 @@ fn check<S: SequentialSpec + Clone>(
         events += 1;
         let checker = checkers
             .entry(object)
-            .or_insert_with(|| StreamingChecker::with_stride(spec.clone(), stride));
+            .or_insert_with(|| StreamingChecker::new(spec.clone()));
         if checker.push(event).is_some() {
             // Prefix closure: this object's violation is final, stop reading.
             break;

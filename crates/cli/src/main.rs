@@ -11,7 +11,6 @@
 //! ```
 
 mod args;
-mod bench_cmd;
 mod check_cmd;
 mod convert;
 mod explain_cmd;
@@ -40,7 +39,7 @@ USAGE:
         the kind (Michael–Scott queue, Treiber stack, ...), deterministically
         scheduled. Bit-for-bit deterministic per --seed.
 
-    linrv check   [FILE] [--stride N] [--quiet] [--explain] [--stats[=FILE]]
+    linrv check   [FILE] [--quiet] [--explain] [--stats[=FILE]]
         Stream a trace (file or stdin) into the linearizability checker.
         Exit 0: linearizable. Exit 1: violation, certificate on stderr.
         With --explain, a violation is additionally shrunk, diagnosed and
@@ -70,12 +69,6 @@ USAGE:
         print a one-screen report. With --corpus, write failing traces (full
         and shrunk) as JSONL under DIR. Bit-for-bit deterministic per --seed.
         Exit 0 when every injected fault was caught and nothing else violated.
-
-    linrv bench   [--quick] [--out FILE] [--compare OLD.json] [--threshold X]
-        Run the fixed seeded benchmark suite (checker, DRV, trace codec) and
-        write a schema-versioned BENCH_<host>_<date>.json datapoint. With
-        --compare, print per-workload ns/op deltas against an earlier
-        datapoint and exit 1 when any ratio exceeds --threshold (default 2.0).
 
 KINDS:
     queue, stack, set, priority-queue, counter, register, consensus
@@ -118,7 +111,7 @@ fn dispatch(argv: &[String]) -> Result<ExitCode, String> {
             genrec::run(&parsed, genrec::Source::Implementation)
         }
         "check" => {
-            let parsed = args::parse(rest, &["quiet", "stats", "explain"], &["stride", "stats"])?;
+            let parsed = args::parse(rest, &["quiet", "stats", "explain"], &["stats"])?;
             check_cmd::run(&parsed)
         }
         "explain" => {
@@ -132,10 +125,6 @@ fn dispatch(argv: &[String]) -> Result<ExitCode, String> {
         "fuzz" => {
             let parsed = args::parse(rest, FUZZ_SWITCHES, FUZZ_OPTIONS)?;
             fuzz_cmd::run(&parsed)
-        }
-        "bench" => {
-            let parsed = args::parse(rest, &["quick"], &["out", "compare", "threshold"])?;
-            bench_cmd::run(&parsed)
         }
         other => Err(format!("unknown command {other:?}")),
     }

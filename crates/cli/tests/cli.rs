@@ -1,6 +1,7 @@
 //! End-to-end tests of the `linrv` binary: the record → check pipeline, exit
 //! codes, determinism and lossless conversion.
 
+use linrv_trace::{Provenance, TraceReader};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -285,8 +286,71 @@ fn committed_shrunk_witnesses_check_as_violations() {
 }
 
 #[test]
+fn golden_traces_regenerate_byte_for_byte_from_their_own_headers() {
+    // Each committed trace names its own recipe: `gen` with the header's
+    // kind, seed and shape must write the committed bytes back.
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests-integration/traces");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(dir).expect("golden corpus dir") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
+            continue;
+        }
+        seen += 1;
+        let committed = std::fs::read(&path).expect("read trace");
+        let header = TraceReader::new(committed.as_slice())
+            .unwrap_or_else(|err| panic!("{}: {err}", path.display()))
+            .header()
+            .clone();
+        let recorded = |field: Option<u64>, name: &str| {
+            field
+                .unwrap_or_else(|| panic!("{}: header lacks {name}", path.display()))
+                .to_string()
+        };
+        let kind = header.kind.to_string();
+        let seed = recorded(header.seed, "seed");
+        let processes = recorded(header.processes.map(u64::from), "processes");
+        let ops = recorded(header.ops_per_process.map(u64::from), "ops_per_process");
+        let mut args = vec![
+            "gen",
+            "--kind",
+            &kind,
+            "--seed",
+            &seed,
+            "--processes",
+            &processes,
+            "--ops",
+            &ops,
+        ];
+        if header.provenance == Provenance::Faulty {
+            args.push("--faulty");
+        }
+        let regenerated = linrv(&args);
+        assert_eq!(exit_code(&regenerated), 0, "{}", path.display());
+        assert!(
+            regenerated.stdout == committed,
+            "{}: `linrv {}` no longer writes the committed bytes",
+            path.display(),
+            args.join(" ")
+        );
+    }
+    assert_eq!(seen, 14, "two traces per kind, seven kinds");
+}
+
+#[test]
 fn errors_exit_2() {
     assert_eq!(exit_code(&linrv(&["frobnicate"])), 2);
+    // Removed surface is a usage error, even on a trace that checks clean.
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests-integration/traces/queue-correct.jsonl"
+    );
+    for removed in [&["bench"][..], &["check", "--stride", "8", golden]] {
+        let output = linrv(removed);
+        assert_eq!(exit_code(&output), 2, "{removed:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("run `linrv --help` for usage"), "{stderr}");
+    }
     assert_eq!(exit_code(&linrv(&["gen"])), 2, "missing --kind");
     assert_eq!(exit_code(&linrv(&["fuzz", "--scenarios", "0"])), 2);
     assert_eq!(exit_code(&linrv(&["fuzz", "extra-positional"])), 2);

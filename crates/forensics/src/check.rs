@@ -7,23 +7,12 @@
 
 use linrv_check::{StrategyChecker, Verdict};
 use linrv_history::History;
-use linrv_spec::{
-    ConsensusSpec, CounterSpec, ObjectKind, PriorityQueueSpec, QueueSpec, RegisterSpec, SetSpec,
-    StackSpec,
-};
+use linrv_spec::{with_spec, ObjectKind};
 
 /// Checks `history` against the sequential specification of `kind` using the
 /// strategy checker (specialized log-linear monitors with general fallback).
 pub fn check_history(kind: ObjectKind, history: &History) -> Verdict {
-    match kind {
-        ObjectKind::Queue => StrategyChecker::new(QueueSpec::new()).check(history),
-        ObjectKind::Stack => StrategyChecker::new(StackSpec::new()).check(history),
-        ObjectKind::Set => StrategyChecker::new(SetSpec::new()).check(history),
-        ObjectKind::PriorityQueue => StrategyChecker::new(PriorityQueueSpec::new()).check(history),
-        ObjectKind::Counter => StrategyChecker::new(CounterSpec::new()).check(history),
-        ObjectKind::Register => StrategyChecker::new(RegisterSpec::new()).check(history),
-        ObjectKind::Consensus => StrategyChecker::new(ConsensusSpec::new()).check(history),
-    }
+    with_spec!(kind, |spec| StrategyChecker::new(spec).check(history))
 }
 
 /// The bad-pattern name a violating history diagnoses to, or `None` when the

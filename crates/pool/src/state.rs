@@ -3,10 +3,11 @@
 //! Each object of a [`MonitorPool`](crate::MonitorPool) owns one [`CheckState`]:
 //! the retained tail of its history plus a summarised *base state* standing in
 //! for everything already verified and garbage-collected. Checker threads feed
-//! events in, the state re-checks the tail on a geometric schedule (like
-//! `linrv_check::StreamingChecker`: total work ≈ 3× one final check) and, after
-//! a passing check, GCs the maximal prefix whose linearization is forced — so
-//! per-object memory is bounded by the object's *concurrency*, not by its age.
+//! events in, the state re-checks the tail on a geometric schedule (the one
+//! `linrv_check::StreamingChecker` falls back to: total work ≈ 3× one final
+//! check) and, after a passing check, GCs the maximal prefix whose
+//! linearization is forced — so per-object memory is bounded by the object's
+//! *concurrency*, not by its age.
 //!
 //! ## Why prefix GC is sound
 //!

@@ -15,13 +15,12 @@
 //! on).
 
 use crate::object::ConcurrentObject;
-use crate::workload::Workload;
+use crate::workload::{Workload, WorkloadSource};
 use linrv_history::{Event, History, OpId, OpValue, Operation, ProcessId};
 use linrv_trace::EventSink;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -157,7 +156,7 @@ fn record_threaded(
 
 /// One process's progress through its operation sequence in a scheduled run.
 enum Phase {
-    /// Between operations; the front of the queue is the next one to invoke.
+    /// Between operations.
     Idle,
     /// Invocation logged, `apply` not called yet.
     Invoked(OpId, Operation),
@@ -188,7 +187,7 @@ pub fn record_scheduled(
     options: RecorderOptions,
     schedule_seed: u64,
 ) -> RecordedExecution {
-    record_scheduled_impl(object, workload, options, schedule_seed, None)
+    record_scheduled_from(object, workload, options, schedule_seed, None)
 }
 
 /// [`record_scheduled`], additionally streaming every logged event into `sink`
@@ -200,60 +199,28 @@ pub fn record_scheduled_traced(
     schedule_seed: u64,
     sink: &dyn EventSink,
 ) -> RecordedExecution {
-    record_scheduled_impl(object, workload, options, schedule_seed, Some(sink))
+    record_scheduled_from(object, workload, options, schedule_seed, Some(sink))
 }
 
-fn record_scheduled_impl(
+/// A fault-free [`record_scheduled_controlled`] run over `workload`'s
+/// pre-computed sequences.
+fn record_scheduled_from(
     object: &(impl ConcurrentObject + ?Sized),
     workload: Workload,
     options: RecorderOptions,
     schedule_seed: u64,
     sink: Option<&dyn EventSink>,
 ) -> RecordedExecution {
-    let log = EventLog::new(sink);
-    let started = Instant::now();
-    let mut rng = StdRng::seed_from_u64(schedule_seed);
-    let mut pending: Vec<VecDeque<Operation>> = (0..options.processes)
-        .map(|i| workload.operations_for(i, options.ops_per_process).into())
-        .collect();
-    let mut phases: Vec<Phase> = (0..options.processes).map(|_| Phase::Idle).collect();
-    let mut operations = 0usize;
-    loop {
-        // Deterministic scheduling: enumerate the processes that can take a
-        // step (in process order), then let the seeded RNG pick one.
-        let enabled: Vec<usize> = (0..options.processes)
-            .filter(|&i| !matches!(phases[i], Phase::Idle) || !pending[i].is_empty())
-            .collect();
-        if enabled.is_empty() {
-            break;
-        }
-        let process_index = enabled[rng.gen_range(0..enabled.len())];
-        let process = ProcessId::new(process_index as u32);
-        phases[process_index] = match std::mem::replace(&mut phases[process_index], Phase::Idle) {
-            Phase::Idle => {
-                let op = pending[process_index]
-                    .pop_front()
-                    .expect("enabled idle process has a next operation");
-                let id = log.fresh_op();
-                log.log_invocation(process, id, &op);
-                Phase::Invoked(id, op)
-            }
-            Phase::Invoked(id, op) => {
-                let value = object.apply(process, &op);
-                Phase::Applied(id, value)
-            }
-            Phase::Applied(id, value) => {
-                log.log_response(process, id, &value);
-                operations += 1;
-                Phase::Idle
-            }
-        };
-    }
-    RecordedExecution {
-        history: History::from_events(log.events.into_inner()),
-        duration: started.elapsed(),
-        operations,
-    }
+    let mut source = WorkloadSource::new(&workload, options.processes, options.ops_per_process);
+    record_scheduled_controlled(
+        object,
+        &mut source,
+        options.processes,
+        schedule_seed,
+        &mut NoFaults,
+        sink,
+    )
+    .execution
 }
 
 /// One step pulled from an [`OpSource`].
@@ -268,9 +235,8 @@ pub enum SourceStep {
 
 /// A pull-based source of per-process operations for
 /// [`record_scheduled_controlled`], generalising [`Workload`] (which
-/// pre-computes each process's sequence — see
-/// [`WorkloadSource`](crate::workload::WorkloadSource)) to lazy, stateful
-/// generators.
+/// pre-computes each process's sequence — see [`WorkloadSource`]) to lazy,
+/// stateful generators.
 pub trait OpSource {
     /// The next step for `process`: an operation, a pause, or `None` when the
     /// process has no further operations.
@@ -354,10 +320,9 @@ impl ProcState {
 /// The interleaving is bit-for-bit reproducible from `(source, processes,
 /// schedule_seed, faults)`: the RNG is consumed exactly once per grant, fault
 /// hooks run at every step, and pauses/stalls advance the step counter without
-/// touching the RNG. With [`NoFaults`] and a
-/// [`WorkloadSource`](crate::workload::WorkloadSource) the recorded history is
-/// identical to [`record_scheduled`]'s (property-tested below), so scenario
-/// runs and plain seeded runs share one scheduler semantics.
+/// touching the RNG. [`record_scheduled`] is this function with [`NoFaults`]
+/// and a [`WorkloadSource`], so scenario runs and plain seeded runs share one
+/// scheduler.
 pub fn record_scheduled_controlled(
     object: &(impl ConcurrentObject + ?Sized),
     source: &mut dyn OpSource,
@@ -659,27 +624,6 @@ mod tests {
             assert_eq!(crate::impls::correct_object(kind).kind(), kind);
             assert_eq!(crate::impls::spec_object(kind).kind(), kind);
             assert_eq!(crate::faulty::faulty_object(kind, 3).kind(), kind);
-        }
-    }
-
-    #[test]
-    fn controlled_scheduler_with_no_faults_matches_record_scheduled() {
-        use crate::workload::WorkloadSource;
-        for (seed, schedule) in [(42, 42), (7, 1), (0, 999)] {
-            let options = RecorderOptions {
-                processes: 3,
-                ops_per_process: 30,
-            };
-            let workload = Workload::new(WorkloadKind::Queue, seed);
-            let queue = MsQueue::new();
-            let plain = record_scheduled(&queue, workload, options, schedule);
-            let queue = MsQueue::new();
-            let mut source = WorkloadSource::new(&workload, 3, 30);
-            let controlled =
-                record_scheduled_controlled(&queue, &mut source, 3, schedule, &mut NoFaults, None);
-            assert_eq!(plain.history, controlled.execution.history);
-            assert_eq!(plain.operations, controlled.execution.operations);
-            assert!(controlled.crashed.is_empty());
         }
     }
 

@@ -300,8 +300,8 @@ pub struct WorkloadSource {
 }
 
 impl WorkloadSource {
-    /// Pre-generates each process's sequence, exactly as
-    /// [`record_scheduled`](crate::recorder::record_scheduled) would.
+    /// Pre-generates each process's sequence
+    /// ([`Workload::operations_for`]).
     pub fn new(workload: &Workload, processes: usize, ops_per_process: usize) -> Self {
         WorkloadSource {
             queues: (0..processes)

@@ -16,10 +16,7 @@ use linrv_history::{Event, History, OpId, ProcessId};
 use linrv_pool::{PoolBuilder, PoolSession};
 use linrv_runtime::faulty::MutatedObject;
 use linrv_runtime::{impls, record_scheduled_controlled, ConcurrentObject};
-use linrv_spec::{
-    ConsensusSpec, CounterSpec, ObjectKind, PriorityQueueSpec, QueueSpec, RegisterSpec,
-    SequentialSpec, SetSpec, StackSpec, TypedObject, TypedOp,
-};
+use linrv_spec::{with_spec, ObjectKind, SequentialSpec, TypedObject, TypedOp};
 
 /// Derives the interleaving seed from the scenario seed (the same mixing the
 /// `gen`/`record` commands use, so the two RNG streams never correlate).
@@ -95,15 +92,9 @@ fn run_scheduler_scenario(scenario: &Scenario) -> RunOutcome {
 }
 
 fn run_pool_scenario(scenario: &Scenario) -> RunOutcome {
-    match scenario.kind.object_kind() {
-        ObjectKind::Queue => run_pool_with(scenario, QueueSpec::new()),
-        ObjectKind::Stack => run_pool_with(scenario, StackSpec::new()),
-        ObjectKind::Set => run_pool_with(scenario, SetSpec::new()),
-        ObjectKind::PriorityQueue => run_pool_with(scenario, PriorityQueueSpec::new()),
-        ObjectKind::Counter => run_pool_with(scenario, CounterSpec::new()),
-        ObjectKind::Register => run_pool_with(scenario, RegisterSpec::new()),
-        ObjectKind::Consensus => run_pool_with(scenario, ConsensusSpec::new()),
-    }
+    with_spec!(scenario.kind.object_kind(), |spec| run_pool_with(
+        scenario, spec
+    ))
 }
 
 /// Drives the scenario's generators through pool sessions of one shared

@@ -37,6 +37,54 @@ impl ObjectKind {
     ];
 }
 
+/// Evaluates `body` with `spec` bound to the sequential specification of an
+/// [`ObjectKind`]: the one place that pairs each kind with its specification
+/// type. `body` is compiled once per kind, so it may be generic in the
+/// specification but must have the same type in every arm.
+///
+/// ```
+/// use linrv_spec::{with_spec, ObjectKind, SequentialSpec};
+///
+/// for kind in ObjectKind::ALL {
+///     assert_eq!(with_spec!(kind, |spec| spec.kind()), kind);
+/// }
+/// ```
+#[macro_export]
+macro_rules! with_spec {
+    ($kind:expr, |$spec:ident| $body:expr) => {
+        match $kind {
+            $crate::ObjectKind::Queue => {
+                let $spec = $crate::QueueSpec::new();
+                $body
+            }
+            $crate::ObjectKind::Stack => {
+                let $spec = $crate::StackSpec::new();
+                $body
+            }
+            $crate::ObjectKind::Set => {
+                let $spec = $crate::SetSpec::new();
+                $body
+            }
+            $crate::ObjectKind::PriorityQueue => {
+                let $spec = $crate::PriorityQueueSpec::new();
+                $body
+            }
+            $crate::ObjectKind::Counter => {
+                let $spec = $crate::CounterSpec::new();
+                $body
+            }
+            $crate::ObjectKind::Register => {
+                let $spec = $crate::RegisterSpec::new();
+                $body
+            }
+            $crate::ObjectKind::Consensus => {
+                let $spec = $crate::ConsensusSpec::new();
+                $body
+            }
+        }
+    };
+}
+
 impl fmt::Display for ObjectKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {

@@ -10,10 +10,7 @@
 use linrv_check::{StrategyChecker, StreamingChecker};
 use linrv_history::{Event, History, OpId, OpValue, Operation, ProcessId};
 use linrv_runtime::{faulty, impls, record_scheduled, RecorderOptions, Workload, WorkloadKind};
-use linrv_spec::{
-    ops, ConsensusSpec, CounterSpec, ObjectKind, PriorityQueueSpec, QueueSpec, RegisterSpec,
-    SequentialSpec, SetSpec, SpecError, StackSpec,
-};
+use linrv_spec::{ops, with_spec, ObjectKind, QueueSpec, SequentialSpec, SpecError};
 use linrv_trace::read_history;
 use proptest::prelude::*;
 use std::fs::File;
@@ -58,17 +55,7 @@ fn assert_tracks_reference<S: SequentialSpec + Clone>(spec: S, events: &[Event],
 }
 
 fn assert_kind_tracks_reference(kind: ObjectKind, events: &[Event], label: &str) {
-    match kind {
-        ObjectKind::Queue => assert_tracks_reference(QueueSpec::new(), events, label),
-        ObjectKind::Stack => assert_tracks_reference(StackSpec::new(), events, label),
-        ObjectKind::Set => assert_tracks_reference(SetSpec::new(), events, label),
-        ObjectKind::PriorityQueue => {
-            assert_tracks_reference(PriorityQueueSpec::new(), events, label);
-        }
-        ObjectKind::Counter => assert_tracks_reference(CounterSpec::new(), events, label),
-        ObjectKind::Register => assert_tracks_reference(RegisterSpec::new(), events, label),
-        ObjectKind::Consensus => assert_tracks_reference(ConsensusSpec::new(), events, label),
-    }
+    with_spec!(kind, |spec| assert_tracks_reference(spec, events, label));
 }
 
 /// Sized so that the frontier decides every history within its bound: the
@@ -125,9 +112,10 @@ fn golden_traces_latch_where_the_every_prefix_reference_does() {
     assert!(seen >= 17, "only {seen} golden traces found");
 }
 
-/// Streams `events` on the schedule `checker` was built with and asserts the
-/// verdict is the batch checker's on the consumed prefix, field for field.
-fn assert_fallback_matches_batch(mut checker: StreamingChecker<QueueSpec>, events: &[Event]) {
+/// Streams `events` and asserts the verdict is the batch checker's on the
+/// consumed prefix, field for field.
+fn assert_fallback_matches_batch(events: &[Event]) {
+    let mut checker = StreamingChecker::new(QueueSpec::new());
     for event in events {
         if checker.push(event.clone()).is_some() {
             break;
@@ -186,11 +174,7 @@ fn ill_formed_streams_get_the_batch_verdict() {
             !History::from_events(events.clone()).is_well_formed(),
             "{name}"
         );
-        assert_fallback_matches_batch(StreamingChecker::new(QueueSpec::new()), &events);
-        for stride in [1, 2, 1000] {
-            let checker = StreamingChecker::with_stride(QueueSpec::new(), stride);
-            assert_fallback_matches_batch(checker, &events);
-        }
+        assert_fallback_matches_batch(&events);
     }
 }
 

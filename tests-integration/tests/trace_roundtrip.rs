@@ -12,10 +12,7 @@ use linrv_check::stream::check_events;
 use linrv_check::{LinSpec, Verdict};
 use linrv_history::History;
 use linrv_runtime::{faulty, impls, record_scheduled, RecorderOptions, Workload, WorkloadKind};
-use linrv_spec::{
-    ConsensusSpec, CounterSpec, ObjectKind, PriorityQueueSpec, QueueSpec, RegisterSpec, SetSpec,
-    StackSpec,
-};
+use linrv_spec::{with_spec, ObjectKind};
 use linrv_trace::{read_history, write_history, Provenance, TraceError, TraceFormat, TraceHeader};
 use proptest::prelude::*;
 
@@ -42,29 +39,18 @@ fn generate(kind: ObjectKind, seed: u64, faulty: bool, processes: usize, ops: us
 /// In-memory verdict on `history`, and the streamed verdict on `events`; both
 /// as `is_violation`.
 fn verdicts(kind: ObjectKind, history: &History, round_tripped: &History) -> (bool, bool) {
-    macro_rules! both {
-        ($mk:expr) => {{
-            let batch = LinSpec::new($mk).check(history);
-            assert!(
-                !matches!(batch, Verdict::Inconclusive),
-                "no budget is configured"
-            );
-            let streamed =
-                check_events::<_, TraceError>($mk, round_tripped.events().iter().cloned().map(Ok))
-                    .expect("in-memory events cannot fail")
-                    .1;
-            (batch.is_violation(), streamed.is_violation())
-        }};
-    }
-    match kind {
-        ObjectKind::Queue => both!(QueueSpec::new()),
-        ObjectKind::Stack => both!(StackSpec::new()),
-        ObjectKind::Set => both!(SetSpec::new()),
-        ObjectKind::PriorityQueue => both!(PriorityQueueSpec::new()),
-        ObjectKind::Counter => both!(CounterSpec::new()),
-        ObjectKind::Register => both!(RegisterSpec::new()),
-        ObjectKind::Consensus => both!(ConsensusSpec::new()),
-    }
+    with_spec!(kind, |spec| {
+        let batch = LinSpec::new(spec).check(history);
+        assert!(
+            !matches!(batch, Verdict::Inconclusive),
+            "no budget is configured"
+        );
+        let streamed =
+            check_events::<_, TraceError>(spec, round_tripped.events().iter().cloned().map(Ok))
+                .expect("in-memory events cannot fail")
+                .1;
+        (batch.is_violation(), streamed.is_violation())
+    })
 }
 
 proptest! {

@@ -4,16 +4,14 @@
 //! `linrv gen` at fixed seeds (one correct + one faulty trace per object kind)
 //! and committed. They pin three things at once: the on-disk format (a codec
 //! change that cannot read them is a format break and must bump the version),
-//! the deterministic generator (regenerating with the same seed must reproduce
-//! them) and the checker's verdicts (correct traces accept, faulty traces
+//! the deterministic generator (regenerating from a trace's own header must
+//! reproduce its bytes — `crates/cli/tests/cli.rs` runs `linrv gen` to pin
+//! that) and the checker's verdicts (correct traces accept, faulty traces
 //! reject).
 
 use linrv_check::stream::check_events;
 use linrv_history::History;
-use linrv_spec::{
-    ConsensusSpec, CounterSpec, ObjectKind, PriorityQueueSpec, QueueSpec, RegisterSpec, SetSpec,
-    StackSpec,
-};
+use linrv_spec::{with_spec, ObjectKind};
 use linrv_trace::{read_history, write_history, Provenance, TraceFormat, TraceReader};
 use std::fs::File;
 use std::path::PathBuf;
@@ -24,23 +22,10 @@ fn traces_dir() -> PathBuf {
 
 /// Streams `reader` into the checker for `kind`; `true` means violation.
 fn is_violation(kind: ObjectKind, reader: TraceReader<File>) -> bool {
-    macro_rules! check {
-        ($spec:expr) => {
-            check_events($spec, reader)
-                .expect("golden trace must be readable")
-                .1
-                .is_violation()
-        };
-    }
-    match kind {
-        ObjectKind::Queue => check!(QueueSpec::new()),
-        ObjectKind::Stack => check!(StackSpec::new()),
-        ObjectKind::Set => check!(SetSpec::new()),
-        ObjectKind::PriorityQueue => check!(PriorityQueueSpec::new()),
-        ObjectKind::Counter => check!(CounterSpec::new()),
-        ObjectKind::Register => check!(RegisterSpec::new()),
-        ObjectKind::Consensus => check!(ConsensusSpec::new()),
-    }
+    with_spec!(kind, |spec| check_events(spec, reader))
+        .expect("golden trace must be readable")
+        .1
+        .is_violation()
 }
 
 #[test]
