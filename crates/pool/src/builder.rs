@@ -19,8 +19,8 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 /// Default batch size of one drain.
 pub const DEFAULT_BATCH: usize = 256;
 
-/// Default completed-operation count triggering an object's first incremental
-/// check (the schedule doubles from there).
+/// Default completed-operation count triggering the first incremental check
+/// of an object's retained tail (the schedule doubles from there).
 pub const DEFAULT_FIRST_CHECK: usize = 64;
 
 /// Fluent configuration of a [`MonitorPool`].
@@ -117,7 +117,9 @@ impl<S: TypedObject + Clone + Send + Sync + 'static> PoolBuilder<S> {
         self
     }
 
-    /// Maximum events one drain takes from a shard. Defaults to
+    /// Maximum events one drain takes from a shard — and the queue depth at
+    /// which a producer wakes a parked checker thread (events below it wait
+    /// for the checker's next look, at most 20 ms). Defaults to
     /// [`DEFAULT_BATCH`].
     pub fn batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
@@ -148,17 +150,20 @@ impl<S: TypedObject + Clone + Send + Sync + 'static> PoolBuilder<S> {
         self
     }
 
-    /// Whether checked prefixes are garbage-collected (default `true`).
-    /// Disable to retain each object's full history in its check state — full
-    /// violation witnesses at unbounded memory.
+    /// Whether operations whose linearization order is forced are verified on
+    /// arrival and dropped (default `true`). Disable to retain each object's
+    /// full history in its check state and decide all of it on the
+    /// [`first_check`](Self::first_check) schedule — full violation witnesses
+    /// at unbounded memory.
     pub fn gc(mut self, gc: bool) -> Self {
         self.gc = gc;
         self
     }
 
-    /// Completed-operation count triggering an object's first incremental
-    /// check; subsequent checks follow a doubling schedule. Defaults to
-    /// [`DEFAULT_FIRST_CHECK`].
+    /// Completed-operation count triggering the first incremental check of an
+    /// object's retained tail; subsequent checks follow a doubling schedule.
+    /// Operations that never overlapped another are decided as they arrive
+    /// and never reach the tail. Defaults to [`DEFAULT_FIRST_CHECK`].
     pub fn first_check(mut self, first_check: usize) -> Self {
         self.first_check = first_check.max(1);
         self

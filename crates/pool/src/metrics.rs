@@ -16,20 +16,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const INGESTED: &str = "linrv_pool_ingested_total";
 const INGESTED_HELP: &str = "events handed to the pool by sessions";
+const WAKEUPS: &str = "linrv_pool_wakeups_total";
+const WAKEUPS_HELP: &str = "signals sent to a parked checker thread";
 const PROCESSED: &str = "linrv_pool_processed_total";
 const PROCESSED_HELP: &str = "events fed into per-object incremental checks";
 const DROPPED: &str = "linrv_pool_dropped_total";
 const DROPPED_HELP: &str = "events dropped because the pool shut down mid-push";
 const CHECKS: &str = "linrv_pool_checks_total";
-const CHECKS_HELP: &str = "incremental + final checker invocations across all objects";
+const CHECKS_HELP: &str = "incremental + final checker invocations across all objects; \
+     forced-order replays are counted by `gced_events`, not here";
 const GCED: &str = "linrv_pool_gced_events_total";
-const GCED_HELP: &str = "GC watermark: events reclaimed from checked prefixes";
+const GCED_HELP: &str = "GC watermark: events verified by forced-order replay and dropped";
 const CHECKED: &str = "linrv_pool_checked_events_total";
-const CHECKED_HELP: &str = "checked-prefix watermark: events first covered by a check";
+const CHECKED_HELP: &str = "checked watermark: events first covered by a check or a replay";
 const VIOLATIONS: &str = "linrv_pool_violations_total";
 const VIOLATIONS_HELP: &str = "objects with a latched linearizability violation";
 const STEALS: &str = "linrv_pool_steals_total";
-const STEALS_HELP: &str = "batches a worker drained from a non-home shard";
+const STEALS_HELP: &str = "batches a worker drained from another worker's home shard";
 const RETAINED: &str = "linrv_pool_retained_events";
 const RETAINED_HELP: &str = "events currently retained across all per-object tails";
 const OBJECTS: &str = "linrv_pool_objects";
@@ -48,11 +51,13 @@ pub(crate) struct PoolMetrics {
     pub(crate) counters: Counters,
     /// Mirror of the ingest control atomic of the same name.
     pub(crate) ingested: Counter,
+    /// Signals that found a worker parked (see the wake protocol on `Ingest`).
+    pub(crate) wakeups: Counter,
     /// Mirror of the ingest control atomic of the same name.
     pub(crate) processed: Counter,
     /// Mirror of the ingest control atomic of the same name.
     pub(crate) dropped: Counter,
-    /// Batches drained from a non-home shard.
+    /// Batches drained from another worker's home shard.
     pub(crate) steals: Counter,
     /// Sum of retained per-object tails, refreshed by `stats()`.
     pub(crate) retained_events: Gauge,
@@ -85,6 +90,7 @@ impl PoolMetrics {
                 violations: registry.counter_with(VIOLATIONS, VIOLATIONS_HELP, labels),
             },
             ingested: registry.counter_with(INGESTED, INGESTED_HELP, labels),
+            wakeups: registry.counter_with(WAKEUPS, WAKEUPS_HELP, labels),
             processed: registry.counter_with(PROCESSED, PROCESSED_HELP, labels),
             dropped: registry.counter_with(DROPPED, DROPPED_HELP, labels),
             steals: registry.counter_with(STEALS, STEALS_HELP, labels),
@@ -117,6 +123,7 @@ impl PoolMetrics {
 pub fn declare() {
     let registry = Registry::global();
     registry.declare(INGESTED, MetricKind::Counter, INGESTED_HELP);
+    registry.declare(WAKEUPS, MetricKind::Counter, WAKEUPS_HELP);
     registry.declare(PROCESSED, MetricKind::Counter, PROCESSED_HELP);
     registry.declare(DROPPED, MetricKind::Counter, DROPPED_HELP);
     registry.declare(CHECKS, MetricKind::Counter, CHECKS_HELP);

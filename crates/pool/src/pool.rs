@@ -24,11 +24,45 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// How long a worker that found nothing to do sleeps before looking again:
+/// the bound on how stale an event below the wake threshold can get.
+const PARK_TIMEOUT: Duration = Duration::from_millis(20);
+
 /// Non-generic ingestion state shared by sessions (producers) and checker
 /// threads (consumers): the per-shard queues, the drain/shutdown signalling and
 /// the injector for out-of-band jobs.
+///
+/// # The wake protocol
+///
+/// Checking is off the producers' critical path, so producers do not pay a
+/// signal per event; they wake *by count*.
+///
+/// * **Who parks.** A worker whose scan found nothing it could take — every
+///   queue empty or being drained by another worker, no job — takes the
+///   `parked` mutex, looks again, and only if there is still nothing bumps the
+///   count and waits on `work_cv`: count and second look under the one mutex
+///   every signaller takes.
+/// * **Who signals, when.** A producer signals when its push brings its
+///   shard's queue to exactly `wake_at` events (the pool's `batch`, capped by
+///   the queue capacity so that a queue cannot fill up without passing it):
+///   one drain's worth. [`Ingest::quiesce`], [`Ingest::push_job`] (so
+///   `check_all` and `check_partitioned`) and shutdown signal
+///   unconditionally. A signal is `lock(parked)`, read the count, unlock, and
+///   `notify_all` only if a worker is parked.
+/// * **Why no wake-up is lost.** A signaller publishes its work (the push,
+///   the job, the shutdown flag) *before* taking the mutex. Its critical
+///   section either precedes the worker's — then the worker's second look
+///   sees the work and does not park — or follows it — then the worker is
+///   already waiting (the wait released the mutex) and is notified. A queue
+///   a worker left non-empty when it parked is held by a worker that is awake
+///   and looks again after its batch, so every queue climbs to `wake_at` from
+///   a drained state and the push that gets it there signals.
+/// * **What bounds staleness.** Events that never add up to `wake_at` wait
+///   for the parked worker's [`PARK_TIMEOUT`], or for the next `quiesce`.
 pub(crate) struct Ingest {
     queues: Vec<BoundedQueue>,
+    /// Queue depth at which a producer signals a parked worker.
+    wake_at: usize,
     shutdown: AtomicBool,
     /// Events handed to the pool (counted *before* enqueueing, so quiesce never
     /// declares victory while a push is in flight).
@@ -40,8 +74,8 @@ pub(crate) struct Ingest {
     /// This pool's registry-backed series; the atomics above are mirrored
     /// into it at their increment sites, everything else records here only.
     metrics: Arc<PoolMetrics>,
-    /// Wakes idle workers when events or jobs arrive.
-    work_mutex: Mutex<()>,
+    /// Workers parked on `work_cv` (see the wake protocol above).
+    parked: Mutex<usize>,
     work_cv: Condvar,
     /// Wakes `quiesce` when processed/dropped catch up with ingested.
     quiesce_mutex: Mutex<()>,
@@ -60,10 +94,12 @@ impl Ingest {
     fn new(
         shards: usize,
         queue_capacity: usize,
+        batch: usize,
         sink: Option<Arc<dyn TaggedEventSink>>,
         metrics: Arc<PoolMetrics>,
     ) -> Self {
         Ingest {
+            wake_at: batch.min(queue_capacity).max(1),
             queues: (0..shards)
                 .map(|shard| {
                     BoundedQueue::new(
@@ -78,7 +114,7 @@ impl Ingest {
             processed: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             metrics,
-            work_mutex: Mutex::new(()),
+            parked: Mutex::new(0),
             work_cv: Condvar::new(),
             quiesce_mutex: Mutex::new(()),
             quiesce_cv: Condvar::new(),
@@ -87,9 +123,29 @@ impl Ingest {
         }
     }
 
-    fn notify_work(&self) {
-        drop(lock(&self.work_mutex));
-        self.work_cv.notify_all();
+    /// Signals the parked workers, if any. Callers publish their work first.
+    fn wake_workers(&self) {
+        let parked = *lock(&self.parked);
+        if parked > 0 {
+            self.metrics.wakeups.inc();
+            self.work_cv.notify_all();
+        }
+    }
+
+    /// Parks the calling worker until signalled or [`PARK_TIMEOUT`] — unless
+    /// `still_needed`, evaluated under the mutex every signaller takes, says
+    /// something was published since the worker last looked.
+    fn park(&self, still_needed: impl FnOnce() -> bool) {
+        let mut parked = lock(&self.parked);
+        if still_needed() {
+            return;
+        }
+        *parked += 1;
+        let (mut parked, _) = self
+            .work_cv
+            .wait_timeout(parked, PARK_TIMEOUT)
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        *parked -= 1;
     }
 
     fn notify_quiesce(&self) {
@@ -99,7 +155,7 @@ impl Ingest {
 
     fn push_job(&self, job: Job) {
         lock(&self.injector).push_back(job);
-        self.notify_work();
+        self.wake_workers();
     }
 
     fn pop_job(&self) -> Option<Job> {
@@ -110,17 +166,27 @@ impl Ingest {
         self.queues.iter().any(|q| q.len() > 0) || !lock(&self.injector).is_empty()
     }
 
+    /// Whether a worker with nothing left to take should exit.
+    fn drained_for_shutdown(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire) && !self.backlog()
+    }
+
     /// Blocks until every event handed to the pool so far has been processed
     /// (or dropped by shutdown).
     fn quiesce(&self) {
-        loop {
+        let caught_up = || {
             let done =
                 self.processed.load(Ordering::Acquire) + self.dropped.load(Ordering::Acquire);
-            if done >= self.ingested.load(Ordering::Acquire) {
+            done >= self.ingested.load(Ordering::Acquire)
+        };
+        while !caught_up() {
+            self.wake_workers();
+            let guard = lock(&self.quiesce_mutex);
+            // Looked at again under the mutex `notify_quiesce` takes, so the
+            // worker's signal cannot fall between the look and the wait.
+            if caught_up() {
                 return;
             }
-            self.notify_work();
-            let guard = lock(&self.quiesce_mutex);
             let _ = self
                 .quiesce_cv
                 .wait_timeout(guard, Duration::from_millis(5))
@@ -148,14 +214,16 @@ impl linrv_trace::EventSink for ObjectSink {
         self.ingest.metrics.shard_ingested[self.shard].inc();
         // Count before pushing: quiesce must not observe ingested < queued.
         self.ingest.ingested.fetch_add(1, Ordering::Release);
-        let accepted = self.ingest.queues[self.shard]
+        let depth = self.ingest.queues[self.shard]
             .push((self.object, event.clone()), &self.ingest.shutdown);
-        if accepted {
-            self.ingest.notify_work();
-        } else {
-            self.ingest.metrics.dropped.inc();
-            self.ingest.dropped.fetch_add(1, Ordering::Release);
-            self.ingest.notify_quiesce();
+        match depth {
+            Some(depth) if depth == self.ingest.wake_at => self.ingest.wake_workers(),
+            Some(_) => {}
+            None => {
+                self.ingest.metrics.dropped.inc();
+                self.ingest.dropped.fetch_add(1, Ordering::Release);
+                self.ingest.notify_quiesce();
+            }
         }
     }
 }
@@ -232,8 +300,9 @@ where
     }
 
     /// One worker's main loop: injector jobs first, then drain the home shard,
-    /// then steal from the others.
-    fn worker(self: &Arc<Self>, home: usize) {
+    /// then steal from the others. `workers` is the pool's worker count:
+    /// worker `i`'s home is shard `i % shards`.
+    fn worker(self: &Arc<Self>, home: usize, workers: usize) {
         let shards = self.shards.len();
         let mut batch: Vec<(u64, Event)> = Vec::with_capacity(self.config.batch);
         // Consecutive events usually belong to few objects; cache the last hit.
@@ -260,7 +329,9 @@ where
                 if n == 0 {
                     continue;
                 }
-                if k != 0 {
+                // A steal takes work from under another worker: draining a
+                // shard that is nobody's home is this worker's own job.
+                if shard != home && shard < workers.min(shards) {
                     self.ingest.metrics.steals.inc();
                 }
                 for (object, event) in batch.drain(..) {
@@ -291,16 +362,50 @@ where
             if drained {
                 continue;
             }
-            if self.ingest.shutdown.load(Ordering::Acquire) && !self.ingest.backlog() {
+            if self.ingest.drained_for_shutdown() {
                 return;
             }
-            let guard = lock(&self.ingest.work_mutex);
-            let _ = self
-                .ingest
-                .work_cv
-                .wait_timeout(guard, Duration::from_millis(20))
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            self.ingest
+                .park(|| self.takeable() || self.ingest.drained_for_shutdown());
         }
+    }
+
+    /// Whether a worker's scan would find something: a job, or a non-empty
+    /// queue no other worker is draining (that worker looks again itself).
+    fn takeable(&self) -> bool {
+        let free = |shard: &Shard<A, S>| {
+            !matches!(
+                shard.drain.try_lock(),
+                Err(std::sync::TryLockError::WouldBlock)
+            )
+        };
+        !lock(&self.ingest.injector).is_empty()
+            || (self.shards.iter().zip(&self.ingest.queues))
+                .any(|(shard, queue)| queue.len() > 0 && free(shard))
+    }
+
+    /// Runs the final check of every object of `shard` that has unchecked
+    /// events and returns the shard's verdicts.
+    fn finalize_shard(&self, shard: usize) -> Vec<(u64, PoolVerdict)> {
+        // Snapshot the registry so sessions on new objects are not held up
+        // behind a shard's worth of final checks.
+        let entries: Vec<(u64, Arc<ObjectEntry<A, S>>)> = lock(&self.shards[shard].registry)
+            .iter()
+            .map(|(id, entry)| (*id, Arc::clone(entry)))
+            .collect();
+        entries
+            .into_iter()
+            .map(|(object, entry)| {
+                let mut state = lock(&entry.state);
+                state.finalize(
+                    object,
+                    &self.spec,
+                    &self.config.check,
+                    &self.ingest.metrics.counters,
+                );
+                (object, state.verdict())
+            })
+            .collect()
     }
 
     fn entries(&self) -> Vec<(u64, Arc<ObjectEntry<A, S>>)> {
@@ -356,8 +461,9 @@ fn run_parallel<T: Send + 'static>(
 /// Aggregate counters of a [`MonitorPool`] (see [`MonitorPool::stats`]).
 ///
 /// `gced_events > 0` together with a small `retained_events` is the observable
-/// form of the pool's bounded-memory guarantee: verified prefixes are
-/// summarised away, only the concurrent frontier of each object is retained.
+/// form of the pool's bounded-memory guarantee: operations whose place in
+/// every linearization is forced are verified on arrival and summarised away,
+/// only what follows an object's first overlap is retained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Objects with a live monitor.
@@ -368,16 +474,23 @@ pub struct PoolStats {
     pub processed: u64,
     /// Events dropped during shutdown.
     pub dropped: u64,
-    /// Checker invocations across all objects.
+    /// Checker invocations across all objects (forced-order replays are not
+    /// checker invocations; they count in `gced_events`).
     pub checks: u64,
-    /// Events garbage-collected after passing checks.
+    /// Events verified by forced-order replay and summarised away.
     pub gced_events: u64,
     /// Events currently retained across all per-object tails.
     pub retained_events: u64,
     /// Objects with a latched violation.
     pub violations: u64,
-    /// Batches a worker drained from a shard other than its home shard.
+    /// Batches a worker drained from the home shard of *another* worker
+    /// (always 0 with one worker: draining a shard that is nobody's home is
+    /// not a steal).
     pub steals: u64,
+    /// Signals that found a worker parked: producers send one when a shard's
+    /// queue reaches a batch, `quiesce`, `check_all` and shutdown whenever
+    /// they run. Orders of magnitude below `ingested` under load.
+    pub wakeups: u64,
 }
 
 /// Per-object counters (see [`MonitorPool::object_stats`]).
@@ -387,7 +500,7 @@ pub struct ObjectStats {
     pub object: u64,
     /// Events currently retained in the object's tail.
     pub retained_events: u64,
-    /// Events of this object garbage-collected after passing checks.
+    /// Events of this object verified by forced-order replay and dropped.
     pub gced_events: u64,
     /// Checker invocations for this object.
     pub checks: u64,
@@ -412,10 +525,11 @@ pub struct ShardStats {
 /// checking.
 ///
 /// Events flow: each object's [`Monitor`] taps its session traffic into the
-/// object's shard queue; a work-stealing pool of checker threads drains the
-/// shards in batches, feeds per-object incremental checks (geometric schedule)
-/// and garbage-collects verified prefixes so per-object memory stays bounded
-/// by concurrency, not by history length.
+/// object's shard queue; a work-stealing pool of checker threads, woken once
+/// per batch, drains the shards and feeds each object's check state, which
+/// decides non-overlapping operations on arrival (one specification step, no
+/// history kept) and re-checks the retained tail of overlapping ones on a
+/// geometric schedule.
 ///
 /// Build one with [`PoolBuilder`](crate::PoolBuilder); obtain per-object typed
 /// session handles with [`MonitorPool::session`].
@@ -475,7 +589,13 @@ where
     ) -> Self {
         let shards = shards.max(1);
         let metrics = Arc::new(PoolMetrics::register(shards));
-        let ingest = Arc::new(Ingest::new(shards, queue_capacity, sink, metrics));
+        let ingest = Arc::new(Ingest::new(
+            shards,
+            queue_capacity,
+            config.batch,
+            sink,
+            metrics,
+        ));
         let shared = Arc::new(Shared {
             ingest,
             shards: (0..shards)
@@ -488,13 +608,14 @@ where
             factory,
             config,
         });
-        let workers = (0..workers.max(1))
+        let count = workers.max(1);
+        let workers = (0..count)
             .map(|index| {
                 let shared = Arc::clone(&shared);
                 let home = index % shards;
                 std::thread::Builder::new()
                     .name(format!("linrv-pool-{index}"))
-                    .spawn(move || shared.worker(home))
+                    .spawn(move || shared.worker(home, count))
                     .expect("spawning a checker thread")
             })
             .collect();
@@ -532,31 +653,25 @@ where
         self.shared.ingest.quiesce();
     }
 
-    /// Quiesces, runs a final incremental check on every object that has
-    /// unchecked events (in parallel, on the pool's own checker threads) and
-    /// returns the per-object verdicts.
+    /// Quiesces, finishes every object and returns the per-object verdicts.
+    ///
+    /// One job per shard runs on the pool's own checker threads (the caller
+    /// helps). An object whose operations never overlapped was decided as its
+    /// events arrived and only reports; an object with a retained tail gets a
+    /// final check when events reached the tail since its last scheduled one.
     pub fn check_all(&self) -> BTreeMap<u64, PoolVerdict> {
         self.quiesce();
-        let entries = self.shared.entries();
-        let jobs: Vec<Box<dyn FnOnce() -> (u64, PoolVerdict) + Send>> = entries
-            .into_iter()
-            .map(|(object, entry)| {
+        let jobs = (0..self.shards())
+            .map(|shard| {
                 let shared = Arc::clone(&self.shared);
-                let job: Box<dyn FnOnce() -> (u64, PoolVerdict) + Send> = Box::new(move || {
-                    let mut state = lock(&entry.state);
-                    state.finalize(
-                        object,
-                        &shared.spec,
-                        &shared.config.check,
-                        &shared.ingest.metrics.counters,
-                    );
-                    (object, state.verdict())
-                });
+                let job: Box<dyn FnOnce() -> Vec<(u64, PoolVerdict)> + Send> =
+                    Box::new(move || shared.finalize_shard(shard));
                 job
             })
             .collect();
         run_parallel(&self.shared.ingest, jobs)
             .into_iter()
+            .flatten()
             .collect()
     }
 
@@ -633,14 +748,15 @@ where
             retained_events: retained,
             violations: metrics.counters.violations.get(),
             steals: metrics.steals.get(),
+            wakeups: metrics.wakeups.get(),
         }
     }
 
     /// Per-object counters of `object`, when the object has been touched.
     ///
     /// `gced_events` growing while `retained_events` stays small is the
-    /// observable form of checked-prefix GC: verified history is summarised
-    /// away, only the concurrent frontier is kept.
+    /// observable form of forced-order replay: verified history is summarised
+    /// away as it arrives.
     pub fn object_stats(&self, object: u64) -> Option<ObjectStats> {
         self.shared.lookup(object).map(|entry| {
             let state = lock(&entry.state);
@@ -685,9 +801,60 @@ where
 impl<A, S: TypedObject> Drop for MonitorPool<A, S> {
     fn drop(&mut self) {
         self.shared.ingest.shutdown.store(true, Ordering::Release);
-        self.shared.ingest.notify_work();
+        self.shared.ingest.wake_workers();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::PoolBuilder;
+    use linrv_runtime::impls::AtomicCounter;
+    use linrv_spec::CounterSpec;
+
+    #[test]
+    fn a_producer_blocked_on_a_full_queue_survives_the_pool_being_dropped() {
+        let pool = PoolBuilder::new(CounterSpec::new())
+            .shards(1)
+            .workers(1)
+            .queue_capacity(2)
+            .build(|_| AtomicCounter::new());
+        let session = pool.session(0).unwrap();
+        let ingest = Arc::clone(&pool.shared.ingest);
+        let entry = pool.shared.lookup(0).unwrap();
+        std::thread::scope(|scope| {
+            // Wedge the only worker: it blocks on this object's check state.
+            let wedge = lock(&entry.state);
+            let producer = scope.spawn(move || {
+                for _ in 0..4 {
+                    session.inc().unwrap();
+                }
+            });
+            // 8 events: 2 with the wedged worker at most, 2 in the queue, the
+            // rest behind a push that blocks.
+            while ingest.ingested.load(Ordering::Acquire) < 3 || ingest.queues[0].len() < 2 {
+                std::thread::yield_now();
+            }
+            let dropper = scope.spawn(move || drop(pool));
+            producer.join().expect("the blocked push returned");
+            drop(wedge);
+            dropper
+                .join()
+                .expect("the worker drained what was queued and left");
+        });
+        let ingested = ingest.ingested.load(Ordering::Acquire);
+        let processed = ingest.processed.load(Ordering::Acquire);
+        let dropped = ingest.dropped.load(Ordering::Acquire);
+        assert_eq!(ingested, 8);
+        assert!(dropped >= 1, "the blocked event was dropped, not lost");
+        assert_eq!(
+            processed + dropped,
+            ingested,
+            "every event is accounted for"
+        );
+        assert_eq!(ingest.metrics.dropped.get(), dropped);
     }
 }

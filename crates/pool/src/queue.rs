@@ -12,7 +12,7 @@
 use linrv_history::Event;
 use linrv_obs::{Gauge, Histogram};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -21,8 +21,11 @@ pub(crate) struct BoundedQueue {
     inner: Mutex<VecDeque<(u64, Event)>>,
     not_full: Condvar,
     capacity: usize,
-    /// Registry gauge mirroring the current queue length (updated under the
-    /// queue mutex, so it never drifts from `len()`).
+    /// The queue's length, stored under the queue mutex and read without it:
+    /// what the workers' idle polls look at instead of taking every shard's
+    /// mutex per loop turn.
+    len: AtomicUsize,
+    /// Registry gauge mirroring the current queue length.
     depth: Gauge,
     /// How long producers spent blocked on this queue being full.
     blocked_ns: Histogram,
@@ -34,6 +37,7 @@ impl BoundedQueue {
             inner: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
+            len: AtomicUsize::new(0),
             depth,
             blocked_ns,
         }
@@ -45,12 +49,13 @@ impl BoundedQueue {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Enqueues one event, blocking while the queue is full.
+    /// Enqueues one event, blocking while the queue is full, and returns the
+    /// depth the push left the queue at.
     ///
-    /// Returns `false` (the event is dropped) when `shutdown` is set — during
+    /// Returns `None` (the event is dropped) when `shutdown` is set — during
     /// teardown nothing will ever drain the queue again, so blocking would
     /// deadlock the producer against the dying pool.
-    pub(crate) fn push(&self, item: (u64, Event), shutdown: &AtomicBool) -> bool {
+    pub(crate) fn push(&self, item: (u64, Event), shutdown: &AtomicBool) -> Option<usize> {
         let mut queue = self.lock();
         // Only take a clock reading when the push actually blocks *and*
         // recording is on: the uncontended fast path stays timer-free.
@@ -59,7 +64,7 @@ impl BoundedQueue {
             if shutdown.load(Ordering::Acquire) {
                 drop(queue);
                 self.record_blocked(blocked_at);
-                return false;
+                return None;
             }
             if blocked_at.is_none() && linrv_obs::enabled() {
                 blocked_at = Some(Instant::now());
@@ -73,10 +78,18 @@ impl BoundedQueue {
             queue = guard;
         }
         queue.push_back(item);
-        self.depth.set(queue.len() as i64);
+        let depth = queue.len();
+        self.set_len(depth);
         drop(queue);
         self.record_blocked(blocked_at);
-        true
+        Some(depth)
+    }
+
+    /// Publishes a new length; callers hold the queue mutex, so neither copy
+    /// drifts from the queue.
+    fn set_len(&self, len: usize) {
+        self.len.store(len, Ordering::Release);
+        self.depth.set(len as i64);
     }
 
     fn record_blocked(&self, blocked_at: Option<Instant>) {
@@ -91,7 +104,7 @@ impl BoundedQueue {
         let mut queue = self.lock();
         let n = queue.len().min(max);
         out.extend(queue.drain(..n));
-        self.depth.set(queue.len() as i64);
+        self.set_len(queue.len());
         if n > 0 {
             self.not_full.notify_all();
         }
@@ -99,7 +112,7 @@ impl BoundedQueue {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.lock().len()
+        self.len.load(Ordering::Acquire)
     }
 }
 
@@ -125,7 +138,7 @@ mod tests {
         let queue = queue_of(16);
         let shutdown = AtomicBool::new(false);
         for i in 0..5 {
-            assert!(queue.push(ev(i), &shutdown));
+            assert_eq!(queue.push(ev(i), &shutdown), Some(i as usize + 1));
         }
         assert_eq!(queue.depth.get(), 5, "the gauge tracks the length");
         let mut out = Vec::new();
@@ -142,8 +155,8 @@ mod tests {
     fn full_queue_blocks_until_drained_and_drops_on_shutdown() {
         let queue = std::sync::Arc::new(queue_of(2));
         let shutdown = AtomicBool::new(false);
-        assert!(queue.push(ev(0), &shutdown));
-        assert!(queue.push(ev(1), &shutdown));
+        assert_eq!(queue.push(ev(0), &shutdown), Some(1));
+        assert_eq!(queue.push(ev(1), &shutdown), Some(2));
         // A third push blocks until a concurrent drain frees a slot.
         std::thread::scope(|scope| {
             let q = std::sync::Arc::clone(&queue);
@@ -154,14 +167,14 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             let mut out = Vec::new();
             queue.drain_into(&mut out, 1);
-            assert!(pusher.join().unwrap());
+            assert_eq!(pusher.join().unwrap(), Some(2));
         });
         // Once shut down, a push into a full queue drops instead of blocking.
         let mut out = Vec::new();
         queue.drain_into(&mut out, 100);
         let down = AtomicBool::new(true);
-        assert!(queue.push(ev(3), &down));
-        assert!(queue.push(ev(4), &down));
-        assert!(!queue.push(ev(5), &down), "full + shutdown must drop");
+        assert_eq!(queue.push(ev(3), &down), Some(1));
+        assert_eq!(queue.push(ev(4), &down), Some(2));
+        assert_eq!(queue.push(ev(5), &down), None, "full + shutdown must drop");
     }
 }

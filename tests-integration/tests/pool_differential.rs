@@ -7,12 +7,28 @@
 use linrv::prelude::*;
 use linrv::runtime::{faulty, impls, ConcurrentObject, Workload, WorkloadKind};
 use linrv::spec::ObjectKind;
-use linrv_pool::PoolBuilder;
-use linrv_spec::{CounterSpec, QueueSpec, RegisterSpec, TypedObject};
+use linrv_pool::{PoolBuilder, DEFAULT_FIRST_CHECK};
+use linrv_spec::typed::counter::Inc;
+use linrv_spec::{
+    CounterSpec, PriorityQueueSpec, QueueSpec, RegisterSpec, SetSpec, StackSpec, TypedObject,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-const KINDS: [ObjectKind; 3] = [ObjectKind::Counter, ObjectKind::Register, ObjectKind::Queue];
+const KINDS: [ObjectKind; 6] = [
+    ObjectKind::Counter,
+    ObjectKind::Register,
+    ObjectKind::Queue,
+    ObjectKind::Stack,
+    ObjectKind::Set,
+    ObjectKind::PriorityQueue,
+];
+
+/// `first_check` settings the differentials run at: 4 puts a 10-operation
+/// object's tail (if it has one) through the geometric schedule, the default
+/// leaves it to `check_all` — whatever was decided before that was decided by
+/// forced-order replay alone.
+const FIRST_CHECKS: [usize; 2] = [4, DEFAULT_FIRST_CHECK];
 
 const BACKENDS: [SnapshotBackend; 3] = [
     SnapshotBackend::Afek,
@@ -35,8 +51,14 @@ fn build_object(kind: ObjectKind, id: u64, bad: &[u64]) -> Box<dyn ConcurrentObj
 /// Drives `objects` objects through a pool and through independent single
 /// monitors with identical seeded op sequences (sequentially, so responses are
 /// deterministic), then asserts the per-object verdicts agree bit-for-bit.
-fn differential_pool<S>(spec: S, kind: ObjectKind, seed: u64, backend: SnapshotBackend, bad: &[u64])
-where
+fn differential_pool<S>(
+    spec: S,
+    kind: ObjectKind,
+    seed: u64,
+    backend: SnapshotBackend,
+    first_check: usize,
+    bad: &[u64],
+) where
     S: TypedObject + Copy + Send + Sync + 'static,
 {
     let objects: u64 = 6;
@@ -47,7 +69,7 @@ where
         .workers(2)
         .sessions_per_object(1)
         .snapshot(backend)
-        .first_check(4)
+        .first_check(first_check)
         .build(move |id| build_object(kind, id, &bad_owned));
 
     let mut expected = BTreeMap::new();
@@ -82,7 +104,8 @@ where
             verdicts[&id].is_correct(),
             expected[&id],
             "pool and single-monitor verdicts diverge for object {id} \
-             (kind {kind}, seed {seed}, backend {backend:?}, bad {bad:?})"
+             (kind {kind}, seed {seed}, backend {backend:?}, first_check {first_check}, \
+             bad {bad:?})"
         );
         if let Some(violation) = verdicts[&id].violation() {
             assert_eq!(violation.object, id, "violations carry their object id");
@@ -94,12 +117,109 @@ where
     }
 }
 
-fn differential_for(kind: ObjectKind, seed: u64, backend: SnapshotBackend, bad: &[u64]) {
+fn differential_for(
+    kind: ObjectKind,
+    seed: u64,
+    backend: SnapshotBackend,
+    first_check: usize,
+    bad: &[u64],
+) {
+    macro_rules! run {
+        ($spec:expr) => {
+            differential_pool($spec, kind, seed, backend, first_check, bad)
+        };
+    }
     match kind {
-        ObjectKind::Counter => differential_pool(CounterSpec::new(), kind, seed, backend, bad),
-        ObjectKind::Register => differential_pool(RegisterSpec::new(), kind, seed, backend, bad),
-        ObjectKind::Queue => differential_pool(QueueSpec::new(), kind, seed, backend, bad),
+        ObjectKind::Counter => run!(CounterSpec::new()),
+        ObjectKind::Register => run!(RegisterSpec::new()),
+        ObjectKind::Queue => run!(QueueSpec::new()),
+        ObjectKind::Stack => run!(StackSpec::new()),
+        ObjectKind::Set => run!(SetSpec::new()),
+        ObjectKind::PriorityQueue => run!(PriorityQueueSpec::new()),
         other => panic!("kind {other} is not part of the pool differential"),
+    }
+}
+
+/// One step of a two-session schedule on a single counter.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// One whole operation of the session: nothing else is open meanwhile.
+    Alone(usize),
+    /// Both sessions invoke, then both respond, `first` leading each phase.
+    Overlap { first: usize },
+}
+
+/// Drives two sessions of one counter through `schedule`, phase by phase on
+/// this thread, so the event order — and with it which stretches overlap — is
+/// exactly the schedule's.
+fn drive_two_sessions<A: ConcurrentObject>(
+    sessions: [&Session<A, CounterSpec>; 2],
+    schedule: &[Step],
+) {
+    for step in schedule {
+        match *step {
+            Step::Alone(session) => {
+                let _ = sessions[session].inc();
+            }
+            Step::Overlap { first } => {
+                let order = [sessions[first], sessions[1 - first]];
+                let staged = order.map(|session| session.stage(Inc));
+                let mut executed = Vec::with_capacity(2);
+                for (session, staged) in order.iter().zip(staged) {
+                    executed.push(session.execute(staged));
+                }
+                for (session, executed) in order.iter().zip(executed) {
+                    let _ = session.commit(executed);
+                }
+            }
+        }
+    }
+}
+
+/// One counter shared by two sessions, alternating between overlapping and
+/// sequential stretches: the pool leaves eager replay at the first overlap and
+/// decides the rest from the seeded base state, and must still agree with a
+/// single monitor driven through the same schedule.
+fn differential_two_sessions(schedule: &[Step], faulty: bool, first_check: usize) {
+    let object = move |_| -> Box<dyn ConcurrentObject> {
+        if faulty {
+            faulty::faulty_object(ObjectKind::Counter, 3)
+        } else {
+            impls::correct_object(ObjectKind::Counter)
+        }
+    };
+    let pool = PoolBuilder::new(CounterSpec::new())
+        .shards(1)
+        .workers(1)
+        .sessions_per_object(2)
+        .first_check(first_check)
+        .build(object);
+    let pooled = [pool.session(0).unwrap(), pool.session(0).unwrap()];
+    drive_two_sessions([&*pooled[0], &*pooled[1]], schedule);
+
+    let monitor = Monitor::builder(CounterSpec::new())
+        .processes(2)
+        .mode(Mode::Observe)
+        .build(object(0));
+    let reference = [monitor.register().unwrap(), monitor.register().unwrap()];
+    drive_two_sessions([&reference[0], &reference[1]], schedule);
+
+    let verdicts = pool.check_all();
+    assert_eq!(
+        verdicts[&0].is_correct(),
+        monitor.check().is_correct(),
+        "pool and single-monitor verdicts diverge (schedule {schedule:?}, faulty {faulty}, \
+         first_check {first_check})"
+    );
+}
+
+impl Step {
+    /// Decodes a drawn schedule entry: two in three are sequential.
+    fn from_code(code: usize) -> Step {
+        match code {
+            0..=3 => Step::Alone(code % 2),
+            _ => Step::Overlap { first: code % 2 },
+        }
     }
 }
 
@@ -108,12 +228,13 @@ proptest! {
 
     /// Per-object pool verdicts equal independent single-monitor verdicts on
     /// seeded multi-object workloads, with and without injected faults,
-    /// across all three snapshot backends.
+    /// across all three snapshot backends and both `first_check` settings.
     #[test]
     fn pool_verdicts_match_single_monitors(
         seed in 0..10_000u64,
         kind_index in 0..KINDS.len(),
         backend_index in 0..BACKENDS.len(),
+        first_check_index in 0..FIRST_CHECKS.len(),
         inject_faults in any::<bool>(),
     ) {
         let kind = KINDS[kind_index];
@@ -123,7 +244,32 @@ proptest! {
         } else {
             Vec::new()
         };
-        differential_for(kind, seed, backend, &bad);
+        differential_for(kind, seed, backend, FIRST_CHECKS[first_check_index], &bad);
+    }
+
+    /// The same agreement on one object whose history alternates between
+    /// overlapping and sequential stretches.
+    #[test]
+    fn pool_verdict_matches_single_monitor_across_overlaps(
+        codes in proptest::collection::vec(0..6usize, 4..16),
+        faulty in any::<bool>(),
+        first_check_index in 0..FIRST_CHECKS.len(),
+    ) {
+        let schedule: Vec<Step> = codes.into_iter().map(Step::from_code).collect();
+        differential_two_sessions(&schedule, faulty, FIRST_CHECKS[first_check_index]);
+    }
+}
+
+/// Every kind at every `first_check`, not only the combinations a proptest
+/// run happens to draw.
+#[test]
+fn pool_verdicts_match_single_monitors_for_every_kind_and_first_check() {
+    for kind in KINDS {
+        for first_check in FIRST_CHECKS {
+            for (seed, bad) in [(7, vec![]), (42, vec![0, 3])] {
+                differential_for(kind, seed, SnapshotBackend::Locked, first_check, &bad);
+            }
+        }
     }
 }
 
