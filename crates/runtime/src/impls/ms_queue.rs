@@ -15,6 +15,12 @@ struct Node {
 /// The classic Michael–Scott lock-free FIFO queue: a linked list with `head` and `tail`
 /// pointers, a permanent sentinel node at the head, and helping on a lagging tail.
 /// `Enqueue(v)` responds `true`; `Dequeue()` responds the oldest element or `empty`.
+///
+/// A successful dequeue retires the old sentinel node through crossbeam's epoch scheme:
+/// it is freed once every thread that was inside an `enqueue`/`dequeue` at that moment
+/// has left it, in batches (a thread attempts a collection every few dozen retirements),
+/// so a long-lived queue holds its elements plus a bounded number of retired nodes per
+/// thread. Operations pin only for their own duration, never across caller code.
 #[derive(Debug)]
 pub struct MsQueue {
     head: Atomic<Node>,

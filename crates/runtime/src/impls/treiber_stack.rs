@@ -16,8 +16,10 @@ struct Node {
 /// `empty`.
 ///
 /// The stack is lock-free (not wait-free): an operation may retry its CAS when another
-/// operation interferes, but some operation always completes. Nodes are reclaimed with
-/// crossbeam's epoch scheme.
+/// operation interferes, but some operation always completes. A popped node is retired
+/// through crossbeam's epoch scheme and freed once every thread that was inside a
+/// `push`/`pop` at that moment has left it, in batches (a thread attempts a collection
+/// every few dozen retirements); operations pin only for their own duration.
 #[derive(Debug, Default)]
 pub struct TreiberStack {
     head: Atomic<Node>,

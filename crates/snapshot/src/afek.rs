@@ -30,6 +30,14 @@ struct Cell<T> {
 /// scan), so both operations are wait-free with `O(n²)` register operations — the
 /// `O(n)`-per-operation bound the paper quotes for `[63]` is an optimisation, not a
 /// requirement, and is tracked as future work in DESIGN.md.
+///
+/// **Memory.** Each `write` supersedes the writer's whole cell — its value *and* the
+/// embedded scan, a copy of all `n` values — by one [`AtomicRegister::write`], which
+/// retires the old cell and attempts a collection at once. The cell is freed two epochs
+/// later (two further register writes by any thread, unless a thread is stalled inside a
+/// register operation), or when the last scanner that collected it drops its handle,
+/// whichever is later; so a snapshot object holds its `n` current cells plus a constant
+/// number of superseded ones per writing thread, however long it lives.
 #[derive(Debug)]
 pub struct AfekSnapshot<T> {
     registers: Vec<AtomicRegister<Cell<T>>>,
