@@ -8,13 +8,15 @@
 //! value) admit log-linear decision procedures in the style of Lee & Mathur's
 //! decrease-and-conquer monitors and Abdulla et al.'s per-type algorithms.
 //! This module implements them behind [`CheckerStrategy`] / [`StrategyChecker`],
-//! which is what every *batch* decision runs: the `linrv` facade's verdicts,
-//! the pool's incremental checks, and — for
+//! which is what a *batch* decision of a whole history runs:
+//! `linrv::is_linearizable`, the pool's incremental checks, and — for
 //! [`StreamingChecker`](crate::stream::StreamingChecker) and `linrv check` —
 //! the one confirmation that turns an empty per-event frontier into a
 //! violation certificate, plus every whole-prefix re-check after a fallback.
 //! The frontier itself steps the sequential specification and does not use
-//! these monitors.
+//! these monitors; neither does a `linrv` monitor, whose membership test per
+//! verifier step is the general search (`MonitorBuilder::build` wires
+//! [`LinSpec`] into the self-enforced wrapper).
 //!
 //! # Soundness architecture
 //!

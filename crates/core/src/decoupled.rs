@@ -7,114 +7,78 @@
 //! **verifiers** run a separate loop that scans `M`, rebuilds the sketch and reports
 //! `ERROR` with a witness when it is not a member of the object.
 //!
+//! Both roles are handles on one [`SelfEnforced`]: a producer operation is `A*`
+//! followed by [`step`] under [`Mode::Observe`], a verifier iteration is
+//! [`Verifier::verdict_from_scan`](crate::verifier::Verifier::verdict_from_scan). The
+//! `linrv` facade's Observe mode is the same two calls.
+//!
 //! As the paper notes, `D_{O,A}` may return responses that are later found incorrect
 //! (verification lags production), but every violation is eventually detected as long as
 //! not all verifiers crash.
 
-use crate::drv::Drv;
-use crate::registry::RegistryFull;
-use crate::verifier::{Verifier, VerifierOutcome};
-use crate::view::{TupleSet, View};
+use crate::enforce::{decide, step, Mode, SelfEnforced};
+use crate::verifier::VerifierOutcome;
 use linrv_check::GenLinObject;
 use linrv_history::{History, OpValue, Operation, ProcessId};
 use linrv_runtime::ConcurrentObject;
-use linrv_snapshot::{AfekSnapshot, Snapshot};
 use linrv_spec::ObjectKind;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// The producer side of `D_{O,A}`: a concurrent object whose operations are served by
 /// `A*` and whose view tuples are published for asynchronous verification
 /// (Figure 12, producer code).
-pub struct DecoupledProducer<A> {
-    drv: Drv<A>,
-    results: Arc<dyn Snapshot<TupleSet>>,
-    local_results: Vec<Mutex<TupleSet>>,
+pub struct DecoupledProducer<A, O> {
+    shared: Arc<SelfEnforced<A, O>>,
 }
 
-impl<A: ConcurrentObject> DecoupledProducer<A> {
-    /// Applies an operation: obtain `(y, λ)` from `A*`, publish the tuple, return `y`
-    /// immediately (Lines 01–05 of Figure 12).
-    ///
-    /// The publish step mirrors [`Verifier::record`] over the producer's own
-    /// `res_i` sets (producers and verifiers share the snapshot `M` but not the
-    /// local sets); keep the two in sync when changing either.
-    pub fn apply_and_publish(&self, process: ProcessId, op: &Operation) -> OpValue {
-        let response = self.drv.apply_drv(process, op);
-        let local = {
-            let mut res = self.local_results[process.index()].lock();
-            res.insert(response.tuple());
-            res.clone()
-        };
-        self.results.write(process.index(), local);
-        response.value
-    }
-
-    /// The wrapped implementation.
-    pub fn inner(&self) -> &A {
-        self.drv.inner()
-    }
-
-    /// Number of producer processes.
-    pub fn processes(&self) -> usize {
-        self.local_results.len()
-    }
-
-    /// Leases a free producer slot (capacity-bounded dynamic registration).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryFull`] when all `processes()` slots are leased.
-    pub fn register(&self) -> Result<ProcessId, RegistryFull> {
-        self.drv.register()
-    }
-
-    /// Returns a leased producer slot to the pool.
-    pub fn release(&self, process: ProcessId) {
-        self.drv.release(process);
+impl<A: ConcurrentObject, O: GenLinObject> DecoupledProducer<A, O> {
+    /// The `A*` and verifier state both roles share: the wrapped implementation, the
+    /// process slots and a certificate of everything published so far.
+    pub fn shared(&self) -> &SelfEnforced<A, O> {
+        &self.shared
     }
 }
 
-impl<A: ConcurrentObject> ConcurrentObject for DecoupledProducer<A> {
+impl<A: ConcurrentObject, O: GenLinObject> ConcurrentObject for DecoupledProducer<A, O> {
     fn kind(&self) -> ObjectKind {
-        self.drv.inner().kind()
+        self.shared.kind()
     }
 
+    /// Obtain `(y, λ)` from `A*`, publish the tuple, return `y` immediately
+    /// (Lines 01–05 of Figure 12).
     fn apply(&self, process: ProcessId, op: &Operation) -> OpValue {
-        self.apply_and_publish(process, op)
+        let response = self.shared.drv().apply_drv(process, op);
+        step(self.shared.verifier(), process, response, Mode::Observe).value
     }
 
     fn name(&self) -> String {
-        format!("decoupled producer over {}", self.drv.inner().name())
+        format!("decoupled producer over {}", self.shared.inner().name())
     }
 }
 
 /// The verifier side of `D_{O,A}`: scans the published tuples and checks the sketch
 /// (Figure 12, verifier code).
-pub struct DecoupledVerifier<O> {
-    verifier: Verifier<O>,
+pub struct DecoupledVerifier<A, O> {
+    shared: Arc<SelfEnforced<A, O>>,
 }
 
-impl<O: GenLinObject> DecoupledVerifier<O> {
+impl<A: ConcurrentObject, O: GenLinObject> DecoupledVerifier<A, O> {
     /// One iteration of the verifier loop (Lines 07–11): scan, rebuild, test.
     pub fn check_once(&self) -> VerifierOutcome {
-        self.verifier.verdict_from_scan(ProcessId::new(0))
+        self.shared.verifier().verdict_from_scan(ProcessId::new(0))
     }
 
     /// Runs `rounds` verification iterations and returns the witnesses of all rounds
     /// that reported `ERROR`.
     pub fn run(&self, rounds: usize) -> Vec<History> {
         (0..rounds)
-            .filter_map(|_| match self.check_once() {
-                VerifierOutcome::Error { witness } => Some(witness),
-                _ => None,
-            })
+            .filter_map(|_| decide(self.shared.verifier(), ProcessId::new(0)))
             .collect()
     }
 
     /// The abstract object being verified against.
     pub fn object(&self) -> &O {
-        self.verifier.object()
+        self.shared.verifier().object()
     }
 }
 
@@ -125,22 +89,12 @@ pub fn decoupled<A: ConcurrentObject, O: GenLinObject>(
     inner: A,
     object: O,
     producers: usize,
-) -> (DecoupledProducer<A>, DecoupledVerifier<O>) {
-    let results: Arc<dyn Snapshot<TupleSet>> =
-        Arc::new(AfekSnapshot::new(producers, TupleSet::new()));
-    let announcements: Arc<dyn Snapshot<View>> =
-        Arc::new(AfekSnapshot::new(producers, View::new()));
+) -> (DecoupledProducer<A, O>, DecoupledVerifier<A, O>) {
+    let shared = Arc::new(SelfEnforced::new(inner, object, producers));
     let producer = DecoupledProducer {
-        drv: Drv::with_snapshot(inner, announcements),
-        results: Arc::clone(&results),
-        local_results: (0..producers)
-            .map(|_| Mutex::new(TupleSet::new()))
-            .collect(),
+        shared: Arc::clone(&shared),
     };
-    let verifier = DecoupledVerifier {
-        verifier: Verifier::with_snapshot(object, results),
-    };
-    (producer, verifier)
+    (producer, DecoupledVerifier { shared })
 }
 
 #[cfg(test)]
@@ -169,7 +123,7 @@ mod tests {
         assert!(verifier.run(3).is_empty());
         assert!(producer.name().contains("decoupled"));
         assert_eq!(producer.kind(), ObjectKind::Queue);
-        assert_eq!(producer.processes(), 2);
+        assert_eq!(producer.shared().processes(), 2);
         assert!(verifier.object().description().contains("queue"));
     }
 

@@ -21,12 +21,12 @@
 //! the "stretch"/"shrink" pictures of Figures 5, 6 and 8 are reproduced without relying
 //! on racy timing.
 
-use crate::registry::{ProcessRegistry, RegistryFull};
+use crate::registry::ProcessRegistry;
+use crate::shared::SharedSets;
 use crate::view::{InvocationPair, View, ViewTuple};
 use linrv_history::{OpId, OpValue, Operation, ProcessId};
 use linrv_runtime::ConcurrentObject;
 use linrv_snapshot::{AfekSnapshot, Snapshot};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -62,10 +62,8 @@ pub struct Announced {
 /// The `DRV`-class counterpart `A*` of a concurrent implementation `A` (Figure 7).
 pub struct Drv<A> {
     inner: A,
-    /// The snapshot object `N` of Figure 7; entry `i` holds `set_i`.
-    announcements: Arc<dyn Snapshot<View>>,
-    /// The persistent local variable `set_i` of each process.
-    local_sets: Vec<Mutex<View>>,
+    /// The shared array `N` of Figure 7; entry `i` holds `set_i`.
+    announcements: SharedSets<InvocationPair>,
     next_op: AtomicU64,
     registry: ProcessRegistry,
 }
@@ -80,40 +78,23 @@ impl<A: ConcurrentObject> Drv<A> {
     /// Wraps `inner` using an explicit snapshot implementation (its number of entries
     /// determines the number of processes).
     pub fn with_snapshot(inner: A, snapshot: Arc<dyn Snapshot<View>>) -> Self {
-        let n = snapshot.entries();
+        let registry = ProcessRegistry::new(snapshot.entries());
         Drv {
             inner,
-            announcements: snapshot,
-            local_sets: (0..n).map(|_| Mutex::new(View::new())).collect(),
+            announcements: SharedSets::new(snapshot),
             next_op: AtomicU64::new(0),
-            registry: ProcessRegistry::new(n),
+            registry,
         }
     }
 
     /// Number of processes the wrapper was created for.
     pub fn processes(&self) -> usize {
-        self.local_sets.len()
+        self.announcements.processes()
     }
 
-    /// Leases a free process slot (capacity-bounded dynamic registration).
-    ///
-    /// The returned identifier is exclusively owned by the caller until it is
-    /// handed back via [`Drv::release`]. Callers that prefer to manage ids
-    /// themselves (the raw API) may keep constructing `ProcessId`s directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryFull`] when all `processes()` slots are leased.
-    pub fn register(&self) -> Result<ProcessId, RegistryFull> {
-        self.registry.register()
-    }
-
-    /// Returns a leased process slot to the pool (see [`Drv::register`]).
-    pub fn release(&self, process: ProcessId) {
-        self.registry.release(process);
-    }
-
-    /// The lease manager for this wrapper's process slots.
+    /// The lease manager for this wrapper's process slots (capacity-bounded dynamic
+    /// registration). Callers that prefer to manage ids themselves (the raw API) may
+    /// keep constructing `ProcessId`s directly.
     pub fn registry(&self) -> &ProcessRegistry {
         &self.registry
     }
@@ -123,29 +104,19 @@ impl<A: ConcurrentObject> Drv<A> {
         &self.inner
     }
 
-    fn check_process(&self, process: ProcessId) {
-        assert!(
-            process.index() < self.processes(),
-            "process {process} out of range for a {}-process DRV wrapper",
-            self.processes()
-        );
-    }
-
     /// Phase 1 (Lines 01–02): announce the operation in the snapshot object.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `process` is outside the range the wrapper was created for.
     pub fn announce(&self, process: ProcessId, op: &Operation) -> Announced {
         let span = linrv_obs::Span::start(crate::metrics::announce_ns());
-        self.check_process(process);
         let pair = InvocationPair {
             process,
             op_id: OpId::new(self.next_op.fetch_add(1, Ordering::Relaxed)),
             operation: op.clone(),
         };
-        let set = {
-            let mut local = self.local_sets[process.index()].lock();
-            local.insert(pair.clone());
-            local.clone()
-        };
-        self.announcements.write(process.index(), set);
+        self.announcements.add(process, pair.clone());
         drop(span);
         if linrv_obs::enabled() {
             crate::metrics::ops_announced().inc();
@@ -163,9 +134,7 @@ impl<A: ConcurrentObject> Drv<A> {
     /// assemble the response.
     pub fn collect(&self, announced: Announced, value: OpValue) -> DrvResponse {
         let span = linrv_obs::Span::start(crate::metrics::collect_ns());
-        let process = announced.pair.process;
-        let scanned = self.announcements.scan(process.index());
-        let view: View = scanned.into_iter().flatten().collect();
+        let view = self.announcements.union(announced.pair.process);
         drop(span);
         if linrv_obs::enabled() {
             crate::metrics::view_size().record(view.len() as u64);

@@ -1,4 +1,5 @@
-//! Self-enforced implementations `V_{O,A}` (Figure 11, Theorem 8.2).
+//! Self-enforced implementations `V_{O,A}` (Figure 11, Theorem 8.2) and the one
+//! publish→verify [`step`] that Figures 11 and 12 share.
 //!
 //! A self-enforced implementation wraps an arbitrary implementation `A` so that **every
 //! non-ERROR response is runtime verified**: each `Apply` first obtains `(y_i, λ_i)`
@@ -11,10 +12,13 @@
 //! `V_{O,A}` is correct (and never returns ERROR); if `A` is incorrect, every execution
 //! of `V_{O,A}` is correct up to a prefix after which new operations return ERROR with
 //! a witness; and at any time a certificate of the computation so far can be produced.
+//!
+//! `V_{O,A}` is `A*` followed by one verifier [`step`]; a producer of the decoupled
+//! `D_{O,A}` (Figure 12) is `A*` followed by the same step without the membership
+//! test. [`Mode`] is that one difference, and every wrapper calls [`step`].
 
 use crate::certificate::Certificate;
-use crate::drv::Drv;
-use crate::registry::RegistryFull;
+use crate::drv::{Drv, DrvResponse};
 use crate::verifier::{Verifier, VerifierOutcome};
 use linrv_check::GenLinObject;
 use linrv_history::{History, OpValue, Operation, ProcessId};
@@ -39,6 +43,69 @@ impl EnforcedResponse {
     /// Returns `true` when the response was verified correct.
     pub fn is_verified(&self) -> bool {
         self.witness.is_none()
+    }
+}
+
+/// Whether verification gates responses or merely observes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Mode {
+    /// Self-enforced (Figure 11): the membership test runs on the critical path
+    /// of every operation and incorrect responses are replaced by a rejection
+    /// carrying a witness. The default.
+    #[default]
+    Enforce,
+    /// Verifier-only (Figure 12, decoupled): operations publish their view tuples
+    /// and return immediately; verdicts are computed asynchronously
+    /// (`DecoupledVerifier::check_once`, the facade's `Monitor::check`). A
+    /// violation may thus be observed only after the offending response was
+    /// already returned.
+    Observe,
+}
+
+/// Decides the computation published so far (Figure 10, Lines 08–12; Figure 12,
+/// verifier code): `None` when the sketch is a member of the object, else the witness.
+///
+/// # Panics
+///
+/// Panics on [`VerifierOutcome::InvalidViews`], here and nowhere else: a `DRV` wrapper
+/// over a linearizable snapshot cannot produce it, so the shared state was corrupted.
+pub fn decide<O: GenLinObject>(verifier: &Verifier<O>, scanner: ProcessId) -> Option<History> {
+    match verifier.verdict_from_scan(scanner) {
+        VerifierOutcome::Ok => None,
+        VerifierOutcome::Error { witness } => Some(witness),
+        VerifierOutcome::InvalidViews(err) => panic!(
+            "invariant broken: a DRV wrapper over a linearizable snapshot cannot \
+             produce views that violate Remark 7.2, yet the published tuples do: {err}"
+        ),
+    }
+}
+
+/// The publish→verify step on a collected response of `A*`: the tuple is recorded in
+/// `res_i` and published; under [`Mode::Enforce`] (Figure 11, Lines 05–11) the process
+/// then [`decide`]s and a failed test replaces the response by `ERROR` with the
+/// witness, under [`Mode::Observe`] (Figure 12, producer code) it is returned as it is.
+///
+/// # Panics
+///
+/// Panics when `process` is out of the verifier's range, and as [`decide`] does.
+pub fn step<O: GenLinObject>(
+    verifier: &Verifier<O>,
+    process: ProcessId,
+    response: DrvResponse,
+    mode: Mode,
+) -> EnforcedResponse {
+    verifier.record(process, response.tuple());
+    let witness = match mode {
+        Mode::Enforce => decide(verifier, process),
+        Mode::Observe => None,
+    };
+    EnforcedResponse {
+        value: match witness {
+            None => response.value.clone(),
+            Some(_) => OpValue::Error,
+        },
+        underlying: response.value,
+        witness,
     }
 }
 
@@ -77,21 +144,6 @@ impl<A: ConcurrentObject, O: GenLinObject> SelfEnforced<A, O> {
         self.drv.processes()
     }
 
-    /// Leases a free process slot, valid for both the embedded `DRV` wrapper and
-    /// the embedded verifier (they share one id space).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryFull`] when all `processes()` slots are leased.
-    pub fn register(&self) -> Result<ProcessId, RegistryFull> {
-        self.drv.register()
-    }
-
-    /// Returns a leased process slot to the pool (see [`SelfEnforced::register`]).
-    pub fn release(&self, process: ProcessId) {
-        self.drv.release(process);
-    }
-
     /// The wrapped implementation.
     pub fn inner(&self) -> &A {
         self.drv.inner()
@@ -102,7 +154,8 @@ impl<A: ConcurrentObject, O: GenLinObject> SelfEnforced<A, O> {
         &self.verifier
     }
 
-    /// The embedded `DRV` wrapper (exposed for experiments).
+    /// The embedded `DRV` wrapper. Its [`Drv::registry`] leases process slots valid for
+    /// the embedded verifier too (they share one id space).
     pub fn drv(&self) -> &Drv<A> {
         &self.drv
     }
@@ -115,21 +168,7 @@ impl<A: ConcurrentObject, O: GenLinObject> SelfEnforced<A, O> {
     /// Panics when `process` is outside the range the wrapper was created for.
     pub fn apply_verified(&self, process: ProcessId, op: &Operation) -> EnforcedResponse {
         let response = self.drv.apply_drv(process, op);
-        match self.verifier.observe(process, response.tuple()) {
-            VerifierOutcome::Ok => EnforcedResponse {
-                value: response.value.clone(),
-                underlying: response.value,
-                witness: None,
-            },
-            VerifierOutcome::Error { witness } => EnforcedResponse {
-                value: OpValue::Error,
-                underlying: response.value,
-                witness: Some(witness),
-            },
-            VerifierOutcome::InvalidViews(err) => {
-                panic!("DRV wrapper produced invalid views: {err}")
-            }
-        }
+        step(&self.verifier, process, response, Mode::Enforce)
     }
 
     /// Produces a certificate of the computation so far (Theorem 8.2 (3)): the visible
@@ -141,20 +180,13 @@ impl<A: ConcurrentObject, O: GenLinObject> SelfEnforced<A, O> {
 
     /// [`SelfEnforced::certificate`] scanning on behalf of a specific process.
     pub fn certificate_as(&self, process: ProcessId) -> Certificate {
-        let tuples = self.verifier.collect_tuples(process);
-        let (sketch, correct) = match crate::sketch::sketch_history(&tuples) {
-            Ok(sketch) => {
-                let correct = self.verifier.object().contains(&sketch);
-                (sketch, correct)
-            }
-            Err(_) => (History::new(), false),
-        };
+        let audit = self.verifier.audit(process);
         Certificate {
             object: self.verifier.object().description(),
             implementation: self.drv.inner().name(),
-            tuples,
-            sketch,
-            correct,
+            tuples: audit.tuples,
+            sketch: audit.sketch.unwrap_or_default(),
+            correct: audit.member,
         }
     }
 }

@@ -12,11 +12,13 @@
 //! * [`verifier`] — the wait-free predictive verifier `V_O` of Figure 10
 //!   (Theorem 8.1): read/write base objects only, `O(n)`-step loop, predictive
 //!   soundness + completeness + stability;
-//! * [`enforce`] — self-enforced implementations `V_{O,A}` of Figure 11
-//!   (Theorem 8.2): every non-ERROR response is runtime verified, and a certificate of
-//!   the current computation can be produced on demand;
-//! * [`decoupled`] — the decoupled variant `D_{O,A}` of Figure 12 (Section 9.2), with
-//!   separate producer and verifier roles;
+//! * [`enforce`] — the one publish→verify [`enforce::step`] of Figures 11 and 12 (the
+//!   membership test gates the response or not, per [`enforce::Mode`]) and, on top of
+//!   it, self-enforced implementations `V_{O,A}` of Figure 11 (Theorem 8.2): every
+//!   non-ERROR response is runtime verified, and a certificate of the current
+//!   computation can be produced on demand;
+//! * [`decoupled`] — the decoupled variant `D_{O,A}` of Figure 12 (Section 9.2):
+//!   producer and verifier handles on one shared `SelfEnforced`;
 //! * [`impossibility`] — an executable rendition of the Theorem 5.1 indistinguishability
 //!   argument;
 //! * [`bounded`] — the Section 9.1 linked-list representation of grow-only sets;
@@ -24,6 +26,8 @@
 //!   (Section 8.3);
 //! * [`registry`] — capacity-bounded dynamic process registration, backing the
 //!   session handles of the `linrv` facade crate;
+//! * `shared` (private) — the one representation of the shared arrays `N` (Figure 7)
+//!   and `M` (Figure 10) that [`drv`] and [`verifier`] sit on;
 //! * [`metrics`] — `linrv-obs` profiling hooks for the DRV hot path
 //!   (announce/collect/sketch latency, announce-view size), recording only
 //!   while `linrv_obs::enabled()` is on.
@@ -59,6 +63,7 @@ pub mod enforce;
 pub mod impossibility;
 pub mod metrics;
 pub mod registry;
+mod shared;
 pub mod sketch;
 pub mod verifier;
 pub mod view;
@@ -66,8 +71,8 @@ pub mod view;
 pub use certificate::Certificate;
 pub use decoupled::{DecoupledProducer, DecoupledVerifier};
 pub use drv::{Drv, DrvResponse};
-pub use enforce::{EnforcedResponse, SelfEnforced};
+pub use enforce::{EnforcedResponse, Mode, SelfEnforced};
 pub use registry::{ProcessRegistry, RegistryFull};
 pub use sketch::{sketch_history, SketchError};
-pub use verifier::{Verifier, VerifierOutcome, VerifierRun};
+pub use verifier::{Audit, Verifier, VerifierOutcome, VerifierRun};
 pub use view::{InvocationPair, TupleSet, View, ViewPropertyError, ViewTuple};

@@ -20,12 +20,13 @@
 //! * **Completeness and stability** — if `A*`'s history is incorrect, eventually every
 //!   new observation reports `ERROR`.
 
+use crate::enforce::{step, Mode};
+use crate::shared::SharedSets;
 use crate::sketch::{sketch_history, SketchError};
 use crate::view::{TupleSet, ViewTuple};
 use linrv_check::GenLinObject;
 use linrv_history::{History, ProcessId};
 use linrv_snapshot::{AfekSnapshot, Snapshot};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Outcome of one verification step (Lines 06–12 of Figure 10).
@@ -60,14 +61,24 @@ impl VerifierOutcome {
     }
 }
 
+/// What one scan of `M` tells a process (Figure 10, Lines 08–11). Every verdict,
+/// sketch and certificate is a projection of one audit.
+#[derive(Debug)]
+pub struct Audit {
+    /// The union `τ` of all result sets read by the scan.
+    pub tuples: TupleSet,
+    /// The sketch `X(τ)`, or why `τ` violates the view properties of Remark 7.2.
+    pub sketch: Result<History, SketchError>,
+    /// Whether the sketch exists and is a member of the object.
+    pub member: bool,
+}
+
 /// The wait-free predictive verifier `V_O` for an object `O ∈ GenLin` and
 /// implementations `A* ∈ DRV`.
 pub struct Verifier<O> {
     object: O,
-    /// The snapshot object `M` of Figure 10; entry `i` holds `res_i`.
-    results: Arc<dyn Snapshot<TupleSet>>,
-    /// The persistent local variable `res_i` of each process.
-    local_results: Vec<Mutex<TupleSet>>,
+    /// The shared array `M` of Figure 10; entry `i` holds `res_i`.
+    results: SharedSets<ViewTuple>,
 }
 
 impl<O: GenLinObject> Verifier<O> {
@@ -82,11 +93,9 @@ impl<O: GenLinObject> Verifier<O> {
 
     /// Creates a verifier with an explicit snapshot implementation.
     pub fn with_snapshot(object: O, snapshot: Arc<dyn Snapshot<TupleSet>>) -> Self {
-        let n = snapshot.entries();
         Verifier {
             object,
-            results: snapshot,
-            local_results: (0..n).map(|_| Mutex::new(TupleSet::new())).collect(),
+            results: SharedSets::new(snapshot),
         }
     }
 
@@ -97,7 +106,7 @@ impl<O: GenLinObject> Verifier<O> {
 
     /// Number of processes.
     pub fn processes(&self) -> usize {
-        self.local_results.len()
+        self.results.processes()
     }
 
     /// One verification step (Figure 10, Lines 06–12): record the tuple obtained from
@@ -115,61 +124,43 @@ impl<O: GenLinObject> Verifier<O> {
     /// record the tuple in `res_i` and exchange it through the snapshot, *without*
     /// computing a verdict.
     ///
-    /// This is the publish-only step of the decoupled construction (Figure 12,
-    /// producer code — `DecoupledProducer` maintains its own equivalent `res_i`
-    /// sets); verdicts are then computed asynchronously via
-    /// [`Verifier::verdict_from_scan`]. The facade's Observe mode calls this on
-    /// the critical path instead of [`Verifier::observe`].
+    /// This is all a producer of the decoupled construction does (Figure 12,
+    /// producer code); verdicts are then computed asynchronously via
+    /// [`Verifier::verdict_from_scan`].
     ///
     /// # Panics
     ///
     /// Panics when `process` is outside the range the verifier was created for.
     pub fn record(&self, process: ProcessId, tuple: ViewTuple) {
-        assert!(
-            process.index() < self.processes(),
-            "process {process} out of range for a {}-process verifier",
-            self.processes()
-        );
-        let local = {
-            let mut res = self.local_results[process.index()].lock();
-            res.insert(tuple);
-            res.clone()
-        };
-        self.results.write(process.index(), local);
-    }
-
-    /// Re-evaluates the verdict from the current shared state without contributing a
-    /// new tuple (used by decoupled verifiers and by certificate extraction).
-    pub fn verdict_from_scan(&self, scanner: ProcessId) -> VerifierOutcome {
-        let tau = self.collect_tuples(scanner);
-        match sketch_history(&tau) {
-            Ok(sketch) => {
-                if self.object.contains(&sketch) {
-                    VerifierOutcome::Ok
-                } else {
-                    VerifierOutcome::Error { witness: sketch }
-                }
-            }
-            Err(err) => VerifierOutcome::InvalidViews(err),
-        }
+        self.results.add(process, tuple);
     }
 
     /// The union `τ` of all result sets currently readable from `M`.
     pub fn collect_tuples(&self, scanner: ProcessId) -> TupleSet {
-        self.results
-            .scan(scanner.index().min(self.processes().saturating_sub(1)))
-            .into_iter()
-            .flatten()
-            .collect()
+        self.results.union(scanner)
     }
 
-    /// The sketch `X(τ)` of the currently visible tuples, if the views are valid.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SketchError`] when the visible tuples violate Remark 7.2.
-    pub fn current_sketch(&self, scanner: ProcessId) -> Result<History, SketchError> {
-        sketch_history(&self.collect_tuples(scanner))
+    /// Scan, sketch, membership (Figure 10, Lines 08–11) without contributing a tuple.
+    pub fn audit(&self, scanner: ProcessId) -> Audit {
+        let tuples = self.collect_tuples(scanner);
+        let sketch = sketch_history(&tuples);
+        let member = matches!(&sketch, Ok(sketch) if self.object.contains(sketch));
+        Audit {
+            tuples,
+            sketch,
+            member,
+        }
+    }
+
+    /// Re-evaluates the verdict from the current shared state without contributing a
+    /// new tuple (used by decoupled verifiers).
+    pub fn verdict_from_scan(&self, scanner: ProcessId) -> VerifierOutcome {
+        let audit = self.audit(scanner);
+        match audit.sketch {
+            Ok(_) if audit.member => VerifierOutcome::Ok,
+            Ok(witness) => VerifierOutcome::Error { witness },
+            Err(err) => VerifierOutcome::InvalidViews(err),
+        }
     }
 }
 
@@ -221,17 +212,10 @@ where
                 let mut witnesses = Vec::new();
                 for (k, op) in ops.iter().enumerate() {
                     let response = drv.apply_drv(process, op);
-                    match verifier.observe(process, response.tuple()) {
-                        VerifierOutcome::Ok => {}
-                        VerifierOutcome::Error { witness } => {
-                            if first_error.is_none() {
-                                first_error = Some(k);
-                            }
-                            witnesses.push(witness);
-                        }
-                        VerifierOutcome::InvalidViews(err) => {
-                            panic!("DRV wrapper produced invalid views: {err}")
-                        }
+                    if let Some(witness) = step(verifier, process, response, Mode::Enforce).witness
+                    {
+                        first_error.get_or_insert(k);
+                        witnesses.push(witness);
                     }
                 }
                 (ops.len(), first_error, witnesses)
@@ -281,7 +265,7 @@ mod tests {
             let r = drv.apply_drv(p(proc_index), &op);
             assert!(verifier.observe(p(proc_index), r.tuple()).is_ok());
         }
-        assert!(verifier.current_sketch(p(0)).unwrap().is_sequential());
+        assert!(verifier.audit(p(0)).sketch.unwrap().is_sequential());
         assert_eq!(verifier.processes(), 2);
     }
 

@@ -3,6 +3,7 @@
 
 use crate::monitor::{Monitor, MonitorInner};
 use linrv_check::LinSpec;
+pub use linrv_core::enforce::Mode;
 use linrv_core::enforce::SelfEnforced;
 use linrv_core::view::{TupleSet, View};
 use linrv_runtime::ConcurrentObject;
@@ -29,21 +30,6 @@ pub enum SnapshotBackend {
     /// A mutex-protected array: trivially linearizable but blocking. The
     /// differential-testing oracle; not wait-free.
     Locked,
-}
-
-/// Whether verification gates responses or merely observes them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Mode {
-    /// Self-enforced (Figure 11): the membership test runs on the critical path
-    /// of every operation and incorrect responses are replaced by a rejection
-    /// carrying a witness. The default.
-    #[default]
-    Enforce,
-    /// Verifier-only (Figure 12, decoupled): operations publish their view tuples
-    /// and return immediately; verdicts are computed asynchronously via
-    /// [`Monitor::check`]. A violation may thus be observed only after the
-    /// offending response was already returned.
-    Observe,
 }
 
 /// When the monitor captures execution certificates (Section 8.3).
@@ -82,6 +68,21 @@ pub struct MonitorBuilder<S> {
     mode: Mode,
     policy: CertificatePolicy,
     sink: Option<Arc<dyn EventSink>>,
+}
+
+impl SnapshotBackend {
+    /// An `n`-entry snapshot object of this construction, every entry `initial`.
+    fn base_object<T: Clone + Send + Sync + 'static>(
+        self,
+        n: usize,
+        initial: T,
+    ) -> Arc<dyn Snapshot<T>> {
+        match self {
+            SnapshotBackend::Afek => Arc::new(AfekSnapshot::new(n, initial)),
+            SnapshotBackend::DoubleCollect => Arc::new(DoubleCollectSnapshot::new(n, initial)),
+            SnapshotBackend::Locked => Arc::new(LockedSnapshot::new(n, initial)),
+        }
+    }
 }
 
 impl<S: fmt::Debug> fmt::Debug for MonitorBuilder<S> {
@@ -162,24 +163,12 @@ impl<S: TypedObject> MonitorBuilder<S> {
 
     /// Wraps the black-box implementation `inner` and finishes the monitor.
     pub fn build<A: ConcurrentObject>(self, inner: A) -> Monitor<A, S> {
-        let n = self.capacity;
-        let (announcements, results): (Arc<dyn Snapshot<View>>, Arc<dyn Snapshot<TupleSet>>) =
-            match self.backend {
-                SnapshotBackend::Afek => (
-                    Arc::new(AfekSnapshot::new(n, View::new())),
-                    Arc::new(AfekSnapshot::new(n, TupleSet::new())),
-                ),
-                SnapshotBackend::DoubleCollect => (
-                    Arc::new(DoubleCollectSnapshot::new(n, View::new())),
-                    Arc::new(DoubleCollectSnapshot::new(n, TupleSet::new())),
-                ),
-                SnapshotBackend::Locked => (
-                    Arc::new(LockedSnapshot::new(n, View::new())),
-                    Arc::new(LockedSnapshot::new(n, TupleSet::new())),
-                ),
-            };
-        let enforced =
-            SelfEnforced::with_snapshots(inner, LinSpec::new(self.spec), announcements, results);
+        let enforced = SelfEnforced::with_snapshots(
+            inner,
+            LinSpec::new(self.spec),
+            self.backend.base_object(self.capacity, View::new()),
+            self.backend.base_object(self.capacity, TupleSet::new()),
+        );
         Monitor::from_inner(MonitorInner {
             enforced,
             mode: self.mode,

@@ -57,7 +57,7 @@
 //! | Operations | `Operation::new("Enqueue", OpValue::Int(5))` | `session.enqueue(5)` |
 //! | Responses | `OpValue` inspected at runtime | precise types (`Option<i64>`, `bool`, …) |
 //! | Errors | `OpValue::Error` sentinel + witness field | `Result<_, `[`Rejected`]`>` |
-//! | Verification placement | pick `SelfEnforced` vs `decoupled` by hand | [`Mode::Enforce`] / [`Mode::Observe`] |
+//! | Verification placement | `enforce::step(.., mode)` after `A*`: `SelfEnforced` gates, `decoupled` publishes | the same step with the monitor's [`Mode::Enforce`] / [`Mode::Observe`] |
 //! | Availability | always (re-exported here) | seven shipped specs + any [`TypedObject`](spec::TypedObject) |
 //!
 //! The two layers interoperate freely: typed operations are *encodings* — a typed

@@ -5,9 +5,8 @@ use crate::builder::{CertificatePolicy, Mode, MonitorBuilder, SnapshotBackend};
 use crate::session::Session;
 use linrv_check::LinSpec;
 use linrv_core::certificate::Certificate;
-use linrv_core::enforce::SelfEnforced;
+use linrv_core::enforce::{decide, SelfEnforced};
 use linrv_core::registry::RegistryFull;
-use linrv_core::verifier::VerifierOutcome;
 use linrv_history::{History, ProcessId};
 use linrv_runtime::ConcurrentObject;
 use linrv_spec::TypedObject;
@@ -126,7 +125,7 @@ impl<A: ConcurrentObject, S: TypedObject> Monitor<A, S> {
     ///
     /// Returns [`RegistryFull`] when all slots are held by live sessions.
     pub fn register(&self) -> Result<Session<A, S>, RegistryFull> {
-        let process = self.inner.enforced.register()?;
+        let process = self.inner.enforced.drv().registry().register()?;
         Ok(Session::new(Arc::clone(&self.inner), process))
     }
 
@@ -160,21 +159,14 @@ impl<A: ConcurrentObject, S: TypedObject> Monitor<A, S> {
     /// Panics when the published tuples violate the view properties of
     /// Remark 7.2, which cannot happen unless the shared state was corrupted.
     pub fn check(&self) -> Verdict {
-        match self
-            .inner
-            .enforced
-            .verifier()
-            .verdict_from_scan(ProcessId::new(0))
-        {
-            VerifierOutcome::Ok => Verdict::Correct,
-            VerifierOutcome::Error { witness } => {
+        let scanner = ProcessId::new(0);
+        match decide(self.inner.enforced.verifier(), scanner) {
+            None => Verdict::Correct,
+            Some(witness) => {
                 // In Observe mode this is where violations surface, so this is
                 // also where the OnViolation policy captures its certificate.
-                self.inner.note_violation(ProcessId::new(0));
+                self.inner.note_violation(scanner);
                 Verdict::Violation { witness }
-            }
-            VerifierOutcome::InvalidViews(err) => {
-                panic!("published tuples violate the view properties: {err}")
             }
         }
     }

@@ -1,11 +1,9 @@
 //! Per-process [`Session`] handles: typed, id-free operations against a
 //! [`Monitor`](crate::Monitor).
 
-use crate::builder::Mode;
 use crate::monitor::MonitorInner;
 use linrv_core::drv::Announced;
-use linrv_core::enforce::EnforcedResponse;
-use linrv_core::verifier::VerifierOutcome;
+use linrv_core::enforce::{step, EnforcedResponse};
 use linrv_history::{Event, History, OpValue, Operation, ProcessId};
 use linrv_runtime::ConcurrentObject;
 use linrv_spec::typed::{
@@ -19,8 +17,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rejected {
     /// Runtime verification failed: the computation including this response is
-    /// not linearizable ([`Mode::Enforce`] only). Corresponds to the paper's
-    /// `ERROR` response (Figure 11).
+    /// not linearizable ([`Mode::Enforce`](crate::Mode::Enforce) only).
+    /// Corresponds to the paper's `ERROR` response (Figure 11).
     Violation {
         /// The response the underlying implementation produced.
         underlying: OpValue,
@@ -153,8 +151,79 @@ impl<A: ConcurrentObject, S: TypedObject> Session<A, S> {
         Arc::as_ptr(&self.monitor) as *const () as usize
     }
 
+    /// Refuses a phase token another monitor or another session issued, before
+    /// anything is done with it.
+    fn assert_owns(&self, phase: &str, monitor_brand: usize, announced: &Announced) {
+        assert_eq!(
+            monitor_brand,
+            self.brand(),
+            "{phase} called with an operation staged on a different monitor"
+        );
+        assert_eq!(
+            announced.pair.process, self.process,
+            "{phase} called with an operation staged by a different session"
+        );
+    }
+
+    /// Counts one end-to-end operation and times it until the span is dropped.
+    fn op_span() -> linrv_obs::Span {
+        if linrv_obs::enabled() {
+            crate::metrics::ops_total().inc();
+        }
+        linrv_obs::Span::start(crate::metrics::op_ns())
+    }
+
+    // The one walk every operation takes, on the wire operation: announce → tap →
+    // underlying call → collect → tap → publish→verify step. The typed phases
+    // below are encode/decode and token checks around it.
+
+    /// Figure 7, Lines 01–02: claim the session, announce, tap the invocation.
+    fn announce(&self, op: &Operation, starting: &str) -> Announced {
+        self.claim_sequential(starting);
+        let announced = self.monitor.enforced.drv().announce(self.process, op);
+        // The trace tap records the announced wire operation: the trace is the
+        // history of the wrapped implementation, typed sugar erased.
+        self.monitor.tap(&Event::invocation(
+            self.process,
+            announced.pair.op_id,
+            announced.pair.operation.clone(),
+        ));
+        announced
+    }
+
+    /// Figure 7, Lines 05–07 and the step of Figures 11/12: collect the view, tap
+    /// the response, publish the tuple and verify per the monitor's mode.
+    fn finish(&self, announced: Announced, value: OpValue) -> EnforcedResponse {
+        let enforced = &self.monitor.enforced;
+        let response = enforced.drv().collect(announced, value);
+        // Trace the *underlying* response — even when Enforce mode is about to
+        // reject it, the trace documents what the implementation actually did.
+        self.monitor.tap(&Event::response(
+            self.process,
+            response.pair.op_id,
+            response.value.clone(),
+        ));
+        let response = step(
+            enforced.verifier(),
+            self.process,
+            response,
+            self.monitor.mode,
+        );
+        // The operation is complete only once its tuple is published; clearing
+        // the sequentiality flag any earlier would let a concurrent stage() on a
+        // shared &Session overlap two operations of one process.
+        self.outstanding
+            .store(0, std::sync::atomic::Ordering::Release);
+        if !response.is_verified() {
+            self.monitor.note_violation(self.process);
+        } else if linrv_obs::enabled() {
+            crate::metrics::verdict_ok().inc();
+        }
+        response
+    }
+
     /// Applies a typed operation end to end: announce, run, collect, verify (per
-    /// the monitor's [`Mode`]), decode.
+    /// the monitor's [`Mode`](crate::Mode)), decode.
     ///
     /// # Errors
     ///
@@ -166,10 +235,7 @@ impl<A: ConcurrentObject, S: TypedObject> Session<A, S> {
     /// Panics when a staged operation of this session has not been committed yet
     /// (processes are sequential).
     pub fn apply<Op: OpFor<S>>(&self, op: Op) -> Result<Op::Response, Rejected> {
-        let _span = linrv_obs::Span::start(crate::metrics::op_ns());
-        if linrv_obs::enabled() {
-            crate::metrics::ops_total().inc();
-        }
+        let _span = Self::op_span();
         let staged = self.stage(op);
         let executed = self.execute(staged);
         self.commit(executed)
@@ -190,22 +256,9 @@ impl<A: ConcurrentObject, S: TypedObject> Session<A, S> {
     /// Panics when a previously staged operation of this session has not been
     /// committed yet (processes are sequential).
     pub fn stage<Op: OpFor<S>>(&self, op: Op) -> Staged<Op> {
-        self.claim_sequential("stage a new operation");
-        let announced = self
-            .monitor
-            .enforced
-            .drv()
-            .announce(self.process, &op.encode());
-        // The trace tap records the announced wire operation: the trace is the
-        // history of the wrapped implementation, typed sugar erased.
-        self.monitor.tap(&Event::invocation(
-            self.process,
-            announced.pair.op_id,
-            announced.pair.operation.clone(),
-        ));
         Staged {
+            announced: self.announce(&op.encode(), "stage a new operation"),
             op,
-            announced,
             monitor_brand: self.brand(),
         }
     }
@@ -215,18 +268,14 @@ impl<A: ConcurrentObject, S: TypedObject> Session<A, S> {
     ///
     /// # Panics
     ///
-    /// Panics when `staged` was produced by a session of a different monitor.
+    /// Panics, before the underlying call, when `staged` was produced on a
+    /// different monitor or by a session owning a different process slot.
     pub fn execute<Op: OpFor<S>>(&self, staged: Staged<Op>) -> Executed<Op> {
-        assert_eq!(
-            staged.monitor_brand,
-            self.brand(),
-            "execute called with an operation staged on a different monitor"
-        );
-        let value = self.monitor.enforced.drv().call_inner(&staged.announced);
+        self.assert_owns("execute", staged.monitor_brand, &staged.announced);
         Executed {
+            value: self.monitor.enforced.drv().call_inner(&staged.announced),
             op: staged.op,
             announced: staged.announced,
-            value,
             monitor_brand: staged.monitor_brand,
         }
     }
@@ -244,145 +293,37 @@ impl<A: ConcurrentObject, S: TypedObject> Session<A, S> {
     /// Panics when `executed` was staged on a different monitor or by a session
     /// owning a different process slot.
     pub fn commit<Op: OpFor<S>>(&self, executed: Executed<Op>) -> Result<Op::Response, Rejected> {
-        let Executed {
-            op,
-            announced,
-            value,
-            monitor_brand,
-        } = executed;
-        assert_eq!(
-            monitor_brand,
-            self.brand(),
-            "commit called with an operation staged on a different monitor"
-        );
-        assert_eq!(
-            announced.pair.process, self.process,
-            "commit called with an operation staged by a different session"
-        );
-        let response = self.monitor.enforced.drv().collect(announced, value);
-        // Trace the *underlying* response — even when Enforce mode is about to
-        // reject it, the trace documents what the implementation actually did.
-        self.monitor.tap(&Event::response(
-            self.process,
-            response.pair.op_id,
-            response.value.clone(),
-        ));
-        let verifier = self.monitor.enforced.verifier();
-        let outcome = match self.monitor.mode {
-            Mode::Observe => {
-                verifier.record(self.process, response.tuple());
-                VerifierOutcome::Ok
-            }
-            Mode::Enforce => verifier.observe(self.process, response.tuple()),
-        };
-        // The operation is complete only once its tuple is published; clearing
-        // the sequentiality flag any earlier would let a concurrent stage() on a
-        // shared &Session overlap two operations of one process.
-        self.outstanding
-            .store(0, std::sync::atomic::Ordering::Release);
-        match outcome {
-            VerifierOutcome::Ok => {
-                if linrv_obs::enabled() {
-                    crate::metrics::verdict_ok().inc();
-                }
-            }
-            VerifierOutcome::Error { witness } => {
-                self.monitor.note_violation(self.process);
-                return Err(Rejected::Violation {
-                    underlying: response.value,
-                    witness,
-                });
-            }
-            VerifierOutcome::InvalidViews(err) => {
-                panic!("DRV wrapper produced invalid views: {err}")
-            }
+        self.assert_owns("commit", executed.monitor_brand, &executed.announced);
+        let response = self.finish(executed.announced, executed.value);
+        let underlying = response.underlying;
+        if let Some(witness) = response.witness {
+            return Err(Rejected::Violation {
+                underlying,
+                witness,
+            });
         }
-        op.decode_response(&response.value).map_err(|error| {
+        executed.op.decode_response(&underlying).map_err(|error| {
             if linrv_obs::enabled() {
                 crate::metrics::malformed().inc();
             }
-            Rejected::Malformed {
-                underlying: response.value,
-                error,
-            }
+            Rejected::Malformed { underlying, error }
         })
     }
 
-    /// Escape hatch: applies an untyped wire operation through the raw API,
-    /// returning the raw self-enforced response. The monitor's [`Mode`] is still
-    /// honoured (Observe mode publishes without gating).
+    /// Escape hatch: applies an untyped wire operation through the same walk,
+    /// returning the raw self-enforced response. The monitor's
+    /// [`Mode`](crate::Mode) is still honoured (Observe mode publishes without
+    /// gating).
     ///
     /// # Panics
     ///
     /// Panics when another operation of this session is still in flight
     /// (processes are sequential).
     pub fn apply_raw(&self, op: &Operation) -> EnforcedResponse {
-        let _span = linrv_obs::Span::start(crate::metrics::op_ns());
-        if linrv_obs::enabled() {
-            crate::metrics::ops_total().inc();
-        }
-        self.claim_sequential("apply a raw operation");
-        let response = self.apply_raw_inner(op);
-        self.outstanding
-            .store(0, std::sync::atomic::Ordering::Release);
-        response
-    }
-
-    fn apply_raw_inner(&self, op: &Operation) -> EnforcedResponse {
-        // Spelled out as the three DRV phases (rather than delegating to
-        // `apply_verified`) so the trace tap sees the operation id and the
-        // underlying response, exactly like the typed path.
-        let drv = self.monitor.enforced.drv();
-        let announced = drv.announce(self.process, op);
-        self.monitor.tap(&Event::invocation(
-            self.process,
-            announced.pair.op_id,
-            announced.pair.operation.clone(),
-        ));
-        let value = drv.call_inner(&announced);
-        let response = drv.collect(announced, value);
-        self.monitor.tap(&Event::response(
-            self.process,
-            response.pair.op_id,
-            response.value.clone(),
-        ));
-        let verifier = self.monitor.enforced.verifier();
-        match self.monitor.mode {
-            Mode::Enforce => match verifier.observe(self.process, response.tuple()) {
-                VerifierOutcome::Ok => {
-                    if linrv_obs::enabled() {
-                        crate::metrics::verdict_ok().inc();
-                    }
-                    EnforcedResponse {
-                        value: response.value.clone(),
-                        underlying: response.value,
-                        witness: None,
-                    }
-                }
-                VerifierOutcome::Error { witness } => {
-                    self.monitor.note_violation(self.process);
-                    EnforcedResponse {
-                        value: OpValue::Error,
-                        underlying: response.value,
-                        witness: Some(witness),
-                    }
-                }
-                VerifierOutcome::InvalidViews(err) => {
-                    panic!("DRV wrapper produced invalid views: {err}")
-                }
-            },
-            Mode::Observe => {
-                verifier.record(self.process, response.tuple());
-                if linrv_obs::enabled() {
-                    crate::metrics::verdict_ok().inc();
-                }
-                EnforcedResponse {
-                    value: response.value.clone(),
-                    underlying: response.value,
-                    witness: None,
-                }
-            }
-        }
+        let _span = Self::op_span();
+        let announced = self.announce(op, "apply a raw operation");
+        let value = self.monitor.enforced.drv().call_inner(&announced);
+        self.finish(announced, value)
     }
 
     /// The zero-based index of the process slot this session owns. Useful for
@@ -399,7 +340,7 @@ impl<A: ConcurrentObject, S: TypedObject> Drop for Session<A, S> {
         // a new session would make that session's history ill-formed (two
         // concurrent operations by one process). Retire the slot instead.
         if self.outstanding.load(std::sync::atomic::Ordering::Acquire) == 0 {
-            self.monitor.enforced.release(self.process);
+            self.monitor.enforced.drv().registry().release(self.process);
         }
     }
 }
@@ -719,6 +660,31 @@ mod tests {
         let session = monitor.register().unwrap();
         let _first = session.stage(Dequeue);
         let _second = session.stage(Dequeue);
+    }
+
+    /// `execute` used to check the monitor brand only: the operation of
+    /// another session ran on the wrapped object before `commit` refused it.
+    #[test]
+    fn executing_another_sessions_operation_fails_before_the_underlying_call() {
+        use linrv_spec::typed::queue::Enqueue;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let monitor = Monitor::builder(QueueSpec::new())
+            .processes(2)
+            .build(MsQueue::new());
+        let a = monitor.register().unwrap();
+        let b = monitor.register().unwrap();
+        let staged = a.stage(Enqueue(7));
+        let misuse = catch_unwind(AssertUnwindSafe(|| b.execute(staged)));
+        let message = *misuse
+            .expect_err("b does not own a's operation")
+            .downcast::<String>()
+            .expect("assert message");
+        assert!(
+            message.contains("staged by a different session"),
+            "{message}"
+        );
+        // No side effect on the wrapped queue, and `b` is still usable.
+        assert_eq!(b.dequeue().unwrap(), None);
     }
 
     #[test]

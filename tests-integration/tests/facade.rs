@@ -3,7 +3,8 @@
 //! API on the same workload.
 
 use linrv::prelude::*;
-use linrv::raw::{LinSpec, ProcessId, SelfEnforced};
+use linrv::raw::decoupled::decoupled;
+use linrv::raw::{ConcurrentObject, LinSpec, ProcessId, SelfEnforced};
 use linrv::runtime::faulty::LossyQueue;
 use linrv::runtime::impls::MsQueue;
 use linrv::runtime::{Workload, WorkloadKind};
@@ -113,19 +114,33 @@ proptest! {
 
     /// Satellite: a typed session run over `LockedSnapshot` produces verdicts
     /// identical to the raw untyped API on the same seed — operation by
-    /// operation, including the underlying value carried by rejections.
+    /// operation, including the underlying value carried by rejections — and so
+    /// does `Session::apply_raw`; an Observe-mode monitor likewise matches
+    /// `core::decoupled`. All of them are callers of one publish→verify step.
     #[test]
     fn typed_sessions_match_raw_verdicts_on_the_same_seed(
         seed in any::<u64>(), len in 1..20usize, drop_every in 2..6u64, procs in 1..4usize
     ) {
-        let monitor = Monitor::builder(QueueSpec::new())
-            .processes(procs)
-            .snapshot(SnapshotBackend::Locked)
-            .build(LossyQueue::new(drop_every));
-        let sessions: Vec<_> = (0..procs)
-            .map(|_| monitor.register().expect("capacity matches procs"))
-            .collect();
+        let build = |mode| {
+            let monitor = Monitor::builder(QueueSpec::new())
+                .processes(procs)
+                .snapshot(SnapshotBackend::Locked)
+                .mode(mode)
+                .build(LossyQueue::new(drop_every));
+            let sessions: Vec<_> = (0..procs)
+                .map(|_| monitor.register().expect("capacity matches procs"))
+                .collect();
+            (monitor, sessions)
+        };
+        let (monitor, sessions) = build(Mode::Enforce);
+        let (wire_monitor, wire_sessions) = build(Mode::Enforce);
         let raw = SelfEnforced::new(
+            LossyQueue::new(drop_every),
+            LinSpec::new(QueueSpec::new()),
+            procs,
+        );
+        let (observed, observing) = build(Mode::Observe);
+        let (producer, checker) = decoupled(
             LossyQueue::new(drop_every),
             LinSpec::new(QueueSpec::new()),
             procs,
@@ -136,13 +151,19 @@ proptest! {
             .map(|p| workload.operations_for(p, len))
             .collect();
 
-        // Drive both stacks through the identical sequential interleaving.
+        // Drive all stacks through the identical sequential interleaving.
         for step in 0..len {
             for (p, plan) in plans.iter().enumerate() {
                 let wire = &plan[step];
+                let process = ProcessId::new(p as u32);
                 let typed_op = QueueOp::try_decode(wire).expect("queue workload");
                 let typed = sessions[p].apply(typed_op);
-                let raw_response = raw.apply_verified(ProcessId::new(p as u32), wire);
+                let raw_response = raw.apply_verified(process, wire);
+                assert_eq!(
+                    wire_sessions[p].apply_raw(wire),
+                    raw_response,
+                    "apply_raw diverged from the raw API"
+                );
                 match typed {
                     Ok(value) => {
                         assert!(
@@ -163,13 +184,20 @@ proptest! {
                         assert_eq!(rejected.underlying(), &raw_response.underlying);
                     }
                 }
+                // Figure 12 twice: neither gates, both return the underlying value.
+                let produced = producer.apply(process, wire);
+                assert_eq!(produced, raw_response.underlying);
+                assert_eq!(observing[p].apply(typed_op), Ok(produced));
             }
         }
-        assert_eq!(
-            monitor.certificate().is_correct(),
-            raw.certificate().is_correct(),
-            "final verdicts diverged"
-        );
+        let correct = raw.certificate().is_correct();
+        for enforcing in [&monitor, &wire_monitor] {
+            assert_eq!(enforcing.certificate().is_correct(), correct, "final verdicts diverged");
+            assert_eq!(enforcing.check().is_correct(), correct, "check diverged");
+        }
+        assert_eq!(checker.check_once().is_ok(), correct, "decoupled verdict diverged");
+        assert_eq!(observed.check().is_correct(), correct, "observed verdict diverged");
+        assert_eq!(observed.certificate().is_correct(), correct, "observed certificate diverged");
     }
 }
 

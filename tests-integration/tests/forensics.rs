@@ -15,6 +15,7 @@ use linrv_trace::read_history;
 use proptest::prelude::*;
 use std::fs::File;
 use std::path::{Path, PathBuf};
+use tests_integration::{golden_traces, is_shrunk};
 
 fn traces_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("traces")
@@ -47,29 +48,30 @@ fn load(path: &Path) -> (ObjectKind, History) {
     (header.kind, history)
 }
 
+fn must_explain(path: &Path, kind: ObjectKind, history: &History) -> Explanation {
+    explain(kind, history)
+        .unwrap_or_else(|| panic!("{} must explain as a violation", path.display()))
+}
+
 fn explain_trace(path: &Path) -> Explanation {
     let (kind, history) = load(path);
-    explain(kind, &history)
-        .unwrap_or_else(|| panic!("{} must explain as a violation", path.display()))
+    must_explain(path, kind, &history)
 }
 
 /// Every violating golden trace (the per-kind faulty traces and the shrunk
 /// fuzz witnesses) explains to the committed report and certificate bytes.
 #[test]
 fn golden_explanations_are_byte_pinned() {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    for kind in ObjectKind::ALL {
-        paths.push(traces_dir().join(format!("{kind}-faulty.jsonl")));
-    }
-    for entry in std::fs::read_dir(traces_dir().join("shrunk")).expect("shrunk dir") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().and_then(|e| e.to_str()) == Some("jsonl") {
-            paths.push(path);
-        }
-    }
-    assert!(paths.len() >= 10, "7 faulty + >=3 shrunk traces expected");
-    for path in paths {
-        let explanation = explain_trace(&path);
+    let violating: Vec<_> = golden_traces()
+        .into_iter()
+        .filter(|(path, ..)| is_shrunk(path) || path.to_string_lossy().ends_with("-faulty.jsonl"))
+        .collect();
+    assert!(
+        violating.len() >= 10,
+        "7 faulty + >=3 shrunk traces expected"
+    );
+    for (path, header, history) in violating {
+        let explanation = must_explain(&path, header.kind, &history);
         golden_compare(
             &path.with_extension("explain.txt"),
             &render_report(&explanation),
@@ -112,12 +114,11 @@ fn golden_explanations_carry_minimal_witnesses_and_diagnoses() {
 /// operation is removed when they are explained again.
 #[test]
 fn shrunk_witnesses_are_minimization_fixed_points() {
-    for entry in std::fs::read_dir(traces_dir().join("shrunk")).expect("shrunk dir") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
+    for (path, header, history) in golden_traces() {
+        if !is_shrunk(&path) {
             continue;
         }
-        let explanation = explain_trace(&path);
+        let explanation = must_explain(&path, header.kind, &history);
         assert_eq!(
             explanation.removed,
             0,

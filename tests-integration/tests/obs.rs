@@ -82,13 +82,13 @@ proptest! {
         let views0 = linrv_core::metrics::view_size().snapshot_values().count;
 
         let drv = Drv::new(AtomicCounter::new(), pending + 1);
-        let worker = drv.register().expect("fresh wrapper has free slots");
+        let worker = drv.registry().register().expect("fresh wrapper has free slots");
         for _ in 0..op_count {
             let _ = drv.apply_drv(worker, &counter::inc());
         }
         // `pending` processes announce and never collect.
         for _ in 0..pending {
-            let process = drv.register().expect("slots sized for the pending set");
+            let process = drv.registry().register().expect("slots sized for the pending set");
             let _ = drv.announce(process, &counter::inc());
         }
         linrv_obs::set_enabled(false);
@@ -131,11 +131,12 @@ proptest! {
         prop_assert_eq!(tuples.count - tuples0.count, sketches);
         // One session: the k-th verdict sees exactly its own k tuples.
         prop_assert_eq!((tuples.sum - tuples0.sum) as usize, op_count * (op_count + 1) / 2);
-        let scanner = monitor.as_raw().register().expect("second slot is free");
-        let history = monitor
-            .as_raw()
+        let raw = monitor.as_raw();
+        let scanner = raw.drv().registry().register().expect("second slot is free");
+        let history = raw
             .verifier()
-            .current_sketch(scanner)
+            .audit(scanner)
+            .sketch
             .expect("a verified run sketches cleanly");
         prop_assert_eq!(samples as usize, history.complete_operations().count());
         prop_assert_eq!(samples as usize, op_count);
@@ -152,17 +153,21 @@ fn a_clean_trace_is_decided_without_a_single_recheck() {
     if !linrv_obs::set_enabled(true) {
         return;
     }
+    let corpus = tests_integration::golden_traces();
     let measure = |name: &str| {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("traces")
-            .join(name);
-        let reader = linrv_trace::TraceReader::new(std::fs::File::open(path).expect("open trace"))
-            .expect("golden trace header");
+        let (_, _, history) = corpus
+            .iter()
+            .find(|(path, ..)| path.ends_with(name))
+            .expect("golden trace");
+        let events = history.events().iter().cloned();
         let configs0 = linrv_check::metrics::frontier_configs().snapshot_values();
         let fallbacks0 = linrv_check::metrics::frontier_fallbacks_total().get();
         let rechecks0 = linrv_check::metrics::rechecks_total().get();
-        let (consumed, verdict) = linrv_check::check_events(QueueSpec::new(), reader)
-            .expect("golden trace must be readable");
+        let (consumed, verdict) = linrv_check::check_events(
+            QueueSpec::new(),
+            events.map(Ok::<_, std::convert::Infallible>),
+        )
+        .expect("infallible source");
         let configs = linrv_check::metrics::frontier_configs().snapshot_values();
         let responses = consumed.events().iter().filter(|e| e.is_response()).count();
         assert_eq!((configs.count - configs0.count) as usize, responses);

@@ -10,9 +10,8 @@ use linrv_scenario::shrink::{is_locally_minimal, shrink};
 use linrv_scenario::{run_sweep, FuzzConfig};
 use linrv_spec::ops::queue;
 use linrv_spec::ObjectKind;
-use linrv_trace::{read_history, Provenance};
+use linrv_trace::Provenance;
 use proptest::prelude::*;
-use std::fs::File;
 use std::path::PathBuf;
 
 // ---------------------------------------------------------------------------
@@ -154,26 +153,17 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Committed shrunk witnesses.
 
-fn shrunk_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("traces")
-        .join("shrunk")
-}
-
 /// Every committed shrunk trace must still be a violation of its kind and
 /// still be locally minimal — the corpus pins both the fuzzing pipeline's
 /// output format and the shrinker's guarantee.
 #[test]
 fn committed_shrunk_witnesses_replay_as_minimal_violations() {
     let mut seen = 0;
-    for entry in std::fs::read_dir(shrunk_dir()).expect("traces/shrunk dir") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
+    for (path, header, history) in tests_integration::golden_traces() {
+        if !tests_integration::is_shrunk(&path) {
             continue;
         }
         seen += 1;
-        let (header, history) = read_history(File::open(&path).expect("open"))
-            .unwrap_or_else(|err| panic!("{}: {err}", path.display()));
         assert_eq!(header.provenance, Provenance::Faulty, "{}", path.display());
         assert!(
             header.scenario.is_some(),

@@ -11,10 +11,7 @@ use linrv_check::{StrategyChecker, StreamingChecker};
 use linrv_history::{Event, History, OpId, OpValue, Operation, ProcessId};
 use linrv_runtime::{faulty, impls, record_scheduled, RecorderOptions, Workload, WorkloadKind};
 use linrv_spec::{ops, with_spec, ObjectKind, QueueSpec, SequentialSpec, SpecError};
-use linrv_trace::read_history;
 use proptest::prelude::*;
-use std::fs::File;
-use std::path::PathBuf;
 
 /// The reference: the batch checker on every prefix, from scratch. Returns
 /// the length of the first prefix that is not linearizable.
@@ -94,20 +91,11 @@ fn recorded_histories_latch_where_the_every_prefix_reference_does() {
 
 #[test]
 fn golden_traces_latch_where_the_every_prefix_reference_does() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("traces");
     let mut seen = 0;
-    for dir in [root.clone(), root.join("shrunk")] {
-        for entry in std::fs::read_dir(dir).expect("traces dir") {
-            let path = entry.expect("dir entry").path();
-            if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
-                continue;
-            }
-            seen += 1;
-            let (header, history) =
-                read_history(File::open(&path).expect("open trace")).expect("readable trace");
-            let label = path.display().to_string();
-            assert_kind_tracks_reference(header.kind, history.events(), &label);
-        }
+    for (path, header, history) in tests_integration::golden_traces() {
+        seen += 1;
+        let label = path.display().to_string();
+        assert_kind_tracks_reference(header.kind, history.events(), &label);
     }
     assert!(seen >= 17, "only {seen} golden traces found");
 }

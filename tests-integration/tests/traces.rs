@@ -12,18 +12,27 @@
 use linrv_check::stream::check_events;
 use linrv_history::History;
 use linrv_spec::{with_spec, ObjectKind};
-use linrv_trace::{read_history, write_history, Provenance, TraceFormat, TraceReader};
-use std::fs::File;
+use linrv_trace::{read_history, write_history, Provenance, TraceFormat, TraceHeader};
+use std::convert::Infallible;
 use std::path::PathBuf;
+use tests_integration::{golden_traces, is_shrunk};
 
 fn traces_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("traces")
 }
 
-/// Streams `reader` into the checker for `kind`; `true` means violation.
-fn is_violation(kind: ObjectKind, reader: TraceReader<File>) -> bool {
-    with_spec!(kind, |spec| check_events(spec, reader))
-        .expect("golden trace must be readable")
+/// The per-kind correct/faulty traces directly under `traces/`.
+fn per_kind_traces() -> impl Iterator<Item = (PathBuf, TraceHeader, History)> {
+    golden_traces()
+        .into_iter()
+        .filter(|(path, ..)| !is_shrunk(path))
+}
+
+/// Streams `history` into the checker for `kind`; `true` means violation.
+fn is_violation(kind: ObjectKind, history: &History) -> bool {
+    let events = history.events().iter().cloned().map(Ok::<_, Infallible>);
+    with_spec!(kind, |spec| check_events(spec, events))
+        .expect("infallible source")
         .1
         .is_violation()
 }
@@ -41,15 +50,8 @@ fn corpus_has_one_correct_and_one_faulty_trace_per_kind() {
 #[test]
 fn check_accepts_every_correct_and_rejects_every_faulty_golden_trace() {
     let mut seen = 0;
-    for entry in std::fs::read_dir(traces_dir()).expect("traces dir") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
-            continue;
-        }
+    for (path, header, history) in per_kind_traces() {
         seen += 1;
-        let reader = TraceReader::new(File::open(&path).expect("open trace"))
-            .unwrap_or_else(|err| panic!("{}: {err}", path.display()));
-        let header = reader.header().clone();
         let name = path.file_stem().unwrap().to_string_lossy().to_string();
         // The filename suffix and the header's provenance must agree — a
         // mislabelled corpus entry would silently weaken this test.
@@ -66,7 +68,7 @@ fn check_accepts_every_correct_and_rejects_every_faulty_golden_trace() {
         };
         assert_eq!(header.seed, Some(42), "{name}: corpus uses seed 42");
         assert_eq!(
-            is_violation(header.kind, reader),
+            is_violation(header.kind, &history),
             expected_violation,
             "{name}: checker verdict must match provenance"
         );
@@ -76,14 +78,8 @@ fn check_accepts_every_correct_and_rejects_every_faulty_golden_trace() {
 
 #[test]
 fn golden_traces_convert_losslessly_between_both_encodings() {
-    for entry in std::fs::read_dir(traces_dir()).expect("traces dir") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
-            continue;
-        }
+    for (path, header, history) in per_kind_traces() {
         let original_bytes = std::fs::read(&path).expect("read trace");
-        let (header, history) = read_history(original_bytes.as_slice())
-            .unwrap_or_else(|err| panic!("{}: {err}", path.display()));
 
         // jsonl → binary → History: identical logical content.
         let mut binary = Vec::new();
@@ -112,13 +108,7 @@ fn golden_traces_convert_losslessly_between_both_encodings() {
 
 #[test]
 fn golden_histories_are_well_formed_and_complete() {
-    for entry in std::fs::read_dir(traces_dir()).expect("traces dir") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
-            continue;
-        }
-        let (header, history): (_, History) =
-            read_history(File::open(&path).expect("open")).expect("read");
+    for (path, header, history) in per_kind_traces() {
         assert!(history.is_well_formed(), "{}", path.display());
         assert_eq!(
             history.pending_operations().count(),
