@@ -50,6 +50,24 @@
 //! point of the fallback schedule below; at the end of the stream a non-empty
 //! set is membership (pending operations may stay unplaced).
 //!
+//! # Settle points
+//!
+//! **Lemma.** If nothing is open and one configuration `(q, ∅)` is left, every
+//! linearization of every extension of the consumed prefix passes through `q`:
+//! real time puts the prefix's operations, all answered, before every later
+//! one, and delaying that part as in the completeness argument gives a
+//! just-in-time linearization, which ends in the one configuration. So an
+//! extension is a member iff what follows the prefix is linearizable from `q`.
+//!
+//! [`StreamingChecker::settle`] then drops the consumed **window** — its events
+//! and operation ids, which need only be unique within a window since nothing
+//! after a settle point answers an operation before it — and makes `q` the
+//! base of the next; whole-window decisions run the general search from `q`
+//! (the specialized monitors assume the initial state). `linrv-pool` settles
+//! after every event, so a sequential operation is a window of its own.
+//! `linrv check` never settles: its certificate is the whole violating prefix,
+//! which `--explain` re-checks from the initial state.
+//!
 //! # Cost model
 //!
 //! Work per event depends on concurrency and ambiguity, never on the length
@@ -63,8 +81,8 @@
 //! mostly in the tens to hundreds; wider or insert-heavy traces leave the
 //! bound below behind. One step still costs `O(|state|)`, because
 //! [`SequentialSpec::step`] returns successor states by value (a queue holding
-//! a thousand elements is copied on every step), and the consumed [`History`]
-//! is still retained for the certificate.
+//! a thousand elements is copied on every step), and the consumed window is
+//! retained for the certificate.
 //!
 //! # The trusted base, the bound and the fallback
 //!
@@ -82,7 +100,8 @@
 //! continues on the whole-prefix schedule — never wrong, only slower: the
 //! consumed prefix is re-decided at 64 completed operations and at every
 //! doubling after that, so the prefix sizes sum to less than twice the final
-//! length.
+//! length. Without a frontier there are no settle points, so the window of a
+//! stream that fell back grows from then on.
 //!
 //! Each such check runs the [`StrategyChecker`] from scratch (log-linear
 //! specialized monitor where it applies, worst-case exponential general search
@@ -91,14 +110,16 @@
 //! alone would. The verdict is identical on every path; only latency and cost
 //! move.
 
+use crate::linearizability::LinSpec;
 use crate::specialized::StrategyChecker;
 use crate::witness::Verdict;
-use linrv_history::{Event, EventKind, History, OpId, OpValue, Operation, ProcessId};
-use linrv_spec::SequentialSpec;
-use std::collections::{BTreeMap, HashSet};
+use linrv_history::{Event, EventKind, History, OpId, OpValue, Operation};
+use linrv_spec::{ObjectKind, SequentialSpec, SpecError};
+use std::collections::{BTreeSet, HashSet};
+use std::hash::Hash;
 
 /// First re-check point of the geometric fallback schedule, in completed
-/// operations.
+/// operations of the window.
 const FIRST_RECHECK: usize = 64;
 
 /// Configurations one response may visit before the checker gives the
@@ -125,13 +146,21 @@ impl<Q> Config<Q> {
     }
 }
 
-/// The operation ids invoked so far: re-using one is ill-formed. Recorders
-/// hand ids out in ascending order, so those are kept sorted in a vector and
-/// only the stragglers pay for a hash set.
+/// Drops repeated configurations; builds a set only for two or more.
+fn dedup<Q: Eq + Hash>(configs: &mut Vec<Config<Q>>) {
+    if configs.len() > 1 {
+        let unique: HashSet<_> = configs.drain(..).collect();
+        configs.extend(unique);
+    }
+}
+
+/// The operation ids invoked in the window: re-using one is ill-formed.
+/// Recorders hand ids out in ascending order, so those are kept sorted in a
+/// vector and only the stragglers pay for a tree.
 #[derive(Default)]
 struct InvokedIds {
     ascending: Vec<OpId>,
-    stragglers: HashSet<OpId>,
+    stragglers: BTreeSet<OpId>,
 }
 
 impl InvokedIds {
@@ -143,109 +172,159 @@ impl InvokedIds {
         }
         self.ascending.binary_search(&id).is_err() && self.stragglers.insert(id)
     }
+
+    fn clear(&mut self) {
+        self.ascending.clear();
+        self.stragglers.clear();
+    }
+}
+
+/// The operation of an open invocation.
+fn operation_of(event: &Event) -> &Operation {
+    event.operation().expect("open operations are invocations")
 }
 
 /// The per-event decision state; see the [module docs](self).
-struct Frontier<S: SequentialSpec> {
-    /// The open operation of each process.
-    open: BTreeMap<ProcessId, (OpId, Operation)>,
+struct Frontier<Q> {
+    /// Positions in the window of the open invocations, one per process.
+    open: Vec<usize>,
     invoked: InvokedIds,
-    configs: HashSet<Config<S::State>>,
+    /// Deduplicated.
+    configs: Vec<Config<Q>>,
 }
 
-impl<S: SequentialSpec> Frontier<S> {
-    fn new(spec: &S) -> Self {
+impl<Q: Clone + Eq + Hash> Frontier<Q> {
+    fn new(state: Q) -> Self {
         Frontier {
-            open: BTreeMap::new(),
+            open: Vec::new(),
             invoked: InvokedIds::default(),
-            configs: HashSet::from([Config {
-                state: spec.initial_state(),
+            configs: vec![Config {
+                state,
                 placed: Vec::new(),
-            }]),
+            }],
         }
     }
 
-    /// Advances over `event` and returns the size of the set it leaves.
-    fn advance(&mut self, spec: &S, event: &Event) -> Result<usize, Fallback> {
-        match &event.kind {
-            EventKind::Invocation { op } => {
-                if !self.invoked.insert(event.op_id) || self.open.contains_key(&event.process) {
-                    return Err("ill-formed");
-                }
-                self.open.insert(event.process, (event.op_id, op.clone()));
+    /// Advances over the last event of `window` and returns the size of the
+    /// set it leaves.
+    fn advance<S>(&mut self, spec: &S, window: &[Event]) -> Result<usize, Fallback>
+    where
+        S: SequentialSpec<State = Q>,
+    {
+        let at = window.len() - 1;
+        let event = &window[at];
+        let slot = self
+            .open
+            .iter()
+            .position(|&open| window[open].process == event.process);
+        match (&event.kind, slot) {
+            (EventKind::Invocation { .. }, None) if self.invoked.insert(event.op_id) => {
+                self.open.push(at);
             }
-            EventKind::Response { value } => {
-                let operation = match self.open.get(&event.process) {
-                    Some((open, _)) if *open == event.op_id => {
-                        self.open.remove(&event.process).expect("just found").1
-                    }
-                    _ => return Err("ill-formed"),
-                };
-                self.respond(spec, event.op_id, &operation, value)?;
+            (EventKind::Response { value }, Some(slot))
+                if window[self.open[slot]].op_id == event.op_id =>
+            {
+                let operation = operation_of(&window[self.open.swap_remove(slot)]);
+                self.respond(spec, window, event.op_id, operation, value)?;
             }
+            _ => return Err("ill-formed"),
         }
         Ok(self.configs.len())
     }
 
     /// The response step: `op` (already removed from `open`) answered `value`.
-    fn respond(
+    fn respond<S>(
         &mut self,
         spec: &S,
+        window: &[Event],
         op: OpId,
         operation: &Operation,
         value: &OpValue,
-    ) -> Result<(), Fallback> {
-        let mut next = HashSet::new();
-        // Configurations that have not placed `op`. Each pass of the loop
-        // below places one more open operation in every one of them, so equal
-        // configurations can only meet within a pass.
-        let mut level = Vec::new();
-        for mut config in std::mem::take(&mut self.configs) {
-            match config.position(op) {
-                Ok(at) => {
-                    if config.placed.remove(at).1 == *value {
-                        next.insert(config);
-                    }
-                }
-                Err(_) => level.push(config),
-            }
-        }
-        let mut visited = level.len();
+    ) -> Result<(), Fallback>
+    where
+        S: SequentialSpec<State = Q>,
+    {
+        // Each pass of the loop below places one more open operation in every
+        // configuration of `level` that has not placed `op`, so equal
+        // configurations can only meet within a pass. Only the first pass
+        // meets configurations that placed `op`.
+        let mut level = std::mem::take(&mut self.configs);
+        let mut next = Vec::with_capacity(level.len());
+        let mut visited = level
+            .iter()
+            .filter(|config| config.position(op).is_err())
+            .count();
         while !level.is_empty() {
-            let mut children = HashSet::new();
-            for config in &level {
+            let mut children = Vec::new();
+            for mut config in level.drain(..) {
+                if let Ok(at) = config.position(op) {
+                    if config.placed.remove(at).1 == *value {
+                        next.push(config);
+                    }
+                    continue;
+                }
                 // An operation outside the interface has no successor: it can
                 // never be linearized, exactly as in the general search.
                 for (state, response) in spec.step(&config.state, operation).unwrap_or_default() {
                     if response == *value {
-                        next.insert(Config {
+                        next.push(Config {
                             state,
                             placed: config.placed.clone(),
                         });
                     }
                 }
-                for (other, other_operation) in self.open.values() {
-                    let Err(at) = config.position(*other) else {
+                for &open in &self.open {
+                    let other = window[open].op_id;
+                    let Err(at) = config.position(other) else {
                         continue;
                     };
                     for (state, response) in spec
-                        .step(&config.state, other_operation)
+                        .step(&config.state, operation_of(&window[open]))
                         .unwrap_or_default()
                     {
                         let mut placed = config.placed.clone();
-                        placed.insert(at, (*other, response));
-                        children.insert(Config { state, placed });
+                        placed.insert(at, (other, response));
+                        children.push(Config { state, placed });
                     }
                 }
             }
+            dedup(&mut next);
+            dedup(&mut children);
             visited += children.len();
             if visited + next.len() > FRONTIER_BOUND {
                 return Err("bound");
             }
-            level = children.into_iter().collect();
+            level = children;
         }
         self.configs = next;
         Ok(())
+    }
+}
+
+/// The specification restarted from a settle point's state: what a window
+/// after one is decided against, by the general search only.
+struct SeededSpec<'a, S: SequentialSpec> {
+    spec: &'a S,
+    base: &'a S::State,
+}
+
+impl<S: SequentialSpec> SequentialSpec for SeededSpec<'_, S> {
+    type State = S::State;
+
+    fn kind(&self) -> ObjectKind {
+        self.spec.kind()
+    }
+
+    fn initial_state(&self) -> S::State {
+        self.base.clone()
+    }
+
+    fn step(
+        &self,
+        state: &S::State,
+        operation: &Operation,
+    ) -> Result<Vec<(S::State, OpValue)>, SpecError> {
+        self.spec.step(state, operation)
     }
 }
 
@@ -267,15 +346,21 @@ impl<S: SequentialSpec> Frontier<S> {
 /// ```
 pub struct StreamingChecker<S: SequentialSpec> {
     object: StrategyChecker<S>,
-    history: History,
+    /// The events consumed since the last settle point (all of them if none).
+    window: History,
+    /// The state the window starts from; `None` until the first settle point
+    /// (the specification's own initial state).
+    base: Option<S::State>,
     /// `None` once the checker fell back to the whole-prefix schedule.
-    frontier: Option<Frontier<S>>,
-    /// Completed operations seen so far (responses, cheaper than recounting).
+    frontier: Option<Frontier<S::State>>,
+    /// Completed operations in the window (responses, cheaper than recounting).
     completed: usize,
     /// The schedule's next re-check is due when `completed` reaches this.
     next_check: usize,
+    /// Whole-window decisions taken so far.
+    decisions: u64,
     /// Latched at the first non-member prefix; never cleared (prefix closure).
-    verdict: Option<Verdict>,
+    verdict: Option<Box<Verdict>>,
 }
 
 impl<S: SequentialSpec> StreamingChecker<S> {
@@ -285,11 +370,13 @@ impl<S: SequentialSpec> StreamingChecker<S> {
     /// [module docs](self).
     pub fn new(spec: S) -> Self {
         StreamingChecker {
-            frontier: Some(Frontier::new(&spec)),
+            frontier: Some(Frontier::new(spec.initial_state())),
             object: StrategyChecker::new(spec),
-            history: History::new(),
+            window: History::new(),
+            base: None,
             completed: 0,
             next_check: FIRST_RECHECK,
+            decisions: 0,
             verdict: None,
         }
     }
@@ -299,14 +386,15 @@ impl<S: SequentialSpec> StreamingChecker<S> {
     /// stop feeding events; pushing more is allowed but changes nothing.
     pub fn push(&mut self, event: Event) -> Option<&Verdict> {
         if self.verdict.is_some() {
-            return self.verdict.as_ref();
+            return self.verdict.as_deref();
         }
-        let spec = self.object.general().spec();
+        let is_response = event.is_response();
+        self.window.push(event);
+        let (spec, window) = (self.object.general().spec(), self.window.events());
         let advanced = self
             .frontier
             .as_mut()
-            .map(|frontier| frontier.advance(spec, &event));
-        let is_response = event.is_response();
+            .map(|frontier| frontier.advance(spec, window));
         let mut due = false;
         if is_response {
             self.completed += 1;
@@ -315,7 +403,6 @@ impl<S: SequentialSpec> StreamingChecker<S> {
                 due = true;
             }
         }
-        self.history.push(event);
         let on_schedule = match advanced {
             Some(Ok(configs)) => {
                 if is_response && linrv_obs::enabled() {
@@ -337,16 +424,56 @@ impl<S: SequentialSpec> StreamingChecker<S> {
         if on_schedule && due {
             self.check_now();
         }
-        self.verdict.as_ref()
+        self.verdict.as_deref()
     }
 
-    /// Decides the consumed prefix from scratch; latches and returns `true`
-    /// when it is a violation.
+    /// Drops the consumed window if its end is a settle point — nothing open,
+    /// exactly one configuration — and returns how many events it held; 0, and
+    /// nothing changes, anywhere else. See [settle points](self#settle-points).
+    pub fn settle(&mut self) -> usize {
+        match &mut self.frontier {
+            Some(frontier) if frontier.open.is_empty() && frontier.configs.len() == 1 => {
+                self.base = Some(frontier.configs[0].state.clone());
+                frontier.invoked.clear();
+            }
+            _ => return 0,
+        }
+        self.completed = 0;
+        self.next_check = FIRST_RECHECK;
+        std::mem::take(&mut self.window).len()
+    }
+
+    /// Decides the window without ending the stream and returns the latched
+    /// violation, if any: membership while the frontier is alive, else one
+    /// whole-window decision.
+    pub fn decide(&mut self) -> Option<&Verdict> {
+        if self.verdict.is_none() && self.frontier.is_none() {
+            self.check_now();
+        }
+        self.verdict.as_deref()
+    }
+
+    /// Decides the window from scratch, timing the decision into
+    /// `linrv_check_recheck_ns` when recording is enabled; latches and returns
+    /// `true` when it is a violation.
     fn check_now(&mut self) -> bool {
-        let verdict = self.timed_check();
+        let span = linrv_obs::Span::start(crate::metrics::recheck_ns());
+        let verdict = match &self.base {
+            None => self.object.check(&self.window),
+            Some(base) => LinSpec::new(SeededSpec {
+                spec: self.object.general().spec(),
+                base,
+            })
+            .check(&self.window),
+        };
+        drop(span);
+        self.decisions += 1;
+        if linrv_obs::enabled() {
+            crate::metrics::rechecks_total().inc();
+        }
         let violation = verdict.is_violation();
         if violation {
-            self.verdict = Some(verdict);
+            self.verdict = Some(Box::new(verdict));
         }
         violation
     }
@@ -357,41 +484,36 @@ impl<S: SequentialSpec> StreamingChecker<S> {
         if linrv_obs::enabled() {
             crate::metrics::frontier_fallbacks_total().inc();
         }
-        let event = self.history.len();
+        let event = self.window.len();
         linrv_obs::event("check.frontier.fallback", || {
             format!("reason={reason} event={event}")
         });
     }
 
-    /// Decides the consumed prefix, timing the decision into
-    /// `linrv_check_recheck_ns` when recording is enabled.
-    fn timed_check(&self) -> Verdict {
-        let span = linrv_obs::Span::start(crate::metrics::recheck_ns());
-        let verdict = self.object.check(&self.history);
-        drop(span);
-        if linrv_obs::enabled() {
-            crate::metrics::rechecks_total().inc();
-        }
-        verdict
-    }
-
-    /// Number of events consumed so far.
+    /// Number of events in the window: every event consumed so far, unless
+    /// [`settle`](Self::settle) dropped some.
     pub fn events_consumed(&self) -> usize {
-        self.history.len()
+        self.window.len()
     }
 
-    /// Ends the stream and returns the consumed history with its verdict: the
-    /// latched violation, else membership when the frontier decided every
-    /// event (its set is non-empty), else one final whole-prefix decision.
+    /// Whole-window decisions taken so far: confirmations of an emptied
+    /// frontier, re-checks of the fallback schedule and [`decide`](Self::decide)'s.
+    pub fn decisions(&self) -> u64 {
+        self.decisions
+    }
+
+    /// Ends the stream and returns the window with its verdict: the latched
+    /// violation, else membership when the frontier decided every event (its
+    /// set is non-empty), else one final whole-window decision.
     pub fn finish(mut self) -> (History, Verdict) {
-        let verdict = match self.verdict.take() {
-            Some(verdict) => verdict,
-            None if self.frontier.is_some() => Verdict::Member {
+        self.decide();
+        let verdict = self.verdict.map_or(
+            Verdict::Member {
                 linearization: None,
             },
-            None => self.timed_check(),
-        };
-        (self.history, verdict)
+            |verdict| *verdict,
+        );
+        (self.window, verdict)
     }
 }
 
@@ -424,10 +546,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linearizability::LinSpec;
-    use linrv_history::HistoryBuilder;
+    use linrv_history::{HistoryBuilder, ProcessId};
     use linrv_spec::ops::queue;
-    use linrv_spec::{ObjectKind, QueueSpec, SpecError};
+    use linrv_spec::QueueSpec;
     use std::convert::Infallible;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -647,6 +768,30 @@ mod tests {
             3,
             "the final decision"
         );
+    }
+
+    #[test]
+    fn a_settled_window_is_decided_from_its_base_state() {
+        for (first, violation) in [(7, false), (8, true)] {
+            let mut checker = StreamingChecker::new(QueueSpec::new());
+            let mut b = HistoryBuilder::new();
+            b.complete(ProcessId::new(0), queue::enqueue(7), OpValue::Bool(true));
+            stream(&mut checker, &b.build());
+            assert_eq!(checker.settle(), 2);
+            assert_eq!((checker.settle(), checker.events_consumed()), (0, 0));
+            // Ids restart from 0: they need only be unique within a window.
+            // Past the bound, the window is left to one whole-window decision
+            // from the base state [7].
+            let (mut b, values) = concurrent_enqueue_rounds(3);
+            for value in std::iter::once(first).chain(values) {
+                b.complete(ProcessId::new(0), queue::dequeue(), OpValue::Int(value));
+            }
+            stream(&mut checker, &b.build());
+            assert!(checker.frontier.is_none(), "the bound was not reached");
+            assert_eq!(checker.settle(), 0, "no settle point without a frontier");
+            assert_eq!(checker.decide().is_some(), violation);
+            assert_eq!(checker.decisions(), 1);
+        }
     }
 
     #[test]

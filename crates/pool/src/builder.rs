@@ -2,7 +2,6 @@
 //! per-object monitor configuration in one chain.
 
 use crate::pool::{MonitorPool, PoolConfig};
-use crate::state::CheckCfg;
 use linrv::{Mode, SnapshotBackend, DEFAULT_CAPACITY};
 use linrv_runtime::ConcurrentObject;
 use linrv_spec::TypedObject;
@@ -18,10 +17,6 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 
 /// Default batch size of one drain.
 pub const DEFAULT_BATCH: usize = 256;
-
-/// Default completed-operation count triggering the first incremental check
-/// of an object's retained tail (the schedule doubles from there).
-pub const DEFAULT_FIRST_CHECK: usize = 64;
 
 /// Fluent configuration of a [`MonitorPool`].
 ///
@@ -47,8 +42,6 @@ pub struct PoolBuilder<S> {
     sessions_per_object: usize,
     backend: SnapshotBackend,
     mode: Mode,
-    gc: bool,
-    first_check: usize,
     sink: Option<Arc<dyn TaggedEventSink>>,
 }
 
@@ -63,8 +56,6 @@ impl<S: fmt::Debug> fmt::Debug for PoolBuilder<S> {
             .field("sessions_per_object", &self.sessions_per_object)
             .field("backend", &self.backend)
             .field("mode", &self.mode)
-            .field("gc", &self.gc)
-            .field("first_check", &self.first_check)
             .field("traced", &self.sink.is_some())
             .finish()
     }
@@ -89,8 +80,6 @@ impl<S: TypedObject + Clone + Send + Sync + 'static> PoolBuilder<S> {
             sessions_per_object: DEFAULT_CAPACITY,
             backend: SnapshotBackend::default(),
             mode: Mode::Observe,
-            gc: true,
-            first_check: DEFAULT_FIRST_CHECK,
             sink: None,
         }
     }
@@ -150,25 +139,6 @@ impl<S: TypedObject + Clone + Send + Sync + 'static> PoolBuilder<S> {
         self
     }
 
-    /// Whether operations whose linearization order is forced are verified on
-    /// arrival and dropped (default `true`). Disable to retain each object's
-    /// full history in its check state and decide all of it on the
-    /// [`first_check`](Self::first_check) schedule — full violation witnesses
-    /// at unbounded memory.
-    pub fn gc(mut self, gc: bool) -> Self {
-        self.gc = gc;
-        self
-    }
-
-    /// Completed-operation count triggering the first incremental check of an
-    /// object's retained tail; subsequent checks follow a doubling schedule.
-    /// Operations that never overlapped another are decided as they arrive
-    /// and never reach the tail. Defaults to [`DEFAULT_FIRST_CHECK`].
-    pub fn first_check(mut self, first_check: usize) -> Self {
-        self.first_check = first_check.max(1);
-        self
-    }
-
     /// Streams every ingested event, tagged with its object id, into `sink` —
     /// with a [`SharedTraceWriter`](linrv_trace::SharedTraceWriter) this
     /// captures a multi-object trace that `linrv check` re-verifies offline by
@@ -196,10 +166,6 @@ impl<S: TypedObject + Clone + Send + Sync + 'static> PoolBuilder<S> {
                 backend: self.backend,
                 mode: self.mode,
                 batch: self.batch,
-                check: CheckCfg {
-                    gc: self.gc,
-                    first_check: self.first_check,
-                },
             },
             self.sink,
         )

@@ -12,17 +12,18 @@
 //!   per-object monitor taps its session traffic into its shard's queue, and
 //!   full queues back-pressure producers instead of buffering without limit;
 //! * **checks** asynchronously with a small work-stealing pool of checker
-//!   threads that drain the shards in batches. An operation that ran with no
-//!   other operation of its object open is decided the moment its response is
-//!   drained, by one step of the specification; objects whose operations
-//!   overlap keep a tail that is re-checked on a geometric schedule (the total
-//!   work stays within a constant factor of one final check). Producers wake
-//!   a parked checker once per batch, not once per event;
-//! * **bounds memory** by never storing what is already decided: while an
-//!   object's operations do not overlap, real time forces their linearization
-//!   order, so each is replayed through the specification on arrival and
-//!   replaced by its unique successor state — a sequential object costs one
-//!   state, whatever its age. The effect is observable via
+//!   threads that drain the shards in batches. Each object is one
+//!   [`StreamingChecker`](linrv_check::StreamingChecker), the same per-event
+//!   frontier `linrv check` runs, so a wrong response is latched the moment it
+//!   is drained, overlapping or not. Producers wake a parked checker once per
+//!   batch, not once per event;
+//! * **bounds memory** by never storing what is already decided: whenever
+//!   nothing of an object is open and its frontier holds one state — a
+//!   *settle point* — every linearization of every future extension passes
+//!   through that state, so the events behind it are dropped and the state
+//!   stands in for them. A sequentially used object costs one state whatever
+//!   its age, and an object with overlapping traffic keeps only what happened
+//!   since its last settle point. The effect is observable via
 //!   [`MonitorPool::stats`] (`gced_events` vs `retained_events`).
 //!
 //! Sessions keep the full typed API: [`MonitorPool::session`] returns a
@@ -62,9 +63,7 @@ mod queue;
 mod state;
 mod verdict;
 
-pub use builder::{
-    PoolBuilder, DEFAULT_BATCH, DEFAULT_FIRST_CHECK, DEFAULT_QUEUE_CAPACITY, DEFAULT_SHARDS,
-};
+pub use builder::{PoolBuilder, DEFAULT_BATCH, DEFAULT_QUEUE_CAPACITY, DEFAULT_SHARDS};
 pub use pool::{MonitorPool, ObjectStats, PoolSession, PoolStats, ShardStats};
 pub use verdict::{PoolVerdict, PoolViolation};
 
@@ -89,7 +88,6 @@ mod tests {
         let pool = PoolBuilder::new(CounterSpec::new())
             .shards(4)
             .workers(2)
-            .first_check(4)
             .build(|_| AtomicCounter::new());
         for object in 0..50 {
             let session = pool.session(object).unwrap();
@@ -105,7 +103,7 @@ mod tests {
         assert_eq!(stats.ingested, 1000, "20 events per object");
         assert_eq!(stats.processed, 1000);
         assert_eq!(stats.dropped, 0);
-        assert_eq!(stats.gced_events, 1000, "sequential load is replayed");
+        assert_eq!(stats.gced_events, 1000, "sequential load is dropped");
         assert_eq!(stats.retained_events, 0);
         assert_eq!(stats.checks, 0, "and needs no checker invocation");
         assert_eq!(stats.violations, 0);
@@ -121,7 +119,6 @@ mod tests {
         let pool = PoolBuilder::new(RegisterSpec::new())
             .shards(4)
             .workers(2)
-            .first_check(2)
             .build(move |object| -> Box<dyn linrv::runtime::ConcurrentObject> {
                 if object == bad {
                     // Serves reads from a stale snapshot of the register.
@@ -159,7 +156,6 @@ mod tests {
                 .shards(2)
                 .workers(2)
                 .sessions_per_object(4)
-                .first_check(8)
                 .build(|_| AtomicCounter::new()),
         );
         std::thread::scope(|scope| {

@@ -23,18 +23,16 @@ const PROCESSED_HELP: &str = "events fed into per-object incremental checks";
 const DROPPED: &str = "linrv_pool_dropped_total";
 const DROPPED_HELP: &str = "events dropped because the pool shut down mid-push";
 const CHECKS: &str = "linrv_pool_checks_total";
-const CHECKS_HELP: &str = "incremental + final checker invocations across all objects; \
-     forced-order replays are counted by `gced_events`, not here";
+const CHECKS_HELP: &str = "whole-window decisions across all objects: confirmations of a \
+     violation, re-checks after a frontier fell back, final decisions";
 const GCED: &str = "linrv_pool_gced_events_total";
-const GCED_HELP: &str = "GC watermark: events verified by forced-order replay and dropped";
-const CHECKED: &str = "linrv_pool_checked_events_total";
-const CHECKED_HELP: &str = "checked watermark: events first covered by a check or a replay";
+const GCED_HELP: &str = "events verified and dropped at a settle point (nothing open, one state)";
 const VIOLATIONS: &str = "linrv_pool_violations_total";
 const VIOLATIONS_HELP: &str = "objects with a latched linearizability violation";
 const STEALS: &str = "linrv_pool_steals_total";
 const STEALS_HELP: &str = "batches a worker drained from another worker's home shard";
 const RETAINED: &str = "linrv_pool_retained_events";
-const RETAINED_HELP: &str = "events currently retained across all per-object tails";
+const RETAINED_HELP: &str = "events since each object's last settle point, summed over objects";
 const OBJECTS: &str = "linrv_pool_objects";
 const OBJECTS_HELP: &str = "objects with a live monitor";
 const SHARD_INGESTED: &str = "linrv_pool_shard_ingested_total";
@@ -47,7 +45,7 @@ const BLOCK_NS_HELP: &str = "time a producer spent blocked on a full shard queue
 /// Registry-backed handles of one pool, created once at pool start. Cloned
 /// freely (each handle is `Arc`-backed); recording never touches the registry.
 pub(crate) struct PoolMetrics {
-    /// Check/GC counters threaded into every object's `CheckState`.
+    /// Check/GC counters threaded into every object's check state.
     pub(crate) counters: Counters,
     /// Mirror of the ingest control atomic of the same name.
     pub(crate) ingested: Counter,
@@ -59,7 +57,7 @@ pub(crate) struct PoolMetrics {
     pub(crate) dropped: Counter,
     /// Batches drained from another worker's home shard.
     pub(crate) steals: Counter,
-    /// Sum of retained per-object tails, refreshed by `stats()`.
+    /// Events since each object's last settle point, refreshed by `stats()`.
     pub(crate) retained_events: Gauge,
     /// Live objects, refreshed by `stats()`.
     pub(crate) objects: Gauge,
@@ -86,7 +84,6 @@ impl PoolMetrics {
             counters: Counters {
                 checks: registry.counter_with(CHECKS, CHECKS_HELP, labels),
                 gced: registry.counter_with(GCED, GCED_HELP, labels),
-                checked_events: registry.counter_with(CHECKED, CHECKED_HELP, labels),
                 violations: registry.counter_with(VIOLATIONS, VIOLATIONS_HELP, labels),
             },
             ingested: registry.counter_with(INGESTED, INGESTED_HELP, labels),
@@ -128,7 +125,6 @@ pub fn declare() {
     registry.declare(DROPPED, MetricKind::Counter, DROPPED_HELP);
     registry.declare(CHECKS, MetricKind::Counter, CHECKS_HELP);
     registry.declare(GCED, MetricKind::Counter, GCED_HELP);
-    registry.declare(CHECKED, MetricKind::Counter, CHECKED_HELP);
     registry.declare(VIOLATIONS, MetricKind::Counter, VIOLATIONS_HELP);
     registry.declare(STEALS, MetricKind::Counter, STEALS_HELP);
     registry.declare(RETAINED, MetricKind::Gauge, RETAINED_HELP);

@@ -3,7 +3,7 @@
 
 use crate::metrics::PoolMetrics;
 use crate::queue::BoundedQueue;
-use crate::state::{CheckCfg, CheckState};
+use crate::state::ObjectState;
 use crate::verdict::{PoolVerdict, PoolViolation};
 use linrv::{Mode, Monitor, MonitorBuilder, RegistryFull, Session, SnapshotBackend};
 use linrv_check::{PartitionedSpec, Verdict, Violation};
@@ -235,10 +235,10 @@ struct Shard<A, S: TypedObject> {
     drain: Mutex<()>,
 }
 
-/// One monitored object: its DRV monitor and its incremental check state.
+/// One monitored object: its DRV monitor and its check state.
 struct ObjectEntry<A, S: TypedObject> {
     monitor: Monitor<A, S>,
-    state: Mutex<CheckState<S>>,
+    state: Mutex<ObjectState<S>>,
 }
 
 /// Pool configuration frozen at build time (see `PoolBuilder` for the knobs).
@@ -247,7 +247,6 @@ pub(crate) struct PoolConfig {
     pub(crate) backend: SnapshotBackend,
     pub(crate) mode: Mode,
     pub(crate) batch: usize,
-    pub(crate) check: CheckCfg,
 }
 
 /// State shared between the pool handle and its checker threads.
@@ -289,7 +288,7 @@ where
                 .build((self.factory)(object));
             Arc::new(ObjectEntry {
                 monitor,
-                state: Mutex::new(CheckState::new(&self.spec, &self.config.check)),
+                state: Mutex::new(ObjectState::new(self.spec.clone())),
             })
         }))
     }
@@ -345,13 +344,7 @@ where
                             entry
                         }
                     };
-                    lock(&entry.state).on_event(
-                        object,
-                        event,
-                        &self.spec,
-                        &self.config.check,
-                        &self.ingest.metrics.counters,
-                    );
+                    lock(&entry.state).on_event(object, event, &self.ingest.metrics.counters);
                 }
                 self.ingest.metrics.processed.add(n as u64);
                 self.ingest.processed.fetch_add(n as u64, Ordering::Release);
@@ -384,8 +377,8 @@ where
                 .any(|(shard, queue)| queue.len() > 0 && free(shard))
     }
 
-    /// Runs the final check of every object of `shard` that has unchecked
-    /// events and returns the shard's verdicts.
+    /// Runs the final decision of every object of `shard` and returns the
+    /// shard's verdicts.
     fn finalize_shard(&self, shard: usize) -> Vec<(u64, PoolVerdict)> {
         // Snapshot the registry so sessions on new objects are not held up
         // behind a shard's worth of final checks.
@@ -396,14 +389,8 @@ where
         entries
             .into_iter()
             .map(|(object, entry)| {
-                let mut state = lock(&entry.state);
-                state.finalize(
-                    object,
-                    &self.spec,
-                    &self.config.check,
-                    &self.ingest.metrics.counters,
-                );
-                (object, state.verdict())
+                let counters = &self.ingest.metrics.counters;
+                (object, lock(&entry.state).finalize(object, counters))
             })
             .collect()
     }
@@ -461,9 +448,10 @@ fn run_parallel<T: Send + 'static>(
 /// Aggregate counters of a [`MonitorPool`] (see [`MonitorPool::stats`]).
 ///
 /// `gced_events > 0` together with a small `retained_events` is the observable
-/// form of the pool's bounded-memory guarantee: operations whose place in
-/// every linearization is forced are verified on arrival and summarised away,
-/// only what follows an object's first overlap is retained.
+/// form of the pool's bounded-memory guarantee: whenever nothing of an object
+/// is open and one state is reachable (a settle point), its events so far are
+/// verified and summarised away by that state; only what happened since an
+/// object's last settle point is retained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Objects with a live monitor.
@@ -474,12 +462,12 @@ pub struct PoolStats {
     pub processed: u64,
     /// Events dropped during shutdown.
     pub dropped: u64,
-    /// Checker invocations across all objects (forced-order replays are not
-    /// checker invocations; they count in `gced_events`).
+    /// Whole-window decisions across all objects (confirmations, re-checks
+    /// after a frontier fell back, final decisions); the frontier needs none.
     pub checks: u64,
-    /// Events verified by forced-order replay and summarised away.
+    /// Events verified and dropped at settle points.
     pub gced_events: u64,
-    /// Events currently retained across all per-object tails.
+    /// Events since each object's last settle point, summed over objects.
     pub retained_events: u64,
     /// Objects with a latched violation.
     pub violations: u64,
@@ -498,11 +486,11 @@ pub struct PoolStats {
 pub struct ObjectStats {
     /// The object id.
     pub object: u64,
-    /// Events currently retained in the object's tail.
+    /// Events since the object's last settle point.
     pub retained_events: u64,
-    /// Events of this object verified by forced-order replay and dropped.
+    /// Events of this object verified and dropped at settle points.
     pub gced_events: u64,
-    /// Checker invocations for this object.
+    /// Whole-window decisions for this object.
     pub checks: u64,
     /// Whether a violation has been latched for this object.
     pub violating: bool,
@@ -526,10 +514,10 @@ pub struct ShardStats {
 ///
 /// Events flow: each object's [`Monitor`] taps its session traffic into the
 /// object's shard queue; a work-stealing pool of checker threads, woken once
-/// per batch, drains the shards and feeds each object's check state, which
-/// decides non-overlapping operations on arrival (one specification step, no
-/// history kept) and re-checks the retained tail of overlapping ones on a
-/// geometric schedule.
+/// per batch, drains the shards and feeds each object's streaming checker,
+/// which decides every event on arrival and drops the object's history at
+/// each settle point — whenever nothing of the object is open and one state
+/// is reachable.
 ///
 /// Build one with [`PoolBuilder`](crate::PoolBuilder); obtain per-object typed
 /// session handles with [`MonitorPool::session`].
@@ -656,9 +644,8 @@ where
     /// Quiesces, finishes every object and returns the per-object verdicts.
     ///
     /// One job per shard runs on the pool's own checker threads (the caller
-    /// helps). An object whose operations never overlapped was decided as its
-    /// events arrived and only reports; an object with a retained tail gets a
-    /// final check when events reached the tail since its last scheduled one.
+    /// helps). An object whose frontier decided every event only reports; one
+    /// whose frontier fell back gets a final decision over its window.
     pub fn check_all(&self) -> BTreeMap<u64, PoolVerdict> {
         self.quiesce();
         let jobs = (0..self.shards())
@@ -755,8 +742,8 @@ where
     /// Per-object counters of `object`, when the object has been touched.
     ///
     /// `gced_events` growing while `retained_events` stays small is the
-    /// observable form of forced-order replay: verified history is summarised
-    /// away as it arrives.
+    /// observable form of settle points: verified history is summarised away
+    /// as it arrives.
     pub fn object_stats(&self, object: u64) -> Option<ObjectStats> {
         self.shared.lookup(object).map(|entry| {
             let state = lock(&entry.state);

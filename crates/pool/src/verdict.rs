@@ -36,14 +36,14 @@ impl PoolVerdict {
 pub struct PoolViolation {
     /// The object whose history is not linearizable.
     pub object: u64,
-    /// The violating prefix the checker rejected. When earlier events of the
-    /// object were garbage-collected ([`gced_events`](Self::gced_events) > 0),
-    /// the witness starts after that checked-and-summarised prefix.
+    /// The violating prefix the checker rejected: the object's events since
+    /// its last settle point, judged from the state the events dropped before
+    /// it ([`gced_events`](Self::gced_events)) settled in.
     pub witness: History,
     /// The checker's explanation of why the witness is rejected.
     pub explanation: String,
-    /// Events of this object that were garbage-collected before the violation
-    /// (they form a verified linearizable prefix preceding the witness).
+    /// Events of this object dropped at settle points before the violation
+    /// (a verified linearizable prefix preceding the witness).
     pub gced_events: u64,
 }
 

@@ -13,7 +13,7 @@ use crate::nemesis::{ChurnPlan, PlannedFaults};
 use crate::scenario::{Scenario, Target};
 use linrv_check::{Verdict, Violation};
 use linrv_history::{Event, History, OpId, ProcessId};
-use linrv_pool::{PoolBuilder, PoolSession};
+use linrv_pool::{PoolBuilder, PoolSession, PoolVerdict};
 use linrv_runtime::faulty::MutatedObject;
 use linrv_runtime::{impls, record_scheduled_controlled, ConcurrentObject};
 use linrv_spec::{with_spec, ObjectKind, SequentialSpec, TypedObject, TypedOp};
@@ -177,13 +177,13 @@ where
         }
     }
     drop(sessions);
-    pool.quiesce();
-    let verdict = match pool.violations().into_iter().next() {
-        None => Verdict::Member {
-            linearization: None,
-        },
-        Some(violation) => Verdict::NotMember {
+    // `check_all`, not `violations`: a fallen-back frontier decides only there.
+    let verdict = match pool.check_all().remove(&0) {
+        Some(PoolVerdict::Violation(violation)) => Verdict::NotMember {
             violation: Violation::new(violation.witness, violation.explanation),
+        },
+        _ => Verdict::Member {
+            linearization: None,
         },
     };
     RunOutcome {

@@ -4,8 +4,9 @@
 //! routing every key through a `MonitorPool`, the service gets per-key runtime
 //! verification of linearizability at service scale: monitors are created
 //! lazily per key, events flow through sharded bounded queues into a
-//! work-stealing pool of checker threads, and verified history prefixes are
-//! garbage-collected so memory stays bounded under sustained load.
+//! work-stealing pool of checker threads, and verified history is dropped at
+//! every settle point (nothing of the key open, one reachable state) so memory
+//! stays bounded under sustained load.
 //!
 //! One vendor register is rigged: key `--objects / 2` occasionally serves a
 //! value nobody ever wrote. The pool must flag exactly that key — with the
@@ -176,7 +177,6 @@ fn main() {
             .workers(4)
             .sessions_per_object((args.clients as usize).min(64))
             .snapshot(SnapshotBackend::Locked)
-            .first_check(16)
             .build(move |key| -> Box<dyn ConcurrentObject> {
                 if key == bad_key {
                     Box::new(EvilRegister::new())

@@ -2,12 +2,12 @@
 //! pool's per-object verdicts must equal the verdicts of independent
 //! single-object [`Monitor`]s driven with the same operations — correct and
 //! fault-injected, across every snapshot backend — and the scale acceptance
-//! run must show bounded memory via checked-prefix GC.
+//! run must show bounded memory via settle points.
 
 use linrv::prelude::*;
 use linrv::runtime::{faulty, impls, ConcurrentObject, Workload, WorkloadKind};
 use linrv::spec::ObjectKind;
-use linrv_pool::{PoolBuilder, DEFAULT_FIRST_CHECK};
+use linrv_pool::PoolBuilder;
 use linrv_spec::typed::counter::Inc;
 use linrv_spec::{
     CounterSpec, PriorityQueueSpec, QueueSpec, RegisterSpec, SetSpec, StackSpec, TypedObject,
@@ -23,12 +23,6 @@ const KINDS: [ObjectKind; 6] = [
     ObjectKind::Set,
     ObjectKind::PriorityQueue,
 ];
-
-/// `first_check` settings the differentials run at: 4 puts a 10-operation
-/// object's tail (if it has one) through the geometric schedule, the default
-/// leaves it to `check_all` — whatever was decided before that was decided by
-/// forced-order replay alone.
-const FIRST_CHECKS: [usize; 2] = [4, DEFAULT_FIRST_CHECK];
 
 const BACKENDS: [SnapshotBackend; 3] = [
     SnapshotBackend::Afek,
@@ -51,14 +45,8 @@ fn build_object(kind: ObjectKind, id: u64, bad: &[u64]) -> Box<dyn ConcurrentObj
 /// Drives `objects` objects through a pool and through independent single
 /// monitors with identical seeded op sequences (sequentially, so responses are
 /// deterministic), then asserts the per-object verdicts agree bit-for-bit.
-fn differential_pool<S>(
-    spec: S,
-    kind: ObjectKind,
-    seed: u64,
-    backend: SnapshotBackend,
-    first_check: usize,
-    bad: &[u64],
-) where
+fn differential_pool<S>(spec: S, kind: ObjectKind, seed: u64, backend: SnapshotBackend, bad: &[u64])
+where
     S: TypedObject + Copy + Send + Sync + 'static,
 {
     let objects: u64 = 6;
@@ -69,7 +57,6 @@ fn differential_pool<S>(
         .workers(2)
         .sessions_per_object(1)
         .snapshot(backend)
-        .first_check(first_check)
         .build(move |id| build_object(kind, id, &bad_owned));
 
     let mut expected = BTreeMap::new();
@@ -104,8 +91,7 @@ fn differential_pool<S>(
             verdicts[&id].is_correct(),
             expected[&id],
             "pool and single-monitor verdicts diverge for object {id} \
-             (kind {kind}, seed {seed}, backend {backend:?}, first_check {first_check}, \
-             bad {bad:?})"
+             (kind {kind}, seed {seed}, backend {backend:?}, bad {bad:?})"
         );
         if let Some(violation) = verdicts[&id].violation() {
             assert_eq!(violation.object, id, "violations carry their object id");
@@ -117,16 +103,10 @@ fn differential_pool<S>(
     }
 }
 
-fn differential_for(
-    kind: ObjectKind,
-    seed: u64,
-    backend: SnapshotBackend,
-    first_check: usize,
-    bad: &[u64],
-) {
+fn differential_for(kind: ObjectKind, seed: u64, backend: SnapshotBackend, bad: &[u64]) {
     macro_rules! run {
         ($spec:expr) => {
-            differential_pool($spec, kind, seed, backend, first_check, bad)
+            differential_pool($spec, kind, seed, backend, bad)
         };
     }
     match kind {
@@ -177,10 +157,10 @@ fn drive_two_sessions<A: ConcurrentObject>(
 }
 
 /// One counter shared by two sessions, alternating between overlapping and
-/// sequential stretches: the pool leaves eager replay at the first overlap and
-/// decides the rest from the seeded base state, and must still agree with a
-/// single monitor driven through the same schedule.
-fn differential_two_sessions(schedule: &[Step], faulty: bool, first_check: usize) {
+/// sequential stretches: the pool settles after every stretch and decides the
+/// next from the settled state, and must still agree with a single monitor
+/// driven through the same schedule.
+fn differential_two_sessions(schedule: &[Step], faulty: bool) {
     let object = move |_| -> Box<dyn ConcurrentObject> {
         if faulty {
             faulty::faulty_object(ObjectKind::Counter, 3)
@@ -192,7 +172,6 @@ fn differential_two_sessions(schedule: &[Step], faulty: bool, first_check: usize
         .shards(1)
         .workers(1)
         .sessions_per_object(2)
-        .first_check(first_check)
         .build(object);
     let pooled = [pool.session(0).unwrap(), pool.session(0).unwrap()];
     drive_two_sessions([&*pooled[0], &*pooled[1]], schedule);
@@ -208,8 +187,7 @@ fn differential_two_sessions(schedule: &[Step], faulty: bool, first_check: usize
     assert_eq!(
         verdicts[&0].is_correct(),
         monitor.check().is_correct(),
-        "pool and single-monitor verdicts diverge (schedule {schedule:?}, faulty {faulty}, \
-         first_check {first_check})"
+        "pool and single-monitor verdicts diverge (schedule {schedule:?}, faulty {faulty})"
     );
 }
 
@@ -228,13 +206,12 @@ proptest! {
 
     /// Per-object pool verdicts equal independent single-monitor verdicts on
     /// seeded multi-object workloads, with and without injected faults,
-    /// across all three snapshot backends and both `first_check` settings.
+    /// across all three snapshot backends.
     #[test]
     fn pool_verdicts_match_single_monitors(
         seed in 0..10_000u64,
         kind_index in 0..KINDS.len(),
         backend_index in 0..BACKENDS.len(),
-        first_check_index in 0..FIRST_CHECKS.len(),
         inject_faults in any::<bool>(),
     ) {
         let kind = KINDS[kind_index];
@@ -244,7 +221,7 @@ proptest! {
         } else {
             Vec::new()
         };
-        differential_for(kind, seed, backend, FIRST_CHECKS[first_check_index], &bad);
+        differential_for(kind, seed, backend, &bad);
     }
 
     /// The same agreement on one object whose history alternates between
@@ -253,28 +230,24 @@ proptest! {
     fn pool_verdict_matches_single_monitor_across_overlaps(
         codes in proptest::collection::vec(0..6usize, 4..16),
         faulty in any::<bool>(),
-        first_check_index in 0..FIRST_CHECKS.len(),
     ) {
         let schedule: Vec<Step> = codes.into_iter().map(Step::from_code).collect();
-        differential_two_sessions(&schedule, faulty, FIRST_CHECKS[first_check_index]);
+        differential_two_sessions(&schedule, faulty);
     }
 }
 
-/// Every kind at every `first_check`, not only the combinations a proptest
-/// run happens to draw.
+/// Every kind, not only the ones a proptest run happens to draw.
 #[test]
-fn pool_verdicts_match_single_monitors_for_every_kind_and_first_check() {
+fn pool_verdicts_match_single_monitors_for_every_kind() {
     for kind in KINDS {
-        for first_check in FIRST_CHECKS {
-            for (seed, bad) in [(7, vec![]), (42, vec![0, 3])] {
-                differential_for(kind, seed, SnapshotBackend::Locked, first_check, &bad);
-            }
+        for (seed, bad) in [(7, vec![]), (42, vec![0, 3])] {
+            differential_for(kind, seed, SnapshotBackend::Locked, &bad);
         }
     }
 }
 
 /// The PR's acceptance run: a seeded load generator with 64 concurrent clients
-/// over 10k objects completes with bounded per-object memory (checked-prefix
+/// over 10k objects completes with bounded per-object memory (settle-point
 /// GC observable through the stats API), the injected faulty object is
 /// reported with its id and violating prefix, and every other object verifies
 /// clean.
@@ -299,7 +272,6 @@ fn acceptance_pool_64_clients_10k_objects() {
             .workers(4)
             .sessions_per_object(8)
             .snapshot(SnapshotBackend::Locked)
-            .first_check(8)
             .build(move |id| -> Box<dyn ConcurrentObject> {
                 if id == bad {
                     // Stutters every 3rd apply: duplicated fetch-and-increment
@@ -312,7 +284,7 @@ fn acceptance_pool_64_clients_10k_objects() {
     );
 
     // A dedicated sequentially-hammered object: strictly alternating history,
-    // so checked-prefix GC must reclaim essentially all of it. This is the
+    // so settle-point GC must reclaim essentially all of it. This is the
     // deterministic bounded-memory witness. The op count is moderate because
     // the DRV wrapper's announce views grow with an object's total operation
     // count (Figure 7 writes ever-growing sets; see Section 9.1 and
@@ -346,11 +318,9 @@ fn acceptance_pool_64_clients_10k_objects() {
                 };
                 for _ in 0..OPS_PER_CLIENT {
                     // Zipf-ish mix: a quarter of the traffic goes to 512 hot
-                    // objects so checks and GC trigger mid-run, the rest
+                    // objects so overlaps and GC happen mid-run, the rest
                     // spreads across all 10k. The hot set is wide enough that
-                    // per-object concurrent histories stay short — long
-                    // concurrent tails would push incremental checks into the
-                    // general search and throttle ingestion.
+                    // few operations of one object overlap at a time.
                     // (The random spread stays off the dedicated sequential
                     // key so its history remains strictly alternating.)
                     let key = if next() % 4 == 0 {
@@ -370,8 +340,7 @@ fn acceptance_pool_64_clients_10k_objects() {
     pool.quiesce();
 
     // GC must be observable mid-run, before any final check: the hot objects
-    // and the dedicated sequential object crossed the incremental check
-    // schedule many times.
+    // and the dedicated sequential object passed settle points many times.
     let mid = pool.stats();
     assert!(
         mid.gced_events > 0,

@@ -3,7 +3,8 @@
 //! correct and fault-injected, whole and cut short with operations pending —
 //! it must latch a violation at exactly the event where a reference that
 //! runs the batch [`StrategyChecker`] on *every prefix* first sees one, and
-//! end with the same verdict. Ill-formed streams must come out of the
+//! end with the same verdict — also when the checker settles after every
+//! event, as `linrv-pool` runs it. Ill-formed streams must come out of the
 //! fallback with the batch checker's own verdict, and a non-deterministic
 //! specification must be tracked exactly.
 
@@ -30,10 +31,34 @@ fn reference_latch<S: SequentialSpec>(
 }
 
 /// Streams `events` and asserts latch index, verdict and certificate against
-/// the reference.
-fn assert_tracks_reference<S: SequentialSpec + Clone>(spec: S, events: &[Event], label: &str) {
+/// the reference; then streams them again, settling after every event, and
+/// asserts the same latch index and verdict. Returns the latch index and the
+/// events the settle points dropped.
+fn assert_tracks_reference<S: SequentialSpec + Clone>(
+    spec: S,
+    events: &[Event],
+    label: &str,
+) -> (Option<usize>, usize) {
     let batch = StrategyChecker::new(spec.clone());
     let expected = reference_latch(&batch, events);
+
+    let mut settling = StreamingChecker::new(spec.clone());
+    let mut dropped = 0;
+    let latched = events
+        .iter()
+        .position(|event| {
+            let latched = settling.push(event.clone()).is_some();
+            dropped += settling.settle();
+            latched
+        })
+        .map(|index| index + 1);
+    assert_eq!(latched, expected, "{label}: latch index with settle points");
+    let verdict = settling.finish().1;
+    assert_eq!(
+        verdict.is_violation(),
+        expected.is_some(),
+        "{label}: {verdict}"
+    );
 
     let mut checker = StreamingChecker::new(spec);
     let latched = events
@@ -49,21 +74,41 @@ fn assert_tracks_reference<S: SequentialSpec + Clone>(spec: S, events: &[Event],
         }
         None => assert!(verdict.is_member(), "{label}: {verdict}"),
     }
+    (expected, dropped)
 }
 
-fn assert_kind_tracks_reference(kind: ObjectKind, events: &[Event], label: &str) {
-    with_spec!(kind, |spec| assert_tracks_reference(spec, events, label));
+/// [`assert_tracks_reference`] for a shipped kind, plus: a stream that opens
+/// with an operation nothing overlaps, answered correctly, settles at least
+/// once (every shipped specification is deterministic). Returns whether that
+/// premise held.
+fn assert_kind_tracks_reference(kind: ObjectKind, events: &[Event], label: &str) -> bool {
+    let (latched, dropped) = with_spec!(kind, |spec| assert_tracks_reference(spec, events, label));
+    let settles = events.len() >= 2
+        && events[0].is_invocation()
+        && events[1].is_response()
+        && events[0].op_id == events[1].op_id
+        && latched != Some(2);
+    if settles {
+        assert!(dropped > 0, "{label}: no settle point");
+    }
+    settles
 }
 
 /// Sized so that the frontier decides every history within its bound: the
 /// checker under test runs the geometric schedule, whose first re-check is
 /// beyond the end of these histories, so a fallback on a violating history
-/// would show up as a late latch.
+/// would show up as a late latch. The last twelve seeds record on one
+/// process, which makes a sequential history.
 #[test]
 fn recorded_histories_latch_where_the_every_prefix_reference_does() {
+    let mut settled = 0;
     for kind in ObjectKind::ALL {
-        for seed in 0..60u64 {
-            let processes = 2 + (seed % 4) as usize;
+        for seed in 0..72u64 {
+            let processes = if seed < 60 {
+                2 + (seed % 4) as usize
+            } else {
+                1
+            };
             let options = RecorderOptions {
                 processes,
                 ops_per_process: if processes <= 3 { 24 / processes } else { 4 },
@@ -82,11 +127,16 @@ fn recorded_histories_latch_where_the_every_prefix_reference_does() {
                         "{kind} seed {seed} processes {processes} faulty {faulty_every:?} \
                          first {length} events"
                     );
-                    assert_kind_tracks_reference(kind, &events[..length], &label);
+                    settled += usize::from(assert_kind_tracks_reference(
+                        kind,
+                        &events[..length],
+                        &label,
+                    ));
                 }
             }
         }
     }
+    assert!(settled >= 7 * 12, "only {settled} streams settled");
 }
 
 #[test]
