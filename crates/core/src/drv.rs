@@ -63,7 +63,7 @@ pub struct Announced {
 pub struct Drv<A> {
     inner: A,
     /// The shared array `N` of Figure 7; entry `i` holds `set_i`.
-    announcements: SharedSets<InvocationPair>,
+    announcements: SharedSets<View>,
     next_op: AtomicU64,
     registry: ProcessRegistry,
 }

@@ -2,21 +2,65 @@
 //! Figure 10 (entry `i` holds `res_i`): one grow-only set per process behind a
 //! linearizable snapshot object, read as the union of all entries. Only this module
 //! knows how such an array is represented; `Drv` and `Verifier` sit on top of it.
+//!
+//! The two arrays differ only in their [`Entry`] type, and so in what they copy:
+//!
+//! * `N` holds [`View`]s, deep sets of invocation pairs. A write clones `set_i`, and the
+//!   Afek write's embedded scan clones all `n` entries, pair by pair; a scan clones all
+//!   `n` entries again and flattens them into the caller's view.
+//! * `M` holds [`TupleSet`]s of shared copy-on-write parts. A write copies `res_i` once,
+//!   when the insert reaches the part the snapshot still shares; its clone and the
+//!   embedded scan are reference counts. A scan copies nothing: the union `τ` holds the
+//!   `n` parts it read.
 
+use crate::view::{InvocationPair, TupleSet, View, ViewTuple};
 use linrv_history::ProcessId;
 use linrv_snapshot::Snapshot;
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
-pub(crate) struct SharedSets<T: Clone> {
-    snapshot: Arc<dyn Snapshot<BTreeSet<T>>>,
-    /// The persistent local set of each process; its snapshot entry holds a copy.
-    local: Vec<Mutex<BTreeSet<T>>>,
+/// What one entry of a shared array holds: a set a single process adds to.
+pub(crate) trait Entry: Clone + Default {
+    type Item;
+
+    fn add(&mut self, item: Self::Item);
+
+    /// The union of the entries of one scan.
+    fn union(entries: Vec<Self>) -> Self;
 }
 
-impl<T: Ord + Clone> SharedSets<T> {
-    pub(crate) fn new(snapshot: Arc<dyn Snapshot<BTreeSet<T>>>) -> Self {
+impl Entry for View {
+    type Item = InvocationPair;
+
+    fn add(&mut self, item: InvocationPair) {
+        self.insert(item);
+    }
+
+    fn union(entries: Vec<View>) -> View {
+        entries.into_iter().flatten().collect()
+    }
+}
+
+impl Entry for TupleSet {
+    type Item = ViewTuple;
+
+    fn add(&mut self, item: ViewTuple) {
+        self.insert(item);
+    }
+
+    fn union(entries: Vec<TupleSet>) -> TupleSet {
+        TupleSet::union_of(entries)
+    }
+}
+
+pub(crate) struct SharedSets<S: Entry> {
+    snapshot: Arc<dyn Snapshot<S>>,
+    /// The persistent local set of each process; its snapshot entry holds a clone.
+    local: Vec<Mutex<S>>,
+}
+
+impl<S: Entry> SharedSets<S> {
+    pub(crate) fn new(snapshot: Arc<dyn Snapshot<S>>) -> Self {
         let local = (0..snapshot.entries()).map(|_| Mutex::default()).collect();
         SharedSets { snapshot, local }
     }
@@ -27,7 +71,7 @@ impl<T: Ord + Clone> SharedSets<T> {
 
     /// Adds `item` to the set of `process` and publishes that set: one insert, one
     /// clone, one snapshot write. Panics when `process` is out of range.
-    pub(crate) fn add(&self, process: ProcessId, item: T) {
+    pub(crate) fn add(&self, process: ProcessId, item: S::Item) {
         assert!(
             process.index() < self.processes(),
             "process {process} out of range for a {}-process shared array",
@@ -35,7 +79,7 @@ impl<T: Ord + Clone> SharedSets<T> {
         );
         let set = {
             let mut local = self.local[process.index()].lock();
-            local.insert(item);
+            local.add(item);
             local.clone()
         };
         self.snapshot.write(process.index(), set);
@@ -43,11 +87,10 @@ impl<T: Ord + Clone> SharedSets<T> {
 
     /// The union of all entries, in one scan (an out-of-range `scanner` scans as the
     /// last process).
-    pub(crate) fn union(&self, scanner: ProcessId) -> BTreeSet<T> {
-        self.snapshot
-            .scan(scanner.index().min(self.processes().saturating_sub(1)))
-            .into_iter()
-            .flatten()
-            .collect()
+    pub(crate) fn union(&self, scanner: ProcessId) -> S {
+        S::union(
+            self.snapshot
+                .scan(scanner.index().min(self.processes().saturating_sub(1))),
+        )
     }
 }

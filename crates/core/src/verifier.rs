@@ -78,7 +78,7 @@ pub struct Audit {
 pub struct Verifier<O> {
     object: O,
     /// The shared array `M` of Figure 10; entry `i` holds `res_i`.
-    results: SharedSets<ViewTuple>,
+    results: SharedSets<TupleSet>,
 }
 
 impl<O: GenLinObject> Verifier<O> {

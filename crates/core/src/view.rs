@@ -42,8 +42,9 @@
 
 use linrv_history::{OpId, OpValue, Operation, ProcessId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// The announcement a process publishes before invoking the wrapped implementation:
 /// "process `p` is about to execute operation `op`" (the pair `(p_i, op_i)` of
@@ -114,7 +115,162 @@ impl fmt::Display for ViewTuple {
 
 /// A set of view tuples — the `λ_E` of Section 7.3.3 and the content the verifier
 /// exchanges through its snapshot object (Figure 10, variable `τ_i`).
-pub type TupleSet = BTreeSet<ViewTuple>;
+///
+/// **Representation.** The set is the union of a list of *parts*, each an
+/// `Arc<BTreeSet<ViewTuple>>` that other sets may share. A process's `res_i` is one
+/// part; the union `τ` of a scan of `M` holds the `n` parts the scan read. So `Clone`
+/// and [`TupleSet::union_of`] cost one reference count per part and copy no tuple, and
+/// a snapshot write of `res_i` (whose embedded scan clones all `n` entries) copies
+/// none either.
+///
+/// **Iteration is an ordered merge** of the parts: each step yields the smallest head
+/// and advances every part whose head equals it. Parts may overlap (a forged union can
+/// hold one tuple in two parts), so a tuple is yielded once, and the order is exactly a
+/// `BTreeSet<ViewTuple>`'s — which every sketch, witness and certificate depends on.
+/// With `n` parts a step costs `O(n)` comparisons; tuples of different processes differ
+/// in their first field, so those comparisons do not reach the views.
+///
+/// **Copy-on-write.** [`insert`](TupleSet::insert), [`extend`](Extend::extend) and
+/// [`remove`](TupleSet::remove) write to one part through [`Arc::make_mut`], which copies
+/// that part only while another set still shares it; a set of several parts is first
+/// merged into one. A clone or a union therefore never changes the set it came from,
+/// and `Verifier::record` copies `res_i` at most once, when it adds to the part the
+/// snapshot still holds.
+#[derive(Clone, Default)]
+pub struct TupleSet {
+    parts: Vec<Arc<BTreeSet<ViewTuple>>>,
+}
+
+impl TupleSet {
+    /// An empty set.
+    pub fn new() -> Self {
+        TupleSet::default()
+    }
+
+    /// The union of `sets`, sharing their parts: no tuple is copied.
+    pub fn union_of(sets: impl IntoIterator<Item = TupleSet>) -> Self {
+        TupleSet {
+            parts: sets
+                .into_iter()
+                .flat_map(|set| set.parts)
+                .filter(|part| !part.is_empty())
+                .collect(),
+        }
+    }
+
+    /// The tuples in ascending order, each once.
+    pub fn iter(&self) -> TupleSetIter<'_> {
+        TupleSetIter {
+            heads: self
+                .parts
+                .iter()
+                .filter_map(|part| {
+                    let mut rest = part.iter();
+                    rest.next().map(|head| (head, rest))
+                })
+                .collect(),
+        }
+    }
+
+    /// Number of distinct tuples (a merge when the set has several parts).
+    pub fn len(&self) -> usize {
+        match self.parts.as_slice() {
+            [part] => part.len(),
+            _ => self.iter().count(),
+        }
+    }
+
+    /// Returns `true` when the set holds no tuple.
+    pub fn is_empty(&self) -> bool {
+        self.parts.iter().all(|part| part.is_empty())
+    }
+
+    /// Returns `true` when `tuple` is in the set.
+    pub fn contains(&self, tuple: &ViewTuple) -> bool {
+        self.parts.iter().any(|part| part.contains(tuple))
+    }
+
+    /// Adds `tuple`; returns `false` when it was already present.
+    pub fn insert(&mut self, tuple: ViewTuple) -> bool {
+        self.part_mut().insert(tuple)
+    }
+
+    /// Removes `tuple`; returns `false` when it was absent.
+    pub fn remove(&mut self, tuple: &ViewTuple) -> bool {
+        self.part_mut().remove(tuple)
+    }
+
+    /// The one part a write goes to, unshared.
+    fn part_mut(&mut self) -> &mut BTreeSet<ViewTuple> {
+        if self.parts.len() != 1 {
+            let merged = self.iter().cloned().collect();
+            self.parts = vec![Arc::new(merged)];
+        }
+        Arc::make_mut(&mut self.parts[0])
+    }
+}
+
+/// Set equality.
+impl PartialEq for TupleSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for TupleSet {}
+
+impl fmt::Debug for TupleSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<ViewTuple> for TupleSet {
+    fn from_iter<I: IntoIterator<Item = ViewTuple>>(tuples: I) -> Self {
+        TupleSet {
+            parts: vec![Arc::new(tuples.into_iter().collect())],
+        }
+    }
+}
+
+impl Extend<ViewTuple> for TupleSet {
+    fn extend<I: IntoIterator<Item = ViewTuple>>(&mut self, tuples: I) {
+        self.part_mut().extend(tuples);
+    }
+}
+
+impl<'a> IntoIterator for &'a TupleSet {
+    type Item = &'a ViewTuple;
+    type IntoIter = TupleSetIter<'a>;
+
+    fn into_iter(self) -> TupleSetIter<'a> {
+        self.iter()
+    }
+}
+
+/// The ordered merge behind [`TupleSet::iter`].
+pub struct TupleSetIter<'a> {
+    /// Per part not yet exhausted: its smallest tuple not yet yielded, and the rest.
+    heads: Vec<(&'a ViewTuple, btree_set::Iter<'a, ViewTuple>)>,
+}
+
+impl<'a> Iterator for TupleSetIter<'a> {
+    type Item = &'a ViewTuple;
+
+    fn next(&mut self) -> Option<&'a ViewTuple> {
+        let min = self.heads.iter().map(|&(head, _)| head).min()?;
+        self.heads.retain_mut(|(head, rest)| {
+            if std::ptr::eq(*head, min) || *head == min {
+                match rest.next() {
+                    Some(next) => *head = next,
+                    None => return false,
+                }
+            }
+            true
+        });
+        Some(min)
+    }
+}
 
 /// Violations of the view properties of Remark 7.2.
 #[derive(Debug, Clone, PartialEq, Eq)]

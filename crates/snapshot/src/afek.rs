@@ -29,10 +29,13 @@ struct Cell<T> {
 /// increments some writer's move count, and a writer observed moving twice ends the
 /// scan), so both operations are wait-free with `O(n²)` register operations — the
 /// `O(n)`-per-operation bound the paper quotes for `[63]` is an optimisation, not a
-/// requirement, and is tracked as future work in DESIGN.md.
+/// requirement, and is tracked as future work under item 2 of `ROADMAP.md`.
 ///
-/// **Memory.** Each `write` supersedes the writer's whole cell — its value *and* the
-/// embedded scan, a copy of all `n` values — by one [`AtomicRegister::write`], which
+/// **Memory.** A cell's embedded scan holds `n` values cloned with `T::clone`, so what
+/// it costs is `T`'s: for `linrv-core`'s result array `M` a clone is one reference count
+/// per shared tuple-set part, for its announcement array `N` a deep copy of a view.
+/// Each `write` supersedes the writer's whole cell — its value *and* the
+/// embedded scan — by one [`AtomicRegister::write`], which
 /// retires the old cell and attempts a collection at once. The cell is freed two epochs
 /// later (two further register writes by any thread, unless a thread is stalled inside a
 /// register operation), or when the last scanner that collected it drops its handle,

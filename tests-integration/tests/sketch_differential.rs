@@ -12,6 +12,12 @@
 //! * on those sets with one fault planted (and on small forged sets) both must reach the
 //!   same `Ok` / error variant — which offending pair an error names may differ;
 //! * a tuple set too large for the all-pairs loop must still go through.
+//!
+//! Every generated and forged set is also built two more ways — as the union of one
+//! shared part per process (what a scan of `M` delivers) and as a union of two parts
+//! that share a tuple — and each form must iterate, count, look up, compare, check and
+//! sketch exactly like the single-part set; writing to a clone or a union must never
+//! change the set it came from.
 
 use linrv_core::drv::{Announced, Drv};
 use linrv_core::sketch::{sketch_history, sketch_interval, SketchError};
@@ -22,6 +28,7 @@ use linrv_history::{OpId, OpValue, ProcessId};
 use linrv_runtime::impls::SpecObject;
 use linrv_spec::ops::queue;
 use linrv_spec::QueueSpec;
+use std::collections::{BTreeMap, BTreeSet};
 use std::mem::discriminant;
 use std::time::{Duration, Instant};
 
@@ -124,9 +131,76 @@ impl Rng {
     }
 }
 
+/// The tuples of each process, as one set per process.
+fn process_parts(tuples: &TupleSet) -> Vec<TupleSet> {
+    let mut parts: BTreeMap<ProcessId, TupleSet> = BTreeMap::new();
+    for tuple in tuples {
+        parts
+            .entry(tuple.pair.process)
+            .or_default()
+            .insert(tuple.clone());
+    }
+    parts.into_values().collect()
+}
+
+/// `tuples` as the union of one part per process, the form a scan of `M` delivers.
+fn per_process(tuples: &TupleSet) -> TupleSet {
+    TupleSet::union_of(process_parts(tuples))
+}
+
+/// `tuples` as the union of two halves that share the middle tuple.
+fn overlapping(tuples: &TupleSet) -> TupleSet {
+    let all: Vec<ViewTuple> = tuples.iter().cloned().collect();
+    let middle = all.len() / 2;
+    let first = &all[..all.len().min(middle + 1)];
+    TupleSet::union_of([
+        first.iter().cloned().collect(),
+        all[middle..].iter().cloned().collect(),
+    ])
+}
+
+/// Asserts that the shared forms of `tuples` are the same set as `tuples` and as a
+/// plain `BTreeSet`, and that the verdict path cannot tell them apart.
+fn assert_shared_forms_agree(tuples: &TupleSet, context: &str) {
+    let oracle: BTreeSet<ViewTuple> = tuples.iter().cloned().collect();
+    assert!(tuples.iter().eq(oracle.iter()), "{context}: single part");
+    let properties = check_view_properties(tuples);
+    let sketch = sketch_history(tuples).map(|history| history.to_string());
+    let absent = ViewTuple::new(foreign_pair(0), OpValue::Bool(true), View::new());
+    for (form, set) in [
+        ("per-process", per_process(tuples)),
+        ("overlapping", overlapping(tuples)),
+    ] {
+        let context = format!("{context}, {form} union");
+        assert!(set.iter().eq(oracle.iter()), "{context}: iteration order");
+        assert_eq!(set.len(), oracle.len(), "{context}: len");
+        assert_eq!(set.is_empty(), oracle.is_empty(), "{context}: is_empty");
+        assert!(
+            oracle.iter().all(|t| set.contains(t)),
+            "{context}: contains"
+        );
+        assert!(
+            !set.contains(&absent),
+            "{context}: contains a foreign tuple"
+        );
+        assert_eq!(&set, tuples, "{context}: equality");
+        assert_eq!(
+            check_view_properties(&set),
+            properties,
+            "{context}: properties"
+        );
+        assert_eq!(
+            sketch_history(&set).map(|history| history.to_string()),
+            sketch,
+            "{context}: sketch"
+        );
+    }
+}
+
 /// Asserts that the rewrite and the oracle agree on `tuples`: identical sketches when the
 /// views are valid, the same error variant when they are not. Returns that verdict.
 fn assert_agree(tuples: &TupleSet, context: &str) -> Result<(), ViewPropertyError> {
+    assert_shared_forms_agree(tuples, context);
     let expected = reference::check_view_properties(tuples);
     let actual = check_view_properties(tuples);
     assert_eq!(
@@ -369,6 +443,7 @@ fn forged_sets_are_accepted_and_rejected_alike() {
         }
         let expected = reference::check_view_properties(&tuples);
         let actual = check_view_properties(&tuples);
+        assert_shared_forms_agree(&tuples, &format!("forged case {case}"));
         assert_eq!(
             actual.is_ok(),
             expected.is_ok(),
@@ -390,6 +465,70 @@ fn forged_sets_are_accepted_and_rejected_alike() {
         valid > 2_000 && invalid > 2_000,
         "{valid} valid, {invalid} invalid"
     );
+}
+
+/// Writing to a clone or to a union copies the part it writes to first: the set it
+/// came from, and every set sharing its parts, stay as they were.
+#[test]
+fn clones_and_unions_are_copy_on_write() {
+    let foreign = ViewTuple::new(
+        foreign_pair(0),
+        OpValue::Bool(true),
+        View::from([foreign_pair(0)]),
+    );
+    let mut checked = 0;
+    for seed in 200..220 {
+        let tuples = run_schedule(seed, 3, 80);
+        let Some(first) = tuples.iter().next().cloned() else {
+            continue;
+        };
+        checked += 1;
+        let before: Vec<ViewTuple> = tuples.iter().cloned().collect();
+        let unchanged = |set: &TupleSet| set.iter().eq(before.iter());
+
+        let mut clone = tuples.clone();
+        assert!(clone.insert(foreign.clone()));
+        assert!(clone.remove(&first));
+        assert!(unchanged(&tuples), "seed {seed}: a write to a clone leaked");
+        assert_eq!(clone.len(), tuples.len());
+
+        // The union shares the per-process parts with `parts`.
+        let parts = process_parts(&tuples);
+        let contents = |parts: &[TupleSet]| -> Vec<Vec<ViewTuple>> {
+            parts.iter().map(|p| p.iter().cloned().collect()).collect()
+        };
+        let parts_before = contents(&parts);
+        let union = TupleSet::union_of(parts.clone());
+        let mut grown = union.clone();
+        assert!(grown.insert(foreign.clone()));
+        assert!(grown.contains(&foreign) && !union.contains(&foreign));
+        let mut shrunk = union.clone();
+        assert!(shrunk.remove(&first));
+        assert!(!shrunk.contains(&first) && union.contains(&first));
+        assert!(unchanged(&union), "seed {seed}: a write to a union leaked");
+        assert_eq!(
+            contents(&parts),
+            parts_before,
+            "seed {seed}: a union's write reached a part"
+        );
+
+        // A tuple held by two parts is gone from the union once removed.
+        let middle = &before[before.len() / 2];
+        let mut twice = overlapping(&tuples);
+        assert!(twice.remove(middle));
+        assert!(
+            !twice.contains(middle),
+            "seed {seed}: the second copy survived"
+        );
+        assert_eq!(twice.len(), tuples.len() - 1);
+
+        // And the other way round: a later write to a part leaves a union taken
+        // before it as it was, as a later snapshot write leaves an earlier scan.
+        let mut parts = parts;
+        parts[0].insert(foreign.clone());
+        assert!(!union.contains(&foreign) && unchanged(&union));
+    }
+    assert!(checked >= 15, "only {checked} schedules published a tuple");
 }
 
 /// A count-free guard against the all-pairs loop coming back: 2 000 tuples with views
