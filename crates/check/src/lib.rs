@@ -14,9 +14,6 @@
 //!   properties of `GenLin` documented and testable.
 //! * [`LinSpec`] — linearizability with respect to a [`SequentialSpec`](linrv_spec::SequentialSpec), decided with a
 //!   Wing–Gong search enhanced with Lowe-style memoisation.
-//! * [`PartitionedSpec`] — product-object specialisation (partition the history by key
-//!   and check each part independently), the tractable fast path for sets and
-//!   key-value maps.
 //! * [`SetLinSpec`] — set-linearizability for set-sequential specifications.
 //! * [`tasks`] — one-shot tasks and their interval-linearizability membership
 //!   (Section 9.3).
@@ -44,7 +41,6 @@
 pub mod genlin;
 pub mod linearizability;
 pub mod metrics;
-pub mod partitioned;
 pub mod pattern;
 pub mod setlin;
 pub mod specialized;
@@ -54,11 +50,10 @@ pub mod witness;
 
 pub use genlin::{ClosureReport, GenLinObject};
 pub use linearizability::{CheckerConfig, LinSpec};
-pub use partitioned::PartitionedSpec;
 pub use pattern::BadPattern;
 pub use setlin::{SetLinCounterSpec, SetLinSpec, SetSequentialSpec};
 pub use specialized::{
-    check_specialized, CheckerStrategy, FallbackReason, Route, SpecializedResult, StrategyChecker,
+    check_specialized, FallbackReason, Route, SpecializedResult, StrategyChecker,
 };
 pub use stream::{check_events, StreamingChecker};
 pub use tasks::{OneShotTaskObject, Task, TaskInstance};

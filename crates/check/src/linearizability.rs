@@ -14,8 +14,7 @@
 //! Deciding linearizability of a finite history is NP-complete in general
 //! (Gibbons & Korach), so the search is exponential in the worst case; memoisation of
 //! visited `(linearized-set, specification-state)` pairs — Lowe's optimisation — keeps
-//! the common cases fast. [`PartitionedSpec`](crate::PartitionedSpec) provides the
-//! tractable product-object fast path.
+//! the common cases fast.
 
 use crate::genlin::GenLinObject;
 use crate::witness::{SearchFrontier, Verdict, Violation};
@@ -24,22 +23,11 @@ use linrv_spec::SequentialSpec;
 use std::collections::HashSet;
 
 /// Tuning knobs for the linearizability checker.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CheckerConfig {
-    /// Memoise visited `(linearized-set, state)` pairs (Lowe's optimisation).
-    pub memoize: bool,
     /// Abort after exploring this many search nodes, returning
     /// [`Verdict::Inconclusive`]. `None` means no budget.
     pub max_explored_states: Option<usize>,
-}
-
-impl Default for CheckerConfig {
-    fn default() -> Self {
-        CheckerConfig {
-            memoize: true,
-            max_explored_states: None,
-        }
-    }
 }
 
 /// Linearizability with respect to a sequential specification, as an abstract object:
@@ -261,7 +249,7 @@ impl<'a, S: SequentialSpec> Search<'a, S> {
                 return None;
             }
         }
-        if self.config.memoize && !memo.insert((linearized.clone(), state.clone())) {
+        if !memo.insert((linearized.clone(), state.clone())) {
             return Some(false);
         }
 
@@ -523,39 +511,11 @@ mod tests {
         let object = LinSpec::with_config(
             QueueSpec::new(),
             CheckerConfig {
-                memoize: true,
                 max_explored_states: Some(1),
             },
         );
         assert_eq!(object.check(&history), Verdict::Inconclusive);
         assert!(object.contains(&history)); // fails open
-    }
-
-    #[test]
-    fn memoization_does_not_change_verdicts() {
-        let mut b = HistoryBuilder::new();
-        let e1 = b.invoke(p(0), queue::enqueue(1));
-        let e2 = b.invoke(p(1), queue::enqueue(2));
-        b.respond(e2, OpValue::Bool(true));
-        b.respond(e1, OpValue::Bool(true));
-        let d1 = b.invoke(p(0), queue::dequeue());
-        let d2 = b.invoke(p(1), queue::dequeue());
-        b.respond(d1, OpValue::Int(2));
-        b.respond(d2, OpValue::Int(1));
-        let history = b.build();
-
-        let with = LinSpec::new(QueueSpec::new());
-        let without = LinSpec::with_config(
-            QueueSpec::new(),
-            CheckerConfig {
-                memoize: false,
-                max_explored_states: None,
-            },
-        );
-        assert_eq!(
-            with.check(&history).is_member(),
-            without.check(&history).is_member()
-        );
     }
 
     #[test]

@@ -117,31 +117,21 @@ impl SetSequentialSpec for SetLinCounterSpec {
     }
 }
 
+/// Largest concurrency class the search will try. Classes larger than this bound are
+/// never proposed, which keeps the subset enumeration tractable; histories needing
+/// larger classes are (conservatively) rejected.
+const MAX_CLASS_SIZE: usize = 8;
+
 /// Set-linearizability with respect to a set-sequential specification, as an abstract
 /// object (the set of all finite histories that are set-linearizable w.r.t. the spec).
 pub struct SetLinSpec<S> {
     spec: S,
-    /// Largest concurrency class the search will try. Classes larger than this bound
-    /// are never proposed, which keeps the subset enumeration tractable; histories
-    /// needing larger classes are (conservatively) rejected.
-    max_class_size: usize,
 }
 
 impl<S: SetSequentialSpec> SetLinSpec<S> {
-    /// Creates the checker with a default maximum concurrency-class size of 8.
+    /// Creates the checker; concurrency classes hold at most 8 operations.
     pub fn new(spec: S) -> Self {
-        SetLinSpec {
-            spec,
-            max_class_size: 8,
-        }
-    }
-
-    /// Creates the checker with an explicit maximum concurrency-class size.
-    pub fn with_max_class_size(spec: S, max_class_size: usize) -> Self {
-        SetLinSpec {
-            spec,
-            max_class_size: max_class_size.max(1),
-        }
+        SetLinSpec { spec }
     }
 
     /// Decides set-linearizability of `history`.
@@ -201,19 +191,11 @@ impl<S: SetSequentialSpec> SetLinSpec<S> {
         if candidates.is_empty() {
             return false;
         }
-        let limit = candidates.len().min(self.max_class_size);
-        // Enumerate non-empty subsets of the candidates (bounded size), try each as the
-        // next concurrency class.
-        for mask in 1u64..(1u64 << candidates.len().min(20)) {
-            let class: Vec<usize> = candidates
-                .iter()
-                .enumerate()
-                .filter(|(bit, _)| mask & (1 << bit) != 0)
-                .map(|(_, &idx)| idx)
-                .collect();
-            if class.is_empty() || class.len() > limit {
-                continue;
-            }
+        // Enumerate the non-empty subsets of the candidates up to the bound, smallest
+        // first, and try each as the next concurrency class.
+        let classes = (1..=candidates.len().min(MAX_CLASS_SIZE))
+            .flat_map(|size| combinations(&candidates, size));
+        for class in classes {
             // The whole class must be mutually concurrent in the history: no member may
             // really precede another member.
             if !self.mutually_concurrent(records, &class) {
@@ -284,6 +266,30 @@ impl<S: SetSequentialSpec> SetLinSpec<S> {
             })
         })
     }
+}
+
+/// The `size`-element subsets of `items`, in lexicographic order of their positions.
+fn combinations(items: &[usize], size: usize) -> impl Iterator<Item = Vec<usize>> + '_ {
+    let mut pick: Option<Vec<usize>> = Some((0..size).collect());
+    std::iter::from_fn(move || {
+        let positions = pick.as_mut()?;
+        let subset = positions.iter().map(|&k| items[k]).collect();
+        // Advance: bump the last position that can still move right and pack the
+        // ones after it behind it; none can move once the subset is the last one.
+        let movable = (0..size)
+            .rev()
+            .find(|&k| positions[k] < items.len() - size + k);
+        match movable {
+            Some(k) => {
+                positions[k] += 1;
+                for j in k + 1..size {
+                    positions[j] = positions[j - 1] + 1;
+                }
+            }
+            None => pick = None,
+        }
+        Some(subset)
+    })
 }
 
 impl<S: SetSequentialSpec> GenLinObject for SetLinSpec<S> {
@@ -385,6 +391,20 @@ mod tests {
         b.respond(a, OpValue::Int(0));
         b.invoke(p(1), ops::inc()); // pending
         let h = b.build();
+        assert!(SetLinSpec::new(SetLinCounterSpec::new()).contains(&h));
+    }
+
+    /// 21 overlapping Incs: the last one invoked returns 0 and the others 1..=20, so
+    /// the only (set-)linearization starts with the 21st candidate as a singleton.
+    #[test]
+    fn a_class_may_start_with_any_of_more_than_twenty_candidates() {
+        let mut b = HistoryBuilder::new();
+        let incs: Vec<_> = (0..21).map(|i| b.invoke(p(i), ops::inc())).collect();
+        for (i, &inc) in incs.iter().enumerate() {
+            b.respond(inc, OpValue::Int((i as i64 + 1) % 21));
+        }
+        let h = b.build();
+        assert!(LinSpec::new(CounterSpec::new()).contains(&h));
         assert!(SetLinSpec::new(SetLinCounterSpec::new()).contains(&h));
     }
 

@@ -1,5 +1,5 @@
-//! Specialized log-linear linearizability monitors and the strategy dispatch
-//! that routes histories to them.
+//! Specialized log-linear linearizability monitors and the dispatch that
+//! routes histories to them.
 //!
 //! The general membership decision ([`LinSpec`]) is a Wing–Gong search:
 //! worst-case exponential, NP-complete in general (Gibbons & Korach). But for
@@ -7,8 +7,8 @@
 //! register, counter — *unambiguous* histories (no two insertions of the same
 //! value) admit log-linear decision procedures in the style of Lee & Mathur's
 //! decrease-and-conquer monitors and Abdulla et al.'s per-type algorithms.
-//! This module implements them behind [`CheckerStrategy`] / [`StrategyChecker`],
-//! which is what a *batch* decision of a whole history runs:
+//! This module implements them behind [`StrategyChecker`], which is what a
+//! *batch* decision of a whole history runs:
 //! `linrv::is_linearizable`, the pool's incremental checks, and — for
 //! [`StreamingChecker`](crate::stream::StreamingChecker) and `linrv check` —
 //! the one confirmation that turns an empty per-event frontier into a
@@ -38,10 +38,10 @@
 //! # When the specialized path applies
 //!
 //! The monitors assume the **canonical sequential semantics** that
-//! [`ObjectKind`] denotes in `linrv-spec` (`QueueSpec`, `StackSpec`, …). A
-//! custom [`SequentialSpec`] whose `kind()` claims e.g. `Queue` but whose
-//! `step` differs must use [`CheckerStrategy::General`]. Within that contract
-//! the dispatch falls back to the general search whenever
+//! [`ObjectKind`] denotes in `linrv-spec` (`QueueSpec`, `StackSpec`, …): the
+//! dispatch reads the object off [`SequentialSpec::kind`], whose contract is
+//! that a spec naming a shipped object has that object's semantics. Within
+//! that contract the dispatch falls back to the general search whenever
 //!
 //! * the history is **ambiguous** — two insertions of the same value (for the
 //!   register: two writes of the same value, or any write of the initial value
@@ -53,11 +53,10 @@
 //! * the monitor's constructive phase cannot find a witness even though no
 //!   sound bad pattern fired (**undecided** — rare, but possible because the
 //!   greedy construction is not complete);
-//! * the object kind has no specialized monitor (`Consensus`, or custom
-//!   kinds).
+//! * the object kind has no specialized monitor (`Consensus`).
 
 use crate::genlin::GenLinObject;
-use crate::linearizability::{CheckerConfig, LinSpec};
+use crate::linearizability::LinSpec;
 use crate::pattern::BadPattern;
 use crate::witness::{Verdict, Violation};
 use linrv_history::History;
@@ -71,35 +70,6 @@ mod register;
 mod set;
 mod stack;
 mod util;
-
-/// How [`StrategyChecker`] decides which decision procedure to run.
-///
-/// The unambiguity precondition and the complete fallback rules are
-/// documented on the [module page](self); in short: [`Auto`] uses the
-/// log-linear specialized monitor whenever the spec's [`ObjectKind`] has one
-/// *and* the history satisfies its preconditions (distinct inserted values,
-/// supported pending-operation shape), and silently falls back to the general
-/// Wing–Gong search otherwise. The verdict is the same either way; only the
-/// cost differs.
-///
-/// [`Auto`]: CheckerStrategy::Auto
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CheckerStrategy {
-    /// Specialized monitor when applicable, general search otherwise.
-    ///
-    /// Requires the spec to carry the canonical semantics of its
-    /// [`ObjectKind`] (the `linrv-spec` objects do). This is the default.
-    #[default]
-    Auto,
-    /// Always run the general Wing–Gong search, ignoring the specialized
-    /// monitors. Use this for custom specs whose semantics differ from the
-    /// canonical object of their declared kind.
-    General,
-    /// Run *only* the specialized monitor and report
-    /// [`Verdict::Inconclusive`] when it declines. Useful in benchmarks and
-    /// tests that must prove the fast path actually decided.
-    SpecializedOnly,
-}
 
 /// Why the specialized monitor declined and the general search ran instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,15 +143,14 @@ pub enum Route {
     /// The specialized monitor declined for the recorded reason and the
     /// general search decided.
     GeneralFallback(FallbackReason),
-    /// The general search ran directly (strategy [`CheckerStrategy::General`]).
-    General,
-    /// The specialized monitor declined and no fallback was allowed
-    /// (strategy [`CheckerStrategy::SpecializedOnly`]).
-    Declined(FallbackReason),
 }
 
-/// Linearizability checker with strategy dispatch: specialized log-linear
-/// monitors where they apply, the general [`LinSpec`] search everywhere else.
+/// Linearizability checker with dispatch: the specialized log-linear monitor
+/// of the spec's [`ObjectKind`] when it has one *and* the history meets its
+/// preconditions (distinct inserted values, supported pending-operation
+/// shape), the general [`LinSpec`] search everywhere else. The verdict is the
+/// same either way; only the cost differs. The fallback rules are on the
+/// [module page](self).
 ///
 /// ```
 /// use linrv_check::specialized::StrategyChecker;
@@ -198,34 +167,16 @@ pub enum Route {
 pub struct StrategyChecker<S: SequentialSpec> {
     general: LinSpec<S>,
     kind: ObjectKind,
-    strategy: CheckerStrategy,
 }
 
 impl<S: SequentialSpec> StrategyChecker<S> {
-    /// Creates a checker with [`CheckerStrategy::Auto`] dispatch.
+    /// Creates a checker for `spec`.
     pub fn new(spec: S) -> Self {
-        Self::with_strategy(spec, CheckerStrategy::Auto)
-    }
-
-    /// Creates a checker with an explicit strategy.
-    pub fn with_strategy(spec: S, strategy: CheckerStrategy) -> Self {
-        Self::with_config(spec, CheckerConfig::default(), strategy)
-    }
-
-    /// Creates a checker with an explicit strategy and a general-search
-    /// configuration (used on the fallback path).
-    pub fn with_config(spec: S, config: CheckerConfig, strategy: CheckerStrategy) -> Self {
         let kind = spec.kind();
         StrategyChecker {
-            general: LinSpec::with_config(spec, config),
+            general: LinSpec::new(spec),
             kind,
-            strategy,
         }
-    }
-
-    /// The strategy this checker dispatches with.
-    pub fn strategy(&self) -> CheckerStrategy {
-        self.strategy
     }
 
     /// The general checker used on the fallback path.
@@ -233,48 +184,34 @@ impl<S: SequentialSpec> StrategyChecker<S> {
         &self.general
     }
 
-    /// Decides membership. Equivalent to [`LinSpec::check`] but routed per
-    /// the strategy; see [`Self::check_routed`] to observe the routing.
+    /// Decides membership. Equivalent to [`LinSpec::check`] but dispatched;
+    /// see [`Self::check_routed`] to observe the routing.
     pub fn check(&self, history: &History) -> Verdict {
         self.check_routed(history).0
     }
 
     /// Decides membership and reports which procedure produced the verdict.
     pub fn check_routed(&self, history: &History) -> (Verdict, Route) {
-        let reason = match self.strategy {
-            CheckerStrategy::General => {
-                return (self.general.check(history), Route::General);
+        match check_specialized(self.kind, history) {
+            SpecializedResult::Member => (
+                Verdict::Member {
+                    linearization: None,
+                },
+                Route::Specialized,
+            ),
+            SpecializedResult::NotMember(pattern) => (
+                Verdict::NotMember {
+                    violation: Violation::new(
+                        history.clone(),
+                        format!("specialized {} monitor: {pattern}", self.kind),
+                    )
+                    .with_pattern(pattern),
+                },
+                Route::Specialized,
+            ),
+            SpecializedResult::Fallback(reason) => {
+                (self.general.check(history), Route::GeneralFallback(reason))
             }
-            CheckerStrategy::Auto | CheckerStrategy::SpecializedOnly => {
-                match check_specialized(self.kind, history) {
-                    SpecializedResult::Member => {
-                        return (
-                            Verdict::Member {
-                                linearization: None,
-                            },
-                            Route::Specialized,
-                        );
-                    }
-                    SpecializedResult::NotMember(pattern) => {
-                        return (
-                            Verdict::NotMember {
-                                violation: Violation::new(
-                                    history.clone(),
-                                    format!("specialized {} monitor: {pattern}", self.kind),
-                                )
-                                .with_pattern(pattern),
-                            },
-                            Route::Specialized,
-                        );
-                    }
-                    SpecializedResult::Fallback(reason) => reason,
-                }
-            }
-        };
-        if self.strategy == CheckerStrategy::SpecializedOnly {
-            (Verdict::Inconclusive, Route::Declined(reason))
-        } else {
-            (self.general.check(history), Route::GeneralFallback(reason))
         }
     }
 }

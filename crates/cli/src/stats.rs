@@ -24,10 +24,7 @@ pub(crate) fn init(parsed: &Parsed) -> Option<Stats> {
     if out.is_none() && !parsed.has("stats") {
         return None;
     }
-    let armed = linrv_obs::set_enabled(true);
-    if !armed {
-        eprintln!("linrv: warning: metrics were disabled at compile time (feature compile-off)");
-    }
+    linrv_obs::set_enabled(true);
     linrv_core::metrics::declare();
     linrv::metrics::declare();
     linrv_check::metrics::declare();

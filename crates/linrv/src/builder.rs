@@ -1,5 +1,5 @@
-//! The fluent [`MonitorBuilder`]: spec, snapshot backend, mode and certificate
-//! policy in one chain.
+//! The fluent [`MonitorBuilder`]: spec, capacity, snapshot backend, mode and
+//! trace tap in one chain.
 
 use crate::monitor::{Monitor, MonitorInner};
 use linrv_check::LinSpec;
@@ -10,7 +10,6 @@ use linrv_runtime::ConcurrentObject;
 use linrv_snapshot::{AfekSnapshot, DoubleCollectSnapshot, LockedSnapshot, Snapshot};
 use linrv_spec::TypedObject;
 use linrv_trace::EventSink;
-use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 
@@ -32,20 +31,6 @@ pub enum SnapshotBackend {
     Locked,
 }
 
-/// When the monitor captures execution certificates (Section 8.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CertificatePolicy {
-    /// Certificates are only produced when asked for via
-    /// [`Monitor::certificate`]. The default.
-    #[default]
-    OnDemand,
-    /// Additionally, the first rejected operation (Enforce mode) captures a
-    /// certificate of the violating computation, retrievable later via
-    /// [`Monitor::first_violation`] — useful when the rejected caller is not the
-    /// component doing the forensics.
-    OnViolation,
-}
-
 /// Fluent configuration of a [`Monitor`].
 ///
 /// ```
@@ -56,7 +41,6 @@ pub enum CertificatePolicy {
 ///     .processes(4)
 ///     .snapshot(SnapshotBackend::Locked)
 ///     .mode(Mode::Observe)
-///     .certificates(CertificatePolicy::OnViolation)
 ///     .build(MsQueue::new());
 /// assert_eq!(monitor.capacity(), 4);
 /// ```
@@ -66,7 +50,6 @@ pub struct MonitorBuilder<S> {
     capacity: usize,
     backend: SnapshotBackend,
     mode: Mode,
-    policy: CertificatePolicy,
     sink: Option<Arc<dyn EventSink>>,
 }
 
@@ -92,7 +75,6 @@ impl<S: fmt::Debug> fmt::Debug for MonitorBuilder<S> {
             .field("capacity", &self.capacity)
             .field("backend", &self.backend)
             .field("mode", &self.mode)
-            .field("policy", &self.policy)
             .field("traced", &self.sink.is_some())
             .finish()
     }
@@ -110,7 +92,6 @@ impl<S: TypedObject> MonitorBuilder<S> {
             capacity: DEFAULT_CAPACITY,
             backend: SnapshotBackend::default(),
             mode: Mode::default(),
-            policy: CertificatePolicy::default(),
             sink: None,
         }
     }
@@ -134,13 +115,6 @@ impl<S: TypedObject> MonitorBuilder<S> {
     /// off the critical path ([`Mode::Observe`]). Defaults to [`Mode::Enforce`].
     pub fn mode(mut self, mode: Mode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Selects when certificates are captured automatically. Defaults to
-    /// [`CertificatePolicy::OnDemand`].
-    pub fn certificates(mut self, policy: CertificatePolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -172,9 +146,7 @@ impl<S: TypedObject> MonitorBuilder<S> {
         Monitor::from_inner(MonitorInner {
             enforced,
             mode: self.mode,
-            policy: self.policy,
             backend: self.backend,
-            first_violation: Mutex::new(None),
             sink: self.sink,
         })
     }

@@ -10,7 +10,8 @@
 //! * [`MonitorBuilder`] — one fluent chain selects the sequential specification,
 //!   the snapshot backend ([`SnapshotBackend`]), the verification mode
 //!   ([`Mode::Enforce`] gates responses, [`Mode::Observe`] verifies off the
-//!   critical path) and the certificate policy ([`CertificatePolicy`]).
+//!   critical path) and an optional trace tap; certificates are produced on
+//!   demand by [`Monitor::certificate`].
 //! * [`Session`] — per-process handles obtained from [`Monitor::register`]. Each
 //!   session exclusively owns one process slot of the paper's constructions
 //!   (capacity-bounded, recycled on drop), so call sites never see a process id.
@@ -83,7 +84,7 @@ mod monitor;
 mod session;
 mod typed_history;
 
-pub use builder::{CertificatePolicy, Mode, MonitorBuilder, SnapshotBackend, DEFAULT_CAPACITY};
+pub use builder::{Mode, MonitorBuilder, SnapshotBackend, DEFAULT_CAPACITY};
 pub use monitor::{Monitor, Verdict};
 pub use session::{Executed, Rejected, Session, Staged};
 pub use typed_history::{TypedCall, TypedHistoryBuilder};
@@ -107,7 +108,7 @@ use linrv_spec::SequentialSpec;
 /// exposes them, for call sites that need manual `ProcessId` threading, custom
 /// snapshot wiring or untyped `Operation`s.
 pub mod raw {
-    pub use linrv_check::{CheckerConfig, CheckerStrategy, GenLinObject, LinSpec, StrategyChecker};
+    pub use linrv_check::{CheckerConfig, GenLinObject, LinSpec, StrategyChecker};
     pub use linrv_core as core;
     pub use linrv_core::{
         decoupled, Certificate, DecoupledProducer, DecoupledVerifier, Drv, DrvResponse,
@@ -124,7 +125,7 @@ pub mod raw {
 
 /// The names most programs want in scope.
 pub mod prelude {
-    pub use crate::builder::{CertificatePolicy, Mode, MonitorBuilder, SnapshotBackend};
+    pub use crate::builder::{Mode, MonitorBuilder, SnapshotBackend};
     pub use crate::monitor::{Monitor, Verdict};
     pub use crate::session::{Rejected, Session};
     pub use crate::typed_history::TypedHistoryBuilder;
@@ -149,7 +150,7 @@ pub mod prelude {
 /// assert!(linrv::is_linearizable(QueueSpec::new(), &b.build()));
 /// ```
 pub fn is_linearizable<S: SequentialSpec>(spec: S, history: &History) -> bool {
-    // Strategy dispatch: the log-linear specialized monitor when the object
+    // Dispatch: the log-linear specialized monitor when the object
     // kind has one and the history is unambiguous, the general search else.
     StrategyChecker::new(spec).contains(history)
 }

@@ -1,7 +1,7 @@
 //! The [`Monitor`]: a verified wrapper around one black-box implementation,
 //! handing out per-process [`Session`] handles.
 
-use crate::builder::{CertificatePolicy, Mode, MonitorBuilder, SnapshotBackend};
+use crate::builder::{Mode, MonitorBuilder, SnapshotBackend};
 use crate::session::Session;
 use linrv_check::LinSpec;
 use linrv_core::certificate::Certificate;
@@ -10,35 +10,25 @@ use linrv_core::registry::RegistryFull;
 use linrv_history::{History, ProcessId};
 use linrv_runtime::ConcurrentObject;
 use linrv_spec::TypedObject;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// The shared state behind a [`Monitor`] and its [`Session`]s.
 pub(crate) struct MonitorInner<A, S: TypedObject> {
     pub(crate) enforced: SelfEnforced<A, LinSpec<S>>,
     pub(crate) mode: Mode,
-    pub(crate) policy: CertificatePolicy,
     pub(crate) backend: SnapshotBackend,
-    /// Certificate captured at the first rejection, when the policy asks for it.
-    pub(crate) first_violation: Mutex<Option<Certificate>>,
     /// Trace tap installed by `MonitorBuilder::trace_to`, fed from every session.
     pub(crate) sink: Option<std::sync::Arc<dyn linrv_trace::EventSink>>,
 }
 
 impl<A: ConcurrentObject, S: TypedObject> MonitorInner<A, S> {
-    /// Captures the first-violation certificate if the policy requires it.
+    /// Counts a surfaced violation verdict and records it as an event.
     pub(crate) fn note_violation(&self, process: ProcessId) {
         if linrv_obs::enabled() {
             crate::metrics::violations().inc();
             linrv_obs::event("monitor.violation", || {
                 format!("violation verdict surfaced at {process}")
             });
-        }
-        if self.policy == CertificatePolicy::OnViolation {
-            let mut slot = self.first_violation.lock();
-            if slot.is_none() {
-                *slot = Some(self.enforced.certificate_as(process));
-            }
         }
     }
 
@@ -163,8 +153,7 @@ impl<A: ConcurrentObject, S: TypedObject> Monitor<A, S> {
         match decide(self.inner.enforced.verifier(), scanner) {
             None => Verdict::Correct,
             Some(witness) => {
-                // In Observe mode this is where violations surface, so this is
-                // also where the OnViolation policy captures its certificate.
+                // In Observe mode this is where violations surface.
                 self.inner.note_violation(scanner);
                 Verdict::Violation { witness }
             }
@@ -174,12 +163,6 @@ impl<A: ConcurrentObject, S: TypedObject> Monitor<A, S> {
     /// Produces a certificate of the computation so far (Theorem 8.2 (3)).
     pub fn certificate(&self) -> Certificate {
         self.inner.enforced.certificate()
-    }
-
-    /// The certificate captured at the first rejection, when the monitor was
-    /// built with [`CertificatePolicy::OnViolation`].
-    pub fn first_violation(&self) -> Option<Certificate> {
-        self.inner.first_violation.lock().clone()
     }
 
     /// Short human-readable name (implementation + object).
@@ -255,57 +238,5 @@ mod tests {
         let verdict = monitor.check();
         assert!(!verdict.is_correct());
         assert!(verdict.witness().is_some());
-    }
-
-    #[test]
-    fn first_violation_certificate_is_captured_on_demand_only_when_asked() {
-        let monitor = Monitor::builder(QueueSpec::new())
-            .processes(1)
-            .certificates(crate::CertificatePolicy::OnViolation)
-            .build(LossyQueue::new(2));
-        let session = monitor.register().unwrap();
-        for i in 0..6 {
-            let _ = session.enqueue(i);
-        }
-        let mut rejected = false;
-        for _ in 0..6 {
-            if session.dequeue().is_err() {
-                rejected = true;
-            }
-        }
-        assert!(rejected);
-        let cert = monitor.first_violation().expect("captured at rejection");
-        assert!(!cert.is_correct());
-
-        // Observe mode: check() is where violations surface, so check() captures.
-        let observed = Monitor::builder(QueueSpec::new())
-            .processes(1)
-            .mode(Mode::Observe)
-            .certificates(crate::CertificatePolicy::OnViolation)
-            .build(LossyQueue::new(2));
-        let session = observed.register().unwrap();
-        for i in 0..6 {
-            session.enqueue(i).unwrap();
-        }
-        while session.dequeue().unwrap().is_some() {}
-        assert!(observed.first_violation().is_none(), "not yet checked");
-        assert!(!observed.check().is_correct());
-        let cert = observed
-            .first_violation()
-            .expect("captured by the failing check");
-        assert!(!cert.is_correct());
-
-        // Default policy: no automatic capture.
-        let quiet = Monitor::builder(QueueSpec::new())
-            .processes(1)
-            .build(LossyQueue::new(2));
-        let session = quiet.register().unwrap();
-        for i in 0..6 {
-            let _ = session.enqueue(i);
-        }
-        for _ in 0..6 {
-            let _ = session.dequeue();
-        }
-        assert!(quiet.first_violation().is_none());
     }
 }

@@ -10,9 +10,8 @@
 //!   atomics, histograms are log-bucketed arrays; a sample is a handful of
 //!   `Relaxed` RMWs (see [`Counter`], [`Histogram`]);
 //! * **disabled means free** — timing instrumentation is guarded by a
-//!   process-wide [`enabled`] flag (one relaxed load and a predictable
-//!   branch when off), and the `compile-off` cargo feature folds that flag
-//!   to a constant `false` so guarded sites vanish entirely;
+//!   process-wide [`enabled`] flag: one relaxed load and a predictable
+//!   branch when off;
 //! * **reads are eventually consistent** — snapshots sum over stripes while
 //!   writers keep writing; each value is individually correct, cross-metric
 //!   exactness is only guaranteed at quiescence.
@@ -35,7 +34,7 @@
 //! let ops = registry.counter("myapp_ops_total", "operations applied");
 //! let latency = registry.histogram("myapp_op_ns", "per-op latency");
 //!
-//! let armed = linrv_obs::set_enabled(true); // arm the timing instrumentation
+//! linrv_obs::set_enabled(true); // arm the timing instrumentation
 //! for _ in 0..100 {
 //!     let span = Span::start(&latency); // no-op (and clock-free) when disabled
 //!     ops.inc();
@@ -45,8 +44,7 @@
 //!
 //! let snapshot = registry.snapshot();
 //! assert_eq!(snapshot.counter("myapp_ops_total"), Some(100));
-//! let timed = snapshot.histogram("myapp_op_ns").unwrap().count;
-//! assert_eq!(timed, if armed { 100 } else { 0 }); // compile-off builds stay dark
+//! assert_eq!(snapshot.histogram("myapp_op_ns").unwrap().count, 100);
 //! print!("{}", snapshot.render_report()); // or .to_prometheus() / .to_json()
 //! ```
 //!
@@ -73,25 +71,16 @@ use std::time::Instant;
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether timing/tracing instrumentation records right now. One `Relaxed`
-/// load; a constant `false` under the `compile-off` feature, so guarded
-/// call sites fold away entirely.
+/// load.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
-    if cfg!(feature = "compile-off") {
-        return false;
-    }
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns timing/tracing instrumentation on or off process-wide and returns
-/// the state now in effect (always `false` under `compile-off`).
-pub fn set_enabled(on: bool) -> bool {
-    if cfg!(feature = "compile-off") {
-        return false;
-    }
+/// Turns timing/tracing instrumentation on or off process-wide.
+pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
-    on
 }
 
 /// An RAII timing span: started against a [`Histogram`], records the elapsed
@@ -169,9 +158,7 @@ mod tests {
     #[test]
     fn enabled_spans_record_on_drop_and_stop() {
         let _global = global_state_lock();
-        if !set_enabled(true) {
-            return; // compile-off build
-        }
+        set_enabled(true);
         let h = Histogram::standalone();
         {
             let _span = Span::start(&h);

@@ -1,8 +1,8 @@
-//! The fluent [`PoolBuilder`]: sharding, checker threads, queueing and
-//! per-object monitor configuration in one chain.
+//! The fluent [`PoolBuilder`]: sharding, checker threads and per-object
+//! monitor configuration in one chain.
 
-use crate::pool::{MonitorPool, PoolConfig};
-use linrv::{Mode, SnapshotBackend, DEFAULT_CAPACITY};
+use crate::pool::{MonitorPool, PoolConfig, QUEUE_CAPACITY};
+use linrv::{SnapshotBackend, DEFAULT_CAPACITY};
 use linrv_runtime::ConcurrentObject;
 use linrv_spec::TypedObject;
 use linrv_trace::TaggedEventSink;
@@ -12,13 +12,12 @@ use std::sync::Arc;
 /// Default number of shards when [`PoolBuilder::shards`] is not called.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// Default bound of each shard's event queue.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
-
-/// Default batch size of one drain.
-pub const DEFAULT_BATCH: usize = 256;
-
 /// Fluent configuration of a [`MonitorPool`].
+///
+/// Every per-object monitor runs in [`Mode::Observe`](linrv::Mode::Observe):
+/// the pool's own checkers verify off the critical path, which is the point of
+/// pooling. Each shard's event queue holds 1024 events (producers block when
+/// it is full) and a checker drains at most 256 at a time.
 ///
 /// ```
 /// use linrv_pool::prelude::*;
@@ -37,11 +36,8 @@ pub struct PoolBuilder<S> {
     spec: S,
     shards: usize,
     workers: usize,
-    queue_capacity: usize,
-    batch: usize,
     sessions_per_object: usize,
     backend: SnapshotBackend,
-    mode: Mode,
     sink: Option<Arc<dyn TaggedEventSink>>,
 }
 
@@ -51,11 +47,8 @@ impl<S: fmt::Debug> fmt::Debug for PoolBuilder<S> {
             .field("spec", &self.spec)
             .field("shards", &self.shards)
             .field("workers", &self.workers)
-            .field("queue_capacity", &self.queue_capacity)
-            .field("batch", &self.batch)
             .field("sessions_per_object", &self.sessions_per_object)
             .field("backend", &self.backend)
-            .field("mode", &self.mode)
             .field("traced", &self.sink.is_some())
             .finish()
     }
@@ -75,11 +68,8 @@ impl<S: TypedObject + Clone + Send + Sync + 'static> PoolBuilder<S> {
             spec,
             shards: DEFAULT_SHARDS,
             workers: default_workers(),
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            batch: DEFAULT_BATCH,
             sessions_per_object: DEFAULT_CAPACITY,
             backend: SnapshotBackend::default(),
-            mode: Mode::Observe,
             sink: None,
         }
     }
@@ -99,22 +89,6 @@ impl<S: TypedObject + Clone + Send + Sync + 'static> PoolBuilder<S> {
         self
     }
 
-    /// Bound of each shard's event queue: producers block (back-pressure) when
-    /// their shard's queue is full. Defaults to [`DEFAULT_QUEUE_CAPACITY`].
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Maximum events one drain takes from a shard — and the queue depth at
-    /// which a producer wakes a parked checker thread (events below it wait
-    /// for the checker's next look, at most 20 ms). Defaults to
-    /// [`DEFAULT_BATCH`].
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
-    }
-
     /// Maximum concurrently registered sessions per object (the per-object
     /// monitor's process capacity). Defaults to
     /// [`DEFAULT_CAPACITY`](linrv::DEFAULT_CAPACITY).
@@ -127,15 +101,6 @@ impl<S: TypedObject + Clone + Send + Sync + 'static> PoolBuilder<S> {
     /// [`SnapshotBackend::Afek`].
     pub fn snapshot(mut self, backend: SnapshotBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Verification mode of every per-object monitor. Defaults to
-    /// [`Mode::Observe`] — the pool's own incremental checkers already verify
-    /// off the critical path, which is the point of pooling; select
-    /// [`Mode::Enforce`] to additionally gate every response.
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -160,12 +125,10 @@ impl<S: TypedObject + Clone + Send + Sync + 'static> PoolBuilder<S> {
             Box::new(factory),
             self.shards,
             self.workers,
-            self.queue_capacity,
+            QUEUE_CAPACITY,
             PoolConfig {
                 sessions_per_object: self.sessions_per_object,
                 backend: self.backend,
-                mode: self.mode,
-                batch: self.batch,
             },
             self.sink,
         )

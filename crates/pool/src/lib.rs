@@ -9,8 +9,9 @@
 //!   creating each object's monitor — and, through a user factory, its
 //!   implementation instance — lazily on first use;
 //! * **ingests** events through per-shard bounded MPSC queues: every
-//!   per-object monitor taps its session traffic into its shard's queue, and
-//!   full queues back-pressure producers instead of buffering without limit;
+//!   per-object monitor runs in [`Mode::Observe`](linrv::Mode::Observe) and
+//!   taps its session traffic into its shard's queue, and full queues
+//!   back-pressure producers instead of buffering without limit;
 //! * **checks** asynchronously with a small work-stealing pool of checker
 //!   threads that drain the shards in batches. Each object is one
 //!   [`StreamingChecker`](linrv_check::StreamingChecker), the same per-event
@@ -63,7 +64,7 @@ mod queue;
 mod state;
 mod verdict;
 
-pub use builder::{PoolBuilder, DEFAULT_BATCH, DEFAULT_QUEUE_CAPACITY, DEFAULT_SHARDS};
+pub use builder::{PoolBuilder, DEFAULT_SHARDS};
 pub use pool::{MonitorPool, ObjectStats, PoolSession, PoolStats, ShardStats};
 pub use verdict::{PoolVerdict, PoolViolation};
 
@@ -77,10 +78,8 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-    use linrv_history::OpValue;
     use linrv_runtime::faulty::StaleRegister;
     use linrv_runtime::impls::{AtomicCounter, AtomicIntRegister};
-    use linrv_spec::ops;
     use std::time::{Duration, Instant};
 
     #[test]
@@ -184,7 +183,6 @@ mod tests {
         let pool = PoolBuilder::new(CounterSpec::new())
             .shards(4)
             .workers(1)
-            .batch(8)
             .build(|_| AtomicCounter::new());
         for object in 0..64 {
             let session = pool.session(object).unwrap();
@@ -321,36 +319,5 @@ mod tests {
         let mut objects: Vec<Option<u64>> = tagged.iter().map(|(object, _)| *object).collect();
         objects.dedup();
         assert_eq!(objects, vec![Some(3), Some(5), Some(9)]);
-    }
-
-    #[test]
-    fn check_partitioned_runs_per_key_on_the_pool() {
-        use linrv::check::PartitionedSpec;
-        use linrv_history::{Event, History, OpId, ProcessId};
-        let pool = PoolBuilder::new(RegisterSpec::new())
-            .shards(2)
-            .workers(2)
-            .build(|_| AtomicIntRegister::new());
-        let spec = PartitionedSpec::new(
-            RegisterSpec::new,
-            |operation| operation.arg.as_int().unwrap_or(0) / 10,
-            "registers keyed by value decade",
-        );
-        let mut history = History::new();
-        let mut op = |id: u64, operation, value| {
-            history.push(Event::invocation(
-                ProcessId::new(0),
-                OpId::new(id),
-                operation,
-            ));
-            history.push(Event::response(ProcessId::new(0), OpId::new(id), value));
-        };
-        // Key 0 behaves; key 1 claims a write of 10 returned false.
-        op(0, ops::register::write(1), OpValue::Bool(true));
-        op(1, ops::register::write(10), OpValue::Bool(false));
-        let verdicts = pool.check_partitioned(&spec, &history).unwrap();
-        assert_eq!(verdicts.len(), 2);
-        assert!(verdicts[&0].is_member());
-        assert!(verdicts[&1].is_violation());
     }
 }

@@ -6,10 +6,9 @@ use crate::queue::BoundedQueue;
 use crate::state::ObjectState;
 use crate::verdict::{PoolVerdict, PoolViolation};
 use linrv::{Mode, Monitor, MonitorBuilder, RegistryFull, Session, SnapshotBackend};
-use linrv_check::{PartitionedSpec, Verdict, Violation};
-use linrv_history::{Event, History};
+use linrv_history::Event;
 use linrv_runtime::ConcurrentObject;
-use linrv_spec::{SequentialSpec, TypedObject};
+use linrv_spec::TypedObject;
 use linrv_trace::TaggedEventSink;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Deref;
@@ -28,6 +27,14 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// the bound on how stale an event below the wake threshold can get.
 const PARK_TIMEOUT: Duration = Duration::from_millis(20);
 
+/// Bound of each shard's event queue: producers block (back-pressure) when
+/// their shard's queue is full.
+pub(crate) const QUEUE_CAPACITY: usize = 1024;
+
+/// Maximum events one drain takes from a shard — and the queue depth at which
+/// a producer wakes a parked checker thread.
+const BATCH: usize = 256;
+
 /// Non-generic ingestion state shared by sessions (producers) and checker
 /// threads (consumers): the per-shard queues, the drain/shutdown signalling and
 /// the injector for out-of-band jobs.
@@ -43,10 +50,10 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(20);
 ///   count and waits on `work_cv`: count and second look under the one mutex
 ///   every signaller takes.
 /// * **Who signals, when.** A producer signals when its push brings its
-///   shard's queue to exactly `wake_at` events (the pool's `batch`, capped by
-///   the queue capacity so that a queue cannot fill up without passing it):
-///   one drain's worth. [`Ingest::quiesce`], [`Ingest::push_job`] (so
-///   `check_all` and `check_partitioned`) and shutdown signal
+///   shard's queue to exactly `wake_at` events ([`BATCH`], capped by the
+///   queue capacity so that a queue cannot fill up without passing it): one
+///   drain's worth. [`Ingest::quiesce`], [`Ingest::push_job`] (so
+///   `check_all`) and shutdown signal
 ///   unconditionally. A signal is `lock(parked)`, read the count, unlock, and
 ///   `notify_all` only if a worker is parked.
 /// * **Why no wake-up is lost.** A signaller publishes its work (the push,
@@ -80,7 +87,7 @@ pub(crate) struct Ingest {
     /// Wakes `quiesce` when processed/dropped catch up with ingested.
     quiesce_mutex: Mutex<()>,
     quiesce_cv: Condvar,
-    /// Out-of-band jobs (final checks, partitioned sub-checks) run by the same
+    /// Out-of-band jobs (final checks) run by the same
     /// worker threads that drain the shards.
     injector: Mutex<VecDeque<Job>>,
     /// The user's trace tap: every ingested event is forwarded here, tagged
@@ -94,12 +101,11 @@ impl Ingest {
     fn new(
         shards: usize,
         queue_capacity: usize,
-        batch: usize,
         sink: Option<Arc<dyn TaggedEventSink>>,
         metrics: Arc<PoolMetrics>,
     ) -> Self {
         Ingest {
-            wake_at: batch.min(queue_capacity).max(1),
+            wake_at: BATCH.min(queue_capacity).max(1),
             queues: (0..shards)
                 .map(|shard| {
                     BoundedQueue::new(
@@ -241,12 +247,10 @@ struct ObjectEntry<A, S: TypedObject> {
     state: Mutex<ObjectState<S>>,
 }
 
-/// Pool configuration frozen at build time (see `PoolBuilder` for the knobs).
+/// Per-object monitor configuration frozen at build time (see `PoolBuilder`).
 pub(crate) struct PoolConfig {
     pub(crate) sessions_per_object: usize,
     pub(crate) backend: SnapshotBackend,
-    pub(crate) mode: Mode,
-    pub(crate) batch: usize,
 }
 
 /// State shared between the pool handle and its checker threads.
@@ -283,7 +287,7 @@ where
             let monitor = MonitorBuilder::new(self.spec.clone())
                 .processes(self.config.sessions_per_object)
                 .snapshot(self.config.backend)
-                .mode(self.config.mode)
+                .mode(Mode::Observe)
                 .trace_to(sink)
                 .build((self.factory)(object));
             Arc::new(ObjectEntry {
@@ -303,7 +307,7 @@ where
     /// worker `i`'s home is shard `i % shards`.
     fn worker(self: &Arc<Self>, home: usize, workers: usize) {
         let shards = self.shards.len();
-        let mut batch: Vec<(u64, Event)> = Vec::with_capacity(self.config.batch);
+        let mut batch: Vec<(u64, Event)> = Vec::with_capacity(BATCH);
         // Consecutive events usually belong to few objects; cache the last hit.
         let mut cached: Option<(u64, Arc<ObjectEntry<A, S>>)> = None;
         loop {
@@ -324,7 +328,7 @@ where
                     Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
                     Err(std::sync::TryLockError::WouldBlock) => continue,
                 };
-                let n = self.ingest.queues[shard].drain_into(&mut batch, self.config.batch);
+                let n = self.ingest.queues[shard].drain_into(&mut batch, BATCH);
                 if n == 0 {
                     continue;
                 }
@@ -577,13 +581,7 @@ where
     ) -> Self {
         let shards = shards.max(1);
         let metrics = Arc::new(PoolMetrics::register(shards));
-        let ingest = Arc::new(Ingest::new(
-            shards,
-            queue_capacity,
-            config.batch,
-            sink,
-            metrics,
-        ));
+        let ingest = Arc::new(Ingest::new(shards, queue_capacity, sink, metrics));
         let shared = Arc::new(Shared {
             ingest,
             shards: (0..shards)
@@ -671,42 +669,6 @@ where
             .into_iter()
             .filter_map(|(_, entry)| lock(&entry.state).violation().cloned())
             .collect()
-    }
-
-    /// Splits `history` with `spec` and checks every key's sub-history in
-    /// parallel on the pool's checker threads, returning the per-key verdict
-    /// map (no early exit: every key gets a verdict).
-    ///
-    /// # Errors
-    ///
-    /// Returns the splitting violation when `history` is malformed (not
-    /// well-formed, or an operation without the partition key).
-    pub fn check_partitioned<P, F>(
-        &self,
-        spec: &PartitionedSpec<P, F>,
-        history: &History,
-    ) -> Result<BTreeMap<i64, Verdict>, Violation>
-    where
-        P: SequentialSpec + Clone + Send + 'static,
-        F: Fn(&linrv_history::Operation) -> i64 + Send + Sync,
-    {
-        let partitions = spec.split(history)?;
-        let jobs: Vec<Box<dyn FnOnce() -> (i64, Verdict) + Send>> = partitions
-            .into_iter()
-            .map(|(key, sub_history)| {
-                let sub_spec = spec.sub_spec();
-                let job: Box<dyn FnOnce() -> (i64, Verdict) + Send> = Box::new(move || {
-                    (
-                        key,
-                        linrv_check::StrategyChecker::new(sub_spec).check(&sub_history),
-                    )
-                });
-                job
-            })
-            .collect();
-        Ok(run_parallel(&self.shared.ingest, jobs)
-            .into_iter()
-            .collect())
     }
 
     /// Aggregate counters: ingestion, checks, GC, retention, steals.
@@ -798,17 +760,18 @@ impl<A, S: TypedObject> Drop for MonitorPool<A, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PoolBuilder;
     use linrv_runtime::impls::AtomicCounter;
     use linrv_spec::CounterSpec;
 
     #[test]
     fn a_producer_blocked_on_a_full_queue_survives_the_pool_being_dropped() {
-        let pool = PoolBuilder::new(CounterSpec::new())
-            .shards(1)
-            .workers(1)
-            .queue_capacity(2)
-            .build(|_| AtomicCounter::new());
+        // One shard, one worker, a 2-slot queue.
+        let config = PoolConfig {
+            sessions_per_object: 1,
+            backend: SnapshotBackend::default(),
+        };
+        let factory = Box::new(|_| AtomicCounter::new());
+        let pool = MonitorPool::start(CounterSpec::new(), factory, 1, 1, 2, config, None);
         let session = pool.session(0).unwrap();
         let ingest = Arc::clone(&pool.shared.ingest);
         let entry = pool.shared.lookup(0).unwrap();

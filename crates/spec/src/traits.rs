@@ -161,7 +161,9 @@ pub trait SequentialSpec: Send + Sync {
     /// The state type of the machine.
     type State: Clone + Eq + std::hash::Hash + fmt::Debug + Send + Sync;
 
-    /// Which object this specification describes.
+    /// Which object this specification describes. Contract: a spec whose kind
+    /// names a shipped object has that object's canonical semantics, because
+    /// the specialized monitors of `linrv-check` dispatch on it.
     fn kind(&self) -> ObjectKind;
 
     /// The initial state of the machine.

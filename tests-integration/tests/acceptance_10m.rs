@@ -9,10 +9,10 @@
 //! cargo test --release -p tests-integration --test acceptance_10m -- --ignored
 //! ```
 
-use linrv_check::{CheckerStrategy, Route, StrategyChecker};
+use linrv_check::{check_specialized, SpecializedResult};
 use linrv_history::{History, HistoryBuilder, OpValue, ProcessId};
 use linrv_spec::ops::queue;
-use linrv_spec::QueueSpec;
+use linrv_spec::ObjectKind;
 use std::time::Instant;
 
 /// Two overlapping process lanes: every enqueue overlaps its dequeue, values
@@ -38,16 +38,13 @@ fn ten_million_op_queue_trace_checks_in_under_a_minute() {
     let history = unambiguous_queue_history(OPERATIONS);
     assert_eq!(history.operations().len(), OPERATIONS);
 
-    // `SpecializedOnly` cannot fall back: a decision here *is* proof the
+    // `check_specialized` cannot fall back: a decision here *is* proof the
     // log-linear queue monitor did the work.
-    let checker =
-        StrategyChecker::with_strategy(QueueSpec::new(), CheckerStrategy::SpecializedOnly);
     let start = Instant::now();
-    let (verdict, route) = checker.check_routed(&history);
+    let result = check_specialized(ObjectKind::Queue, &history);
     let elapsed = start.elapsed();
 
-    assert_eq!(route, Route::Specialized, "fell back: {verdict:?}");
-    assert!(verdict.is_member(), "verdict: {verdict:?}");
+    assert_eq!(result, SpecializedResult::Member);
     assert!(
         elapsed.as_secs() < 60,
         "checked {OPERATIONS} operations in {elapsed:?}, budget is 60s"

@@ -3,7 +3,7 @@
 //! — the [`StrategyChecker`] must agree with the general Wing–Gong search,
 //! and ambiguous histories must take the documented fallback route.
 
-use linrv_check::{CheckerStrategy, FallbackReason, LinSpec, Route, StrategyChecker, Verdict};
+use linrv_check::{FallbackReason, LinSpec, Route, StrategyChecker, Verdict};
 use linrv_history::{History, HistoryBuilder, OpValue, ProcessId};
 use linrv_runtime::{faulty, impls, record_scheduled, RecorderOptions, Workload, WorkloadKind};
 use linrv_spec::ops::{queue, stack};
@@ -132,21 +132,4 @@ fn ambiguous_histories_fall_back_to_the_general_search() {
     let (verdict, route) = StrategyChecker::new(StackSpec::new()).check_routed(&violating);
     assert_eq!(route, Route::GeneralFallback(FallbackReason::Ambiguous));
     assert!(verdict.is_violation());
-}
-
-/// `SpecializedOnly` refuses to decide what the monitor declines — the
-/// strategy benchmarks and the 10M-op acceptance test rely on this to prove
-/// the fast path did the work.
-#[test]
-fn specialized_only_declines_instead_of_falling_back() {
-    let p = ProcessId::new(0);
-    let mut b = HistoryBuilder::new();
-    b.complete(p, queue::enqueue(1), OpValue::Bool(true));
-    b.complete(p, queue::enqueue(1), OpValue::Bool(true));
-    let ambiguous = b.build();
-    let checker =
-        StrategyChecker::with_strategy(QueueSpec::new(), CheckerStrategy::SpecializedOnly);
-    let (verdict, route) = checker.check_routed(&ambiguous);
-    assert_eq!(route, Route::Declined(FallbackReason::Ambiguous));
-    assert!(matches!(verdict, Verdict::Inconclusive));
 }
