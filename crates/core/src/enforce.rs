@@ -15,11 +15,15 @@
 //!
 //! `V_{O,A}` is `A*` followed by one verifier [`step`]; a producer of the decoupled
 //! `D_{O,A}` (Figure 12) is `A*` followed by the same step without the membership
-//! test. [`Mode`] is that one difference, and every wrapper calls [`step`].
+//! test, and its verifier loop is [`decide`]. [`Mode`] is that one difference, and
+//! every wrapper calls [`step`]. `D_{O,A}` over any object is therefore
+//! [`SelfEnforced::drv`] + `step(.., Mode::Observe)` on the producer side and
+//! `decide(`[`SelfEnforced::verifier`]`, ..)` on the verifier side, which is what the
+//! `linrv` facade's Observe mode runs.
 
 use crate::certificate::Certificate;
 use crate::drv::{Drv, DrvResponse};
-use crate::verifier::{Verifier, VerifierOutcome};
+use crate::verifier::Verifier;
 use linrv_check::GenLinObject;
 use linrv_history::{History, OpValue, Operation, ProcessId};
 use linrv_runtime::ConcurrentObject;
@@ -55,10 +59,9 @@ pub enum Mode {
     #[default]
     Enforce,
     /// Verifier-only (Figure 12, decoupled): operations publish their view tuples
-    /// and return immediately; verdicts are computed asynchronously
-    /// (`DecoupledVerifier::check_once`, the facade's `Monitor::check`). A
-    /// violation may thus be observed only after the offending response was
-    /// already returned.
+    /// and return immediately; verdicts are computed asynchronously by [`decide`]
+    /// (the facade's `Monitor::check`). A violation may thus be observed only
+    /// after the offending response was already returned.
     Observe,
 }
 
@@ -67,13 +70,16 @@ pub enum Mode {
 ///
 /// # Panics
 ///
-/// Panics on [`VerifierOutcome::InvalidViews`], here and nowhere else: a `DRV` wrapper
-/// over a linearizable snapshot cannot produce it, so the shared state was corrupted.
+/// Panics when the published tuples violate the view properties of Remark 7.2 (the
+/// [`Audit`](crate::verifier::Audit)'s `sketch` is an error), here and nowhere else: a
+/// `DRV` wrapper over a linearizable snapshot cannot produce them, so the shared state
+/// was corrupted.
 pub fn decide<O: GenLinObject>(verifier: &Verifier<O>, scanner: ProcessId) -> Option<History> {
-    match verifier.verdict_from_scan(scanner) {
-        VerifierOutcome::Ok => None,
-        VerifierOutcome::Error { witness } => Some(witness),
-        VerifierOutcome::InvalidViews(err) => panic!(
+    let audit = verifier.audit(scanner);
+    match audit.sketch {
+        Ok(_) if audit.member => None,
+        Ok(witness) => Some(witness),
+        Err(err) => panic!(
             "invariant broken: a DRV wrapper over a linearizable snapshot cannot \
              produce views that violate Remark 7.2, yet the published tuples do: {err}"
         ),
@@ -175,12 +181,7 @@ impl<A: ConcurrentObject, O: GenLinObject> SelfEnforced<A, O> {
     /// tuples, the sketch history they encode — similar to the actual history of the
     /// implementation at the moment of the request — and the verdict.
     pub fn certificate(&self) -> Certificate {
-        self.certificate_as(ProcessId::new(0))
-    }
-
-    /// [`SelfEnforced::certificate`] scanning on behalf of a specific process.
-    pub fn certificate_as(&self, process: ProcessId) -> Certificate {
-        let audit = self.verifier.audit(process);
+        let audit = self.verifier.audit(ProcessId::new(0));
         Certificate {
             object: self.verifier.object().description(),
             implementation: self.drv.inner().name(),
@@ -217,6 +218,17 @@ mod tests {
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// A producer operation of `D_{O,A}` (Figure 12): `A*`, then publish the tuple
+    /// and return the response without the membership test.
+    fn produce<A: ConcurrentObject, O: GenLinObject>(
+        shared: &SelfEnforced<A, O>,
+        process: ProcessId,
+        op: &Operation,
+    ) -> OpValue {
+        let response = shared.drv().apply_drv(process, op);
+        step(shared.verifier(), process, response, Mode::Observe).value
     }
 
     #[test]
@@ -330,5 +342,61 @@ mod tests {
         });
         assert!(!any_error, "false alarm on a correct stack");
         assert!(enforced.certificate().is_correct());
+    }
+
+    #[test]
+    fn decoupled_producers_return_immediately_and_verifier_confirms_correct_runs() {
+        let shared = SelfEnforced::new(MsQueue::new(), LinSpec::new(QueueSpec::new()), 2);
+        assert_eq!(
+            produce(&shared, p(0), &queue::enqueue(1)),
+            OpValue::Bool(true)
+        );
+        assert_eq!(produce(&shared, p(1), &queue::dequeue()), OpValue::Int(1));
+        assert!((0..3).all(|_| decide(shared.verifier(), p(0)).is_none()));
+        assert_eq!(shared.processes(), 2);
+        assert!(shared.verifier().object().description().contains("queue"));
+    }
+
+    #[test]
+    fn decoupled_verifier_eventually_detects_a_lossy_queue() {
+        let shared = SelfEnforced::new(LossyQueue::new(2), LinSpec::new(QueueSpec::new()), 1);
+        for i in 0..6 {
+            produce(&shared, p(0), &queue::enqueue(i));
+        }
+        for _ in 0..6 {
+            produce(&shared, p(0), &queue::dequeue());
+        }
+        let witness = decide(shared.verifier(), p(0)).expect("violation never detected");
+        assert!(!LinSpec::new(QueueSpec::new()).contains(&witness));
+    }
+
+    #[test]
+    fn decoupled_concurrent_producers_with_background_verifier() {
+        let shared = SelfEnforced::new(MsQueue::new(), LinSpec::new(QueueSpec::new()), 3);
+        let workload = Workload::new(WorkloadKind::Queue, 37);
+        let verifier_errors = std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for t in 0..3usize {
+                let shared = &shared;
+                let ops = workload.operations_for(t, 15);
+                handles.push(scope.spawn(move || {
+                    for op in &ops {
+                        produce(shared, p(t as u32), op);
+                    }
+                }));
+            }
+            // The verifier runs concurrently with the producers.
+            let errors = (0..20)
+                .filter_map(|_| decide(shared.verifier(), p(0)))
+                .count();
+            for h in handles {
+                h.join().unwrap();
+            }
+            errors
+        });
+        // Concurrent verification of a correct queue must not raise false alarms, and a
+        // final check over the complete run must also pass.
+        assert_eq!(verifier_errors, 0);
+        assert!(decide(shared.verifier(), p(0)).is_none());
     }
 }

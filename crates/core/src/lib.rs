@@ -13,12 +13,12 @@
 //!   (Theorem 8.1): read/write base objects only, `O(n)`-step loop, predictive
 //!   soundness + completeness + stability;
 //! * [`enforce`] — the one publish→verify [`enforce::step`] of Figures 11 and 12 (the
-//!   membership test gates the response or not, per [`enforce::Mode`]) and, on top of
-//!   it, self-enforced implementations `V_{O,A}` of Figure 11 (Theorem 8.2): every
-//!   non-ERROR response is runtime verified, and a certificate of the current
-//!   computation can be produced on demand;
-//! * [`decoupled`] — the decoupled variant `D_{O,A}` of Figure 12 (Section 9.2):
-//!   producer and verifier handles on one shared `SelfEnforced`;
+//!   membership test gates the response or not, per [`enforce::Mode`]), the verifier
+//!   loop body [`enforce::decide`] and, on top of them, self-enforced implementations
+//!   `V_{O,A}` of Figure 11 (Theorem 8.2): every non-ERROR response is runtime
+//!   verified, and a certificate of the current computation can be produced on
+//!   demand. The decoupled `D_{O,A}` of Figure 12 (Section 9.2) is the same step
+//!   under [`enforce::Mode::Observe`] with `decide` off the critical path;
 //! * [`impossibility`] — an executable rendition of the Theorem 5.1 indistinguishability
 //!   argument;
 //! * [`bounded`] — the Section 9.1 linked-list representation of grow-only sets;
@@ -57,7 +57,6 @@
 
 pub mod bounded;
 pub mod certificate;
-pub mod decoupled;
 pub mod drv;
 pub mod enforce;
 pub mod impossibility;
@@ -69,10 +68,9 @@ pub mod verifier;
 pub mod view;
 
 pub use certificate::Certificate;
-pub use decoupled::{DecoupledProducer, DecoupledVerifier};
 pub use drv::{Drv, DrvResponse};
 pub use enforce::{EnforcedResponse, Mode, SelfEnforced};
 pub use registry::{ProcessRegistry, RegistryFull};
 pub use sketch::{sketch_history, SketchError};
-pub use verifier::{Audit, Verifier, VerifierOutcome, VerifierRun};
+pub use verifier::{Audit, Verifier};
 pub use view::{InvocationPair, TupleSet, View, ViewPropertyError, ViewTuple};

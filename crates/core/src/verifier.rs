@@ -1,13 +1,13 @@
 //! The wait-free predictive verifier `V_O` (Figure 10, Theorem 8.1).
 //!
 //! Each process, after completing an operation of an `A* ∈ DRV` and obtaining its
-//! `(y_i, λ_i)` response, hands the resulting 4-tuple to the verifier
-//! ([`Verifier::observe`]). The verifier adds the tuple to the process's persistent
-//! result set `res_i`, publishes it in the shared snapshot object `M`, takes a snapshot,
-//! unions all entries into `τ_i`, rebuilds the sketch `X(τ_i)` and locally tests
-//! membership in the abstract object `O`. If the sketch is not a member, the process
-//! reports `ERROR` together with `X(τ_i)` — which, by Lemma 8.1, *is* a history of
-//! `A*`, i.e. a genuine witness.
+//! `(y_i, λ_i)` response, runs one verifier step ([`enforce::step`](crate::enforce::step)):
+//! it adds the resulting 4-tuple to its persistent result set `res_i`
+//! ([`Verifier::record`]), publishes it in the shared snapshot object `M`, takes a
+//! snapshot, unions all entries into `τ_i`, rebuilds the sketch `X(τ_i)` and locally
+//! tests membership in the abstract object `O` ([`Verifier::audit`]). If the sketch is
+//! not a member, the process reports `ERROR` together with `X(τ_i)` — which, by Lemma
+//! 8.1, *is* a history of `A*`, i.e. a genuine witness.
 //!
 //! Guarantees (Theorem 8.1), exercised in the integration tests and experiments:
 //!
@@ -20,7 +20,6 @@
 //! * **Completeness and stability** — if `A*`'s history is incorrect, eventually every
 //!   new observation reports `ERROR`.
 
-use crate::enforce::{step, Mode};
 use crate::shared::SharedSets;
 use crate::sketch::{sketch_history, SketchError};
 use crate::view::{TupleSet, ViewTuple};
@@ -28,38 +27,6 @@ use linrv_check::GenLinObject;
 use linrv_history::{History, ProcessId};
 use linrv_snapshot::{AfekSnapshot, Snapshot};
 use std::sync::Arc;
-
-/// Outcome of one verification step (Lines 06–12 of Figure 10).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VerifierOutcome {
-    /// The sketch built from the locally visible tuples is a member of the object.
-    Ok,
-    /// The sketch is not a member: `ERROR` is reported together with the witness
-    /// history `X(τ_i)`, which is a history of `A*` (Lemma 8.1).
-    Error {
-        /// The witness history.
-        witness: History,
-    },
-    /// The exchanged tuples violate the view properties of Remark 7.2. This cannot
-    /// happen when `A*` is a genuine `DRV` implementation communicating through a
-    /// linearizable snapshot; it indicates a corrupted or forged input.
-    InvalidViews(SketchError),
-}
-
-impl VerifierOutcome {
-    /// Returns `true` when no error was reported.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, VerifierOutcome::Ok)
-    }
-
-    /// Returns the witness history when an error was reported.
-    pub fn witness(&self) -> Option<&History> {
-        match self {
-            VerifierOutcome::Error { witness } => Some(witness),
-            _ => None,
-        }
-    }
-}
 
 /// What one scan of `M` tells a process (Figure 10, Lines 08–11). Every verdict,
 /// sketch and certificate is a projection of one audit.
@@ -109,24 +76,11 @@ impl<O: GenLinObject> Verifier<O> {
         self.results.processes()
     }
 
-    /// One verification step (Figure 10, Lines 06–12): record the tuple obtained from
-    /// `A*`, exchange it through the snapshot, rebuild the sketch and test membership.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `process` is outside the range the verifier was created for.
-    pub fn observe(&self, process: ProcessId, tuple: ViewTuple) -> VerifierOutcome {
-        self.record(process, tuple);
-        self.verdict_from_scan(process)
-    }
-
-    /// The publication half of [`Verifier::observe`] (Figure 10, Lines 06–08):
-    /// record the tuple in `res_i` and exchange it through the snapshot, *without*
-    /// computing a verdict.
-    ///
-    /// This is all a producer of the decoupled construction does (Figure 12,
-    /// producer code); verdicts are then computed asynchronously via
-    /// [`Verifier::verdict_from_scan`].
+    /// Records the tuple obtained from `A*` in `res_i` and publishes it through the
+    /// snapshot (Figure 10, Lines 06–07), *without* computing a verdict. This is
+    /// all a producer of `D_{O,A}` does (Figure 12).
+    /// [`enforce::step`](crate::enforce::step) calls it, followed under `Mode::Enforce`
+    /// by [`enforce::decide`](crate::enforce::decide).
     ///
     /// # Panics
     ///
@@ -151,106 +105,52 @@ impl<O: GenLinObject> Verifier<O> {
             member,
         }
     }
-
-    /// Re-evaluates the verdict from the current shared state without contributing a
-    /// new tuple (used by decoupled verifiers).
-    pub fn verdict_from_scan(&self, scanner: ProcessId) -> VerifierOutcome {
-        let audit = self.audit(scanner);
-        match audit.sketch {
-            Ok(_) if audit.member => VerifierOutcome::Ok,
-            Ok(witness) => VerifierOutcome::Error { witness },
-            Err(err) => VerifierOutcome::InvalidViews(err),
-        }
-    }
-}
-
-/// Summary of a multi-threaded verifier run driven by [`run_verified`].
-#[derive(Debug, Clone)]
-pub struct VerifierRun {
-    /// Total operations applied across all processes.
-    pub operations: usize,
-    /// For each process, the index of its first operation whose verification reported
-    /// `ERROR` (if any).
-    pub first_error_at: Vec<Option<usize>>,
-    /// All distinct error witnesses reported, in no particular order.
-    pub witnesses: Vec<History>,
-}
-
-impl VerifierRun {
-    /// Returns `true` when no process ever reported `ERROR`.
-    pub fn error_free(&self) -> bool {
-        self.first_error_at.iter().all(Option::is_none)
-    }
-}
-
-/// Drives the full Figure 10 loop: `threads` processes each apply the per-process
-/// operations produced by `workload_for` against `A*` and verify every response.
-///
-/// This is the harness used by the soundness/completeness experiments (E10) and by the
-/// examples; library users embedding verification into an existing system call
-/// [`Verifier::observe`] directly instead.
-pub fn run_verified<A, O>(
-    drv: &crate::drv::Drv<A>,
-    verifier: &Verifier<O>,
-    workload_for: impl Fn(usize) -> Vec<linrv_history::Operation> + Sync,
-) -> VerifierRun
-where
-    A: linrv_runtime::ConcurrentObject,
-    O: GenLinObject,
-{
-    let n = verifier.processes().min(drv.processes());
-    let results: Vec<(usize, Option<usize>, Vec<History>)> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for index in 0..n {
-            let drv = &drv;
-            let verifier = &verifier;
-            let workload_for = &workload_for;
-            handles.push(scope.spawn(move || {
-                let process = ProcessId::new(index as u32);
-                let ops = workload_for(index);
-                let mut first_error = None;
-                let mut witnesses = Vec::new();
-                for (k, op) in ops.iter().enumerate() {
-                    let response = drv.apply_drv(process, op);
-                    if let Some(witness) = step(verifier, process, response, Mode::Enforce).witness
-                    {
-                        first_error.get_or_insert(k);
-                        witnesses.push(witness);
-                    }
-                }
-                (ops.len(), first_error, witnesses)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut run = VerifierRun {
-        operations: results.iter().map(|(ops, _, _)| ops).sum(),
-        first_error_at: results.iter().map(|(_, first, _)| *first).collect(),
-        witnesses: Vec::new(),
-    };
-    for (_, _, mut w) in results {
-        run.witnesses.append(&mut w);
-    }
-    run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::drv::Drv;
+    use crate::enforce::{step, EnforcedResponse, Mode};
     use linrv_check::LinSpec;
+    use linrv_history::Operation;
     use linrv_runtime::faulty::{LossyQueue, StutteringCounter, Theorem51Queue};
     use linrv_runtime::impls::{AtomicCounter, MsQueue, SpecObject, TreiberStack};
-    use linrv_runtime::{Workload, WorkloadKind};
+    use linrv_runtime::{ConcurrentObject, Workload, WorkloadKind};
     use linrv_spec::ops::queue;
     use linrv_spec::{CounterSpec, QueueSpec, StackSpec};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// Figure 10 from one scoped thread per process: process `i` applies `ops(i)` to
+    /// `A*` and verifies every response. Returns every process's responses.
+    fn run_threads<A: ConcurrentObject, O: GenLinObject>(
+        drv: &Drv<A>,
+        verifier: &Verifier<O>,
+        ops: impl Fn(usize) -> Vec<Operation> + Sync,
+    ) -> Vec<EnforcedResponse> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..verifier.processes())
+                .map(|i| {
+                    let ops = &ops;
+                    scope.spawn(move || {
+                        let process = p(i as u32);
+                        ops(i)
+                            .iter()
+                            .map(|op| {
+                                step(verifier, process, drv.apply_drv(process, op), Mode::Enforce)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
     }
 
     #[test]
@@ -263,7 +163,7 @@ mod tests {
             (0, queue::dequeue()),
         ] {
             let r = drv.apply_drv(p(proc_index), &op);
-            assert!(verifier.observe(p(proc_index), r.tuple()).is_ok());
+            assert!(step(&verifier, p(proc_index), r, Mode::Enforce).is_verified());
         }
         assert!(verifier.audit(p(0)).sketch.unwrap().is_sequential());
         assert_eq!(verifier.processes(), 2);
@@ -279,13 +179,13 @@ mod tests {
         let deq = drv.announce(p(1), &queue::dequeue());
         let deq_value = drv.call_inner(&deq);
         let deq_resp = drv.collect(deq, deq_value);
-        assert!(!verifier.observe(p(1), deq_resp.tuple()).is_ok());
+        assert!(!step(&verifier, p(1), deq_resp, Mode::Enforce).is_verified());
 
         let enq = drv.apply_drv(p(0), &queue::enqueue(1));
-        let outcome = verifier.observe(p(0), enq.tuple());
-        let witness = outcome.witness().expect("stability: error persists");
+        let outcome = step(&verifier, p(0), enq, Mode::Enforce);
+        let witness = outcome.witness.expect("stability: error persists");
         // The witness is itself a non-linearizable history of A* (predictive soundness).
-        assert!(!LinSpec::new(QueueSpec::new()).contains(witness));
+        assert!(!LinSpec::new(QueueSpec::new()).contains(&witness));
     }
 
     #[test]
@@ -294,9 +194,12 @@ mod tests {
         let drv = Drv::new(MsQueue::new(), n);
         let verifier = Verifier::new(LinSpec::new(QueueSpec::new()), n);
         let workload = Workload::new(WorkloadKind::Queue, 17);
-        let run = run_verified(&drv, &verifier, |i| workload.operations_for(i, 20));
-        assert!(run.error_free(), "false alarm on a correct queue");
-        assert_eq!(run.operations, 60);
+        let run = run_threads(&drv, &verifier, |i| workload.operations_for(i, 20));
+        assert!(
+            run.iter().all(EnforcedResponse::is_verified),
+            "false alarm on a correct queue"
+        );
+        assert_eq!(run.len(), 60);
     }
 
     #[test]
@@ -305,8 +208,11 @@ mod tests {
         let drv = Drv::new(TreiberStack::new(), n);
         let verifier = Verifier::new(LinSpec::new(StackSpec::new()), n);
         let workload = Workload::new(WorkloadKind::Stack, 23);
-        let run = run_verified(&drv, &verifier, |i| workload.operations_for(i, 25));
-        assert!(run.error_free(), "false alarm on a correct stack");
+        let run = run_threads(&drv, &verifier, |i| workload.operations_for(i, 25));
+        assert!(
+            run.iter().all(EnforcedResponse::is_verified),
+            "false alarm on a correct stack"
+        );
     }
 
     #[test]
@@ -315,8 +221,11 @@ mod tests {
         let drv = Drv::new(AtomicCounter::new(), n);
         let verifier = Verifier::new(LinSpec::new(CounterSpec::new()), n);
         let workload = Workload::new(WorkloadKind::Counter, 29);
-        let run = run_verified(&drv, &verifier, |i| workload.operations_for(i, 15));
-        assert!(run.error_free(), "false alarm on a correct counter");
+        let run = run_threads(&drv, &verifier, |i| workload.operations_for(i, 15));
+        assert!(
+            run.iter().all(EnforcedResponse::is_verified),
+            "false alarm on a correct counter"
+        );
     }
 
     #[test]
@@ -325,16 +234,13 @@ mod tests {
         // wrong value or a premature `empty`, and the verifier must flag it.
         let drv = Drv::new(LossyQueue::new(2), 1);
         let verifier = Verifier::new(LinSpec::new(QueueSpec::new()), 1);
+        let ops = (0..10)
+            .map(queue::enqueue)
+            .chain((0..10).map(|_| queue::dequeue()));
         let mut errored = false;
-        for i in 0..10 {
-            let r = drv.apply_drv(p(0), &queue::enqueue(i));
-            if !verifier.observe(p(0), r.tuple()).is_ok() {
-                errored = true;
-            }
-        }
-        for _ in 0..10 {
-            let r = drv.apply_drv(p(0), &queue::dequeue());
-            if !verifier.observe(p(0), r.tuple()).is_ok() {
+        for op in ops {
+            let r = drv.apply_drv(p(0), &op);
+            if !step(&verifier, p(0), r, Mode::Enforce).is_verified() {
                 errored = true;
             }
         }
@@ -349,7 +255,7 @@ mod tests {
         let mut outcomes = Vec::new();
         for _ in 0..6 {
             let r = drv.apply_drv(p(0), &counter::inc());
-            outcomes.push(verifier.observe(p(0), r.tuple()).is_ok());
+            outcomes.push(step(&verifier, p(0), r, Mode::Enforce).is_verified());
         }
         // The third increment repeats a value; from then on every observation errors
         // (stability, Theorem 8.1 (3)).
@@ -364,6 +270,6 @@ mod tests {
         let verifier = Verifier::new(LinSpec::new(QueueSpec::new()), 1);
         let drv = Drv::new(MsQueue::new(), 2);
         let r = drv.apply_drv(p(1), &queue::dequeue());
-        let _ = verifier.observe(p(1), r.tuple());
+        let _ = step(&verifier, p(1), r, Mode::Enforce);
     }
 }

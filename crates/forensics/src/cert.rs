@@ -13,24 +13,13 @@
 use crate::diff::NearestFix;
 use crate::explain::Explanation;
 use linrv_history::EventKind;
+use linrv_trace::json::write_escaped;
 use std::fmt::Write as _;
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(text: &str) -> String {
+/// `text` as a JSON string literal, quotes included.
+fn quoted(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    write_escaped(&mut out, text);
     out
 }
 
@@ -48,18 +37,14 @@ pub fn render_cert(explanation: &Explanation) -> String {
     let _ = writeln!(out, "  \"kind\": \"{}\",", explanation.kind);
     let _ = writeln!(
         out,
-        "  \"explanation\": \"{}\",",
-        json_escape(&explanation.explanation)
+        "  \"explanation\": {},",
+        quoted(&explanation.explanation)
     );
     match &explanation.pattern {
         Some(pattern) => {
             let _ = writeln!(out, "  \"pattern\": {{");
-            let _ = writeln!(out, "    \"name\": \"{}\",", json_escape(pattern.name));
-            let _ = writeln!(
-                out,
-                "    \"message\": \"{}\",",
-                json_escape(&pattern.message)
-            );
+            let _ = writeln!(out, "    \"name\": {},", quoted(pattern.name));
+            let _ = writeln!(out, "    \"message\": {},", quoted(&pattern.message));
             let _ = writeln!(out, "    \"values\": {}", int_list(&pattern.values));
             let _ = writeln!(out, "  }},");
         }
@@ -99,21 +84,21 @@ pub fn render_cert(explanation: &Explanation) -> String {
                 let _ = writeln!(
                     out,
                     "    {{\"type\": \"inv\", \"process\": {}, \"op\": {}, \
-                     \"operation\": \"{}\", \"arg\": \"{}\"}}{comma}",
+                     \"operation\": {}, \"arg\": {}}}{comma}",
                     event.process.index(),
                     event.op_id.raw(),
-                    json_escape(&op.kind),
-                    json_escape(&op.arg.to_string())
+                    quoted(&op.kind),
+                    quoted(&op.arg.to_string())
                 );
             }
             EventKind::Response { value } => {
                 let _ = writeln!(
                     out,
                     "    {{\"type\": \"res\", \"process\": {}, \"op\": {}, \
-                     \"value\": \"{}\"}}{comma}",
+                     \"value\": {}}}{comma}",
                     event.process.index(),
                     event.op_id.raw(),
-                    json_escape(&value.to_string())
+                    quoted(&value.to_string())
                 );
             }
         }
@@ -131,8 +116,8 @@ pub fn render_cert(explanation: &Explanation) -> String {
             let _ = writeln!(out, "  \"fix\": {{");
             let _ = writeln!(out, "    \"type\": \"rewrite-response\",");
             let _ = writeln!(out, "    \"op\": {},", op.raw());
-            let _ = writeln!(out, "    \"from\": \"{}\",", json_escape(&from.to_string()));
-            let _ = writeln!(out, "    \"to\": \"{}\"", json_escape(&to.to_string()));
+            let _ = writeln!(out, "    \"from\": {},", quoted(&from.to_string()));
+            let _ = writeln!(out, "    \"to\": {}", quoted(&to.to_string()));
             let _ = writeln!(out, "  }}");
         }
         Some(NearestFix::RemoveOp { op }) => {
@@ -188,6 +173,6 @@ mod tests {
 
     #[test]
     fn json_strings_are_escaped() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(quoted("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

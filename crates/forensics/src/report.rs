@@ -1,70 +1,10 @@
 //! ASCII rendering of an [`Explanation`]: a one-screen violation report with
-//! a process-lane timeline, culprit operations highlighted.
+//! a process-lane timeline, culprit operations highlighted
+//! ([`render_marked_timeline`]).
 
 use crate::explain::Explanation;
-use linrv_history::{History, OpId};
-use std::collections::BTreeSet;
+use linrv_history::display::render_marked_timeline;
 use std::fmt::Write as _;
-
-/// Renders a history as process-lane interval bars, drawing the operations in
-/// `culprits` with `#===#` bars (plain operations keep `|---|`).
-///
-/// Same geometry as `linrv_history::display::render_timeline`: one cell per
-/// event, interval from the invocation's event index to the response's, an
-/// open `>` end for pending operations.
-pub fn render_timeline(history: &History, culprits: &BTreeSet<OpId>) -> String {
-    const CELL: usize = 4;
-    let records = history.operations();
-    let n_events = history.len().max(1);
-    let width = n_events * CELL + 2;
-
-    let mut processes: Vec<_> = history.processes().into_iter().collect();
-    processes.sort();
-
-    let mut out = String::new();
-    for p in processes {
-        let mut line: Vec<char> = vec![' '; width];
-        let mut labels: Vec<(usize, String)> = Vec::new();
-        for r in records.iter().filter(|r| r.process == p) {
-            let accused = culprits.contains(&r.id);
-            let (end_mark, fill) = if accused { ('#', '=') } else { ('|', '-') };
-            let start = r.invocation_index * CELL;
-            let end = match r.response_index {
-                Some(idx) => idx * CELL + CELL - 1,
-                None => width - 1,
-            };
-            line[start] = end_mark;
-            for cell in line.iter_mut().take(end.min(width - 1)).skip(start + 1) {
-                *cell = fill;
-            }
-            if r.response_index.is_some() {
-                line[end.min(width - 1)] = end_mark;
-            } else {
-                line[width - 1] = '>';
-            }
-            let label = match &r.response {
-                Some(v) => format!("{}:{}", r.operation, v),
-                None => format!("{}:…", r.operation),
-            };
-            labels.push((start, label));
-        }
-        let mut label_line: Vec<char> = vec![' '; width + 40];
-        for (start, label) in labels {
-            for (i, ch) in label.chars().enumerate() {
-                if start + 1 + i < label_line.len() {
-                    label_line[start + 1 + i] = ch;
-                }
-            }
-        }
-        let _ = write!(out, "{p}: ");
-        out.push_str(line.iter().collect::<String>().trim_end());
-        out.push('\n');
-        out.push_str("    ");
-        out.push_str(label_line.iter().collect::<String>().trim_end());
-        out.push('\n');
-    }
-    out
-}
 
 /// Renders the full ASCII report: verdict, diagnosis, minimization summary,
 /// timeline and nearest fix. Byte-deterministic for a given explanation.
@@ -109,7 +49,7 @@ pub fn render_report(explanation: &Explanation) -> String {
         explanation.narrow_steps
     );
     out.push('\n');
-    out.push_str(&render_timeline(
+    out.push_str(&render_marked_timeline(
         &explanation.witness,
         &explanation.culprits(),
     ));
@@ -155,7 +95,7 @@ mod tests {
         b.complete(p0, queue::dequeue(), OpValue::Int(5));
         b.complete(ProcessId::new(1), queue::dequeue(), OpValue::Int(5));
         let explanation = explain(ObjectKind::Queue, &b.build()).expect("violating");
-        let timeline = render_timeline(&explanation.witness, &explanation.culprits());
+        let timeline = render_marked_timeline(&explanation.witness, &explanation.culprits());
         assert!(timeline.contains('#'));
     }
 

@@ -58,7 +58,7 @@
 //! | Operations | `Operation::new("Enqueue", OpValue::Int(5))` | `session.enqueue(5)` |
 //! | Responses | `OpValue` inspected at runtime | precise types (`Option<i64>`, `bool`, …) |
 //! | Errors | `OpValue::Error` sentinel + witness field | `Result<_, `[`Rejected`]`>` |
-//! | Verification placement | `enforce::step(.., mode)` after `A*`: `SelfEnforced` gates, `decoupled` publishes | the same step with the monitor's [`Mode::Enforce`] / [`Mode::Observe`] |
+//! | Verification placement | `enforce::step(.., mode)` after `A*`: `SelfEnforced` gates; under `Mode::Observe` it only publishes and `enforce::decide` tests later | the same step with the monitor's [`Mode::Enforce`] / [`Mode::Observe`] |
 //! | Availability | always (re-exported here) | seven shipped specs + any [`TypedObject`](spec::TypedObject) |
 //!
 //! The two layers interoperate freely: typed operations are *encodings* — a typed
@@ -107,19 +107,18 @@ use linrv_spec::SequentialSpec;
 /// The raw, untyped API: the paper's constructions exactly as `linrv-core`
 /// exposes them, for call sites that need manual `ProcessId` threading, custom
 /// snapshot wiring or untyped `Operation`s.
+///
+/// Checkers and the seeded schedulers are not repeated here: they are in
+/// [`check`] and [`runtime`].
 pub mod raw {
-    pub use linrv_check::{CheckerConfig, GenLinObject, LinSpec, StrategyChecker};
+    pub use linrv_check::{GenLinObject, LinSpec};
     pub use linrv_core as core;
     pub use linrv_core::{
-        decoupled, Certificate, DecoupledProducer, DecoupledVerifier, Drv, DrvResponse,
-        EnforcedResponse, ProcessRegistry, RegistryFull, SelfEnforced, Verifier, VerifierOutcome,
+        Certificate, Drv, DrvResponse, EnforcedResponse, ProcessRegistry, RegistryFull,
+        SelfEnforced, Verifier,
     };
     pub use linrv_history::{History, HistoryBuilder, OpId, OpValue, Operation, ProcessId};
-    pub use linrv_runtime::{
-        record_scheduled_controlled, ConcurrentObject, ControlledRun, FaultCmd, Mix, NoFaults,
-        OpSource, ScheduleFaults, SourceStep, Workload, WorkloadKind, WorkloadSource,
-        MAX_IDLE_TICKS,
-    };
+    pub use linrv_runtime::ConcurrentObject;
     pub use linrv_snapshot::Snapshot;
 }
 

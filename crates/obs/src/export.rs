@@ -74,6 +74,9 @@ fn prometheus_histogram(
     let _ = writeln!(out, "{name}_count{} {}", labels_block(labels), hist.count);
 }
 
+/// Escapes a string for a JSON string literal (no quotes). The same rules as
+/// `linrv_trace::json::write_escaped`, kept as a copy because `linrv-obs` has no
+/// dependencies of its own.
 fn json_escape(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len() + 2);
     for ch in raw.chars() {

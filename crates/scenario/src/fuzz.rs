@@ -6,8 +6,7 @@
 
 use crate::runner::{run_scenario, RunOutcome};
 use crate::scenario::{Scenario, SweepShape};
-use crate::shrink::{shrink, ShrinkOutcome};
-use linrv_forensics::{explain, render_cert, render_report};
+use linrv_forensics::{explain, render_cert, render_report, shrink, ShrinkOutcome};
 use linrv_history::History;
 use linrv_trace::{Provenance, TraceFormat, TraceHeader, TraceWriter};
 use std::fmt::Write as _;
@@ -344,7 +343,7 @@ pub fn run_sweep(config: &FuzzConfig) -> io::Result<FuzzReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shrink::is_locally_minimal;
+    use linrv_forensics::is_locally_minimal;
 
     #[test]
     fn quick_sweeps_catch_every_injected_fault_and_nothing_else() {

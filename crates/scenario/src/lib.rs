@@ -16,9 +16,10 @@
 //!   invocations, the paper's crashed processes), stalls that stretch
 //!   intervals (Figures 5–6), pool session recycling/retirement churn, and
 //!   injection of the response-corrupting `faulty::*` wrappers.
-//! * [`mod@shrink`] — what you read afterwards: failing traces are reduced by
-//!   delta debugging over complete operation pairs to a *locally minimal*
-//!   violating witness (removing any single pair makes it pass).
+//! * shrinking — what you read afterwards: [`fuzz`] reduces every failing
+//!   trace with `linrv_forensics::shrink`, delta debugging over complete
+//!   operation pairs to a *locally minimal* violating witness (removing any
+//!   single pair makes it pass).
 //!
 //! Everything is replayable bit for bit from a `u64` seed: scenarios derive
 //! deterministically from a sweep's master seed, run on the runtime's
@@ -34,11 +35,11 @@
 //! assert!(report.all_expected());
 //! ```
 //!
-//! Shrinking standalone:
+//! Shrinking standalone, with the shrinker of `linrv-forensics`:
 //!
 //! ```
+//! use linrv_forensics::{is_locally_minimal, shrink};
 //! use linrv_history::{HistoryBuilder, OpValue, ProcessId};
-//! use linrv_scenario::shrink::{is_locally_minimal, shrink};
 //! use linrv_spec::{ops::queue, ObjectKind};
 //!
 //! let mut b = HistoryBuilder::new();
@@ -59,7 +60,6 @@ pub mod generator;
 pub mod nemesis;
 pub mod runner;
 pub mod scenario;
-pub mod shrink;
 
 pub use fuzz::{run_sweep, FuzzConfig, FuzzReport, ScenarioResult};
 pub use generator::{
@@ -70,9 +70,8 @@ pub use nemesis::{
     ChurnNemesis, ChurnPlan, CrashNemesis, FaultPlan, InjectNemesis, Nemesis, PlannedFaults,
     QuietNemesis, RunShape, StallNemesis,
 };
-pub use runner::{check_history, run_scenario, RunOutcome};
+pub use runner::{run_scenario, RunOutcome};
 pub use scenario::{GeneratorKind, NemesisKind, Scenario, SweepShape, Target};
-pub use shrink::{is_locally_minimal, shrink, ShrinkOutcome};
 
 // Compile the README's code blocks as doctests. This lives in the top crate of
 // the workspace dependency stack (scenario depends on linrv, pool, runtime,

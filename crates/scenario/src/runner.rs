@@ -12,6 +12,7 @@ use crate::generator::GeneratorSource;
 use crate::nemesis::{ChurnPlan, PlannedFaults};
 use crate::scenario::{Scenario, Target};
 use linrv_check::{Verdict, Violation};
+use linrv_forensics::check_history;
 use linrv_history::{Event, History, OpId, ProcessId};
 use linrv_pool::{PoolBuilder, PoolSession, PoolVerdict};
 use linrv_runtime::faulty::MutatedObject;
@@ -47,14 +48,6 @@ impl RunOutcome {
         self.verdict.is_violation()
     }
 }
-
-/// Checks `history` against the sequential specification of `kind` using the
-/// strategy checker (specialized log-linear monitors with general fallback).
-///
-/// The dispatch itself lives in `linrv-forensics` (the forensics pipeline
-/// re-runs it on every candidate edit); this re-export keeps the scenario
-/// engine's historical entry point.
-pub use linrv_forensics::check_history;
 
 /// Executes `scenario` end to end and checks the result.
 pub fn run_scenario(scenario: &Scenario) -> RunOutcome {

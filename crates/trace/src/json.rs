@@ -4,7 +4,11 @@
 //! `vendor/README.md`), so the JSONL trace codec hand-rolls the sliver of JSON
 //! it needs: objects, arrays, strings, 64-bit integers, booleans and `null`.
 //! Floats are deliberately rejected — the trace format never emits them, and
-//! refusing them keeps round-trips exact.
+//! refusing them keeps round-trips exact — and so are integers with leading
+//! zeros, which JSON forbids (`007` and `7` would decode to the same trace).
+//!
+//! [`write_escaped`] is public: it is the string escaper of every JSON emitter
+//! in the workspace that can depend on this crate.
 
 use crate::error::TraceError;
 use std::fmt::Write as _;
@@ -53,7 +57,13 @@ impl Json {
 }
 
 /// Appends the JSON encoding of `s` (including the surrounding quotes) to `out`.
-pub(crate) fn write_escaped(out: &mut String, s: &str) {
+///
+/// ```
+/// let mut out = String::new();
+/// linrv_trace::json::write_escaped(&mut out, "a\"b\n");
+/// assert_eq!(out, r#""a\"b\n""#);
+/// ```
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -160,6 +170,9 @@ impl Parser<'_> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
+        }
+        if self.peek() == Some(b'0') && matches!(self.bytes.get(self.pos + 1), Some(b'0'..=b'9')) {
+            return Err(self.error("leading zeros are not part of JSON"));
         }
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
@@ -332,6 +345,8 @@ mod tests {
         assert_eq!(p("false"), Json::Bool(false));
         assert_eq!(p("-42"), Json::Int(-42));
         assert_eq!(p("42"), Json::Int(42));
+        assert_eq!(p("0"), Json::Int(0));
+        assert_eq!(p("-0"), Json::Int(0));
         assert_eq!(p("18446744073709551615"), Json::UInt(u64::MAX));
         assert_eq!(p("\"hi\""), Json::Str("hi".into()));
     }
@@ -374,6 +389,10 @@ mod tests {
             "\"x",
             "{\"a\":1,\"a\":2}",
             "01x",
+            "00",
+            "01",
+            "-01",
+            "007",
             "- ",
             "1 2",
             "\u{1}",

@@ -58,7 +58,7 @@
 mod binary;
 mod error;
 mod header;
-mod json;
+pub mod json;
 mod jsonl;
 mod reader;
 mod sink;

@@ -6,8 +6,9 @@
 //!   multi-threaded workload with runtime verification of every response.
 //! * `accountable_kv` — a key-value store backed by a faulty register; clients detect
 //!   the violation and obtain a forensic certificate (Section 8.3 of the paper).
-//! * `faulty_queue_forensics` — a producer/consumer work-queue over a lossy queue with
-//!   a decoupled background verifier (Figure 12).
+//! * `faulty_queue_forensics` — a producer/consumer work-queue over a lossy queue,
+//!   monitored in Observe mode: operations only publish, and `Monitor::check`
+//!   verifies off the critical path (Figure 12).
 //! * `impossibility` — prints the Theorem 5.1 `E`/`F` executions and the
 //!   indistinguishability argument.
 //! * `figures` — reproduces the history figures of the paper (Figures 1, 3, 5, 6, 8, 9)
@@ -17,6 +18,9 @@
 //! and no stringly-typed wire-level operations or values in any of them. Four use
 //! the typed session API end to end; `impossibility` reaches through `linrv::raw`,
 //! since its subject *is* the raw model that the facade exists to evade.
+//!
+//! `figures` and `impossibility` are single-threaded and deterministic: their stdout
+//! is committed under `expected/` and byte-compared in CI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

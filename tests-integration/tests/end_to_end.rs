@@ -2,10 +2,9 @@
 //! predictive verifier / self-enforced wrappers, across object kinds.
 
 use linrv_check::{GenLinObject, LinSpec};
-use linrv_core::decoupled::decoupled;
 use linrv_core::drv::Drv;
-use linrv_core::enforce::SelfEnforced;
-use linrv_core::verifier::{run_verified, Verifier};
+use linrv_core::enforce::{decide, step, Mode, SelfEnforced};
+use linrv_core::verifier::Verifier;
 use linrv_history::{OpValue, ProcessId};
 use linrv_runtime::faulty::{DuplicatingStack, LossyQueue, StutteringCounter};
 use linrv_runtime::impls::{AtomicCounter, CasConsensus, MsQueue, SpecObject, TreiberStack};
@@ -149,52 +148,81 @@ fn consensus_decisions_are_verified() {
 /// incorrect implementation (soundness + completeness at system level).
 #[test]
 fn verifier_full_loop_concurrent_soundness_and_sequential_completeness() {
-    // Soundness: 3 threads over a correct queue.
+    // Soundness: 3 threads over a correct queue, each verifying every response.
     let n = 3;
     let drv = Drv::new(MsQueue::new(), n);
     let verifier = Verifier::new(LinSpec::new(QueueSpec::new()), n);
     let workload = Workload::new(WorkloadKind::Queue, 77);
-    let run = run_verified(&drv, &verifier, |i| workload.operations_for(i, 25));
-    assert!(run.error_free());
-    assert_eq!(run.operations, 75);
+    let (drv, verifier) = (&drv, &verifier);
+    let verified: Vec<bool> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .map(|i| {
+                let ops = workload.operations_for(i, 25);
+                scope.spawn(move || {
+                    let process = p(i as u32);
+                    ops.iter()
+                        .map(|op| {
+                            let response = drv.apply_drv(process, op);
+                            step(verifier, process, response, Mode::Enforce).is_verified()
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    assert!(verified.iter().all(|&ok| ok));
+    assert_eq!(verified.len(), 75);
 
     // Completeness: a lossy queue driven by one process errors and stays in error.
     let drv = Drv::new(LossyQueue::new(2), 1);
     let verifier = Verifier::new(LinSpec::new(QueueSpec::new()), 1);
-    let ops: Vec<_> = (0..8)
+    let witnesses: Vec<_> = (0..8)
         .map(ops::queue::enqueue)
         .chain((0..8).map(|_| ops::queue::dequeue()))
+        .filter_map(|op| step(&verifier, p(0), drv.apply_drv(p(0), &op), Mode::Enforce).witness)
         .collect();
-    let run = run_verified(&drv, &verifier, |_| ops.clone());
-    assert!(!run.error_free());
-    assert!(!run.witnesses.is_empty());
-    for witness in &run.witnesses {
+    assert!(!witnesses.is_empty());
+    for witness in &witnesses {
         assert!(!LinSpec::new(QueueSpec::new()).contains(witness));
     }
 }
 
-/// Decoupled producers/verifier (Figure 12) over correct and faulty queues.
+/// Decoupled producers/verifier (Figure 12) over correct and faulty queues: a producer
+/// is `A*` plus `step(.., Mode::Observe)`, the verifier is `decide`.
 #[test]
 fn decoupled_roles_split_production_and_verification() {
-    let (producer, verifier) = decoupled(MsQueue::new(), LinSpec::new(QueueSpec::new()), 2);
-    producer.apply(p(0), &ops::queue::enqueue(1));
-    producer.apply(p(1), &ops::queue::enqueue(2));
+    fn produce<A: ConcurrentObject, O: GenLinObject>(
+        shared: &SelfEnforced<A, O>,
+        process: ProcessId,
+        op: &linrv_history::Operation,
+    ) -> OpValue {
+        let response = shared.drv().apply_drv(process, op);
+        step(shared.verifier(), process, response, Mode::Observe).value
+    }
+
+    let shared = SelfEnforced::new(MsQueue::new(), LinSpec::new(QueueSpec::new()), 2);
+    produce(&shared, p(0), &ops::queue::enqueue(1));
+    produce(&shared, p(1), &ops::queue::enqueue(2));
     assert_eq!(
-        producer.apply(p(0), &ops::queue::dequeue()),
+        produce(&shared, p(0), &ops::queue::dequeue()),
         OpValue::Int(1)
     );
-    assert!(verifier.check_once().is_ok());
+    assert!(decide(shared.verifier(), p(0)).is_none());
 
-    let (producer, verifier) = decoupled(LossyQueue::new(2), LinSpec::new(QueueSpec::new()), 1);
+    let shared = SelfEnforced::new(LossyQueue::new(2), LinSpec::new(QueueSpec::new()), 1);
     for i in 0..8 {
-        producer.apply(p(0), &ops::queue::enqueue(i));
+        produce(&shared, p(0), &ops::queue::enqueue(i));
     }
     let mut drained = 0;
-    while let OpValue::Int(_) = producer.apply(p(0), &ops::queue::dequeue()) {
+    while let OpValue::Int(_) = produce(&shared, p(0), &ops::queue::dequeue()) {
         drained += 1;
     }
     assert!(drained < 8);
-    assert!(!verifier.check_once().is_ok());
+    assert!(decide(shared.verifier(), p(0)).is_some());
 }
 
 /// The verifier works with any snapshot implementation, including the blocking oracle

@@ -3,8 +3,8 @@
 //! API on the same workload.
 
 use linrv::prelude::*;
-use linrv::raw::decoupled::decoupled;
-use linrv::raw::{ConcurrentObject, LinSpec, ProcessId, SelfEnforced};
+use linrv::raw::core::enforce::{decide, step};
+use linrv::raw::{LinSpec, ProcessId, SelfEnforced};
 use linrv::runtime::faulty::LossyQueue;
 use linrv::runtime::impls::MsQueue;
 use linrv::runtime::{Workload, WorkloadKind};
@@ -115,8 +115,9 @@ proptest! {
     /// Satellite: a typed session run over `LockedSnapshot` produces verdicts
     /// identical to the raw untyped API on the same seed — operation by
     /// operation, including the underlying value carried by rejections — and so
-    /// does `Session::apply_raw`; an Observe-mode monitor likewise matches
-    /// `core::decoupled`. All of them are callers of one publish→verify step.
+    /// does `Session::apply_raw`; an Observe-mode monitor likewise matches raw
+    /// `step(.., Mode::Observe)` + `decide` (Figure 12). All of them are callers of
+    /// one publish→verify step.
     #[test]
     fn typed_sessions_match_raw_verdicts_on_the_same_seed(
         seed in any::<u64>(), len in 1..20usize, drop_every in 2..6u64, procs in 1..4usize
@@ -140,7 +141,7 @@ proptest! {
             procs,
         );
         let (observed, observing) = build(Mode::Observe);
-        let (producer, checker) = decoupled(
+        let decoupled = SelfEnforced::new(
             LossyQueue::new(drop_every),
             LinSpec::new(QueueSpec::new()),
             procs,
@@ -152,9 +153,9 @@ proptest! {
             .collect();
 
         // Drive all stacks through the identical sequential interleaving.
-        for step in 0..len {
+        for k in 0..len {
             for (p, plan) in plans.iter().enumerate() {
-                let wire = &plan[step];
+                let wire = &plan[k];
                 let process = ProcessId::new(p as u32);
                 let typed_op = QueueOp::try_decode(wire).expect("queue workload");
                 let typed = sessions[p].apply(typed_op);
@@ -185,7 +186,8 @@ proptest! {
                     }
                 }
                 // Figure 12 twice: neither gates, both return the underlying value.
-                let produced = producer.apply(process, wire);
+                let response = decoupled.drv().apply_drv(process, wire);
+                let produced = step(decoupled.verifier(), process, response, Mode::Observe).value;
                 assert_eq!(produced, raw_response.underlying);
                 assert_eq!(observing[p].apply(typed_op), Ok(produced));
             }
@@ -195,7 +197,11 @@ proptest! {
             assert_eq!(enforcing.certificate().is_correct(), correct, "final verdicts diverged");
             assert_eq!(enforcing.check().is_correct(), correct, "check diverged");
         }
-        assert_eq!(checker.check_once().is_ok(), correct, "decoupled verdict diverged");
+        assert_eq!(
+            decide(decoupled.verifier(), ProcessId::new(0)).is_none(),
+            correct,
+            "decoupled verdict diverged"
+        );
         assert_eq!(observed.check().is_correct(), correct, "observed verdict diverged");
         assert_eq!(observed.certificate().is_correct(), correct, "observed certificate diverged");
     }

@@ -4,9 +4,9 @@
 
 use linrv::prelude::*;
 use linrv::spec::typed::counter::Inc;
+use linrv_forensics::{check_history, is_locally_minimal, shrink};
 use linrv_pool::PoolBuilder;
 use linrv_runtime::impls::AtomicCounter;
-use linrv_scenario::shrink::{is_locally_minimal, shrink};
 use linrv_scenario::{run_sweep, FuzzConfig};
 use linrv_spec::ops::queue;
 use linrv_spec::ObjectKind;
@@ -96,7 +96,7 @@ proptest! {
     fn shrunk_traces_still_fail_and_are_locally_minimal(noise in 0usize..16) {
         let failing = noisy_failing_history(noise);
         let outcome = shrink(ObjectKind::Queue, &failing);
-        prop_assert!(linrv_scenario::check_history(ObjectKind::Queue, &outcome.history)
+        prop_assert!(check_history(ObjectKind::Queue, &outcome.history)
             .is_violation());
         prop_assert!(is_locally_minimal(ObjectKind::Queue, &outcome.history));
         prop_assert_eq!(outcome.history.complete_operations().count(), 1);
@@ -170,7 +170,7 @@ fn committed_shrunk_witnesses_replay_as_minimal_violations() {
             path.display()
         );
         assert!(
-            linrv_scenario::check_history(header.kind, &history).is_violation(),
+            check_history(header.kind, &history).is_violation(),
             "{}: must still violate",
             path.display()
         );
