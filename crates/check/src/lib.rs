@@ -14,6 +14,9 @@
 //!   properties of `GenLin` documented and testable.
 //! * [`LinSpec`] — linearizability with respect to a [`SequentialSpec`](linrv_spec::SequentialSpec), decided with a
 //!   Wing–Gong search enhanced with Lowe-style memoisation.
+//! * [`StrategyChecker`] — the linearizability test every caller outside this crate
+//!   builds: the [`specialized`] log-linear monitors, with [`LinSpec`] as fallback.
+//!   Both answer member or not a member.
 //! * [`SetLinSpec`] — set-linearizability for set-sequential specifications.
 //! * [`tasks`] — one-shot tasks and their interval-linearizability membership
 //!   (Section 9.3).
@@ -21,7 +24,7 @@
 //!   reachable configurations that latches a violation at the response causing it.
 //!
 //! ```
-//! use linrv_check::{GenLinObject, LinSpec};
+//! use linrv_check::{GenLinObject, StrategyChecker};
 //! use linrv_spec::QueueSpec;
 //! use linrv_history::{HistoryBuilder, Operation, OpValue, ProcessId};
 //!
@@ -31,7 +34,7 @@
 //! let deq = b.invoke(ProcessId::new(1), Operation::nullary("Dequeue"));
 //! b.respond(deq, OpValue::Int(1));
 //! b.respond(enq, OpValue::Bool(true));
-//! let object = LinSpec::new(QueueSpec::new());
+//! let object = StrategyChecker::new(QueueSpec::new());
 //! assert!(object.contains(&b.build()));
 //! ```
 
@@ -49,7 +52,7 @@ pub mod tasks;
 pub mod witness;
 
 pub use genlin::{ClosureReport, GenLinObject};
-pub use linearizability::{CheckerConfig, LinSpec};
+pub use linearizability::LinSpec;
 pub use pattern::BadPattern;
 pub use setlin::{SetLinCounterSpec, SetLinSpec, SetSequentialSpec};
 pub use specialized::{

@@ -22,14 +22,6 @@ use linrv_history::{History, HistoryBuilder, OpRecord, OpValue};
 use linrv_spec::SequentialSpec;
 use std::collections::HashSet;
 
-/// Tuning knobs for the linearizability checker.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CheckerConfig {
-    /// Abort after exploring this many search nodes, returning
-    /// [`Verdict::Inconclusive`]. `None` means no budget.
-    pub max_explored_states: Option<usize>,
-}
-
 /// Linearizability with respect to a sequential specification, as an abstract object:
 /// the set of all finite histories linearizable with respect to `S` (Remark 7.1).
 ///
@@ -39,21 +31,12 @@ pub struct CheckerConfig {
 #[derive(Debug, Clone)]
 pub struct LinSpec<S> {
     spec: S,
-    config: CheckerConfig,
 }
 
 impl<S: SequentialSpec> LinSpec<S> {
-    /// Wraps a sequential specification with the default checker configuration.
+    /// Wraps a sequential specification.
     pub fn new(spec: S) -> Self {
-        LinSpec {
-            spec,
-            config: CheckerConfig::default(),
-        }
-    }
-
-    /// Wraps a sequential specification with an explicit checker configuration.
-    pub fn with_config(spec: S, config: CheckerConfig) -> Self {
-        LinSpec { spec, config }
+        LinSpec { spec }
     }
 
     /// The underlying sequential specification.
@@ -80,7 +63,7 @@ impl<S: SequentialSpec> LinSpec<S> {
             };
         }
 
-        let search = Search::new(&self.spec, &records, &self.config);
+        let search = Search::new(&self.spec, &records);
         match search.run() {
             SearchOutcome::Found(order) => {
                 let linearization = build_linearization(&records, &order);
@@ -98,23 +81,12 @@ impl<S: SequentialSpec> LinSpec<S> {
                 )
                 .with_frontier(frontier),
             },
-            SearchOutcome::BudgetExceeded => Verdict::Inconclusive,
-        }
-    }
-
-    /// Convenience: a linearization of `history`, when one exists.
-    pub fn linearization(&self, history: &History) -> Option<History> {
-        match self.check(history) {
-            Verdict::Member { linearization } => linearization,
-            _ => None,
         }
     }
 }
 
 impl<S: SequentialSpec> GenLinObject for LinSpec<S> {
     fn contains(&self, history: &History) -> bool {
-        // An inconclusive verdict (possible only under an explicit budget) fails open:
-        // the verifier never reports ERROR without a genuine witness.
         !self.check(history).is_violation()
     }
 
@@ -140,8 +112,6 @@ enum SearchOutcome {
     /// The whole search space was explored without success; the frontier
     /// records the deepest prefix reached.
     Exhausted(SearchFrontier),
-    /// The exploration budget ran out.
-    BudgetExceeded,
 }
 
 /// Compact set of operation indices, hashable for memoisation.
@@ -174,13 +144,12 @@ struct Search<'a, S: SequentialSpec> {
     spec: &'a S,
     /// In invocation order.
     records: &'a [OpRecord],
-    config: &'a CheckerConfig,
     /// Indices of the complete records, in response order.
     by_response: Vec<usize>,
 }
 
 impl<'a, S: SequentialSpec> Search<'a, S> {
-    fn new(spec: &'a S, records: &'a [OpRecord], config: &'a CheckerConfig) -> Self {
+    fn new(spec: &'a S, records: &'a [OpRecord]) -> Self {
         let mut by_response: Vec<usize> = (0..records.len())
             .filter(|&i| records[i].is_complete())
             .collect();
@@ -188,7 +157,6 @@ impl<'a, S: SequentialSpec> Search<'a, S> {
         Search {
             spec,
             records,
-            config,
             by_response,
         }
     }
@@ -212,19 +180,19 @@ impl<'a, S: SequentialSpec> Search<'a, S> {
             0,
             &mut deepest,
         );
-        match found {
-            Some(true) => SearchOutcome::Found(path),
-            Some(false) => SearchOutcome::Exhausted(SearchFrontier {
+        if found {
+            SearchOutcome::Found(path)
+        } else {
+            SearchOutcome::Exhausted(SearchFrontier {
                 linearized: deepest.iter().map(|&i| self.records[i].id).collect(),
                 total_complete: complete_count,
                 explored,
-            }),
-            None => SearchOutcome::BudgetExceeded,
+            })
         }
     }
 
-    /// Depth-first search. Returns `Some(true)` when a linearization was completed,
-    /// `Some(false)` when this subtree holds none, `None` when the budget ran out.
+    /// Depth-first search. Returns `true` when a linearization was completed, `false`
+    /// when this subtree holds none.
     ///
     /// `deepest` tracks the longest linearized prefix reached anywhere in the
     /// search — the frontier reported when the search exhausts.
@@ -239,18 +207,13 @@ impl<'a, S: SequentialSpec> Search<'a, S> {
         complete_count: usize,
         linearized_complete: usize,
         deepest: &mut Vec<usize>,
-    ) -> Option<bool> {
+    ) -> bool {
         if linearized_complete == complete_count {
-            return Some(true);
+            return true;
         }
         *explored += 1;
-        if let Some(budget) = self.config.max_explored_states {
-            if *explored > budget {
-                return None;
-            }
-        }
         if !memo.insert((linearized.clone(), state.clone())) {
-            return Some(false);
+            return false;
         }
 
         // The horizon: the earliest response among the complete records not yet
@@ -289,7 +252,7 @@ impl<'a, S: SequentialSpec> Search<'a, S> {
                     *deepest = path.iter().map(|&(index, _)| index).collect();
                 }
                 let next_complete = linearized_complete + usize::from(record.is_complete());
-                match self.dfs(
+                if self.dfs(
                     linearized,
                     next_state,
                     path,
@@ -299,16 +262,13 @@ impl<'a, S: SequentialSpec> Search<'a, S> {
                     next_complete,
                     deepest,
                 ) {
-                    Some(true) => return Some(true),
-                    Some(false) => {
-                        path.pop();
-                        linearized.remove(i);
-                    }
-                    None => return None,
+                    return true;
                 }
+                path.pop();
+                linearized.remove(i);
             }
         }
-        Some(false)
+        false
     }
 
     /// An operation may be linearized next when every complete operation that precedes
@@ -494,28 +454,6 @@ mod tests {
         b.respond(op, OpValue::Unit);
         let object = LinSpec::new(QueueSpec::new());
         assert!(object.check(&b.build()).is_violation());
-    }
-
-    #[test]
-    fn budget_exhaustion_is_inconclusive_and_fails_open() {
-        // A moderately concurrent correct history with a budget of one node.
-        let mut b = HistoryBuilder::new();
-        let mut ops = Vec::new();
-        for i in 0..4 {
-            ops.push(b.invoke(p(i), queue::enqueue(i64::from(i))));
-        }
-        for op in ops {
-            b.respond(op, OpValue::Bool(true));
-        }
-        let history = b.build();
-        let object = LinSpec::with_config(
-            QueueSpec::new(),
-            CheckerConfig {
-                max_explored_states: Some(1),
-            },
-        );
-        assert_eq!(object.check(&history), Verdict::Inconclusive);
-        assert!(object.contains(&history)); // fails open
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! decrease-and-conquer monitors and Abdulla et al.'s per-type algorithms.
 //! This module implements them behind [`StrategyChecker`], which is what a
 //! *batch* decision of a whole history runs:
-//! `linrv::is_linearizable`, the pool's incremental checks, and — for
-//! [`StreamingChecker`](crate::stream::StreamingChecker) and `linrv check` —
-//! the one confirmation that turns an empty per-event frontier into a
-//! violation certificate, plus every whole-prefix re-check after a fallback.
-//! The frontier itself steps the sequential specification and does not use
-//! these monitors; neither does a `linrv` monitor, whose membership test per
-//! verifier step is the general search (`MonitorBuilder::build` wires
-//! [`LinSpec`] into the self-enforced wrapper).
+//! `linrv::is_linearizable`, the membership test of every `linrv` monitor's
+//! verifier step (`MonitorBuilder::build` wires a [`StrategyChecker`] into the
+//! self-enforced wrapper, so every Enforce-mode commit, `Monitor::check` and
+//! `Monitor::certificate` decides through it), the pool's incremental checks,
+//! and — for [`StreamingChecker`](crate::stream::StreamingChecker) and
+//! `linrv check` — the one confirmation that turns an empty per-event frontier
+//! into a violation certificate, plus every whole-prefix re-check after a
+//! fallback. The frontier itself steps the sequential specification and does
+//! not use these monitors.
 //!
 //! # Soundness architecture
 //!
@@ -221,11 +222,9 @@ impl<S: SequentialSpec> GenLinObject for StrategyChecker<S> {
         !self.check(history).is_violation()
     }
 
+    /// Names the object, not the procedure: the same text as
+    /// [`LinSpec`]'s, so a certificate does not depend on which one decided.
     fn description(&self) -> String {
-        format!(
-            "linearizability w.r.t. {} (strategy dispatch: specialized monitor \
-             with general-search fallback)",
-            self.kind
-        )
+        self.general.description()
     }
 }

@@ -96,11 +96,6 @@ pub enum Verdict {
         /// Evidence of the violation.
         violation: Violation,
     },
-    /// The checker exhausted its exploration budget without reaching a decision.
-    ///
-    /// Only produced when an explicit budget is configured
-    /// (see [`CheckerConfig::max_explored_states`](crate::CheckerConfig)).
-    Inconclusive,
 }
 
 impl Verdict {
@@ -147,7 +142,6 @@ impl fmt::Display for Verdict {
                 writeln!(f, "NOT a member:")?;
                 write!(f, "{violation}")
             }
-            Verdict::Inconclusive => write!(f, "inconclusive (exploration budget exhausted)"),
         }
     }
 }
@@ -170,7 +164,6 @@ mod tests {
         };
         assert!(violation.is_violation());
         assert!(violation.violation().is_some());
-        assert!(!Verdict::Inconclusive.is_member());
     }
 
     #[test]
@@ -179,7 +172,6 @@ mod tests {
             violation: Violation::new(History::new(), "boom"),
         };
         assert!(v.to_string().contains("boom"));
-        assert!(Verdict::Inconclusive.to_string().contains("budget"));
     }
 
     #[test]

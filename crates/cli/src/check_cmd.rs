@@ -75,30 +75,24 @@ fn check<S: SequentialSpec + Clone>(
     let objects = checkers.len();
     for (object, checker) in checkers {
         let (_, verdict) = checker.finish();
-        match verdict {
-            Verdict::Member { .. } => {}
-            Verdict::NotMember { violation } => {
-                let which = describe_object(object);
-                eprintln!(
-                    "linrv: {source}: VIOLATION after {events} events — history{which} is \
-                     not linearizable w.r.t. the {kind} specification"
-                );
-                eprintln!("certificate (violating prefix{which}):");
-                eprintln!("{violation}");
-                if explain {
-                    // The violating prefix is itself a failing history; the
-                    // forensics pipeline upgrades the certificate into a
-                    // minimal-witness report.
-                    if let Some(explanation) = linrv_forensics::explain(kind, &violation.history) {
-                        eprintln!();
-                        eprint!("{}", linrv_forensics::render_report(&explanation));
-                    }
+        if let Verdict::NotMember { violation } = verdict {
+            let which = describe_object(object);
+            eprintln!(
+                "linrv: {source}: VIOLATION after {events} events — history{which} is \
+                 not linearizable w.r.t. the {kind} specification"
+            );
+            eprintln!("certificate (violating prefix{which}):");
+            eprintln!("{violation}");
+            if explain {
+                // The violating prefix is itself a failing history; the
+                // forensics pipeline upgrades the certificate into a
+                // minimal-witness report.
+                if let Some(explanation) = linrv_forensics::explain(kind, &violation.history) {
+                    eprintln!();
+                    eprint!("{}", linrv_forensics::render_report(&explanation));
                 }
-                return Ok(ExitCode::from(1));
             }
-            // Unreachable without an explicit exploration budget, which the CLI
-            // never configures; refuse to guess either way.
-            Verdict::Inconclusive => return Err("checker was inconclusive".into()),
+            return Ok(ExitCode::from(1));
         }
     }
     if !quiet {

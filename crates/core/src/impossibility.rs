@@ -66,8 +66,8 @@ impl ImpossibilityDemo {
     /// complete verifier must report ERROR in `E` (hence, by indistinguishability, also
     /// in `F`).
     pub fn e_violates_linearizability(&self) -> bool {
-        use linrv_check::{GenLinObject, LinSpec};
-        !LinSpec::new(linrv_spec::QueueSpec::new()).contains(&self.history_e)
+        use linrv_check::{GenLinObject, StrategyChecker};
+        !StrategyChecker::new(linrv_spec::QueueSpec::new()).contains(&self.history_e)
     }
 
     /// The soundness leg: the history of `A` in `F` is linearizable, so a sound
@@ -75,8 +75,8 @@ impl ImpossibilityDemo {
     /// in `E`). Together with [`ImpossibilityDemo::e_violates_linearizability`] this
     /// contradicts the existence of the verifier.
     pub fn f_is_linearizable(&self) -> bool {
-        use linrv_check::{GenLinObject, LinSpec};
-        LinSpec::new(linrv_spec::QueueSpec::new()).contains(&self.history_f)
+        use linrv_check::{GenLinObject, StrategyChecker};
+        StrategyChecker::new(linrv_spec::QueueSpec::new()).contains(&self.history_f)
     }
 }
 

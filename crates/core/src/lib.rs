@@ -21,7 +21,6 @@
 //!   under [`enforce::Mode::Observe`] with `decide` off the critical path;
 //! * [`impossibility`] — an executable rendition of the Theorem 5.1 indistinguishability
 //!   argument;
-//! * [`bounded`] — the Section 9.1 linked-list representation of grow-only sets;
 //! * [`certificate`] — serialisable accountability/forensics certificates
 //!   (Section 8.3);
 //! * [`registry`] — capacity-bounded dynamic process registration, backing the
@@ -36,14 +35,14 @@
 //!
 //! ```
 //! use linrv_core::enforce::SelfEnforced;
-//! use linrv_check::LinSpec;
+//! use linrv_check::StrategyChecker;
 //! use linrv_spec::{QueueSpec, ops::queue};
 //! use linrv_runtime::impls::MsQueue;
 //! use linrv_runtime::ConcurrentObject;
 //! use linrv_history::{OpValue, ProcessId};
 //!
 //! // Wrap a lock-free queue into its self-enforced counterpart for 2 processes.
-//! let enforced = SelfEnforced::new(MsQueue::new(), LinSpec::new(QueueSpec::new()), 2);
+//! let enforced = SelfEnforced::new(MsQueue::new(), StrategyChecker::new(QueueSpec::new()), 2);
 //! let p0 = ProcessId::new(0);
 //! assert_eq!(enforced.apply(p0, &queue::enqueue(7)), OpValue::Bool(true));
 //! assert_eq!(enforced.apply(p0, &queue::dequeue()), OpValue::Int(7));
@@ -55,7 +54,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bounded;
 pub mod certificate;
 pub mod drv;
 pub mod enforce;

@@ -2,7 +2,7 @@
 //! trace tap in one chain.
 
 use crate::monitor::{Monitor, MonitorInner};
-use linrv_check::LinSpec;
+use linrv_check::StrategyChecker;
 pub use linrv_core::enforce::Mode;
 use linrv_core::enforce::SelfEnforced;
 use linrv_core::view::{TupleSet, View};
@@ -139,7 +139,7 @@ impl<S: TypedObject> MonitorBuilder<S> {
     pub fn build<A: ConcurrentObject>(self, inner: A) -> Monitor<A, S> {
         let enforced = SelfEnforced::with_snapshots(
             inner,
-            LinSpec::new(self.spec),
+            StrategyChecker::new(self.spec),
             self.backend.base_object(self.capacity, View::new()),
             self.backend.base_object(self.capacity, TupleSet::new()),
         );

@@ -53,7 +53,7 @@
 //!
 //! | Concern | Raw ([`raw`], `linrv-core`) | Typed (this crate) |
 //! | ------- | --------------------------- | ------------------ |
-//! | Construction | `SelfEnforced::new(a, LinSpec::new(spec), n)` | [`Monitor::builder`]`(spec).processes(n).build(a)` |
+//! | Construction | `SelfEnforced::new(a, check::StrategyChecker::new(spec), n)` | [`Monitor::builder`]`(spec).processes(n).build(a)` |
 //! | Process identity | caller threads `ProcessId` manually | [`Session`] owns its slot; [`Monitor::register`] |
 //! | Operations | `Operation::new("Enqueue", OpValue::Int(5))` | `session.enqueue(5)` |
 //! | Responses | `OpValue` inspected at runtime | precise types (`Option<i64>`, `bool`, …) |

@@ -3,7 +3,7 @@
 
 use crate::builder::{Mode, MonitorBuilder, SnapshotBackend};
 use crate::session::Session;
-use linrv_check::LinSpec;
+use linrv_check::StrategyChecker;
 use linrv_core::certificate::Certificate;
 use linrv_core::enforce::{decide, SelfEnforced};
 use linrv_core::registry::RegistryFull;
@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 /// The shared state behind a [`Monitor`] and its [`Session`]s.
 pub(crate) struct MonitorInner<A, S: TypedObject> {
-    pub(crate) enforced: SelfEnforced<A, LinSpec<S>>,
+    pub(crate) enforced: SelfEnforced<A, StrategyChecker<S>>,
     pub(crate) mode: Mode,
     pub(crate) backend: SnapshotBackend,
     /// Trace tap installed by `MonitorBuilder::trace_to`, fed from every session.
@@ -174,7 +174,7 @@ impl<A: ConcurrentObject, S: TypedObject> Monitor<A, S> {
     ///
     /// Everything the facade does can also be done here, at the price of manual
     /// `ProcessId` threading and untyped `Operation`/`OpValue` handling.
-    pub fn as_raw(&self) -> &SelfEnforced<A, LinSpec<S>> {
+    pub fn as_raw(&self) -> &SelfEnforced<A, StrategyChecker<S>> {
         &self.inner.enforced
     }
 }
@@ -238,5 +238,30 @@ mod tests {
         let verdict = monitor.check();
         assert!(!verdict.is_correct());
         assert!(verdict.witness().is_some());
+    }
+
+    /// The monitor decides through the specialized monitors, and its
+    /// certificate names the object, not the procedure that decided.
+    #[test]
+    fn monitor_decides_through_the_strategy_checker() {
+        use linrv_check::Route;
+        let monitor = Monitor::builder(QueueSpec::new())
+            .processes(1)
+            .build(MsQueue::new());
+        let session = monitor.register().unwrap();
+        for i in 0..3 {
+            session.enqueue(i).unwrap();
+        }
+        assert_eq!(session.dequeue().unwrap(), Some(0));
+        let certificate = monitor.certificate();
+        let object = monitor.as_raw().verifier().object();
+        assert_eq!(
+            object.check_routed(&certificate.sketch).1,
+            Route::Specialized
+        );
+        assert_eq!(
+            certificate.object,
+            "linearizability w.r.t. the queue object"
+        );
     }
 }

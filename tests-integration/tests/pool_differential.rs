@@ -287,8 +287,8 @@ fn acceptance_pool_64_clients_10k_objects() {
     // so settle-point GC must reclaim essentially all of it. This is the
     // deterministic bounded-memory witness. The op count is moderate because
     // the DRV wrapper's announce views grow with an object's total operation
-    // count (Figure 7 writes ever-growing sets; see Section 9.1 and
-    // `linrv_core::bounded`), which is independent of the pool's history GC.
+    // count (Figure 7 writes ever-growing sets; see Section 9.1), which is
+    // independent of the pool's history GC.
     let seq_key = OBJECTS - 1;
     const SEQ_OPS: u64 = 300;
 

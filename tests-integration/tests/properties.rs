@@ -222,20 +222,4 @@ proptest! {
         }
         prop_assert_eq!(afek.scan(0), oracle.scan(0));
     }
-
-    /// The Section 9.1 linked-list representation of grow-only sets agrees with a
-    /// `BTreeSet` under arbitrary insertion sequences.
-    #[test]
-    fn persistent_list_matches_btreeset(values in proptest::collection::vec(0..50i64, 0..60)) {
-        use linrv_core::bounded::PersistentList;
-        use std::collections::BTreeSet;
-        let mut list = PersistentList::new();
-        let mut set = BTreeSet::new();
-        for v in &values {
-            list = list.push(*v);
-            set.insert(*v);
-            prop_assert!(list.contains(v));
-        }
-        prop_assert_eq!(list.to_set(), set);
-    }
 }

@@ -1,9 +1,13 @@
 //! Differential tests for the specialized log-linear monitors: on recorded
-//! executions — correct and fault-injected, across every covered object kind
-//! — the [`StrategyChecker`] must agree with the general Wing–Gong search,
-//! and ambiguous histories must take the documented fallback route.
+//! executions and on the sketches `X(τ)` a monitor's verifier step decides —
+//! correct and fault-injected, across every covered object kind — the
+//! [`StrategyChecker`] must agree with the general Wing–Gong search, and
+//! ambiguous histories must take the documented fallback route.
 
-use linrv_check::{FallbackReason, LinSpec, Route, StrategyChecker, Verdict};
+use linrv_check::{FallbackReason, LinSpec, Route, StrategyChecker};
+use linrv_core::drv::{Announced, Drv};
+use linrv_core::sketch::sketch_history;
+use linrv_core::view::{TupleSet, ViewTuple};
 use linrv_history::{History, HistoryBuilder, OpValue, ProcessId};
 use linrv_runtime::{faulty, impls, record_scheduled, RecorderOptions, Workload, WorkloadKind};
 use linrv_spec::ops::{queue, stack};
@@ -42,10 +46,6 @@ fn record(kind: ObjectKind, seed: u64, faulty_every: Option<u64>) -> History {
 fn differential<S: SequentialSpec + Copy>(spec: S, history: &History) -> Route {
     let general = LinSpec::new(spec).check(history);
     let (routed, route) = StrategyChecker::new(spec).check_routed(history);
-    assert!(
-        !matches!(routed, Verdict::Inconclusive),
-        "Auto strategy may never be inconclusive (route {route:?})"
-    );
     assert_eq!(
         routed.is_violation(),
         general.is_violation(),
@@ -82,6 +82,114 @@ proptest! {
         let kind = COVERED_KINDS[kind_index];
         let history = record(kind, seed, inject_faults.then_some(5));
         differential_for(kind, &history);
+    }
+}
+
+/// Where one process of a seeded DRV schedule is in its current operation.
+enum Phase {
+    Idle,
+    Announced(Announced),
+    Called(Announced, OpValue),
+    Collected(ViewTuple),
+}
+
+/// The sketches `X(τ)` a monitor's verifier decides on one seeded DRV schedule
+/// over `kind`'s implementation (its fault injector when `faulty_every` is
+/// set): one after every publication. A process publishes its own tuple before
+/// it announces again, as a `Session` does; the other processes announce, call
+/// and collect in between, so a sketch carries their announced, uncollected
+/// operations as pending ones.
+fn drv_sketches(
+    kind: ObjectKind,
+    seed: u64,
+    processes: usize,
+    faulty_every: Option<u64>,
+) -> Vec<History> {
+    const OPS_PER_PROCESS: usize = 5;
+    let object = match faulty_every {
+        Some(every) => faulty::faulty_object(kind, every),
+        None => impls::correct_object(kind),
+    };
+    let drv = Drv::new(object, processes);
+    let workload = Workload::new(WorkloadKind::for_object(kind), seed);
+    let mut plans: Vec<_> = (0..processes)
+        .map(|process| {
+            workload
+                .operations_for(process, OPS_PER_PROCESS)
+                .into_iter()
+        })
+        .collect();
+    let mut phases: Vec<Phase> = (0..processes).map(|_| Phase::Idle).collect();
+    let mut rng = seed ^ 0x5CE7_C4ED;
+    let mut published = TupleSet::new();
+    let mut sketches = Vec::new();
+    loop {
+        let movable: Vec<usize> = (0..processes)
+            .filter(|&i| !matches!(phases[i], Phase::Idle) || plans[i].len() > 0)
+            .collect();
+        if movable.is_empty() {
+            return sketches;
+        }
+        // xorshift64: the schedule is a pure function of the seed.
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        let index = movable[(rng % movable.len() as u64) as usize];
+        phases[index] = match std::mem::replace(&mut phases[index], Phase::Idle) {
+            Phase::Idle => {
+                let op = plans[index]
+                    .next()
+                    .expect("a movable idle process has an op");
+                Phase::Announced(drv.announce(ProcessId::new(index as u32), &op))
+            }
+            Phase::Announced(announced) => {
+                let value = drv.call_inner(&announced);
+                Phase::Called(announced, value)
+            }
+            Phase::Called(announced, value) => {
+                Phase::Collected(drv.collect(announced, value).tuple())
+            }
+            Phase::Collected(tuple) => {
+                published.insert(tuple);
+                sketches.push(sketch_history(&published).expect("DRV views sketch"));
+                Phase::Idle
+            }
+        };
+    }
+}
+
+/// Sketch-shaped inputs: every sketch of seeded DRV schedules, correct and
+/// faulty, 1–5 processes, gets the same verdict from both procedures. Every
+/// kind is decided by its specialized monitor at least once, and so is a
+/// queue sketch with a pending operation.
+#[test]
+fn specialized_and_general_verdicts_agree_on_drv_sketches() {
+    for kind in COVERED_KINDS {
+        let mut specialized = 0;
+        let mut specialized_with_pending = 0;
+        for seed in 0..8u64 {
+            for processes in 1..=5 {
+                for faulty_every in [None, Some(2), Some(3), Some(5)] {
+                    for sketch in drv_sketches(kind, seed, processes, faulty_every) {
+                        if differential_for(kind, &sketch) == Route::Specialized {
+                            specialized += 1;
+                            let pending = sketch.operations().iter().any(|op| !op.is_complete());
+                            specialized_with_pending += usize::from(pending);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            specialized > 0,
+            "no {kind} sketch took the specialized route"
+        );
+        if kind == ObjectKind::Queue {
+            assert!(
+                specialized_with_pending > 0,
+                "no queue sketch with a pending operation took the specialized route"
+            );
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //!   history, byte-for-byte same trace.
 
 use linrv_check::stream::check_events;
-use linrv_check::{LinSpec, Verdict};
+use linrv_check::LinSpec;
 use linrv_history::History;
 use linrv_runtime::{faulty, impls, record_scheduled, RecorderOptions, Workload, WorkloadKind};
 use linrv_spec::{with_spec, ObjectKind};
@@ -41,10 +41,6 @@ fn generate(kind: ObjectKind, seed: u64, faulty: bool, processes: usize, ops: us
 fn verdicts(kind: ObjectKind, history: &History, round_tripped: &History) -> (bool, bool) {
     with_spec!(kind, |spec| {
         let batch = LinSpec::new(spec).check(history);
-        assert!(
-            !matches!(batch, Verdict::Inconclusive),
-            "no budget is configured"
-        );
         let streamed =
             check_events::<_, TraceError>(spec, round_tripped.events().iter().cloned().map(Ok))
                 .expect("in-memory events cannot fail")
