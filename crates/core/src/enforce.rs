@@ -68,6 +68,15 @@ pub enum Mode {
 /// Decides the computation published so far (Figure 10, Lines 08–12; Figure 12,
 /// verifier code): `None` when the sketch is a member of the object, else the witness.
 ///
+/// The step continues the verifier's sketch from its stable prefix ([`crate::verifier`]
+/// module docs), so it sorts, checks and sketches only the tuples above that prefix. It
+/// takes the sketch with `try_lock` and scans `M` while holding it. When another step
+/// holds the sketch (a `Monitor::check` racing a process's step), or when `τ` does not
+/// extend the prefix (a forged `record`, which also resets the sketch), the step
+/// decides from scratch through [`Verifier::audit`] instead of waiting. Either way the
+/// verdict and the witness are those of `sketch_history(τ)` and the membership test,
+/// byte for byte.
+///
 /// # Panics
 ///
 /// Panics when the published tuples violate the view properties of Remark 7.2 (the
@@ -75,10 +84,8 @@ pub enum Mode {
 /// `DRV` wrapper over a linearizable snapshot cannot produce them, so the shared state
 /// was corrupted.
 pub fn decide<O: GenLinObject>(verifier: &Verifier<O>, scanner: ProcessId) -> Option<History> {
-    let audit = verifier.audit(scanner);
-    match audit.sketch {
-        Ok(_) if audit.member => None,
-        Ok(witness) => Some(witness),
+    match verifier.verdict(scanner) {
+        Ok(witness) => witness,
         Err(err) => panic!(
             "invariant broken: a DRV wrapper over a linearizable snapshot cannot \
              produce views that violate Remark 7.2, yet the published tuples do: {err}"

@@ -1,17 +1,19 @@
 //! DRV hot-path metrics: lazily registered handles in the global
 //! [`Registry`].
 //!
-//! These are the profiling hooks the ROADMAP's hot-path item asks for: the
-//! announce/collect tax of the Figure 7 transform is known to be ~300µs/op
-//! and quadratic in the object's op count (views grow with every operation),
-//! and `linrv_drv_view_size` measures exactly that growth on a live run.
+//! Announce and collect copy whole views, so their cost grows with the
+//! object's operation count (views grow with every operation), and
+//! `linrv_drv_view_size` measures exactly that growth on a live run.
 //! `linrv_verifier_tuples` does the same for the verdict path: the size of
-//! `τ` per sketch, to read a `linrv_drv_sketch_ns` sample against.
+//! `τ` per verdict, to read a `linrv_drv_sketch_ns` sample against.
+//! `linrv_verifier_suffix_tuples` is the part of `τ` a verifier step still
+//! sketches above its stable prefix, and `linrv_verifier_rebuilds_total`
+//! counts the decides that sketched all of `τ` from scratch instead.
 //!
 //! Everything here is gated on [`linrv_obs::enabled`] at the call sites in
-//! [`crate::drv`] and [`crate::sketch`]: with recording disabled (the
-//! default) the hot path pays one relaxed load and a predicted branch per
-//! phase, nothing else.
+//! [`crate::drv`], [`crate::sketch`] and [`crate::verifier`]: with recording
+//! disabled (the default) the hot path pays one relaxed load and a predicted
+//! branch per phase, nothing else.
 
 use linrv_obs::{Counter, Histogram, MetricKind, Registry};
 use std::sync::OnceLock;
@@ -24,6 +26,11 @@ const SKETCH_NS: &str = "linrv_drv_sketch_ns";
 const SKETCH_NS_HELP: &str = "sketch_history construction latency, nanoseconds";
 const VERIFIER_TUPLES: &str = "linrv_verifier_tuples";
 const VERIFIER_TUPLES_HELP: &str = "tuples in the set a sketch is built from, per verdict";
+const SUFFIX_TUPLES: &str = "linrv_verifier_suffix_tuples";
+const SUFFIX_TUPLES_HELP: &str =
+    "tuples above the stable prefix that a verifier step sorts, checks and sketches";
+const REBUILDS: &str = "linrv_verifier_rebuilds_total";
+const REBUILDS_HELP: &str = "verifier decides that sketched the whole tuple set from scratch";
 const VIEW_SIZE: &str = "linrv_drv_view_size";
 const VIEW_SIZE_HELP: &str = "announce-view size per collected operation (invocation pairs)";
 const OPS_ANNOUNCED: &str = "linrv_drv_ops_announced_total";
@@ -56,6 +63,20 @@ pub fn verifier_tuples() -> &'static Histogram {
     SLOT.get_or_init(|| Registry::global().histogram(VERIFIER_TUPLES, VERIFIER_TUPLES_HELP))
 }
 
+/// Tuples above the stable prefix per incremental decide: the part of `τ` a
+/// verifier step still sorts, checks and sketches (one sample per such verdict).
+pub fn suffix_tuples() -> &'static Histogram {
+    static SLOT: OnceLock<Histogram> = OnceLock::new();
+    SLOT.get_or_init(|| Registry::global().histogram(SUFFIX_TUPLES, SUFFIX_TUPLES_HELP))
+}
+
+/// Decides that fell back to sketching all of `τ`: another decide held the
+/// verifier's sketch, or `τ` held a forged tuple that the stable prefix cannot take.
+pub fn rebuilds() -> &'static Counter {
+    static SLOT: OnceLock<Counter> = OnceLock::new();
+    SLOT.get_or_init(|| Registry::global().counter(REBUILDS, REBUILDS_HELP))
+}
+
 /// Announce-view size distribution (one sample per collected operation).
 pub fn view_size() -> &'static Histogram {
     static SLOT: OnceLock<Histogram> = OnceLock::new();
@@ -84,6 +105,8 @@ pub fn declare() {
     registry.declare(COLLECT_NS, MetricKind::Histogram, COLLECT_NS_HELP);
     registry.declare(SKETCH_NS, MetricKind::Histogram, SKETCH_NS_HELP);
     registry.declare(VERIFIER_TUPLES, MetricKind::Histogram, VERIFIER_TUPLES_HELP);
+    registry.declare(SUFFIX_TUPLES, MetricKind::Histogram, SUFFIX_TUPLES_HELP);
+    registry.declare(REBUILDS, MetricKind::Counter, REBUILDS_HELP);
     registry.declare(VIEW_SIZE, MetricKind::Histogram, VIEW_SIZE_HELP);
     registry.declare(OPS_ANNOUNCED, MetricKind::Counter, OPS_ANNOUNCED_HELP);
     registry.declare(OPS_COLLECTED, MetricKind::Counter, OPS_COLLECTED_HELP);

@@ -70,19 +70,18 @@ impl<S: Entry> SharedSets<S> {
     }
 
     /// Adds `item` to the set of `process` and publishes that set: one insert, one
-    /// clone, one snapshot write. Panics when `process` is out of range.
+    /// clone, one snapshot write. The write happens under the local lock, so an entry
+    /// only grows even when two threads misuse one process, and successive scans by
+    /// one caller see growing unions. Panics when `process` is out of range.
     pub(crate) fn add(&self, process: ProcessId, item: S::Item) {
         assert!(
             process.index() < self.processes(),
             "process {process} out of range for a {}-process shared array",
             self.processes()
         );
-        let set = {
-            let mut local = self.local[process.index()].lock();
-            local.add(item);
-            local.clone()
-        };
-        self.snapshot.write(process.index(), set);
+        let mut local = self.local[process.index()].lock();
+        local.add(item);
+        self.snapshot.write(process.index(), local.clone());
     }
 
     /// The union of all entries, in one scan (an out-of-range `scanner` scans as the

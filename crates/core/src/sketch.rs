@@ -31,9 +31,26 @@
 //! differences; the all-pairs formulation it replaces cost `O(t²·v)`. The sort is
 //! stable and starts from `TupleSet` order, so steps and the events inside them come
 //! out in the same canonical order as before.
+//!
+//! # Only the steps above a stable prefix
+//!
+//! [`sketch_history`] is the from-scratch construction: audits and certificates call
+//! it, and it is the oracle. A verifier step instead continues an earlier sketch: the
+//! steps up to the largest view `W` of `τ` with no pending pair can never change (the
+//! pending-pair lemma, [`crate::verifier`] module docs), so the step keeps their events
+//! and sorts, checks and sketches only the `s` tuples with larger views, starting the
+//! differences from `W`. The stable sort makes that suffix of the chain exactly the
+//! tail of the whole chain, and both write a step's events with one helper, so the
+//! events come out as `sketch_history`'s would. With `n` processes a step costs
+//! `O(t·n)` to read `τ` and split it at `|W|`, plus `O(s log s + s·v)`.
 
-use crate::view::{checked_chain, TupleSet, View, ViewPropertyError};
-use linrv_history::{History, IntervalHistory};
+use crate::view::{
+    check_above, checked_chain, InvocationPair, TupleSet, View, ViewPropertyError, ViewTuple,
+};
+use linrv_history::{Event, History, IntervalHistory};
+use std::cmp::Ordering;
+use std::collections::btree_set::Difference;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Why a set of view tuples cannot be turned into a sketch.
@@ -67,31 +84,9 @@ impl From<ViewPropertyError> for SketchError {
 ///
 /// Returns [`SketchError::ViewProperty`] when the tuples violate Remark 7.2.
 pub fn sketch_interval(tuples: &TupleSet) -> Result<IntervalHistory, SketchError> {
-    // Ascending view size; the checks passed, so this is ascending containment order
-    // and a run of equal sizes is one view with all of its responders.
-    let chain = checked_chain(tuples)?;
-
-    let mut interval = IntervalHistory::new();
-    let empty = View::new();
-    let mut previous = &empty;
-    for responders in chain.chunk_by(|a, b| a.view.len() == b.view.len()) {
-        let view = &responders[0].view;
-        // Never empty: the first view holds its own pair, a later one is strictly
-        // larger than the one before it.
-        interval.push_invocations(
-            view.difference(previous)
-                .map(|pair| (pair.process, pair.op_id, pair.operation.clone()))
-                .collect(),
-        );
-        interval.push_responses(
-            responders
-                .iter()
-                .map(|t| (t.pair.process, t.pair.op_id, t.response.clone()))
-                .collect(),
-        );
-        previous = view;
-    }
-    Ok(interval)
+    // Every step invokes and answers at least one operation, so the maximal runs of
+    // invocations and of responses are exactly the steps.
+    Ok(IntervalHistory::group(&build(tuples)?))
 }
 
 /// Builds the canonical flattened history of the sketch `X(λ)`.
@@ -100,12 +95,184 @@ pub fn sketch_interval(tuples: &TupleSet) -> Result<IntervalHistory, SketchError
 ///
 /// Returns [`SketchError::ViewProperty`] when the tuples violate Remark 7.2.
 pub fn sketch_history(tuples: &TupleSet) -> Result<History, SketchError> {
-    if linrv_obs::enabled() {
-        crate::metrics::verifier_tuples().record(tuples.len() as u64);
+    observed(tuples.len(), || build(tuples))
+}
+
+/// `X(λ)` from scratch.
+fn build(tuples: &TupleSet) -> Result<History, SketchError> {
+    // Ascending view size; the checks passed, so this is ascending containment order
+    // and a run of equal sizes is one view with all of its responders.
+    let chain = checked_chain(tuples)?;
+    let mut history = History::new();
+    for (invoked, responders) in steps(&chain, &View::new()) {
+        push_step(&mut history, invoked, responders);
     }
-    linrv_obs::time(crate::metrics::sketch_ns(), || {
-        Ok(sketch_interval(tuples)?.flatten())
-    })
+    Ok(history)
+}
+
+/// Records one verdict's `linrv_verifier_tuples` sample (`|τ|`) and times its sketch
+/// as one `linrv_drv_sketch_ns` sample.
+fn observed<R>(tuples: usize, sketch: impl FnOnce() -> R) -> R {
+    if linrv_obs::enabled() {
+        crate::metrics::verifier_tuples().record(tuples as u64);
+    }
+    linrv_obs::time(crate::metrics::sketch_ns(), sketch)
+}
+
+/// The steps of `X(λ)` that a checked, size-sorted `chain` adds above the view
+/// `previous`: per run of equal sizes (one view), the pairs that view adds to the one
+/// before it — the step's invocations, never empty: the first view holds its own pair,
+/// a later one is strictly larger than the one before it — and the tuples with exactly
+/// that view, the step's responses.
+fn steps<'a>(
+    chain: &'a [&'a ViewTuple],
+    mut previous: &'a View,
+) -> impl Iterator<Item = (Difference<'a, InvocationPair>, &'a [&'a ViewTuple])> {
+    chain
+        .chunk_by(|a, b| a.view.len() == b.view.len())
+        .map(move |responders| {
+            let view = &responders[0].view;
+            let invoked = view.difference(previous);
+            previous = view;
+            (invoked, responders)
+        })
+}
+
+/// Appends one step of `X(λ)` to `history`: the invocations of the pairs `invoked`,
+/// then the responses of `responders`.
+fn push_step<'a>(
+    history: &mut History,
+    invoked: impl IntoIterator<Item = &'a InvocationPair>,
+    responders: &[&ViewTuple],
+) {
+    for pair in invoked {
+        history.push(Event::invocation(
+            pair.process,
+            pair.op_id,
+            pair.operation.clone(),
+        ));
+    }
+    for t in responders {
+        history.push(Event::response(
+            t.pair.process,
+            t.pair.op_id,
+            t.response.clone(),
+        ));
+    }
+}
+
+/// `X(τ)` of a growing `τ` that re-sketches only the tuples above a stable prefix
+/// (the [`verifier`](crate::verifier) module docs: the pending-pair lemma). The prefix
+/// is `X(τ)` up to and including the step of `W`, the largest view of `τ` that holds
+/// no pending pair; every later `τ' ⊇ τ` has the same steps up to there, so a call
+/// sorts, checks and sketches only the tuples whose views are larger than `W`.
+#[derive(Debug, Default)]
+pub(crate) struct IncrementalSketch {
+    /// `X(τ)` of the last call; its first `stable` events are the prefix.
+    history: History,
+    stable: usize,
+    /// `|W|`, 0 while no view is stable.
+    boundary: usize,
+    /// The tuples of the prefix: those with views of at most `|W|` pairs.
+    settled_tuples: usize,
+    /// The pairs of `W` without a tuple in the prefix: at most one per process, whose
+    /// tuples lie above `W`.
+    open: BTreeSet<InvocationPair>,
+}
+
+impl IncrementalSketch {
+    /// `X(τ)` of the last call.
+    #[cfg(test)]
+    pub(crate) fn history(&self) -> &History {
+        &self.history
+    }
+
+    /// The stable prefix: the events of the steps up to and including `W`'s.
+    #[cfg(test)]
+    pub(crate) fn prefix(&self) -> &[Event] {
+        &self.history.events()[..self.stable]
+    }
+
+    /// `X(tuples)`, built as `sketch_history(tuples)` would build it, where `tuples`
+    /// holds every tuple of the sets passed before. Moves the prefix up to the new
+    /// `W`. `None` when the tuples at or below `W` are not exactly the prefix's, or a
+    /// tuple above `W` shares its pair with one of the prefix, which takes a forged
+    /// tuple or a `τ` that shrank: the caller must decide from scratch and start over.
+    ///
+    /// With `t` tuples read from `n` parts, `s` of them above `W` and views of at most
+    /// `v` pairs, a call costs `O(t·n)` for the merge that reads `τ` plus
+    /// `O(s log s + s·v)` for sorting, checking and sketching the suffix.
+    pub(crate) fn advance(&mut self, tuples: &TupleSet) -> Option<Result<&History, SketchError>> {
+        let (boundary, suffix) = self.split(tuples)?;
+        if linrv_obs::enabled() {
+            crate::metrics::suffix_tuples().record(suffix.len() as u64);
+        }
+        let sketched = observed(self.settled_tuples + suffix.len(), || {
+            self.extend(boundary, suffix)
+        });
+        Some(sketched.map(|()| &self.history))
+    }
+
+    /// Splits `tuples` at `|W|` into the prefix's last tuple in chain order, whose view
+    /// is `W`, and the tuples above it; `None` when `tuples` does not extend the prefix
+    /// ([`advance`](Self::advance)).
+    fn split<'t>(
+        &self,
+        tuples: &'t TupleSet,
+    ) -> Option<(Option<&'t ViewTuple>, Vec<&'t ViewTuple>)> {
+        let (mut below, mut boundary, mut suffix) = (0, None, Vec::new());
+        for tuple in tuples {
+            match tuple.view.len().cmp(&self.boundary) {
+                Ordering::Greater => suffix.push(tuple),
+                Ordering::Equal => {
+                    below += 1;
+                    boundary = Some(tuple);
+                }
+                Ordering::Less => below += 1,
+            }
+        }
+        let unsettled = boundary.is_some_and(|w| {
+            suffix
+                .iter()
+                .any(|t| w.view.contains(&t.pair) && !self.open.contains(&t.pair))
+        });
+        let extends = below == self.settled_tuples && boundary.is_some() == (below > 0);
+        (extends && !unsettled).then_some((boundary, suffix))
+    }
+
+    /// Sorts, checks and sketches `suffix`, the tuples above `boundary`, after the
+    /// prefix; on `Ok`, `history` holds `X(τ)`.
+    fn extend(
+        &mut self,
+        boundary: Option<&ViewTuple>,
+        mut suffix: Vec<&ViewTuple>,
+    ) -> Result<(), SketchError> {
+        suffix.sort_by_key(|tuple| tuple.view.len());
+        check_above(&suffix, boundary)?;
+
+        // The steps above `W`. They stay final while every pair they invoke has a
+        // tuple in `τ`, which is then a tuple above `W`.
+        self.history.truncate(self.stable);
+        let published: BTreeSet<&InvocationPair> = suffix.iter().map(|t| &t.pair).collect();
+        let empty = View::new();
+        let (mut final_tuples, mut is_final) = (0, true);
+        for (invoked, responders) in steps(&suffix, boundary.map_or(&empty, |w| &w.view)) {
+            let invoked: Vec<&InvocationPair> = invoked.collect();
+            is_final &= invoked.iter().all(|pair| published.contains(pair));
+            push_step(&mut self.history, invoked.iter().copied(), responders);
+            if is_final {
+                self.open.extend(invoked.into_iter().cloned());
+                final_tuples += responders.len();
+                self.stable = self.history.len();
+                self.boundary = responders[0].view.len();
+            }
+        }
+        for tuple in &suffix[..final_tuples] {
+            self.open.remove(&tuple.pair);
+        }
+        self.settled_tuples += final_tuples;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -37,8 +37,28 @@
 //! several tuples with one `op_id`; remembering, per process, the last tuple and the
 //! last one before it with a different `op_id` always yields that witness.)
 //!
-//! Self-inclusion is one lookup per tuple. No pass samples, caches across calls or
-//! depends on the build profile.
+//! Self-inclusion is one lookup per tuple. No pass samples or depends on the build
+//! profile.
+//!
+//! # Continuing a checked prefix
+//!
+//! A verifier step checks only the tuples above a sketch's stable prefix `P`, whose
+//! last view is `W` ([`crate::sketch`]); `P` passed all three checks at the step that
+//! settled it. The whole chain is `P`'s chain followed by the new tuples in size order,
+//! so self-inclusion needs nothing of `P`, and the chain needs one more link: `P`'s last
+//! tuple, whose view is `W`, against the first new one. The latest-witness pass needs
+//! nothing of `P` either, as long as no new tuple shares its pair with a tuple of `P`
+//! (only forged input does; such a step starts over from scratch).
+//!
+//! *Proof.* Over the whole chain the pass compares a new tuple `b` with the latest
+//! earlier tuple of `b`'s process that belongs to another operation; over the new
+//! tuples alone, with the latest such new tuple. The two differ only when the first is
+//! a tuple `a` of `P` and the second does not exist, and then the whole pass fails at
+//! `b` iff `b`'s pair `x` is in `λ_a ⊆ W`. When `W` was settled, every pair of `W` had a
+//! tuple in `τ`; none of `x`'s is in `P`, so that one was a tuple `c` above `W`, of
+//! `b`'s operation, and the pass over that step's chain compared `c` with `a` or with a
+//! later tuple of another operation of the same process, whose view contains `λ_a`.
+//! That pass held, so `x ∉ λ_a`. ∎
 
 use linrv_history::{OpId, OpValue, Operation, ProcessId};
 use serde::{Deserialize, Serialize};
@@ -342,8 +362,19 @@ pub fn check_view_properties(tuples: &TupleSet) -> Result<(), ViewPropertyError>
 pub(crate) fn checked_chain(tuples: &TupleSet) -> Result<Vec<&ViewTuple>, ViewPropertyError> {
     let mut chain: Vec<&ViewTuple> = tuples.iter().collect();
     chain.sort_by_key(|tuple| tuple.view.len());
+    check_above(&chain, None)?;
+    Ok(chain)
+}
 
-    for tuple in &chain {
+/// Checks all of Remark 7.2 on `chain`, size-sorted tuples that continue a checked
+/// prefix of the chain whose last tuple is `boundary`, none of them sharing its pair
+/// with a tuple of that prefix (module docs, continuing a checked prefix); with `None`,
+/// `chain` is the whole chain. Reports what the three passes over the whole chain would.
+pub(crate) fn check_above(
+    chain: &[&ViewTuple],
+    boundary: Option<&ViewTuple>,
+) -> Result<(), ViewPropertyError> {
+    for tuple in chain {
         if !tuple.view.contains(&tuple.pair) {
             return Err(ViewPropertyError::SelfInclusion {
                 pair: tuple.pair.clone(),
@@ -352,12 +383,16 @@ pub(crate) fn checked_chain(tuples: &TupleSet) -> Result<Vec<&ViewTuple>, ViewPr
     }
 
     // Chain lemma: every link holding is comparability of all pairs.
-    for link in chain.windows(2) {
-        if !link[0].view.is_subset(&link[1].view) {
-            return Err(ViewPropertyError::Incomparable {
-                left: link[0].pair.clone(),
-                right: link[1].pair.clone(),
-            });
+    let mut linked = boundary.into_iter().chain(chain.iter().copied());
+    if let Some(mut left) = linked.next() {
+        for right in linked {
+            if !left.view.is_subset(&right.view) {
+                return Err(ViewPropertyError::Incomparable {
+                    left: left.pair.clone(),
+                    right: right.pair.clone(),
+                });
+            }
+            left = right;
         }
     }
 
@@ -365,7 +400,7 @@ pub(crate) fn checked_chain(tuples: &TupleSet) -> Result<Vec<&ViewTuple>, ViewPr
     // before it that belongs to another operation (the two differ in `op_id`, so one of
     // them is the latest earlier tuple of an operation other than `tuple`'s).
     let mut latest: BTreeMap<ProcessId, (&ViewTuple, Option<&ViewTuple>)> = BTreeMap::new();
-    for &tuple in &chain {
+    for &tuple in chain {
         let other = match latest.get(&tuple.pair.process) {
             Some(&(last, _)) if last.pair.op_id != tuple.pair.op_id => Some(last),
             Some(&(_, before)) => before,
@@ -381,7 +416,7 @@ pub(crate) fn checked_chain(tuples: &TupleSet) -> Result<Vec<&ViewTuple>, ViewPr
         }
         latest.insert(tuple.pair.process, (tuple, other));
     }
-    Ok(chain)
+    Ok(())
 }
 
 #[cfg(test)]

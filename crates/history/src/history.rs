@@ -169,6 +169,12 @@ impl History {
         self.events.push(event);
     }
 
+    /// Keeps the first `len` events and drops the rest (no effect when the history is
+    /// not longer than `len`).
+    pub fn truncate(&mut self, len: usize) {
+        self.events.truncate(len);
+    }
+
     /// Checks the well-formedness conditions of Section 2 and reports the first
     /// violation found, if any.
     ///

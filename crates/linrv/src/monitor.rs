@@ -240,6 +240,48 @@ mod tests {
         assert!(verdict.witness().is_some());
     }
 
+    /// `Monitor::check` (slot 0) and session 0 both continue the verifier's
+    /// incremental sketch. Racing them from two threads (the loser audits from
+    /// scratch; the core's unit tests force that case) never changes a verdict:
+    /// afterwards `check` agrees with a from-scratch audit, witness and all, on a
+    /// correct and on a lossy queue.
+    #[test]
+    fn a_check_racing_session_zero_agrees_with_the_audit() {
+        fn race<A: ConcurrentObject>(object: A) -> bool {
+            let monitor = Monitor::builder(QueueSpec::new())
+                .processes(2)
+                .build(object);
+            let session = monitor.register().unwrap();
+            let other = monitor.register().unwrap();
+            let start = std::sync::Barrier::new(2);
+            let clean = std::thread::scope(|scope| {
+                let worker = scope.spawn(|| {
+                    start.wait();
+                    (0..40).all(|i| session.enqueue(i).is_ok() && session.dequeue().is_ok())
+                });
+                start.wait();
+                let checks = (0..80).all(|i| {
+                    if i % 8 == 0 {
+                        let _ = other.enqueue(1000 + i);
+                    }
+                    monitor.check().is_correct()
+                });
+                worker.join().unwrap() && checks
+            });
+            let audit = monitor.as_raw().verifier().audit(ProcessId::new(0));
+            match monitor.check() {
+                Verdict::Correct => assert!(audit.member),
+                Verdict::Violation { witness } => {
+                    assert!(!audit.member);
+                    assert_eq!(Some(witness), audit.sketch.ok());
+                }
+            }
+            clean
+        }
+        assert!(race(MsQueue::new()), "a race raised a false alarm");
+        assert!(!race(LossyQueue::new(3)), "the lossy queue went unnoticed");
+    }
+
     /// The monitor decides through the specialized monitors, and its
     /// certificate names the object, not the procedure that decided.
     #[test]
