@@ -33,6 +33,8 @@
 //! * It answers [`SpecializedResult::NotMember`] only from individually sound
 //!   bad patterns (e.g. a value dequeued twice, a FIFO inversion forced by
 //!   real-time order, an empty-dequeue whose window is necessarily covered).
+//!   The monitors keep their per-value tables in ordered maps, so when several
+//!   patterns fire the one reported is a function of the history alone.
 //! * In every other situation it returns [`SpecializedResult::Fallback`] and
 //!   the general search decides. A fallback is never wrong, only slower.
 //!

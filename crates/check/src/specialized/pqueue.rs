@@ -15,8 +15,8 @@ use super::util::{compress, respects_precedence, IntervalUnion, PrefixMax, Span,
 use super::{BadPattern, FallbackReason, SpecializedResult};
 use linrv_history::{History, OpValue};
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap};
 
 #[derive(Clone, Copy)]
 struct Pair {
@@ -29,8 +29,8 @@ pub(super) fn check(history: &History) -> SpecializedResult {
     if history.pending_operations().next().is_some() {
         return SpecializedResult::Fallback(FallbackReason::Pending);
     }
-    let mut inserts: HashMap<i64, (Span, u32)> = HashMap::new();
-    let mut extracts: HashMap<i64, (Span, u32)> = HashMap::new();
+    let mut inserts: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
+    let mut extracts: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
     let mut empties: Vec<Span> = Vec::new();
 
     for record in history.operations() {

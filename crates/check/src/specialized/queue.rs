@@ -29,8 +29,8 @@
 use super::util::{respects_precedence, IntervalUnion, Span, INF};
 use super::{BadPattern, FallbackReason, SpecializedResult};
 use linrv_history::{History, OpValue};
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// A value with its forced enqueue/dequeue pair (dequeue span `rs` is always
 /// finite; the enqueue may be pending, `rs == INF`).
@@ -42,8 +42,8 @@ struct Pair {
 }
 
 pub(super) fn check(history: &History) -> SpecializedResult {
-    let mut enqs: HashMap<i64, (Span, u32)> = HashMap::new();
-    let mut deqs: HashMap<i64, (Span, u32)> = HashMap::new();
+    let mut enqs: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
+    let mut deqs: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
     let mut empties: Vec<Span> = Vec::new();
     // Minimum invocation index over pending dequeues; INF when none exist.
     let mut wildcard_iv = INF;

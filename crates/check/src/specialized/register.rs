@@ -22,7 +22,7 @@
 use super::util::{respects_precedence, Span, INF};
 use super::{BadPattern, FallbackReason, SpecializedResult};
 use linrv_history::{History, OpValue};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 struct Block {
     write: Span,
@@ -33,7 +33,7 @@ pub(super) fn check(history: &History) -> SpecializedResult {
     if history.pending_operations().next().is_some() {
         return SpecializedResult::Fallback(FallbackReason::Pending);
     }
-    let mut writes: HashMap<i64, Span> = HashMap::new();
+    let mut writes: BTreeMap<i64, Span> = BTreeMap::new();
     let mut reads: Vec<(i64, Span)> = Vec::new();
     for record in history.operations() {
         let span = Span::new(record.invocation_index, record.response_index);
@@ -81,7 +81,7 @@ pub(super) fn check(history: &History) -> SpecializedResult {
     }
 
     let mut initial_reads: Vec<Span> = Vec::new();
-    let mut by_value: HashMap<i64, Vec<Span>> = HashMap::new();
+    let mut by_value: BTreeMap<i64, Vec<Span>> = BTreeMap::new();
     for (value, span) in reads {
         if value == 0 {
             initial_reads.push(span);

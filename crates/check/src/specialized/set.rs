@@ -17,7 +17,7 @@ use super::util::{respects_precedence, Span};
 use super::{BadPattern, FallbackReason, SpecializedResult};
 use linrv_history::{History, OpValue};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 #[derive(Default)]
 struct Element {
@@ -36,7 +36,7 @@ pub(super) fn check(history: &History) -> SpecializedResult {
     if history.pending_operations().next().is_some() {
         return SpecializedResult::Fallback(FallbackReason::Pending);
     }
-    let mut elements: HashMap<i64, Element> = HashMap::new();
+    let mut elements: BTreeMap<i64, Element> = BTreeMap::new();
     for record in history.operations() {
         let span = Span::new(record.invocation_index, record.response_index);
         let kind = record.operation.kind.as_str();

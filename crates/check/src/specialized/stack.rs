@@ -13,8 +13,8 @@ use super::util::{compress, respects_precedence, IntervalUnion, PrefixMax, Span,
 use super::{BadPattern, FallbackReason, SpecializedResult};
 use linrv_history::{History, OpValue};
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap};
 
 #[derive(Clone, Copy)]
 struct Pair {
@@ -27,8 +27,8 @@ pub(super) fn check(history: &History) -> SpecializedResult {
     if history.pending_operations().next().is_some() {
         return SpecializedResult::Fallback(FallbackReason::Pending);
     }
-    let mut pushes: HashMap<i64, (Span, u32)> = HashMap::new();
-    let mut pops: HashMap<i64, (Span, u32)> = HashMap::new();
+    let mut pushes: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
+    let mut pops: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
     let mut empties: Vec<Span> = Vec::new();
 
     for record in history.operations() {
@@ -437,6 +437,21 @@ mod tests {
         b.complete(p(0), ops::pop(), OpValue::Int(1));
         b.complete(p(0), ops::pop(), OpValue::Empty);
         assert_eq!(run(b), SpecializedResult::Member);
+    }
+
+    #[test]
+    fn of_several_bad_values_the_smallest_is_reported() {
+        // Enough values that a hash-ordered table would not list them sorted.
+        let mut b = HistoryBuilder::new();
+        for value in (1..=32).rev() {
+            b.complete(p(0), ops::push(value), OpValue::Bool(true));
+            b.complete(p(0), ops::pop(), OpValue::Int(value));
+            b.complete(p(1), ops::pop(), OpValue::Int(value));
+        }
+        let SpecializedResult::NotMember(pattern) = run(b) else {
+            panic!("every value is popped twice");
+        };
+        assert_eq!(pattern.values, vec![1], "{pattern}");
     }
 
     #[test]

@@ -286,6 +286,19 @@ fn committed_shrunk_witnesses_check_as_violations() {
 }
 
 #[test]
+fn the_largest_process_id_gets_its_own_label() {
+    // "p" accepts any u32; the one-based label of the largest must not wrap
+    // to another process's (or panic in a debug build).
+    let trace = b"{\"format\":\"linrv-trace\",\"version\":1,\"kind\":\"counter\"}\n\
+        {\"e\":\"inv\",\"p\":4294967295,\"id\":0,\"op\":\"Read\",\"arg\":null}\n\
+        {\"e\":\"res\",\"p\":4294967295,\"id\":0,\"val\":5}\n";
+    let verdict = linrv_with_stdin(&["check"], trace);
+    assert_eq!(exit_code(&verdict), 1);
+    let stderr = String::from_utf8_lossy(&verdict.stderr);
+    assert!(stderr.contains("inv[p4294967296: Read()"), "{stderr}");
+}
+
+#[test]
 fn golden_traces_regenerate_byte_for_byte_from_their_own_headers() {
     // Each committed trace names its own recipe: `gen` with the header's
     // kind, seed and shape must write the committed bytes back.

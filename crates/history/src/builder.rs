@@ -37,16 +37,6 @@ impl HistoryBuilder {
         HistoryBuilder::default()
     }
 
-    /// Creates a builder whose next operation identifier starts at `first_op_id`.
-    ///
-    /// Useful when several builders contribute operations to a common identifier space.
-    pub fn starting_at(first_op_id: u64) -> Self {
-        HistoryBuilder {
-            next_op: first_op_id,
-            ..HistoryBuilder::default()
-        }
-    }
-
     /// Appends an invocation event by `process` and returns the fresh operation
     /// identifier.
     pub fn invoke(&mut self, process: ProcessId, operation: Operation) -> OpId {
@@ -124,9 +114,12 @@ mod tests {
         let c = b.invoke(p2, Operation::nullary("Pop"));
         b.respond(c, OpValue::Int(1));
         b.respond(a, OpValue::Bool(true));
+        // An explicit identifier moves the counter past it.
+        b.invoke_with_id(p1, OpId::new(20), Operation::nullary("Pop"));
+        assert_eq!(b.invoke(p2, Operation::nullary("Pop")), OpId::new(21));
         let h = b.build();
         assert!(h.is_well_formed());
-        assert_eq!(h.len(), 4);
+        assert_eq!(h.len(), 6);
     }
 
     #[test]
@@ -146,15 +139,5 @@ mod tests {
     fn responding_to_unknown_operation_panics() {
         let mut b = HistoryBuilder::new();
         b.respond(OpId::new(42), OpValue::Unit);
-    }
-
-    #[test]
-    fn starting_at_respects_explicit_ids() {
-        let mut b = HistoryBuilder::starting_at(10);
-        let id = b.invoke(ProcessId::new(0), Operation::nullary("Pop"));
-        assert_eq!(id, OpId::new(10));
-        b.invoke_with_id(ProcessId::new(1), OpId::new(20), Operation::nullary("Pop"));
-        let id = b.invoke(ProcessId::new(2), Operation::nullary("Pop"));
-        assert_eq!(id, OpId::new(21));
     }
 }

@@ -68,19 +68,6 @@ impl OpValue {
             _ => None,
         }
     }
-
-    /// Returns the boolean payload, if this value is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            OpValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Returns `true` when this is the distinguished `Empty` response.
-    pub fn is_empty_response(&self) -> bool {
-        matches!(self, OpValue::Empty)
-    }
 }
 
 impl fmt::Display for OpValue {
@@ -192,9 +179,7 @@ mod tests {
     #[test]
     fn value_accessors() {
         assert_eq!(OpValue::Int(7).as_int(), Some(7));
-        assert_eq!(OpValue::Bool(true).as_bool(), Some(true));
         assert_eq!(OpValue::Unit.as_int(), None);
-        assert!(OpValue::Empty.is_empty_response());
     }
 
     #[test]

@@ -136,19 +136,6 @@ impl RealTimeOrder {
     pub fn subset_of(&self, other: &RealTimeOrder) -> bool {
         self.pairs.is_subset(&other.pairs)
     }
-
-    /// Returns `true` when the order is total over its operations.
-    pub fn is_total(&self) -> bool {
-        let ops: Vec<OpId> = self.ops.iter().copied().collect();
-        for (i, &a) in ops.iter().enumerate() {
-            for &b in &ops[i + 1..] {
-                if !self.before(a, b) && !self.before(b, a) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +170,6 @@ mod tests {
         let order = RealTimeOrder::complete_order(&h);
         assert!(order.before(a, b));
         assert!(order.concurrent(b, c));
-        assert!(!order.is_total());
     }
 
     #[test]
@@ -210,11 +196,11 @@ mod tests {
     fn sequential_history_is_total() {
         let p = ProcessId::new(0);
         let mut b = HistoryBuilder::new();
-        b.complete(p, Operation::new("Inc", OpValue::Unit), OpValue::Int(1));
-        b.complete(p, Operation::new("Inc", OpValue::Unit), OpValue::Int(2));
-        b.complete(p, Operation::nullary("Read"), OpValue::Int(2));
+        let x = b.complete(p, Operation::new("Inc", OpValue::Unit), OpValue::Int(1));
+        let y = b.complete(p, Operation::new("Inc", OpValue::Unit), OpValue::Int(2));
+        let z = b.complete(p, Operation::nullary("Read"), OpValue::Int(2));
         let order = RealTimeOrder::complete_order(&b.build());
-        assert!(order.is_total());
+        assert!(order.before(x, y) && order.before(y, z) && order.before(x, z));
     }
 
     #[test]

@@ -46,8 +46,9 @@ impl From<usize> for ProcessId {
 
 impl fmt::Display for ProcessId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The paper numbers processes from one (p1, p2, …).
-        write!(f, "p{}", self.0 + 1)
+        // The paper numbers processes from one (p1, p2, …); widened, so that the
+        // largest index still gets its own label.
+        write!(f, "p{}", u64::from(self.0) + 1)
     }
 }
 
@@ -59,6 +60,7 @@ mod tests {
     fn display_is_one_based() {
         assert_eq!(ProcessId::new(0).to_string(), "p1");
         assert_eq!(ProcessId::new(9).to_string(), "p10");
+        assert_eq!(ProcessId::new(u32::MAX).to_string(), "p4294967296");
     }
 
     #[test]

@@ -124,12 +124,6 @@ impl Gauge {
         self.core.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Raises the value to `value` if it is higher (high-watermark gauges).
-    #[inline]
-    pub fn set_max(&self, value: i64) {
-        self.core.fetch_max(value, Ordering::Relaxed);
-    }
-
     /// The current value.
     #[must_use]
     pub fn get(&self) -> i64 {
@@ -353,9 +347,6 @@ mod tests {
         g.set(5);
         g.add(-2);
         assert_eq!(g.get(), 3);
-        g.set_max(10);
-        g.set_max(7);
-        assert_eq!(g.get(), 10);
     }
 
     #[test]

@@ -623,16 +623,6 @@ where
         })
     }
 
-    /// The monitor of `object`, when the object has been touched.
-    ///
-    /// Gives access to the full single-object API — certificates,
-    /// [`Monitor::check`], capacity inspection.
-    pub fn monitor(&self, object: u64) -> Option<Monitor<A, S>> {
-        self.shared
-            .lookup(object)
-            .map(|entry| entry.monitor.clone())
-    }
-
     /// Blocks until every event ingested so far has been fed through the
     /// incremental checkers.
     pub fn quiesce(&self) {

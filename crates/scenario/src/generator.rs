@@ -43,13 +43,6 @@ impl GenCtx {
         self.process
     }
 
-    /// The next globally unique insertion value.
-    pub fn fresh_value(&mut self) -> i64 {
-        let v = self.next_value;
-        self.next_value += 1;
-        v
-    }
-
     /// The context's RNG (for combinators that need randomness of their own).
     pub fn rng(&mut self) -> &mut StdRng {
         &mut self.rng

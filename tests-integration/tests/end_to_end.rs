@@ -12,10 +12,7 @@ use linrv_runtime::{ConcurrentObject, Workload, WorkloadKind};
 use linrv_spec::ops;
 use linrv_spec::{CounterSpec, PriorityQueueSpec, QueueSpec, SetSpec, StackSpec};
 use std::sync::Arc;
-
-fn p(i: u32) -> ProcessId {
-    ProcessId::new(i)
-}
+use tests_integration::p;
 
 /// Theorem 8.2(2), first half: when `A` is correct, the self-enforced implementation is
 /// correct and never returns ERROR — across several object kinds and workloads.

@@ -13,78 +13,39 @@
 //!   completion of the history always yields a similar history.
 
 use linrv_check::{GenLinObject, LinSpec};
-use linrv_core::drv::{Announced, Drv};
+use linrv_core::drv::Drv;
 use linrv_core::sketch::sketch_history;
 use linrv_core::view::{check_view_properties, TupleSet};
-use linrv_history::{similar, History, HistoryBuilder, OpValue, ProcessId};
+use linrv_history::{similar, History, HistoryBuilder, OpValue};
 use linrv_runtime::faulty::LossyQueue;
 use linrv_runtime::impls::SpecObject;
+use linrv_runtime::ConcurrentObject;
 use linrv_spec::ops::queue;
 use linrv_spec::{QueueSpec, SequentialSpec};
 use proptest::prelude::*;
+use tests_integration::{drive_drv, p};
 
-fn p(i: u32) -> ProcessId {
-    ProcessId::new(i)
-}
-
-/// A schedule for two processes: each entry says which process takes its next phase
-/// (announce → call → collect), plus which operation it runs when it starts one.
-#[derive(Debug, Clone)]
-struct Schedule {
-    steps: Vec<usize>,
-    enqueue_ratio: Vec<bool>,
-}
-
-fn schedule_strategy(processes: usize, max_steps: usize) -> impl Strategy<Value = Schedule> {
-    (
-        proptest::collection::vec(0..processes, 3..max_steps),
-        proptest::collection::vec(any::<bool>(), max_steps),
-    )
-        .prop_map(|(steps, enqueue_ratio)| Schedule {
-            steps,
-            enqueue_ratio,
-        })
-}
-
-/// Drives a DRV wrapper with an explicit interleaving of the three phases and returns
-/// the tuples of all completed operations.
-fn run_schedule<A: linrv_runtime::ConcurrentObject>(
-    drv: &Drv<A>,
-    processes: usize,
-    schedule: &Schedule,
-) -> TupleSet {
-    #[derive(Default)]
-    struct PerProcess {
-        announced: Option<Announced>,
-        called: Option<(Announced, OpValue)>,
-        issued: usize,
-    }
-    let mut state: Vec<PerProcess> = (0..processes).map(|_| PerProcess::default()).collect();
-    let mut tuples = TupleSet::new();
-    let mut op_counter = 0usize;
-    for &proc_index in &schedule.steps {
-        let slot = &mut state[proc_index];
-        if let Some((announced, value)) = slot.called.take() {
-            tuples.insert(drv.collect(announced, value).tuple());
-        } else if let Some(announced) = slot.announced.take() {
-            let value = drv.call_inner(&announced);
-            slot.called = Some((announced, value));
-        } else {
-            let enqueue = *schedule
-                .enqueue_ratio
-                .get(op_counter % schedule.enqueue_ratio.len().max(1))
-                .unwrap_or(&true);
-            op_counter += 1;
-            let op = if enqueue {
-                queue::enqueue((proc_index * 1000 + slot.issued) as i64)
+/// Drives a DRV wrapper through `schedule` and returns the published tuples.
+/// Each entry names the process that takes its next step (announce → call →
+/// collect → publish) and whether an operation started there is an enqueue.
+fn run_schedule<A: ConcurrentObject>(drv: &Drv<A>, schedule: &[(usize, bool)]) -> TupleSet {
+    let mut issued = vec![0; drv.processes()];
+    let (mut steps, mut kinds) = (schedule.iter(), schedule.iter().cycle());
+    drive_drv(
+        drv,
+        |process| {
+            issued[process] += 1;
+            let value = (process * 1000 + issued[process]) as i64;
+            let enqueue = kinds.next()?.1;
+            Some(if enqueue {
+                queue::enqueue(value)
             } else {
                 queue::dequeue()
-            };
-            slot.issued += 1;
-            slot.announced = Some(drv.announce(p(proc_index as u32), &op));
-        }
-    }
-    tuples
+            })
+        },
+        || steps.next().map(|&(process, _)| (process, true)),
+        |_| {},
+    )
 }
 
 proptest! {
@@ -94,10 +55,10 @@ proptest! {
     /// phases over a correct queue, the views are valid and the sketch is linearizable.
     #[test]
     fn drv_views_are_valid_and_sketch_is_correct_for_correct_a(
-        schedule in schedule_strategy(3, 40)
+        schedule in proptest::collection::vec((0..3usize, any::<bool>()), 3..40)
     ) {
         let drv = Drv::new(SpecObject::new(QueueSpec::new()), 3);
-        let tuples = run_schedule(&drv, 3, &schedule);
+        let tuples = run_schedule(&drv, &schedule);
         prop_assert!(check_view_properties(&tuples).is_ok());
         let sketch = sketch_history(&tuples).expect("valid views");
         prop_assert!(sketch.is_well_formed());
@@ -108,9 +69,11 @@ proptest! {
     /// the violation (depending on the interleaving), but the views are always valid
     /// and the sketch is always a well-formed history of A* (Lemma 8.1 (1)).
     #[test]
-    fn drv_views_remain_valid_for_faulty_a(schedule in schedule_strategy(2, 30)) {
+    fn drv_views_remain_valid_for_faulty_a(
+        schedule in proptest::collection::vec((0..2usize, any::<bool>()), 3..30)
+    ) {
         let drv = Drv::new(LossyQueue::new(2), 2);
-        let tuples = run_schedule(&drv, 2, &schedule);
+        let tuples = run_schedule(&drv, &schedule);
         prop_assert!(check_view_properties(&tuples).is_ok());
         let sketch = sketch_history(&tuples).expect("valid views");
         prop_assert!(sketch.is_well_formed());

@@ -19,7 +19,7 @@
 //! sketch exactly like the single-part set; writing to a clone or a union must never
 //! change the set it came from.
 
-use linrv_core::drv::{Announced, Drv};
+use linrv_core::drv::Drv;
 use linrv_core::sketch::{sketch_history, sketch_interval, SketchError};
 use linrv_core::view::{
     check_view_properties, InvocationPair, TupleSet, View, ViewPropertyError, ViewTuple,
@@ -31,6 +31,7 @@ use linrv_spec::QueueSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::discriminant;
 use std::time::{Duration, Instant};
+use tests_integration::{drive_drv, Rng};
 
 /// The verdict path as it was before the chain-checked rewrite, kept verbatim in
 /// behaviour: O(t²·v) property check, O(m²·v) distinct-view search.
@@ -111,23 +112,6 @@ mod reference {
             previous = (*view).clone();
         }
         Ok(interval)
-    }
-}
-
-/// splitmix64: the schedules below are a pure function of the seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
     }
 }
 
@@ -234,43 +218,34 @@ fn assert_agree(tuples: &TupleSet, context: &str) -> Result<(), ViewPropertyErro
 /// Runs a seeded interleaving of announce / call / collect / publish over `processes`
 /// processes and checks the agreement on the published set `τ` after every publication
 /// and once more at the end, when some operations are still pending (announced, no
-/// tuple) and some tuples are collected but not yet published.
+/// tuple) and some tuples are collected but not yet published. A process publishes
+/// what it holds one time in four, so other processes' later tuples reach `τ` first
+/// (late publication), and it may hold several tuples at once.
 fn run_schedule(seed: u64, processes: usize, steps: usize) -> TupleSet {
-    #[derive(Default)]
-    struct Lane {
-        announced: Option<Announced>,
-        called: Option<(Announced, OpValue)>,
-        unpublished: Vec<ViewTuple>,
-        issued: usize,
-    }
-    let mut rng = Rng(seed);
     let drv = Drv::new(SpecObject::new(QueueSpec::new()), processes);
-    let mut lanes: Vec<Lane> = (0..processes).map(|_| Lane::default()).collect();
-    let mut published = TupleSet::new();
-    for step in 0..steps {
-        let index = rng.below(processes);
-        let lane = &mut lanes[index];
-        // One time in four a process with collected tuples publishes them — so other
-        // processes' later tuples reach `τ` first (late publication).
-        if !lane.unpublished.is_empty() && rng.below(4) == 0 {
-            published.extend(lane.unpublished.drain(..));
-            let context = format!("seed {seed}, {processes} processes, step {step}");
-            assert_eq!(assert_agree(&published, &context), Ok(()), "{context}");
-        } else if let Some((announced, value)) = lane.called.take() {
-            lane.unpublished.push(drv.collect(announced, value).tuple());
-        } else if let Some(announced) = lane.announced.take() {
-            let value = drv.call_inner(&announced);
-            lane.called = Some((announced, value));
-        } else {
-            let op = if rng.below(2) == 0 {
-                queue::enqueue((index * 1000 + lane.issued) as i64)
+    let (mut schedule, mut ops) = (Rng(seed), Rng(!seed));
+    let mut issued = vec![0; processes];
+    let (mut taken, mut publications) = (0, 0);
+    let published = drive_drv(
+        &drv,
+        |index| {
+            issued[index] += 1;
+            Some(if ops.below(2) == 0 {
+                queue::enqueue((index * 1000 + issued[index]) as i64)
             } else {
                 queue::dequeue()
-            };
-            lane.issued += 1;
-            lane.announced = Some(drv.announce(ProcessId::new(index as u32), &op));
-        }
-    }
+            })
+        },
+        || {
+            taken += 1;
+            (taken <= steps).then(|| (schedule.below(processes), schedule.below(4) == 0))
+        },
+        |published| {
+            publications += 1;
+            let context = format!("seed {seed}, {processes} processes, publication {publications}");
+            assert_eq!(assert_agree(published, &context), Ok(()), "{context}");
+        },
+    );
     let context = format!("seed {seed}, {processes} processes, end");
     assert_eq!(assert_agree(&published, &context), Ok(()), "{context}");
     published

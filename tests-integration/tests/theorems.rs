@@ -3,16 +3,13 @@
 use linrv_check::genlin::check_closure_on;
 use linrv_check::{GenLinObject, LinSpec};
 use linrv_core::enforce::SelfEnforced;
-use linrv_history::{OpValue, ProcessId};
+use linrv_history::OpValue;
 use linrv_runtime::faulty::LossyQueue;
 use linrv_runtime::impls::{MsQueue, SpecObject};
 use linrv_runtime::{record_execution, RecorderOptions, Workload, WorkloadKind};
 use linrv_spec::ops::queue;
 use linrv_spec::{QueueSpec, StackSpec};
-
-fn p(i: u32) -> ProcessId {
-    ProcessId::new(i)
-}
+use tests_integration::p;
 
 /// Lemma 7.1 (GenLin closure): the linearizability objects used throughout are
 /// prefix-closed on real recorded histories of correct implementations.

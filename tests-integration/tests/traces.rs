@@ -6,14 +6,12 @@
 //! change that cannot read them is a format break and must bump the version),
 //! the deterministic generator (regenerating from a trace's own header must
 //! reproduce its bytes — `crates/cli/tests/cli.rs` runs `linrv gen` to pin
-//! that) and the checker's verdicts (correct traces accept, faulty traces
-//! reject).
+//! that) and the verdicts (correct traces accept, faulty traces reject, on
+//! every path: `tests/verdict_matrix.rs` checks each header's provenance).
 
-use linrv_check::stream::check_events;
 use linrv_history::History;
-use linrv_spec::{with_spec, ObjectKind};
-use linrv_trace::{read_history, write_history, Provenance, TraceFormat, TraceHeader};
-use std::convert::Infallible;
+use linrv_spec::ObjectKind;
+use linrv_trace::{read_history, write_history, TraceFormat, TraceHeader};
 use std::path::PathBuf;
 use tests_integration::{golden_traces, is_shrunk};
 
@@ -28,15 +26,6 @@ fn per_kind_traces() -> impl Iterator<Item = (PathBuf, TraceHeader, History)> {
         .filter(|(path, ..)| !is_shrunk(path))
 }
 
-/// Streams `history` into the checker for `kind`; `true` means violation.
-fn is_violation(kind: ObjectKind, history: &History) -> bool {
-    let events = history.events().iter().cloned().map(Ok::<_, Infallible>);
-    with_spec!(kind, |spec| check_events(spec, events))
-        .expect("infallible source")
-        .1
-        .is_violation()
-}
-
 #[test]
 fn corpus_has_one_correct_and_one_faulty_trace_per_kind() {
     for kind in ObjectKind::ALL {
@@ -45,35 +34,6 @@ fn corpus_has_one_correct_and_one_faulty_trace_per_kind() {
             assert!(path.is_file(), "missing golden trace {}", path.display());
         }
     }
-}
-
-#[test]
-fn check_accepts_every_correct_and_rejects_every_faulty_golden_trace() {
-    let mut seen = 0;
-    for (path, header, history) in per_kind_traces() {
-        seen += 1;
-        let name = path.file_stem().unwrap().to_string_lossy().to_string();
-        // The filename suffix and the header's provenance must agree — a
-        // mislabelled corpus entry would silently weaken this test.
-        let expected_violation = match header.provenance {
-            Provenance::Faulty => {
-                assert!(name.ends_with("-faulty"), "{name}: header says faulty");
-                true
-            }
-            Provenance::Correct => {
-                assert!(name.ends_with("-correct"), "{name}: header says correct");
-                false
-            }
-            Provenance::Unknown => panic!("{name}: golden traces must declare provenance"),
-        };
-        assert_eq!(header.seed, Some(42), "{name}: corpus uses seed 42");
-        assert_eq!(
-            is_violation(header.kind, &history),
-            expected_violation,
-            "{name}: checker verdict must match provenance"
-        );
-    }
-    assert_eq!(seen, 14, "two traces per kind, seven kinds");
 }
 
 #[test]
