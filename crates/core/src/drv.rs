@@ -44,7 +44,8 @@ pub struct DrvResponse {
 
 impl DrvResponse {
     /// The 4-tuple `(p_i, op_i, y_i, λ_i)` used by verifiers and self-enforced
-    /// implementations.
+    /// implementations, cloned from the response; [`step`](crate::enforce::step) moves
+    /// the pair and the view into its tuple instead.
     pub fn tuple(&self) -> ViewTuple {
         ViewTuple::new(self.pair.clone(), self.value.clone(), self.view.clone())
     }

@@ -24,6 +24,7 @@
 use crate::certificate::Certificate;
 use crate::drv::{Drv, DrvResponse};
 use crate::verifier::Verifier;
+use crate::view::ViewTuple;
 use linrv_check::GenLinObject;
 use linrv_history::{History, OpValue, Operation, ProcessId};
 use linrv_runtime::ConcurrentObject;
@@ -98,6 +99,9 @@ pub fn decide<O: GenLinObject>(verifier: &Verifier<O>, scanner: ProcessId) -> Op
 /// then [`decide`]s and a failed test replaces the response by `ERROR` with the
 /// witness, under [`Mode::Observe`] (Figure 12, producer code) it is returned as it is.
 ///
+/// The response's pair and view move into the recorded tuple, so a step clones only
+/// the response value; no view or pair is copied.
+///
 /// # Panics
 ///
 /// Panics when `process` is out of the verifier's range, and as [`decide`] does.
@@ -107,17 +111,18 @@ pub fn step<O: GenLinObject>(
     response: DrvResponse,
     mode: Mode,
 ) -> EnforcedResponse {
-    verifier.record(process, response.tuple());
+    let DrvResponse { pair, value, view } = response;
+    verifier.record(process, ViewTuple::new(pair, value.clone(), view));
     let witness = match mode {
         Mode::Enforce => decide(verifier, process),
         Mode::Observe => None,
     };
     EnforcedResponse {
         value: match witness {
-            None => response.value.clone(),
+            None => value.clone(),
             Some(_) => OpValue::Error,
         },
-        underlying: response.value,
+        underlying: value,
         witness,
     }
 }

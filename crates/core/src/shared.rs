@@ -8,10 +8,12 @@
 //! * `N` holds [`View`]s, deep sets of invocation pairs. A write clones `set_i`, and the
 //!   Afek write's embedded scan clones all `n` entries, pair by pair; a scan clones all
 //!   `n` entries again and flattens them into the caller's view.
-//! * `M` holds [`TupleSet`]s of shared copy-on-write parts. A write copies `res_i` once,
-//!   when the insert reaches the part the snapshot still shares; its clone and the
-//!   embedded scan are reference counts. A scan copies nothing: the union `τ` holds the
-//!   `n` parts it read.
+//! * `M` holds [`TupleSet`]s of shared copy-on-write parts, each tuple behind its own
+//!   `Arc`. A write copies `res_i` once, when the insert reaches the part the snapshot
+//!   still shares, and that copy is `|res_i|` tuple pointers, never a tuple, view or
+//!   pair; its clone and the embedded scan are reference counts, and the superseded
+//!   entry frees pointers. A scan copies nothing: the union `τ` holds the `n` parts it
+//!   read.
 
 use crate::view::{InvocationPair, TupleSet, View, ViewTuple};
 use linrv_history::ProcessId;

@@ -119,7 +119,9 @@ impl<O: GenLinObject> Verifier<O> {
 
     /// Records the tuple obtained from `A*` in `res_i` and publishes it through the
     /// snapshot (Figure 10, Lines 06–07), *without* computing a verdict. This is
-    /// all a producer of `D_{O,A}` does (Figure 12).
+    /// all a producer of `D_{O,A}` does (Figure 12). `tuple` moves into `res_i`, and
+    /// `res_i` shares its tuples with the snapshot entry it supersedes, so a record
+    /// copies `|res_i|` pointers and never a tuple, view or pair ([`TupleSet`]).
     /// [`enforce::step`](crate::enforce::step) calls it, followed under `Mode::Enforce`
     /// by [`enforce::decide`](crate::enforce::decide).
     ///
@@ -593,6 +595,26 @@ mod tests {
             .expect("a formatted message");
         assert!(message.ends_with(&err.to_string()), "{message}");
         assert!(message.contains("Remark 7.2"), "{message}");
+    }
+
+    /// `step` moves the response's view into the tuple it records, and the next
+    /// `record` of the same process, which copies the part the snapshot shares, keeps
+    /// that tuple: the first pair of the collected view is the allocation
+    /// `collect_tuples` reads.
+    #[test]
+    fn a_step_records_the_collected_view_itself() {
+        let drv = Drv::new(MsQueue::new(), 2);
+        let verifier = Verifier::new(StrategyChecker::new(QueueSpec::new()), 2);
+        let first = drv.apply_drv(p(0), &queue::enqueue(1));
+        let pair = first.pair.clone();
+        let address: *const InvocationPair = first.view.iter().next().expect("own pair");
+        step(&verifier, p(0), first, Mode::Observe);
+        let second = drv.apply_drv(p(0), &queue::enqueue(2));
+        step(&verifier, p(0), second, Mode::Observe);
+        let tau = verifier.collect_tuples(p(1));
+        let recorded = tau.iter().find(|t| t.pair == pair).expect("published");
+        let held: *const InvocationPair = recorded.view.iter().next().expect("own pair");
+        assert!(std::ptr::eq(held, address), "the view was copied");
     }
 
     #[test]

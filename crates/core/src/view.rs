@@ -137,11 +137,13 @@ impl fmt::Display for ViewTuple {
 /// exchanges through its snapshot object (Figure 10, variable `τ_i`).
 ///
 /// **Representation.** The set is the union of a list of *parts*, each an
-/// `Arc<BTreeSet<ViewTuple>>` that other sets may share. A process's `res_i` is one
-/// part; the union `τ` of a scan of `M` holds the `n` parts the scan read. So `Clone`
-/// and [`TupleSet::union_of`] cost one reference count per part and copy no tuple, and
-/// a snapshot write of `res_i` (whose embedded scan clones all `n` entries) copies
-/// none either.
+/// `Arc<BTreeSet<Arc<ViewTuple>>>` that other sets may share, and each tuple is held
+/// once, behind its own `Arc`, however many parts and sets hold it. A process's `res_i`
+/// is one part; the union `τ` of a scan of `M` holds the `n` parts the scan read. So
+/// `Clone` and [`TupleSet::union_of`] cost one reference count per part and copy no
+/// tuple, and a snapshot write of `res_i` (whose embedded scan clones all `n` entries)
+/// copies none either. `Arc<ViewTuple>` orders, compares and looks up as the
+/// `ViewTuple` it points to, so the sharing changes no order and no set semantics.
 ///
 /// **Iteration is an ordered merge** of the parts: each step yields the smallest head
 /// and advances every part whose head equals it. Parts may overlap (a forged union can
@@ -150,15 +152,17 @@ impl fmt::Display for ViewTuple {
 /// With `n` parts a step costs `O(n)` comparisons; tuples of different processes differ
 /// in their first field, so those comparisons do not reach the views.
 ///
-/// **Copy-on-write.** [`insert`](TupleSet::insert), [`extend`](Extend::extend) and
-/// [`remove`](TupleSet::remove) write to one part through [`Arc::make_mut`], which copies
-/// that part only while another set still shares it; a set of several parts is first
-/// merged into one. A clone or a union therefore never changes the set it came from,
-/// and `Verifier::record` copies `res_i` at most once, when it adds to the part the
-/// snapshot still holds.
+/// **Copy-on-write copies pointers.** [`insert`](TupleSet::insert),
+/// [`extend`](Extend::extend) and [`remove`](TupleSet::remove) write to one part through
+/// [`Arc::make_mut`], which copies that part only while another set still shares it; a
+/// set of several parts is first merged into one. Either copy clones the part's
+/// `Arc<ViewTuple>`s, never a tuple, a view or a pair. A clone or a union therefore
+/// never changes the set it came from, `Verifier::record` copies `|res_i|` pointers when
+/// it adds to the part the snapshot still holds, and dropping a superseded part frees
+/// pointers, not views.
 #[derive(Clone, Default)]
 pub struct TupleSet {
-    parts: Vec<Arc<BTreeSet<ViewTuple>>>,
+    parts: Vec<Arc<BTreeSet<Arc<ViewTuple>>>>,
 }
 
 impl TupleSet {
@@ -186,7 +190,7 @@ impl TupleSet {
                 .iter()
                 .filter_map(|part| {
                     let mut rest = part.iter();
-                    rest.next().map(|head| (head, rest))
+                    rest.next().map(|head| (&**head, rest))
                 })
                 .collect(),
         }
@@ -212,7 +216,7 @@ impl TupleSet {
 
     /// Adds `tuple`; returns `false` when it was already present.
     pub fn insert(&mut self, tuple: ViewTuple) -> bool {
-        self.part_mut().insert(tuple)
+        self.part_mut().insert(Arc::new(tuple))
     }
 
     /// Removes `tuple`; returns `false` when it was absent.
@@ -221,9 +225,13 @@ impl TupleSet {
     }
 
     /// The one part a write goes to, unshared.
-    fn part_mut(&mut self) -> &mut BTreeSet<ViewTuple> {
+    fn part_mut(&mut self) -> &mut BTreeSet<Arc<ViewTuple>> {
         if self.parts.len() != 1 {
-            let merged = self.iter().cloned().collect();
+            let merged = self
+                .parts
+                .iter()
+                .flat_map(|part| part.iter().cloned())
+                .collect();
             self.parts = vec![Arc::new(merged)];
         }
         Arc::make_mut(&mut self.parts[0])
@@ -248,14 +256,14 @@ impl fmt::Debug for TupleSet {
 impl FromIterator<ViewTuple> for TupleSet {
     fn from_iter<I: IntoIterator<Item = ViewTuple>>(tuples: I) -> Self {
         TupleSet {
-            parts: vec![Arc::new(tuples.into_iter().collect())],
+            parts: vec![Arc::new(tuples.into_iter().map(Arc::new).collect())],
         }
     }
 }
 
 impl Extend<ViewTuple> for TupleSet {
     fn extend<I: IntoIterator<Item = ViewTuple>>(&mut self, tuples: I) {
-        self.part_mut().extend(tuples);
+        self.part_mut().extend(tuples.into_iter().map(Arc::new));
     }
 }
 
@@ -271,7 +279,7 @@ impl<'a> IntoIterator for &'a TupleSet {
 /// The ordered merge behind [`TupleSet::iter`].
 pub struct TupleSetIter<'a> {
     /// Per part not yet exhausted: its smallest tuple not yet yielded, and the rest.
-    heads: Vec<(&'a ViewTuple, btree_set::Iter<'a, ViewTuple>)>,
+    heads: Vec<(&'a ViewTuple, btree_set::Iter<'a, Arc<ViewTuple>>)>,
 }
 
 impl<'a> Iterator for TupleSetIter<'a> {
@@ -510,6 +518,43 @@ mod tests {
             check_view_properties(&tuples),
             Err(ViewPropertyError::ProcessSequentiality { .. })
         ));
+    }
+
+    /// A write to a clone copies the part the two sets share, and a write to a union
+    /// merges its parts; both copies hold the original tuples themselves, so no tuple,
+    /// view or pair is cloned.
+    #[test]
+    fn a_write_to_a_clone_shares_every_tuple() {
+        let pairs: Vec<InvocationPair> = (0..4).map(|i| pair(i % 2, u64::from(i))).collect();
+        let original: TupleSet = (1..=pairs.len())
+            .map(|k| {
+                let view = pairs[..k].iter().cloned().collect();
+                ViewTuple::new(pairs[k - 1].clone(), OpValue::Bool(true), view)
+            })
+            .collect();
+        let mut copy = original.clone();
+        let extra = pair(2, 9);
+        assert!(copy.insert(ViewTuple::new(
+            extra.clone(),
+            OpValue::Bool(true),
+            view_of(&[&extra])
+        )));
+        assert_eq!((original.len(), copy.len()), (4, 5));
+        for tuple in &original {
+            let shared = copy.iter().find(|t| *t == tuple).expect("kept by the copy");
+            assert!(std::ptr::eq(tuple, shared), "{} was copied", tuple.pair);
+        }
+        let merged = TupleSet::union_of([original.clone(), copy]);
+        let mut written = merged.clone();
+        assert!(written.remove(original.iter().next().expect("four tuples")));
+        for tuple in written.iter() {
+            let shared = merged.iter().find(|t| *t == tuple).expect("from the union");
+            assert!(
+                std::ptr::eq(tuple, shared),
+                "the merge copied {}",
+                tuple.pair
+            );
+        }
     }
 
     #[test]

@@ -19,6 +19,11 @@
 //!   every publication of a seeded [`drive_drv`] schedule, every kind × seeds ×
 //!   1–5 processes × the same four fault settings.
 //!
+//! Both generated grids also run the queue's foreign-value source
+//! ([`sources`]): the correct queue behind a [`MutatedObject`], whose corrupted
+//! dequeues return values that were never enqueued. The queue's fault injector
+//! only loses values, so without it no case dequeues a foreign value.
+//!
 //! Each grid is thinned by a fixed seed stride ([`RECORDED_SEED_STRIDE`],
 //! [`DRV_SEED_STRIDE`]) so that the matrix stays within the time of the
 //! differential suites it replaced; no kind, fault setting, cut or source is
@@ -53,8 +58,9 @@ use linrv_core::drv::{Announced, Drv};
 use linrv_core::sketch::sketch_history;
 use linrv_core::view::{TupleSet, ViewTuple};
 use linrv_history::{Event, History, OpValue, Operation, ProcessId};
+use linrv_runtime::faulty::{self, MutatedObject};
 use linrv_runtime::{
-    faulty, impls, record_scheduled, ConcurrentObject, RecorderOptions, Workload, WorkloadKind,
+    impls, record_scheduled, ConcurrentObject, RecorderOptions, Workload, WorkloadKind,
 };
 use linrv_spec::{ObjectKind, SequentialSpec};
 use linrv_trace::{read_history, TraceHeader};
@@ -162,6 +168,25 @@ pub fn implementation(kind: ObjectKind, faulty_every: Option<u64>) -> Box<dyn Co
     }
 }
 
+/// What the generated grids run for `kind`, each with its label: the
+/// [`implementation`] of every one of the [`FAULT_SETTINGS`], and for the queue
+/// also the correct queue behind a [`MutatedObject`] corrupting every 3rd
+/// apply. Its corrupted dequeues return values nothing enqueued (an integer
+/// gains `MutatedObject::OFFSET`, `empty` becomes it), which the queue's fault
+/// injector, `LossyQueue`, never does: it only loses values.
+pub fn sources(kind: ObjectKind) -> Vec<(String, Box<dyn ConcurrentObject>)> {
+    let mut sources: Vec<(String, Box<dyn ConcurrentObject>)> = FAULT_SETTINGS
+        .into_iter()
+        .map(|faulty| (format!("faulty {faulty:?}"), implementation(kind, faulty)))
+        .collect();
+    if kind == ObjectKind::Queue {
+        let correct = impls::correct_object(kind);
+        let foreign = Box::new(MutatedObject::new(correct, 3));
+        sources.push(("foreign values every 3".to_string(), foreign));
+    }
+    sources
+}
+
 /// Recorded executions of every kind, correct and faulty, whole and cut short.
 /// Seeds below 60 record on 2–5 processes; the last twelve on one process,
 /// which makes a sequential history. Sized so that the streaming frontier
@@ -176,15 +201,14 @@ pub fn recorded_cases() -> Vec<Case> {
                 processes,
                 ops_per_process,
             };
-            for faulty in FAULT_SETTINGS {
+            for (source, object) in sources(kind) {
                 let workload = Workload::new(WorkloadKind::for_object(kind), seed);
-                let object = implementation(kind, faulty);
                 let history = record_scheduled(&*object, workload, options, seed ^ 0xF00D).history;
                 let events = history.events();
                 for length in [events.len(), events.len() * 2 / 3, events.len() / 2] {
                     let label = format!("recorded {kind} seed {seed} processes {processes}");
                     cases.push(Case {
-                        label: format!("{label} faulty {faulty:?} first {length} events"),
+                        label: format!("{label} {source} first {length} events"),
                         kind,
                         history: History::from_events(events[..length].to_vec()),
                     });
@@ -255,7 +279,7 @@ pub fn drive_drv<A: ConcurrentObject>(
 }
 
 /// The sketches `X(τ)` of seeded `DRV` schedules over every kind's
-/// [`implementation`], one after every publication. Each process runs five
+/// [`sources`], one after every publication. Each process runs five
 /// operations of the kind's workload and publishes its tuple before it
 /// announces again, as a `Session` does; the others move in between, so a
 /// sketch carries their announced, uncollected operations as pending ones.
@@ -268,16 +292,16 @@ pub fn drv_cases() -> Vec<Case> {
     let mut cases = Vec::new();
     for kind in ObjectKind::ALL {
         for seed in (0..8u64).step_by(DRV_SEED_STRIDE) {
-            for (processes, faulty_every) in (1..=5).flat_map(|n| FAULT_SETTINGS.map(|f| (n, f))) {
-                let drv = Drv::new(implementation(kind, faulty_every), processes);
+            let runs = (1..=5).flat_map(|n| sources(kind).into_iter().map(move |run| (n, run)));
+            for (processes, (source, object)) in runs {
+                let drv = Drv::new(object, processes);
                 let workload = Workload::new(WorkloadKind::for_object(kind), seed);
                 let mut plans: Vec<_> = (0..processes)
                     .map(|process| workload.operations_for(process, 5).into_iter())
                     .collect();
                 let mut rng = Rng(seed ^ 0x5CE7_C4ED);
-                let label = format!(
-                    "sketch of {kind} DRV seed {seed} processes {processes} faulty {faulty_every:?}"
-                );
+                let label =
+                    format!("sketch of {kind} DRV seed {seed} processes {processes} {source}");
                 drive_drv(
                     &drv,
                     |process| plans[process].next(),
