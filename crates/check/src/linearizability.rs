@@ -18,7 +18,7 @@
 
 use crate::genlin::GenLinObject;
 use crate::witness::{SearchFrontier, Verdict, Violation};
-use linrv_history::{History, HistoryBuilder, OpRecord, OpValue};
+use linrv_history::{History, HistoryBuilder, OpRecord, OpValue, WellFormedError};
 use linrv_spec::SequentialSpec;
 use std::collections::HashSet;
 
@@ -47,7 +47,19 @@ impl<S: SequentialSpec> LinSpec<S> {
     /// Decides linearizability of `history`, returning a linearization or a violation
     /// witness.
     pub fn check(&self, history: &History) -> Verdict {
-        if let Err(err) = history.check_well_formed() {
+        let (records, well_formed) = history.index();
+        self.decide(history, &records, well_formed)
+    }
+
+    /// [`Self::check`] over the operation table and well-formedness of `history`,
+    /// as [`History::index`] returns them, for a caller that already indexed it.
+    pub(crate) fn decide(
+        &self,
+        history: &History,
+        records: &[OpRecord],
+        well_formed: Result<(), WellFormedError>,
+    ) -> Verdict {
+        if let Err(err) = well_formed {
             return Verdict::NotMember {
                 violation: Violation::new(
                     history.clone(),
@@ -55,18 +67,16 @@ impl<S: SequentialSpec> LinSpec<S> {
                 ),
             };
         }
-
-        let records = history.operations();
         if records.is_empty() {
             return Verdict::Member {
                 linearization: Some(History::new()),
             };
         }
 
-        let search = Search::new(&self.spec, &records);
+        let search = Search::new(&self.spec, records);
         match search.run() {
             SearchOutcome::Found(order) => {
-                let linearization = build_linearization(&records, &order);
+                let linearization = build_linearization(records, &order);
                 Verdict::Member {
                     linearization: Some(linearization),
                 }

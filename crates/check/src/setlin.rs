@@ -136,7 +136,8 @@ impl<S: SetSequentialSpec> SetLinSpec<S> {
 
     /// Decides set-linearizability of `history`.
     pub fn check(&self, history: &History) -> Verdict {
-        if let Err(err) = history.check_well_formed() {
+        let (records, well_formed) = history.index();
+        if let Err(err) = well_formed {
             return Verdict::NotMember {
                 violation: Violation::new(
                     history.clone(),
@@ -144,7 +145,6 @@ impl<S: SetSequentialSpec> SetLinSpec<S> {
                 ),
             };
         }
-        let records = history.operations();
         let complete_count = records.iter().filter(|r| r.is_complete()).count();
         let mut memo = HashSet::new();
         let mut linearized = vec![false; records.len()];

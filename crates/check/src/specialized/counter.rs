@@ -11,15 +11,12 @@
 
 use super::util::{respects_precedence, Span};
 use super::{BadPattern, FallbackReason, SpecializedResult};
-use linrv_history::{History, OpValue};
+use linrv_history::{OpRecord, OpValue};
 
-pub(super) fn check(history: &History) -> SpecializedResult {
-    if history.pending_operations().next().is_some() {
-        return SpecializedResult::Fallback(FallbackReason::Pending);
-    }
+pub(super) fn check(records: &[OpRecord]) -> SpecializedResult {
     let mut incs: Vec<(i64, Span)> = Vec::new();
     let mut reads: Vec<(i64, Span)> = Vec::new();
-    for record in history.operations() {
+    for record in records {
         let span = Span::new(record.invocation_index, record.response_index);
         let kind = record.operation.kind.as_str();
         if !matches!(kind, "Inc" | "Read") {
@@ -42,7 +39,7 @@ pub(super) fn check(history: &History) -> SpecializedResult {
                     format!("{kind} returned {other}, expected an integer"),
                 ));
             }
-            None => unreachable!("pending operations force a fallback above"),
+            None => unreachable!("pending operations force a fallback in the dispatch"),
         }
     }
 

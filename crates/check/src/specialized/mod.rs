@@ -57,12 +57,17 @@
 //!   sound bad pattern fired (**undecided** — rare, but possible because the
 //!   greedy construction is not complete);
 //! * the object kind has no specialized monitor (`Consensus`).
+//!
+//! A monitor reads the caller's operation table (`&[OpRecord]`), never the
+//! events: [`StrategyChecker`] indexes a history once ([`History::index`]) and
+//! hands the table to the monitor and, on a fallback, to [`LinSpec`].
+//! [`check_specialized`] is the standalone entry that indexes on its own.
 
 use crate::genlin::GenLinObject;
 use crate::linearizability::LinSpec;
 use crate::pattern::BadPattern;
 use crate::witness::{Verdict, Violation};
-use linrv_history::History;
+use linrv_history::{History, OpRecord};
 use linrv_spec::{ObjectKind, SequentialSpec};
 use std::fmt;
 
@@ -117,24 +122,34 @@ pub enum SpecializedResult {
 /// Runs the specialized monitor for `kind` over `history`, without any
 /// general-search fallback.
 ///
-/// This is the raw entry point used by [`StrategyChecker`] and the benchmark
-/// suite; most callers want [`StrategyChecker::check`] instead. The monitors
+/// The standalone entry point, used by the benchmark suite: it indexes `history`
+/// itself; most callers want [`StrategyChecker::check`] instead. The monitors
 /// assume the canonical `linrv-spec` semantics of `kind` (see the
 /// [module docs](self)).
 pub fn check_specialized(kind: ObjectKind, history: &History) -> SpecializedResult {
-    if history.check_well_formed().is_err() {
+    let (records, well_formed) = history.index();
+    monitor(kind, &records, well_formed.is_ok())
+}
+
+/// The specialized monitor for `kind` over a history's operation table.
+fn monitor(kind: ObjectKind, records: &[OpRecord], well_formed: bool) -> SpecializedResult {
+    if !well_formed {
         // Let the general checker produce the canonical malformed-history
         // violation rather than duplicating its diagnostics here.
         return SpecializedResult::Fallback(FallbackReason::Unsupported);
     }
     match kind {
-        ObjectKind::Queue => queue::check(history),
-        ObjectKind::Stack => stack::check(history),
-        ObjectKind::Set => set::check(history),
-        ObjectKind::PriorityQueue => pqueue::check(history),
-        ObjectKind::Counter => counter::check(history),
-        ObjectKind::Register => register::check(history),
-        _ => SpecializedResult::Fallback(FallbackReason::Unsupported),
+        ObjectKind::Queue => queue::check(records),
+        // Only the queue monitor reasons about pending operations.
+        ObjectKind::Consensus => SpecializedResult::Fallback(FallbackReason::Unsupported),
+        _ if records.iter().any(|r| !r.is_complete()) => {
+            SpecializedResult::Fallback(FallbackReason::Pending)
+        }
+        ObjectKind::Stack => stack::check(records),
+        ObjectKind::Set => set::check(records),
+        ObjectKind::PriorityQueue => pqueue::check(records),
+        ObjectKind::Counter => counter::check(records),
+        ObjectKind::Register => register::check(records),
     }
 }
 
@@ -195,7 +210,8 @@ impl<S: SequentialSpec> StrategyChecker<S> {
 
     /// Decides membership and reports which procedure produced the verdict.
     pub fn check_routed(&self, history: &History) -> (Verdict, Route) {
-        match check_specialized(self.kind, history) {
+        let (records, well_formed) = history.index();
+        match monitor(self.kind, &records, well_formed.is_ok()) {
             SpecializedResult::Member => (
                 Verdict::Member {
                     linearization: None,
@@ -212,9 +228,10 @@ impl<S: SequentialSpec> StrategyChecker<S> {
                 },
                 Route::Specialized,
             ),
-            SpecializedResult::Fallback(reason) => {
-                (self.general.check(history), Route::GeneralFallback(reason))
-            }
+            SpecializedResult::Fallback(reason) => (
+                self.general.decide(history, &records, well_formed),
+                Route::GeneralFallback(reason),
+            ),
         }
     }
 }

@@ -28,7 +28,7 @@
 
 use super::util::{respects_precedence, IntervalUnion, Span, INF};
 use super::{BadPattern, FallbackReason, SpecializedResult};
-use linrv_history::{History, OpValue};
+use linrv_history::{OpRecord, OpValue};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
@@ -41,14 +41,14 @@ struct Pair {
     value: i64,
 }
 
-pub(super) fn check(history: &History) -> SpecializedResult {
+pub(super) fn check(records: &[OpRecord]) -> SpecializedResult {
     let mut enqs: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
     let mut deqs: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
     let mut empties: Vec<Span> = Vec::new();
     // Minimum invocation index over pending dequeues; INF when none exist.
     let mut wildcard_iv = INF;
 
-    for record in history.operations() {
+    for record in records {
         let span = Span::new(record.invocation_index, record.response_index);
         match record.operation.kind.as_str() {
             "Enqueue" => {

@@ -21,7 +21,7 @@
 
 use super::util::{respects_precedence, Span, INF};
 use super::{BadPattern, FallbackReason, SpecializedResult};
-use linrv_history::{History, OpValue};
+use linrv_history::{OpRecord, OpValue};
 use std::collections::BTreeMap;
 
 struct Block {
@@ -29,13 +29,10 @@ struct Block {
     reads: Vec<Span>,
 }
 
-pub(super) fn check(history: &History) -> SpecializedResult {
-    if history.pending_operations().next().is_some() {
-        return SpecializedResult::Fallback(FallbackReason::Pending);
-    }
+pub(super) fn check(records: &[OpRecord]) -> SpecializedResult {
     let mut writes: BTreeMap<i64, Span> = BTreeMap::new();
     let mut reads: Vec<(i64, Span)> = Vec::new();
-    for record in history.operations() {
+    for record in records {
         let span = Span::new(record.invocation_index, record.response_index);
         match record.operation.kind.as_str() {
             "Write" => {
@@ -53,7 +50,7 @@ pub(super) fn check(history: &History) -> SpecializedResult {
                             .with_values(vec![value]),
                         );
                     }
-                    None => unreachable!("pending operations force a fallback above"),
+                    None => unreachable!("pending operations force a fallback in the dispatch"),
                 }
                 if value == 0 || writes.insert(value, span).is_some() {
                     // A write of the initial value, or two writes of the same
@@ -69,7 +66,7 @@ pub(super) fn check(history: &History) -> SpecializedResult {
                         format!("Read returned {other}, expected an integer"),
                     ));
                 }
-                None => unreachable!("pending operations force a fallback above"),
+                None => unreachable!("pending operations force a fallback in the dispatch"),
             },
             other => {
                 return SpecializedResult::NotMember(BadPattern::new(

@@ -15,7 +15,7 @@
 
 use super::util::{respects_precedence, Span};
 use super::{BadPattern, FallbackReason, SpecializedResult};
-use linrv_history::{History, OpValue};
+use linrv_history::{OpRecord, OpValue};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -32,12 +32,9 @@ struct Element {
     absent_obs: Vec<Span>,
 }
 
-pub(super) fn check(history: &History) -> SpecializedResult {
-    if history.pending_operations().next().is_some() {
-        return SpecializedResult::Fallback(FallbackReason::Pending);
-    }
+pub(super) fn check(records: &[OpRecord]) -> SpecializedResult {
     let mut elements: BTreeMap<i64, Element> = BTreeMap::new();
-    for record in history.operations() {
+    for record in records {
         let span = Span::new(record.invocation_index, record.response_index);
         let kind = record.operation.kind.as_str();
         if !matches!(kind, "Add" | "Remove" | "Contains") {
@@ -60,7 +57,7 @@ pub(super) fn check(history: &History) -> SpecializedResult {
                     .with_values(vec![value]),
                 );
             }
-            None => unreachable!("pending operations force a fallback above"),
+            None => unreachable!("pending operations force a fallback in the dispatch"),
         };
         let element = elements.entry(value).or_default();
         match (kind, flag) {

@@ -11,7 +11,7 @@
 
 use super::util::{compress, respects_precedence, IntervalUnion, PrefixMax, Span, INF};
 use super::{BadPattern, FallbackReason, SpecializedResult};
-use linrv_history::{History, OpValue};
+use linrv_history::{OpRecord, OpValue};
 use std::cmp::Reverse;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -23,15 +23,12 @@ struct Pair {
     value: i64,
 }
 
-pub(super) fn check(history: &History) -> SpecializedResult {
-    if history.pending_operations().next().is_some() {
-        return SpecializedResult::Fallback(FallbackReason::Pending);
-    }
+pub(super) fn check(records: &[OpRecord]) -> SpecializedResult {
     let mut pushes: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
     let mut pops: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
     let mut empties: Vec<Span> = Vec::new();
 
-    for record in history.operations() {
+    for record in records {
         let span = Span::new(record.invocation_index, record.response_index);
         match record.operation.kind.as_str() {
             "Push" => {
@@ -49,7 +46,7 @@ pub(super) fn check(history: &History) -> SpecializedResult {
                             .with_values(vec![value]),
                         );
                     }
-                    None => unreachable!("pending operations force a fallback above"),
+                    None => unreachable!("pending operations force a fallback in the dispatch"),
                 }
                 match pushes.entry(value) {
                     Entry::Vacant(slot) => {
@@ -72,7 +69,7 @@ pub(super) fn check(history: &History) -> SpecializedResult {
                         format!("Pop returned {other}, expected an integer or empty"),
                     ));
                 }
-                None => unreachable!("pending operations force a fallback above"),
+                None => unreachable!("pending operations force a fallback in the dispatch"),
             },
             other => {
                 return SpecializedResult::NotMember(BadPattern::new(

@@ -108,10 +108,10 @@ impl<T: Task> OneShotTaskObject<T> {
 
 impl<T: Task> GenLinObject for OneShotTaskObject<T> {
     fn contains(&self, history: &History) -> bool {
-        if !history.is_well_formed() {
+        let (records, well_formed) = history.index();
+        if well_formed.is_err() {
             return false;
         }
-        let records = history.operations();
         // One-shot: every process invokes at most one operation, of the right kind,
         // with an integer input.
         let mut seen = BTreeSet::new();

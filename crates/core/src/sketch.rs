@@ -331,12 +331,12 @@ mod tests {
 
         // Real-time order encoded by the views: op1 precedes op1', op1 precedes op3,
         // op1' precedes op3, while op2 is concurrent with op1' (same invocation step).
-        use linrv_history::precedes_all;
-        assert!(precedes_all(&history, OpId::new(0), OpId::new(1)));
-        assert!(precedes_all(&history, OpId::new(0), OpId::new(3)));
-        assert!(precedes_all(&history, OpId::new(1), OpId::new(3)));
-        assert!(!precedes_all(&history, OpId::new(2), OpId::new(1)));
-        assert!(!precedes_all(&history, OpId::new(1), OpId::new(2)));
+        let order = linrv_history::RealTimeOrder::full_order(&history);
+        assert!(order.before(OpId::new(0), OpId::new(1)));
+        assert!(order.before(OpId::new(0), OpId::new(3)));
+        assert!(order.before(OpId::new(1), OpId::new(3)));
+        assert!(!order.before(OpId::new(2), OpId::new(1)));
+        assert!(!order.before(OpId::new(1), OpId::new(2)));
     }
 
     /// Sequential announcements produce a sequential sketch.

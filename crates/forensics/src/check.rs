@@ -15,14 +15,14 @@ pub fn check_history(kind: ObjectKind, history: &History) -> Verdict {
     with_spec!(kind, |spec| StrategyChecker::new(spec).check(history))
 }
 
-/// The bad-pattern name a violating history diagnoses to, or `None` when the
+/// The bad-pattern name a violating verdict diagnoses to, or `None` when the
 /// verdict came from the general search (or the history passes).
 ///
 /// The narrowing pass uses this as its stability guard: an edit is accepted
 /// only if the diagnosis is unchanged, so narrowing can never trade the
 /// original bug for a different (manufactured) one.
-pub(crate) fn pattern_name(kind: ObjectKind, history: &History) -> Option<&'static str> {
-    check_history(kind, history)
+pub(crate) fn pattern_name(verdict: &Verdict) -> Option<&'static str> {
+    verdict
         .violation()
         .and_then(|violation| violation.pattern.as_ref())
         .map(|pattern| pattern.name)
@@ -42,10 +42,7 @@ mod tests {
         let history = b.build();
         let verdict = check_history(ObjectKind::Queue, &history);
         assert!(verdict.is_violation());
-        assert_eq!(
-            pattern_name(ObjectKind::Queue, &history),
-            Some("never-added")
-        );
+        assert_eq!(pattern_name(&verdict), Some("never-added"));
     }
 
     #[test]
@@ -53,6 +50,7 @@ mod tests {
         let mut b = HistoryBuilder::new();
         let p = ProcessId::new(0);
         b.complete(p, queue::enqueue(1), OpValue::Bool(true));
-        assert_eq!(pattern_name(ObjectKind::Queue, &b.build()), None);
+        let verdict = check_history(ObjectKind::Queue, &b.build());
+        assert_eq!(pattern_name(&verdict), None);
     }
 }

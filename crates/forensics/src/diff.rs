@@ -77,8 +77,9 @@ impl fmt::Display for NearestFix {
     }
 }
 
+/// An ill-formed candidate never passes: the checker rejects it.
 fn passes(kind: ObjectKind, history: &History) -> bool {
-    history.is_well_formed() && !check_history(kind, history).is_violation()
+    !check_history(kind, history).is_violation()
 }
 
 /// Tries relaxing each real-time edge `a ≺ b` by moving `a`'s response event
@@ -111,8 +112,9 @@ fn try_relax_edges(kind: ObjectKind, history: &History) -> Option<NearestFix> {
 
 /// Tries rewriting each response to each other value observed in the witness.
 fn try_rewrite_responses(kind: ObjectKind, history: &History) -> Option<NearestFix> {
+    let records = history.operations();
     let mut domain: BTreeSet<OpValue> = BTreeSet::new();
-    for record in history.operations() {
+    for record in &records {
         domain.insert(record.operation.arg.clone());
         if let Some(response) = &record.response {
             domain.insert(response.clone());
@@ -120,7 +122,7 @@ fn try_rewrite_responses(kind: ObjectKind, history: &History) -> Option<NearestF
     }
     domain.insert(OpValue::Empty);
     domain.remove(&OpValue::Unit);
-    for record in history.complete_operations() {
+    for record in records.iter().filter(|r| r.is_complete()) {
         let from = record.response.clone().expect("complete");
         let res_index = record.response_index.expect("complete");
         for to in &domain {

@@ -45,12 +45,13 @@ pub struct NarrowOutcome {
 ///
 /// Panics if `failing` is not actually a violation of `kind`.
 pub fn narrow(kind: ObjectKind, failing: &History) -> NarrowOutcome {
+    let verdict = check_history(kind, failing);
     assert!(
-        check_history(kind, failing).is_violation(),
+        verdict.is_violation(),
         "narrow requires a violating history"
     );
     let started = std::time::Instant::now();
-    let diagnosis = pattern_name(kind, failing);
+    let diagnosis = pattern_name(&verdict);
     let mut current = failing.clone();
     let mut steps = 0usize;
     let mut checks = 0usize;
@@ -65,13 +66,13 @@ pub fn narrow(kind: ObjectKind, failing: &History) -> NarrowOutcome {
                 events.swap(i, i + 1);
                 let candidate = History::from_events(events);
                 checks += 1;
-                if candidate.is_well_formed()
-                    && check_history(kind, &candidate).is_violation()
-                    && pattern_name(kind, &candidate) == diagnosis
-                {
-                    current = candidate;
-                    steps += 1;
-                    progressed = true;
+                if candidate.is_well_formed() {
+                    let verdict = check_history(kind, &candidate);
+                    if verdict.is_violation() && pattern_name(&verdict) == diagnosis {
+                        current = candidate;
+                        steps += 1;
+                        progressed = true;
+                    }
                 }
             }
             i += 1;
@@ -113,11 +114,12 @@ mod tests {
     #[test]
     fn narrowing_preserves_violation_and_diagnosis() {
         let failing = overlapping_duplicate_dequeues();
-        let before = pattern_name(ObjectKind::Queue, &failing);
+        let before = pattern_name(&check_history(ObjectKind::Queue, &failing));
         assert_eq!(before, Some("duplicate-remove"));
         let outcome = narrow(ObjectKind::Queue, &failing);
-        assert!(check_history(ObjectKind::Queue, &outcome.history).is_violation());
-        assert_eq!(pattern_name(ObjectKind::Queue, &outcome.history), before);
+        let after = check_history(ObjectKind::Queue, &outcome.history);
+        assert!(after.is_violation());
+        assert_eq!(pattern_name(&after), before);
         assert!(outcome.steps > 0, "the overlapping dequeues can serialize");
         assert_eq!(outcome.history.len(), failing.len());
     }
@@ -153,7 +155,7 @@ mod tests {
         b.complete(p0, register::read(), OpValue::Int(1));
         let failing = b.build();
         assert_eq!(
-            pattern_name(ObjectKind::Register, &failing),
+            pattern_name(&check_history(ObjectKind::Register, &failing)),
             Some("stale-read")
         );
         let outcome = narrow(ObjectKind::Register, &failing);

@@ -56,6 +56,6 @@ pub use event::{Event, EventKind};
 pub use history::{History, OpRecord, OpStatus, WellFormedError};
 pub use interval::{IntervalHistory, IntervalStep};
 pub use op::{OpId, OpValue, Operation};
-pub use order::{precedes_all, precedes_complete, RealTimeOrder};
+pub use order::RealTimeOrder;
 pub use process::ProcessId;
 pub use similarity::{similar, SimilarityWitness};

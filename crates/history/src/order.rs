@@ -10,43 +10,9 @@
 //! Both are irreflexive strict partial orders. Two operations unrelated by the order
 //! are *concurrent*.
 
-use crate::history::{History, OpRecord};
+use crate::history::History;
 use crate::op::OpId;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Returns `true` when `a <_E b` in `history`: both operations are complete and the
-/// response of `a` precedes the invocation of `b` (Definition 4.2).
-pub fn precedes_complete(history: &History, a: OpId, b: OpId) -> bool {
-    let ops: BTreeMap<OpId, OpRecord> = history
-        .operations()
-        .into_iter()
-        .map(|r| (r.id, r))
-        .collect();
-    match (ops.get(&a), ops.get(&b)) {
-        (Some(ra), Some(rb)) => match ra.response_index {
-            Some(res_a) => ra.is_complete() && rb.is_complete() && res_a < rb.invocation_index,
-            None => false,
-        },
-        _ => false,
-    }
-}
-
-/// Returns `true` when `a ≺_E b` in `history`: the response of `a` precedes the
-/// invocation of `b` (Section 7.1; `b` may be pending).
-pub fn precedes_all(history: &History, a: OpId, b: OpId) -> bool {
-    let ops: BTreeMap<OpId, OpRecord> = history
-        .operations()
-        .into_iter()
-        .map(|r| (r.id, r))
-        .collect();
-    match (ops.get(&a), ops.get(&b)) {
-        (Some(ra), Some(rb)) => match ra.response_index {
-            Some(res_a) => res_a < rb.invocation_index,
-            None => false,
-        },
-        _ => false,
-    }
-}
+use std::collections::BTreeSet;
 
 /// Which of the paper's two real-time orders to materialise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,12 +129,11 @@ mod tests {
     #[test]
     fn precedence_and_concurrency() {
         let (h, a, b, c) = overlapping();
-        assert!(precedes_complete(&h, a, b));
-        assert!(precedes_complete(&h, a, c));
-        assert!(!precedes_complete(&h, b, c));
-        assert!(!precedes_complete(&h, c, b));
         let order = RealTimeOrder::complete_order(&h);
         assert!(order.before(a, b));
+        assert!(order.before(a, c));
+        assert!(!order.before(b, c));
+        assert!(!order.before(c, b));
         assert!(order.concurrent(b, c));
     }
 
@@ -182,11 +147,10 @@ mod tests {
         let pending = builder.invoke(p2, Operation::nullary("Pop"));
         let h = builder.build();
 
-        assert!(!precedes_complete(&h, a, pending));
-        assert!(precedes_all(&h, a, pending));
-
         let complete = RealTimeOrder::complete_order(&h);
         let full = RealTimeOrder::full_order(&h);
+        assert!(!complete.before(a, pending));
+        assert!(full.before(a, pending));
         assert!(!complete.operations().contains(&pending));
         assert!(full.operations().contains(&pending));
         assert!(complete.subset_of(&full));
@@ -206,7 +170,7 @@ mod tests {
     #[test]
     fn unknown_operations_are_unrelated() {
         let (h, a, _, _) = overlapping();
-        assert!(!precedes_complete(&h, a, OpId::new(999)));
-        assert!(!precedes_all(&h, OpId::new(999), a));
+        assert!(!RealTimeOrder::complete_order(&h).before(a, OpId::new(999)));
+        assert!(!RealTimeOrder::full_order(&h).before(OpId::new(999), a));
     }
 }

@@ -12,6 +12,7 @@
 //! family of objects (Definition 7.2), and it is the property that makes the views
 //! mechanism a faithful sketch of tight executions (Lemma 7.4).
 
+use crate::event::Event;
 use crate::history::History;
 use crate::op::{OpId, OpValue};
 use crate::order::RealTimeOrder;
@@ -46,36 +47,33 @@ pub fn similar(e: &History, f: &History) -> Option<SimilarityWitness> {
         if ep.events() == fp.events() {
             continue;
         }
-        // Find the pending operation of `p` in `e`, if any.
-        let pending = ep.pending_operations().next();
-        match pending {
-            None => return None, // no edit available, yet the projections differ
-            Some(rec) => {
-                // Option A: drop the pending invocation.
-                let mut dropped: BTreeSet<OpId> = BTreeSet::new();
-                dropped.insert(rec.id);
-                let without = ep.remove_pending(&dropped);
-                if without.events() == fp.events() {
-                    witness.removed_invocations.insert(rec.id);
-                    continue;
-                }
-                // Option B: append the response that `f` gives to the same operation.
-                let frec = fp.operations().into_iter().find(|r| r.id == rec.id);
-                if let Some(frec) = frec {
-                    if let Some(value) = frec.response.clone() {
-                        let mut resp = BTreeMap::new();
-                        resp.insert(rec.id, value.clone());
-                        if let Ok(extended) = ep.extend_with_responses(&resp) {
-                            if extended.events() == fp.events() {
-                                witness.appended_responses.insert(rec.id, value);
-                                continue;
-                            }
-                        }
-                    }
-                }
-                return None;
+        // The pending operation of `p` in `e`: without one no edit is available, yet
+        // the projections differ.
+        let rec = ep.pending_operations().next()?;
+        // Option A: drop the pending invocation.
+        if ep
+            .events()
+            .iter()
+            .filter(|ev| ev.op_id != rec.id)
+            .eq(fp.events())
+        {
+            witness.removed_invocations.insert(rec.id);
+            continue;
+        }
+        // Option B: append the response that `f` gives to the same operation.
+        let value = fp
+            .operations()
+            .into_iter()
+            .find(|r| r.id == rec.id)
+            .and_then(|r| r.response);
+        if let Some(value) = value {
+            let response = Event::response(rec.process, rec.id, value.clone());
+            if fp.events().split_last() == Some((&response, ep.events())) {
+                witness.appended_responses.insert(rec.id, value);
+                continue;
             }
         }
+        return None;
     }
 
     // Build E' explicitly and check the remaining conditions.
@@ -95,21 +93,27 @@ pub fn similar(e: &History, f: &History) -> Option<SimilarityWitness> {
 /// Definition 7.1. Returns `None` if the witness refers to operations that are not
 /// pending in `e`.
 pub fn apply_witness(e: &History, witness: &SimilarityWitness) -> Option<History> {
-    let pending: BTreeSet<OpId> = e.pending_operations().map(|r| r.id).collect();
-    if !witness.removed_invocations.is_subset(&pending) {
-        return None;
-    }
-    if witness
-        .appended_responses
-        .keys()
-        .any(|id| !pending.contains(id))
+    let pending: BTreeMap<OpId, ProcessId> =
+        e.pending_operations().map(|r| (r.id, r.process)).collect();
+    let removed = &witness.removed_invocations;
+    let appended = &witness.appended_responses;
+    if removed.iter().any(|id| !pending.contains_key(id))
+        || appended
+            .keys()
+            .any(|id| !pending.contains_key(id) || removed.contains(id))
     {
         return None;
     }
-    let reduced = e.remove_pending(&witness.removed_invocations);
-    reduced
-        .extend_with_responses(&witness.appended_responses)
-        .ok()
+    let mut e_prime: History = e
+        .events()
+        .iter()
+        .filter(|ev| !removed.contains(&ev.op_id))
+        .cloned()
+        .collect();
+    for (id, value) in appended {
+        e_prime.push(Event::response(pending[id], *id, value.clone()));
+    }
+    Some(e_prime)
 }
 
 #[cfg(test)]

@@ -48,7 +48,9 @@
 //! | `MonitorPool::check_all` | `linrv-pool` | ill-formed cases |
 //!
 //! The corpus holds no ill-formed case today; `tests/stream_differential.rs`
-//! feeds ill-formed streams to the checkers that accept them.
+//! feeds ill-formed streams to the checkers that accept them, and
+//! `tests/index_differential.rs` holds `History::index` to its two-pass oracle
+//! on the corpus and on ill-formed mutations of the golden cases.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
