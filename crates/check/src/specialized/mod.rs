@@ -247,3 +247,278 @@ impl<S: SequentialSpec> GenLinObject for StrategyChecker<S> {
         self.general.description()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::{check_specialized, FallbackReason, SpecializedResult};
+    use crate::pattern::BadPattern;
+    use linrv_history::{HistoryBuilder, OpValue, Operation, ProcessId};
+    use linrv_spec::ops::{priority_queue, queue, stack};
+    use linrv_spec::ObjectKind;
+
+    /// The insert and removal operations of one insert/remove kind.
+    struct Kind {
+        kind: ObjectKind,
+        add: fn(i64) -> Operation,
+        remove: fn() -> Operation,
+    }
+
+    const KINDS: [Kind; 3] = [
+        Kind {
+            kind: ObjectKind::Queue,
+            add: queue::enqueue,
+            remove: queue::dequeue,
+        },
+        Kind {
+            kind: ObjectKind::Stack,
+            add: stack::push,
+            remove: stack::pop,
+        },
+        Kind {
+            kind: ObjectKind::PriorityQueue,
+            add: priority_queue::insert,
+            remove: priority_queue::extract_min,
+        },
+    ];
+
+    /// One step of a case: an insert of the value with its acknowledgement,
+    /// a removal with its answer, or a foreign operation answered `empty`.
+    enum Step {
+        Add(i64, OpValue),
+        Remove(OpValue),
+        Foreign(&'static str),
+    }
+
+    use Step::{Add, Foreign, Remove};
+
+    const T: OpValue = OpValue::Bool(true);
+
+    fn history(kind: &Kind, steps: &[Step]) -> linrv_history::History {
+        let mut b = HistoryBuilder::new();
+        let p = ProcessId::new(0);
+        for step in steps {
+            match step {
+                Add(value, ack) => b.complete(p, (kind.add)(*value), ack.clone()),
+                Remove(answer) => b.complete(p, (kind.remove)(), answer.clone()),
+                Foreign(name) => b.complete(p, Operation::nullary(*name), OpValue::Empty),
+            };
+        }
+        b.build()
+    }
+
+    fn pattern(name: &'static str, message: &str, values: &[i64]) -> SpecializedResult {
+        SpecializedResult::NotMember(BadPattern::new(name, message).with_values(values.to_vec()))
+    }
+
+    /// Every message of the insert/remove front end, word for word, and the
+    /// order its checks fire in: scan-time shape errors, then the ambiguity
+    /// gate, then the removals in ascending value order.
+    #[test]
+    fn insert_remove_messages_are_pinned() {
+        // (case, steps, expected per kind in `KINDS` order)
+        type Case = (&'static str, Vec<Step>, [SpecializedResult; 3]);
+        let int = OpValue::Int;
+        let cases: Vec<Case> = vec![
+            (
+                "insert acknowledged with false",
+                vec![Add(1, OpValue::Bool(false))],
+                [
+                    pattern(
+                        "bad-response",
+                        "Enqueue(1) acknowledged with false instead of true",
+                        &[1],
+                    ),
+                    pattern(
+                        "bad-response",
+                        "Push(1) acknowledged with false instead of true",
+                        &[1],
+                    ),
+                    pattern(
+                        "bad-response",
+                        "Insert(1) acknowledged with false instead of true",
+                        &[1],
+                    ),
+                ],
+            ),
+            (
+                "removal answering true",
+                vec![Remove(T)],
+                [
+                    pattern(
+                        "bad-response",
+                        "Dequeue returned true, expected an integer or empty",
+                        &[],
+                    ),
+                    pattern(
+                        "bad-response",
+                        "Pop returned true, expected an integer or empty",
+                        &[],
+                    ),
+                    pattern(
+                        "bad-response",
+                        "ExtractMin returned true, expected an integer or empty",
+                        &[],
+                    ),
+                ],
+            ),
+            (
+                "foreign operation",
+                vec![Add(1, T), Foreign("Peek")],
+                [
+                    pattern("bad-response", "Peek is not a queue operation", &[]),
+                    pattern("bad-response", "Peek is not a stack operation", &[]),
+                    pattern(
+                        "bad-response",
+                        "Peek is not a priority-queue operation",
+                        &[],
+                    ),
+                ],
+            ),
+            (
+                "duplicate-remove",
+                vec![Add(5, T), Remove(int(5)), Remove(int(5))],
+                [
+                    pattern("duplicate-remove", "value 5 dequeued 2 times", &[5]),
+                    pattern("duplicate-remove", "value 5 popped 2 times", &[5]),
+                    pattern("duplicate-remove", "value 5 extracted 2 times", &[5]),
+                ],
+            ),
+            (
+                "never-added",
+                vec![Remove(int(41))],
+                [
+                    pattern("never-added", "value 41 dequeued but never enqueued", &[41]),
+                    pattern("never-added", "value 41 popped but never pushed", &[41]),
+                    pattern(
+                        "never-added",
+                        "value 41 extracted but never inserted",
+                        &[41],
+                    ),
+                ],
+            ),
+            (
+                "remove-before-add",
+                vec![Remove(int(7)), Add(7, T)],
+                [
+                    pattern(
+                        "remove-before-add",
+                        "value 7 dequeued before its enqueue was invoked",
+                        &[7],
+                    ),
+                    pattern(
+                        "remove-before-add",
+                        "value 7 popped before its push was invoked",
+                        &[7],
+                    ),
+                    pattern(
+                        "remove-before-add",
+                        "value 7 extracted before its insert was invoked",
+                        &[7],
+                    ),
+                ],
+            ),
+            (
+                "covered-empty",
+                vec![Add(1, T), Remove(OpValue::Empty), Remove(int(1))],
+                [
+                    pattern(
+                        "covered-empty",
+                        "a dequeue observed an empty queue inside a window where the queue \
+                         is necessarily non-empty",
+                        &[],
+                    ),
+                    pattern(
+                        "covered-empty",
+                        "a pop observed an empty stack inside a window where the stack \
+                         is necessarily non-empty",
+                        &[],
+                    ),
+                    pattern(
+                        "covered-empty",
+                        "an extraction observed an empty priority queue inside a window \
+                         where it is necessarily non-empty",
+                        &[],
+                    ),
+                ],
+            ),
+            (
+                "duplicate insert",
+                vec![Add(3, T), Add(3, T), Remove(int(3))],
+                [0, 1, 2].map(|_| SpecializedResult::Fallback(FallbackReason::Ambiguous)),
+            ),
+            (
+                "a shape error outranks the ambiguity gate and the matching",
+                vec![Remove(int(41)), Add(3, T), Add(3, T), Remove(T)],
+                [
+                    pattern(
+                        "bad-response",
+                        "Dequeue returned true, expected an integer or empty",
+                        &[],
+                    ),
+                    pattern(
+                        "bad-response",
+                        "Pop returned true, expected an integer or empty",
+                        &[],
+                    ),
+                    pattern(
+                        "bad-response",
+                        "ExtractMin returned true, expected an integer or empty",
+                        &[],
+                    ),
+                ],
+            ),
+            (
+                "the ambiguity gate outranks the matching",
+                vec![Remove(int(41)), Add(3, T), Add(3, T)],
+                [0, 1, 2].map(|_| SpecializedResult::Fallback(FallbackReason::Ambiguous)),
+            ),
+            (
+                "removals are judged in ascending value order",
+                vec![
+                    Remove(int(9)),
+                    Remove(int(4)),
+                    Add(4, T),
+                    Add(6, T),
+                    Remove(int(6)),
+                    Remove(int(6)),
+                ],
+                [
+                    pattern(
+                        "remove-before-add",
+                        "value 4 dequeued before its enqueue was invoked",
+                        &[4],
+                    ),
+                    pattern(
+                        "remove-before-add",
+                        "value 4 popped before its push was invoked",
+                        &[4],
+                    ),
+                    pattern(
+                        "remove-before-add",
+                        "value 4 extracted before its insert was invoked",
+                        &[4],
+                    ),
+                ],
+            ),
+        ];
+        for (name, steps, expected) in cases {
+            for (kind, expected) in KINDS.iter().zip(expected) {
+                let result = check_specialized(kind.kind, &history(kind, &steps));
+                assert_eq!(result, expected, "{} on {name}", kind.kind);
+            }
+        }
+        // A non-integer insert argument is outside every monitor's matching.
+        for kind in &KINDS {
+            let mut b = HistoryBuilder::new();
+            let add = (kind.add)(0);
+            let odd = Operation::new(add.kind, OpValue::Bool(true));
+            b.complete(ProcessId::new(0), odd, T);
+            assert_eq!(
+                check_specialized(kind.kind, &b.build()),
+                SpecializedResult::Fallback(FallbackReason::Unsupported),
+                "{}",
+                kind.kind
+            );
+        }
+    }
+}
