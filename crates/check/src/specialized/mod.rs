@@ -51,12 +51,16 @@
 //!   `0`), which breaks the unique-matching precondition of the log-linear
 //!   algorithms;
 //! * the history has **pending operations** the monitor cannot reason about
-//!   (the queue monitor handles pending operations natively; the others
-//!   decline);
+//!   (the queue monitor handles them; the others decline);
 //! * the monitor's constructive phase cannot find a witness even though no
 //!   sound bad pattern fired (**undecided** — rare, but possible because the
 //!   greedy construction is not complete);
 //! * the object kind has no specialized monitor (`Consensus`).
+//!
+//! The queue, stack and priority queue share one front end, `matching`: one
+//! scan that matches inserts to removals, with the pending-operation rule and
+//! the patterns that follow from the matching alone. Its module docs state
+//! those rules and the order the checks fire in.
 //!
 //! A monitor reads the caller's operation table (`&[OpRecord]`), never the
 //! events: [`StrategyChecker`] indexes a history once ([`History::index`]) and
@@ -72,6 +76,7 @@ use linrv_spec::{ObjectKind, SequentialSpec};
 use std::fmt;
 
 mod counter;
+mod matching;
 mod pqueue;
 mod queue;
 mod register;
@@ -90,8 +95,8 @@ pub enum FallbackReason {
     /// No sound bad pattern fired, but the constructive phase found no
     /// validated witness either.
     Undecided,
-    /// No specialized monitor exists for this object kind, or the history is
-    /// not well formed.
+    /// No specialized monitor exists for this object kind, the history is not
+    /// well formed, or an insert's argument is not an integer.
     Unsupported,
 }
 
@@ -139,15 +144,15 @@ fn monitor(kind: ObjectKind, records: &[OpRecord], well_formed: bool) -> Special
         return SpecializedResult::Fallback(FallbackReason::Unsupported);
     }
     match kind {
-        ObjectKind::Queue => queue::check(records),
+        ObjectKind::Queue => matching::check(&queue::QUEUE, records),
         // Only the queue monitor reasons about pending operations.
         ObjectKind::Consensus => SpecializedResult::Fallback(FallbackReason::Unsupported),
         _ if records.iter().any(|r| !r.is_complete()) => {
             SpecializedResult::Fallback(FallbackReason::Pending)
         }
-        ObjectKind::Stack => stack::check(records),
+        ObjectKind::Stack => matching::check(&stack::STACK, records),
         ObjectKind::Set => set::check(records),
-        ObjectKind::PriorityQueue => pqueue::check(records),
+        ObjectKind::PriorityQueue => matching::check(&pqueue::PRIORITY_QUEUE, records),
         ObjectKind::Counter => counter::check(records),
         ObjectKind::Register => register::check(records),
     }

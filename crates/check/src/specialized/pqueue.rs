@@ -1,147 +1,37 @@
 //! Specialized min-priority-queue monitor for unambiguous, complete
 //! histories.
 //!
-//! The forced matching (distinct inserted values) gives each `ExtractMin`
-//! returning `v` a unique insert. Sound bad patterns: matching errors, an
-//! extraction completing before its insert is invoked, an extraction of `w`
-//! whose whole window is covered by a *smaller* value necessarily inside the
-//! queue (the minimum could not have been `w`), and an empty-extraction
-//! covered by any value. The constructive phase simulates a binary heap by
-//! earliest deadline, inserting values as late as their deadlines allow so
-//! that smaller values do not block earlier extractions of larger ones, and
-//! validates the emitted order. Pending operations fall back.
+//! The insert/remove matching and the `covered-empty` pattern are shared
+//! (`matching`). What is the priority queue's own:
+//!
+//! * its order pattern: an extraction of `w` whose whole window is covered
+//!   by a *smaller* value necessarily inside the queue (the minimum could
+//!   not have been `w`);
+//! * its constructive phase: it simulates a binary heap by earliest
+//!   deadline, inserting values as late as their deadlines allow so that
+//!   smaller values do not block earlier extractions of larger ones, and
+//!   validates the emitted order.
+//!
+//! Both assume a complete history: the dispatch sends a priority-queue
+//! history with a pending operation to the general search.
 
-use super::util::{compress, respects_precedence, IntervalUnion, PrefixMax, Span, INF};
-use super::{BadPattern, FallbackReason, SpecializedResult};
-use linrv_history::{OpRecord, OpValue};
+use super::matching::{Kind, Matching, Pair};
+use super::util::{compress, respects_precedence, PrefixMax, Span, INF};
+use super::BadPattern;
 use std::cmp::Reverse;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
-#[derive(Clone, Copy)]
-struct Pair {
-    insert: Span,
-    extract: Span,
-    value: i64,
-}
-
-pub(super) fn check(records: &[OpRecord]) -> SpecializedResult {
-    let mut inserts: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
-    let mut extracts: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
-    let mut empties: Vec<Span> = Vec::new();
-
-    for record in records {
-        let span = Span::new(record.invocation_index, record.response_index);
-        match record.operation.kind.as_str() {
-            "Insert" => {
-                let Some(value) = record.operation.arg.as_int() else {
-                    return SpecializedResult::Fallback(FallbackReason::Unsupported);
-                };
-                match &record.response {
-                    Some(OpValue::Bool(true)) => {}
-                    Some(other) => {
-                        return SpecializedResult::NotMember(
-                            BadPattern::new(
-                                "bad-response",
-                                format!(
-                                    "Insert({value}) acknowledged with {other} instead of true"
-                                ),
-                            )
-                            .with_values(vec![value]),
-                        );
-                    }
-                    None => unreachable!("pending operations force a fallback in the dispatch"),
-                }
-                match inserts.entry(value) {
-                    Entry::Vacant(slot) => {
-                        slot.insert((span, 1));
-                    }
-                    Entry::Occupied(mut slot) => slot.get_mut().1 += 1,
-                }
-            }
-            "ExtractMin" => match &record.response {
-                Some(OpValue::Int(value)) => match extracts.entry(*value) {
-                    Entry::Vacant(slot) => {
-                        slot.insert((span, 1));
-                    }
-                    Entry::Occupied(mut slot) => slot.get_mut().1 += 1,
-                },
-                Some(OpValue::Empty) => empties.push(span),
-                Some(other) => {
-                    return SpecializedResult::NotMember(BadPattern::new(
-                        "bad-response",
-                        format!("ExtractMin returned {other}, expected an integer or empty"),
-                    ));
-                }
-                None => unreachable!("pending operations force a fallback in the dispatch"),
-            },
-            other => {
-                return SpecializedResult::NotMember(BadPattern::new(
-                    "bad-response",
-                    format!("{other} is not a priority-queue operation"),
-                ));
-            }
-        }
-    }
-
-    if inserts.values().any(|(_, count)| *count > 1) {
-        return SpecializedResult::Fallback(FallbackReason::Ambiguous);
-    }
-
-    let mut matched: Vec<Pair> = Vec::with_capacity(extracts.len());
-    for (&value, &(extract, count)) in &extracts {
-        if count > 1 {
-            return SpecializedResult::NotMember(
-                BadPattern::new(
-                    "duplicate-remove",
-                    format!("value {value} extracted {count} times"),
-                )
-                .with_values(vec![value]),
-            );
-        }
-        let Some(&(insert, _)) = inserts.get(&value) else {
-            return SpecializedResult::NotMember(
-                BadPattern::new(
-                    "never-added",
-                    format!("value {value} extracted but never inserted"),
-                )
-                .with_values(vec![value]),
-            );
-        };
-        if extract.precedes(&insert) {
-            return SpecializedResult::NotMember(
-                BadPattern::new(
-                    "remove-before-add",
-                    format!("value {value} extracted before its insert was invoked"),
-                )
-                .with_values(vec![value]),
-            );
-        }
-        matched.push(Pair {
-            insert,
-            extract,
-            value,
-        });
-    }
-    let unmatched: Vec<(Span, i64)> = inserts
-        .iter()
-        .filter(|(value, _)| !extracts.contains_key(value))
-        .map(|(&value, &(span, _))| (span, value))
-        .collect();
-
-    if let Some(pattern) = smaller_value_present(&matched, &unmatched) {
-        return SpecializedResult::NotMember(pattern);
-    }
-    if let Some(pattern) = covered_empty_extract(&matched, &unmatched, &empties) {
-        return SpecializedResult::NotMember(pattern);
-    }
-
-    if simulate(&matched, &unmatched, &empties) {
-        SpecializedResult::Member
-    } else {
-        SpecializedResult::Fallback(FallbackReason::Undecided)
-    }
-}
+pub(super) const PRIORITY_QUEUE: Kind = Kind {
+    add: "Insert",
+    remove: "ExtractMin",
+    object: "priority-queue",
+    added: "inserted",
+    removed: "extracted",
+    covered_empty: "an extraction observed an empty priority queue inside a window \
+                    where it is necessarily non-empty",
+    order_pattern: smaller_value_present,
+    construct: simulate,
+};
 
 /// An extraction returning `w` while some `v < w` is necessarily in the queue
 /// for the extraction's entire window: the minimum cannot have been `w`.
@@ -151,11 +41,14 @@ pub(super) fn check(records: &[OpRecord]) -> SpecializedResult {
 /// condition is `rs(insert v) <= iv(extract w)` and
 /// `iv(extract v) >= rs(extract w)`. Swept with a Fenwick prefix-max over
 /// values in increasing value order.
-fn smaller_value_present(matched: &[Pair], unmatched: &[(Span, i64)]) -> Option<BadPattern> {
+fn smaller_value_present(matching: &Matching) -> Option<BadPattern> {
+    let Matching {
+        matched, unmatched, ..
+    } = matching;
     // All values, each contributing (value, rs(insert), iv(extract) or INF).
     let mut values: Vec<(i64, u32, u32)> = matched
         .iter()
-        .map(|p| (p.value, p.insert.rs, p.extract.iv))
+        .map(|p| (p.value, p.add.rs, p.remove.iv))
         .collect();
     values.extend(unmatched.iter().map(|&(span, value)| (value, span.rs, INF)));
     values.sort_unstable();
@@ -173,8 +66,8 @@ fn smaller_value_present(matched: &[Pair], unmatched: &[(Span, i64)]) -> Option<
             cursor += 1;
         }
         // v with rs(insert v) <= iv(extract w):
-        let prefix = insert_rs.partition_point(|&rs| rs <= w.extract.iv);
-        if prefix > 0 && tree.query(prefix - 1) >= w.extract.rs {
+        let prefix = insert_rs.partition_point(|&rs| rs <= w.remove.iv);
+        if prefix > 0 && tree.query(prefix - 1) >= w.remove.rs {
             return Some(
                 BadPattern::new(
                     "order-inversion",
@@ -191,35 +84,6 @@ fn smaller_value_present(matched: &[Pair], unmatched: &[(Span, i64)]) -> Option<
     None
 }
 
-/// An empty-extraction whose whole window is covered by values necessarily in
-/// the queue.
-fn covered_empty_extract(
-    matched: &[Pair],
-    unmatched: &[(Span, i64)],
-    empties: &[Span],
-) -> Option<BadPattern> {
-    if empties.is_empty() {
-        return None;
-    }
-    let mut occupied: Vec<(u32, u32)> = matched
-        .iter()
-        .filter(|p| p.extract.iv > 0)
-        .map(|p| (p.insert.rs, p.extract.iv - 1))
-        .collect();
-    occupied.extend(unmatched.iter().map(|&(span, _)| (span.rs, INF)));
-    let union = IntervalUnion::new(occupied);
-    for span in empties {
-        if union.covers(span.iv, span.rs - 1) {
-            return Some(BadPattern::new(
-                "covered-empty",
-                "an extraction observed an empty priority queue inside a window \
-                 where it is necessarily non-empty",
-            ));
-        }
-    }
-    None
-}
-
 /// Constructive phase: simulate a min-heap by earliest deadline.
 ///
 /// Inserts happen only when forced (their response deadline is nearest), so
@@ -229,23 +93,28 @@ fn covered_empty_extract(
 /// smaller value is never extracted — the greedy gives up). Empty-extractions
 /// drain the heap the same way. The emitted order replays correctly by
 /// construction; the caller's precedence validation decides membership.
-fn simulate(matched: &[Pair], unmatched: &[(Span, i64)], empties: &[Span]) -> bool {
+fn simulate(matching: Matching) -> bool {
+    let Matching {
+        matched,
+        unmatched,
+        mut empties,
+        ..
+    } = matching;
     // Extraction agenda: every non-empty extraction ordered by response
     // (a linear extension of the extraction interval order), then the
     // empty-extractions merged in by the main loop.
     let mut agenda: Vec<usize> = (0..matched.len()).collect();
-    agenda.sort_unstable_by_key(|&i| matched[i].extract.rs);
+    agenda.sort_unstable_by_key(|&i| matched[i].remove.rs);
     let mut served = vec![false; matched.len()];
     let mut next_agenda = 0;
 
-    let mut empties: Vec<Span> = empties.to_vec();
     empties.sort_unstable_by_key(|span| span.rs);
     let mut next_empty = 0;
 
     // Unified insert ids: matched i = i, unmatched i = matched.len() + i.
     let insert_span = |id: usize| -> Span {
         if id < matched.len() {
-            matched[id].insert
+            matched[id].add
         } else {
             unmatched[id - matched.len()].0
         }
@@ -290,7 +159,7 @@ fn simulate(matched: &[Pair], unmatched: &[(Span, i64)], empties: &[Span]) -> bo
             }
             heap.pop();
             served[id] = true;
-            sequence.push(matched[id].extract);
+            sequence.push(matched[id].remove);
         }
         true
     };
@@ -311,7 +180,7 @@ fn simulate(matched: &[Pair], unmatched: &[(Span, i64)], empties: &[Span]) -> bo
             best = Some((rs, 0));
         }
         if next_agenda < agenda.len() {
-            let candidate = (matched[agenda[next_agenda]].extract.rs, 1);
+            let candidate = (matched[agenda[next_agenda]].remove.rs, 1);
             if best.map_or(true, |b| candidate < b) {
                 best = Some(candidate);
             }
@@ -345,7 +214,7 @@ fn simulate(matched: &[Pair], unmatched: &[(Span, i64)], empties: &[Span]) -> bo
                 };
                 debug_assert!(value == matched[i].value && id == i);
                 served[i] = true;
-                sequence.push(matched[i].extract);
+                sequence.push(matched[i].remove);
             }
             Some((_, 2)) => {
                 if !clear_below(None, &mut heap, &mut served, &mut sequence) {

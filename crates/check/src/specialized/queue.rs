@@ -1,198 +1,72 @@
 //! Specialized FIFO-queue monitor for unambiguous histories.
 //!
-//! An unambiguous queue history (no value enqueued twice) has a *forced
-//! matching*: each dequeued value belongs to exactly one enqueue. That makes
-//! linearizability decidable in O(n log n) with the bad-pattern
-//! characterisation of Lee & Mathur / Bouajjani et al.:
+//! The insert/remove matching, its pending-operation rule and the
+//! `covered-empty` pattern are shared (`matching`). What is the queue's own:
 //!
-//! 1. a value dequeued but never enqueued, or dequeued twice;
-//! 2. a dequeue completing before its enqueue is invoked;
-//! 3. a FIFO inversion forced by real time — `v` enqueued before `w` but
-//!    dequeued after it (a never-dequeued `v` counts as "dequeued at ∞");
-//! 4. an empty-dequeue whose entire window is covered by values that are
-//!    necessarily inside the queue.
+//! * its order pattern, a FIFO inversion forced by real time — `v` enqueued
+//!   before `w` but dequeued after it (a never-dequeued `v` counts as
+//!   "dequeued at ∞" unless a pending dequeue could still take it);
+//! * its constructive phase: a FIFO order of the values from a two-gate
+//!   topological merge of the enqueue and dequeue interval orders,
+//!   interleaved by earliest effective deadline, then validated
+//!   (`util::respects_precedence`). Only a validated witness yields
+//!   `Member`; if the greedy construction fails the monitor returns
+//!   `Fallback(Undecided)` rather than guessing.
 //!
-//! When no pattern fires the monitor *constructs* a linearization — a FIFO
-//! order of the values from a two-gate topological merge of the enqueue and
-//! dequeue interval orders, interleaved by earliest effective deadline — and
-//! validates it (`util::respects_precedence`). Only a validated witness
-//! yields `Member`; if the greedy construction fails the monitor returns
-//! `Fallback(Undecided)` rather than guessing.
-//!
-//! Pending operations are handled natively so the monitor stays useful on
-//! streaming prefixes: a pending dequeue is a wildcard (it may consume any
-//! value), so patterns that rely on a value being *never* dequeued are
-//! disabled while one exists; a pending enqueue whose value is dequeued is
-//! used as a matched enqueue with response time ∞; all other pending
-//! operations are dropped, which the membership semantics permits.
+//! Together these decide unambiguous histories in O(n log n), after the
+//! bad-pattern characterisation of Lee & Mathur / Bouajjani et al.
 
-use super::util::{respects_precedence, IntervalUnion, Span, INF};
-use super::{BadPattern, FallbackReason, SpecializedResult};
-use linrv_history::{OpRecord, OpValue};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use super::matching::{Kind, Matching, Pair};
+use super::util::{respects_precedence, Span, INF};
+use super::BadPattern;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// A value with its forced enqueue/dequeue pair (dequeue span `rs` is always
-/// finite; the enqueue may be pending, `rs == INF`).
-#[derive(Clone, Copy)]
-struct Pair {
-    enq: Span,
-    deq: Span,
-    value: i64,
-}
+pub(super) const QUEUE: Kind = Kind {
+    add: "Enqueue",
+    remove: "Dequeue",
+    object: "queue",
+    added: "enqueued",
+    removed: "dequeued",
+    covered_empty: "a dequeue observed an empty queue inside a window where the queue \
+                    is necessarily non-empty",
+    order_pattern: fifo_inversion,
+    construct,
+};
 
-pub(super) fn check(records: &[OpRecord]) -> SpecializedResult {
-    let mut enqs: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
-    let mut deqs: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
-    let mut empties: Vec<Span> = Vec::new();
-    // Minimum invocation index over pending dequeues; INF when none exist.
-    let mut wildcard_iv = INF;
-
-    for record in records {
-        let span = Span::new(record.invocation_index, record.response_index);
-        match record.operation.kind.as_str() {
-            "Enqueue" => {
-                if record.operation.arg.as_int().is_none() {
-                    return SpecializedResult::Fallback(FallbackReason::Unsupported);
-                }
-                let value = record.operation.arg.as_int().expect("checked above");
-                match &record.response {
-                    None | Some(OpValue::Bool(true)) => {}
-                    Some(other) => {
-                        return SpecializedResult::NotMember(
-                            BadPattern::new(
-                                "bad-response",
-                                format!(
-                                    "Enqueue({value}) acknowledged with {other} instead of true"
-                                ),
-                            )
-                            .with_values(vec![value]),
-                        );
-                    }
-                }
-                match enqs.entry(value) {
-                    Entry::Vacant(slot) => {
-                        slot.insert((span, 1));
-                    }
-                    Entry::Occupied(mut slot) => slot.get_mut().1 += 1,
-                }
-            }
-            "Dequeue" => match &record.response {
-                None => wildcard_iv = wildcard_iv.min(span.iv),
-                Some(OpValue::Int(value)) => match deqs.entry(*value) {
-                    Entry::Vacant(slot) => {
-                        slot.insert((span, 1));
-                    }
-                    Entry::Occupied(mut slot) => slot.get_mut().1 += 1,
-                },
-                Some(OpValue::Empty) => empties.push(span),
-                Some(other) => {
-                    return SpecializedResult::NotMember(BadPattern::new(
-                        "bad-response",
-                        format!("Dequeue returned {other}, expected an integer or empty"),
-                    ));
-                }
-            },
-            other => {
-                if record.response.is_some() {
-                    return SpecializedResult::NotMember(BadPattern::new(
-                        "bad-response",
-                        format!("{other} is not a queue operation"),
-                    ));
-                }
-                // A pending unknown invocation may be dropped.
-            }
-        }
-    }
-
-    // Ambiguity gate: a value enqueued twice breaks the forced matching.
-    if enqs.values().any(|(_, count)| *count > 1) {
-        return SpecializedResult::Fallback(FallbackReason::Ambiguous);
-    }
-
-    let mut matched: Vec<Pair> = Vec::with_capacity(deqs.len());
-    for (&value, &(deq, count)) in &deqs {
-        if count > 1 {
-            // At most one enqueue of `value` exists, and an extension can only
-            // add responses, never new enqueues.
-            return SpecializedResult::NotMember(
-                BadPattern::new(
-                    "duplicate-remove",
-                    format!("value {value} dequeued {count} times"),
-                )
-                .with_values(vec![value]),
-            );
-        }
-        let Some(&(enq, _)) = enqs.get(&value) else {
-            return SpecializedResult::NotMember(
-                BadPattern::new(
-                    "never-added",
-                    format!("value {value} dequeued but never enqueued"),
-                )
-                .with_values(vec![value]),
-            );
-        };
-        if deq.precedes(&enq) {
-            return SpecializedResult::NotMember(
-                BadPattern::new(
-                    "remove-before-add",
-                    format!("value {value} dequeued before its enqueue was invoked"),
-                )
-                .with_values(vec![value]),
-            );
-        }
-        matched.push(Pair { enq, deq, value });
-    }
-    // Values enqueued (completely) but never dequeued. Pending unmatched
-    // enqueues are dropped: the completion is free not to take them.
-    let mut unmatched: Vec<(Span, i64)> = enqs
-        .iter()
-        .filter(|(value, (span, _))| span.rs != INF && !deqs.contains_key(value))
-        .map(|(&value, &(span, _))| (span, value))
-        .collect();
-
-    if let Some(pattern) = fifo_inversion(&matched, &unmatched, wildcard_iv) {
-        return SpecializedResult::NotMember(pattern);
-    }
-    if let Some(pattern) = covered_empty_dequeue(&matched, &unmatched, &empties, wildcard_iv) {
-        return SpecializedResult::NotMember(pattern);
-    }
-
-    // Constructive phase: FIFO value order, then a gap-anchored merge.
-    let Some(order) = fifo_value_order(&matched) else {
-        return SpecializedResult::Fallback(FallbackReason::Undecided);
+/// Constructive phase: FIFO value order, then a gap-anchored merge.
+fn construct(mut matching: Matching) -> bool {
+    let Some(order) = fifo_value_order(&matching.matched) else {
+        return false;
     };
-    unmatched.sort_unstable_by_key(|(span, _)| span.iv);
-    let sequence = merge_schedule(&matched, &order, &unmatched, &empties);
-    if respects_precedence(sequence) {
-        SpecializedResult::Member
-    } else {
-        SpecializedResult::Fallback(FallbackReason::Undecided)
-    }
+    matching.unmatched.sort_unstable_by_key(|(span, _)| span.iv);
+    let m = &matching;
+    respects_precedence(merge_schedule(&m.matched, &order, &m.unmatched, &m.empties))
 }
 
-/// Bad pattern 3: `v` enqueued before `w` (forced) yet dequeued after `w`
+/// The order pattern: `v` enqueued before `w` (forced) yet dequeued after `w`
 /// (forced). A `v` that is never dequeued counts with dequeue invocation ∞ —
 /// but only when no pending dequeue could still consume it.
-fn fifo_inversion(
-    matched: &[Pair],
-    unmatched: &[(Span, i64)],
-    wildcard_iv: u32,
-) -> Option<BadPattern> {
+fn fifo_inversion(matching: &Matching) -> Option<BadPattern> {
+    let Matching {
+        matched,
+        unmatched,
+        wildcard_iv,
+        ..
+    } = matching;
     // Role v: contributes (rs of enqueue, iv of dequeue).
     let mut first: Vec<(u32, u32, i64)> = matched
         .iter()
-        .filter(|p| p.enq.rs != INF)
-        .map(|p| (p.enq.rs, p.deq.iv, p.value))
+        .filter(|p| p.add.rs != INF)
+        .map(|p| (p.add.rs, p.remove.iv, p.value))
         .collect();
-    if wildcard_iv == INF {
+    if *wildcard_iv == INF {
         first.extend(unmatched.iter().map(|&(span, value)| (span.rs, INF, value)));
     }
     first.sort_unstable();
     // Role w: consumes (iv of enqueue, rs of dequeue).
     let mut second: Vec<(u32, u32, i64)> = matched
         .iter()
-        .map(|p| (p.enq.iv, p.deq.rs, p.value))
+        .map(|p| (p.add.iv, p.remove.rs, p.value))
         .collect();
     second.sort_unstable();
 
@@ -227,45 +101,6 @@ fn fifo_inversion(
     None
 }
 
-/// Bad pattern 4: an empty-dequeue whose whole window is covered by values
-/// necessarily inside the queue.
-fn covered_empty_dequeue(
-    matched: &[Pair],
-    unmatched: &[(Span, i64)],
-    empties: &[Span],
-    wildcard_iv: u32,
-) -> Option<BadPattern> {
-    if empties.is_empty() {
-        return None;
-    }
-    // `v` necessarily occupies the gaps [rs(enq), iv(deq) - 1] (gap `g` is
-    // the space between event indices g and g+1). An unmatched value occupies
-    // [rs(enq), ∞) unless a pending dequeue could consume it, in which case
-    // occupancy is only forced up to that dequeue's invocation.
-    let mut occupied: Vec<(u32, u32)> = matched
-        .iter()
-        .filter(|p| p.enq.rs != INF && p.deq.iv > 0)
-        .map(|p| (p.enq.rs, p.deq.iv - 1))
-        .collect();
-    occupied.extend(
-        unmatched
-            .iter()
-            .filter(|(_, _)| wildcard_iv > 0)
-            .map(|&(span, _)| (span.rs, wildcard_iv.saturating_sub(1))),
-    );
-    let union = IntervalUnion::new(occupied);
-    for span in empties {
-        if union.covers(span.iv, span.rs - 1) {
-            return Some(BadPattern::new(
-                "covered-empty",
-                "a dequeue observed an empty queue inside a window where the queue \
-                 is necessarily non-empty",
-            ));
-        }
-    }
-    None
-}
-
 /// Two-gate Kahn topological sort producing a FIFO value order that extends
 /// both the enqueue and the dequeue real-time interval orders.
 ///
@@ -278,14 +113,14 @@ fn covered_empty_dequeue(
 fn fifo_value_order(matched: &[Pair]) -> Option<Vec<usize>> {
     let n = matched.len();
     let mut by_enq_iv: Vec<usize> = (0..n).collect();
-    by_enq_iv.sort_unstable_by_key(|&i| matched[i].enq.iv);
+    by_enq_iv.sort_unstable_by_key(|&i| matched[i].add.iv);
     let mut by_deq_iv: Vec<usize> = (0..n).collect();
-    by_deq_iv.sort_unstable_by_key(|&i| matched[i].deq.iv);
+    by_deq_iv.sort_unstable_by_key(|&i| matched[i].remove.iv);
     let mut enq_rs: BinaryHeap<std::cmp::Reverse<(u32, usize)>> = (0..n)
-        .map(|i| std::cmp::Reverse((matched[i].enq.rs, i)))
+        .map(|i| std::cmp::Reverse((matched[i].add.rs, i)))
         .collect();
     let mut deq_rs: BinaryHeap<std::cmp::Reverse<(u32, usize)>> = (0..n)
-        .map(|i| std::cmp::Reverse((matched[i].deq.rs, i)))
+        .map(|i| std::cmp::Reverse((matched[i].remove.rs, i)))
         .collect();
     let mut gates = vec![0u8; n];
     let mut emitted = vec![false; n];
@@ -310,7 +145,7 @@ fn fifo_value_order(matched: &[Pair]) -> Option<Vec<usize>> {
             let min_enq_rs = enq_rs.peek().map_or(INF, |std::cmp::Reverse((rs, _))| *rs);
             let min_deq_rs = deq_rs.peek().map_or(INF, |std::cmp::Reverse((rs, _))| *rs);
             let mut advanced = false;
-            while epos < n && matched[by_enq_iv[epos]].enq.iv < min_enq_rs {
+            while epos < n && matched[by_enq_iv[epos]].add.iv < min_enq_rs {
                 let i = by_enq_iv[epos];
                 epos += 1;
                 advanced = true;
@@ -321,7 +156,7 @@ fn fifo_value_order(matched: &[Pair]) -> Option<Vec<usize>> {
                     }
                 }
             }
-            while dpos < n && matched[by_deq_iv[dpos]].deq.iv < min_deq_rs {
+            while dpos < n && matched[by_deq_iv[dpos]].remove.iv < min_deq_rs {
                 let i = by_deq_iv[dpos];
                 dpos += 1;
                 advanced = true;
@@ -369,7 +204,7 @@ fn merge_schedule(
     let enq_total = pairs + unmatched.len();
     let enq_span = |pos: usize| -> Span {
         if pos < pairs {
-            matched[order[pos]].enq
+            matched[order[pos]].add
         } else {
             unmatched[pos - pairs].0
         }
@@ -382,7 +217,7 @@ fn merge_schedule(
         } else {
             INF
         };
-        deq_deadline[j] = matched[order[j]].deq.rs.min(next);
+        deq_deadline[j] = matched[order[j]].remove.rs.min(next);
     }
     let mut enq_deadline = vec![INF; enq_total.max(1)];
     for j in (0..enq_total).rev() {
@@ -414,13 +249,13 @@ fn merge_schedule(
     let mut pm = vec![0u32; pairs + 1];
     for g in 1..=pairs {
         let pair = matched[order[g - 1]];
-        pm[g] = pm[g - 1].max(pair.enq.iv).max(pair.deq.iv);
+        pm[g] = pm[g - 1].max(pair.add.iv).max(pair.remove.iv);
     }
     let mut sm = vec![INF; pairs + 1];
     sm[pairs] = unmatched.iter().map(|&(s, _)| s.rs).min().unwrap_or(INF);
     for g in (0..pairs).rev() {
         let pair = matched[order[g]];
-        sm[g] = sm[g + 1].min(pair.enq.rs).min(pair.deq.rs);
+        sm[g] = sm[g + 1].min(pair.add.rs).min(pair.remove.rs);
     }
     let mut next_serializable = vec![usize::MAX; pairs + 2];
     for g in (0..=pairs).rev() {
@@ -459,7 +294,7 @@ fn merge_schedule(
         // every remaining empty).
         let enq_ok = e < enq_total && e < next_gap;
         if deq_ok && (!enq_ok || deq_deadline[d] <= enq_deadline[e]) {
-            sequence.push(matched[order[d]].deq);
+            sequence.push(matched[order[d]].remove);
             d += 1;
         } else {
             // Progress is guaranteed: while empties remain, `e <= next_gap

@@ -1,139 +1,36 @@
 //! Specialized LIFO-stack monitor for unambiguous, complete histories.
 //!
-//! In a linearization of a stack history, value lifetimes (push point to pop
-//! point) must form a *laminar* family: any two are nested or disjoint. The
-//! sound bad patterns are forced crossings — `v`'s lifetime forced to start
-//! before `w`'s and end inside it — plus the matching errors and the covered
-//! empty-pop shared with the queue monitor. The constructive phase simulates
-//! a stack, pushing and popping by earliest deadline, and validates the
-//! emitted order; an unvalidated construction falls back to the general
-//! search. Pending operations are not handled here (fallback).
+//! The insert/remove matching and the `covered-empty` pattern are shared
+//! (`matching`). What is the stack's own:
+//!
+//! * its order pattern: in a linearization, value lifetimes (push point to
+//!   pop point) form a *laminar* family — any two are nested or disjoint —
+//!   so a lifetime forced to start before another's and end inside it is a
+//!   violation (a forced crossing);
+//! * its constructive phase: it simulates a stack, pushing and popping by
+//!   earliest deadline, and validates the emitted order; an unvalidated
+//!   construction falls back to the general search.
+//!
+//! Both assume a complete history: the dispatch sends a stack history with a
+//! pending operation to the general search.
 
-use super::util::{compress, respects_precedence, IntervalUnion, PrefixMax, Span, INF};
-use super::{BadPattern, FallbackReason, SpecializedResult};
-use linrv_history::{OpRecord, OpValue};
+use super::matching::{Kind, Matching, Pair};
+use super::util::{compress, respects_precedence, PrefixMax, Span, INF};
+use super::BadPattern;
 use std::cmp::Reverse;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
-#[derive(Clone, Copy)]
-struct Pair {
-    push: Span,
-    pop: Span,
-    value: i64,
-}
-
-pub(super) fn check(records: &[OpRecord]) -> SpecializedResult {
-    let mut pushes: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
-    let mut pops: BTreeMap<i64, (Span, u32)> = BTreeMap::new();
-    let mut empties: Vec<Span> = Vec::new();
-
-    for record in records {
-        let span = Span::new(record.invocation_index, record.response_index);
-        match record.operation.kind.as_str() {
-            "Push" => {
-                let Some(value) = record.operation.arg.as_int() else {
-                    return SpecializedResult::Fallback(FallbackReason::Unsupported);
-                };
-                match &record.response {
-                    Some(OpValue::Bool(true)) => {}
-                    Some(other) => {
-                        return SpecializedResult::NotMember(
-                            BadPattern::new(
-                                "bad-response",
-                                format!("Push({value}) acknowledged with {other} instead of true"),
-                            )
-                            .with_values(vec![value]),
-                        );
-                    }
-                    None => unreachable!("pending operations force a fallback in the dispatch"),
-                }
-                match pushes.entry(value) {
-                    Entry::Vacant(slot) => {
-                        slot.insert((span, 1));
-                    }
-                    Entry::Occupied(mut slot) => slot.get_mut().1 += 1,
-                }
-            }
-            "Pop" => match &record.response {
-                Some(OpValue::Int(value)) => match pops.entry(*value) {
-                    Entry::Vacant(slot) => {
-                        slot.insert((span, 1));
-                    }
-                    Entry::Occupied(mut slot) => slot.get_mut().1 += 1,
-                },
-                Some(OpValue::Empty) => empties.push(span),
-                Some(other) => {
-                    return SpecializedResult::NotMember(BadPattern::new(
-                        "bad-response",
-                        format!("Pop returned {other}, expected an integer or empty"),
-                    ));
-                }
-                None => unreachable!("pending operations force a fallback in the dispatch"),
-            },
-            other => {
-                return SpecializedResult::NotMember(BadPattern::new(
-                    "bad-response",
-                    format!("{other} is not a stack operation"),
-                ));
-            }
-        }
-    }
-
-    if pushes.values().any(|(_, count)| *count > 1) {
-        return SpecializedResult::Fallback(FallbackReason::Ambiguous);
-    }
-
-    let mut matched: Vec<Pair> = Vec::with_capacity(pops.len());
-    for (&value, &(pop, count)) in &pops {
-        if count > 1 {
-            return SpecializedResult::NotMember(
-                BadPattern::new(
-                    "duplicate-remove",
-                    format!("value {value} popped {count} times"),
-                )
-                .with_values(vec![value]),
-            );
-        }
-        let Some(&(push, _)) = pushes.get(&value) else {
-            return SpecializedResult::NotMember(
-                BadPattern::new(
-                    "never-added",
-                    format!("value {value} popped but never pushed"),
-                )
-                .with_values(vec![value]),
-            );
-        };
-        if pop.precedes(&push) {
-            return SpecializedResult::NotMember(
-                BadPattern::new(
-                    "remove-before-add",
-                    format!("value {value} popped before its push was invoked"),
-                )
-                .with_values(vec![value]),
-            );
-        }
-        matched.push(Pair { push, pop, value });
-    }
-    let unmatched: Vec<(Span, i64)> = pushes
-        .iter()
-        .filter(|(value, _)| !pops.contains_key(value))
-        .map(|(&value, &(span, _))| (span, value))
-        .collect();
-
-    if let Some(pattern) = forced_crossing(&matched, &unmatched) {
-        return SpecializedResult::NotMember(pattern);
-    }
-    if let Some(pattern) = covered_empty_pop(&matched, &unmatched, &empties) {
-        return SpecializedResult::NotMember(pattern);
-    }
-
-    if simulate(&matched, &unmatched, &empties) {
-        SpecializedResult::Member
-    } else {
-        SpecializedResult::Fallback(FallbackReason::Undecided)
-    }
-}
+pub(super) const STACK: Kind = Kind {
+    add: "Push",
+    remove: "Pop",
+    object: "stack",
+    added: "pushed",
+    removed: "popped",
+    covered_empty: "a pop observed an empty stack inside a window where the stack \
+                    is necessarily non-empty",
+    order_pattern: forced_crossing,
+    construct: simulate,
+};
 
 /// Forced lifetime crossings.
 ///
@@ -142,27 +39,30 @@ pub(super) fn check(records: &[OpRecord]) -> SpecializedResult {
 /// yet overlap it (`rs(push w) < iv(pop v)`) — nested-or-disjoint is
 /// impossible. With `v` unmatched (lifetime unbounded): `w` forced to start
 /// before `v` and `v` forced to start before `w` ends.
-fn forced_crossing(matched: &[Pair], unmatched: &[(Span, i64)]) -> Option<BadPattern> {
+fn forced_crossing(matching: &Matching) -> Option<BadPattern> {
+    let Matching {
+        matched, unmatched, ..
+    } = matching;
     // Matched/matched: sweep w by push invocation; v's enter once their push
     // response is passed; Fenwick prefix-max over rs(pop v) answers
     // "among entered v with rs(pop v) < iv(pop w), the latest iv(pop v)".
-    let pop_rs = compress(matched.iter().map(|p| p.pop.rs).collect());
+    let pop_rs = compress(matched.iter().map(|p| p.remove.rs).collect());
     let mut tree = PrefixMax::new(pop_rs.len());
     let mut by_push_rs: Vec<&Pair> = matched.iter().collect();
-    by_push_rs.sort_unstable_by_key(|p| p.push.rs);
+    by_push_rs.sort_unstable_by_key(|p| p.add.rs);
     let mut by_push_iv: Vec<&Pair> = matched.iter().collect();
-    by_push_iv.sort_unstable_by_key(|p| p.push.iv);
+    by_push_iv.sort_unstable_by_key(|p| p.add.iv);
     let mut cursor = 0;
     for w in &by_push_iv {
-        while cursor < by_push_rs.len() && by_push_rs[cursor].push.rs < w.push.iv {
+        while cursor < by_push_rs.len() && by_push_rs[cursor].add.rs < w.add.iv {
             let v = by_push_rs[cursor];
-            let rank = pop_rs.binary_search(&v.pop.rs).expect("compressed");
-            tree.update(rank, v.pop.iv);
+            let rank = pop_rs.binary_search(&v.remove.rs).expect("compressed");
+            tree.update(rank, v.remove.iv);
             cursor += 1;
         }
         // Entered v with rs(pop v) < iv(pop w):
-        let prefix = pop_rs.partition_point(|&rs| rs < w.pop.iv);
-        if prefix > 0 && tree.query(prefix - 1) > w.push.rs {
+        let prefix = pop_rs.partition_point(|&rs| rs < w.remove.iv);
+        if prefix > 0 && tree.query(prefix - 1) > w.add.rs {
             return Some(
                 BadPattern::new(
                     "order-inversion",
@@ -182,12 +82,12 @@ fn forced_crossing(matched: &[Pair], unmatched: &[(Span, i64)]) -> Option<BadPat
     let mut v_by_push_iv: Vec<&(Span, i64)> = unmatched.iter().collect();
     v_by_push_iv.sort_unstable_by_key(|(span, _)| span.iv);
     let mut w_by_push_rs: Vec<&Pair> = matched.iter().collect();
-    w_by_push_rs.sort_unstable_by_key(|p| p.push.rs);
+    w_by_push_rs.sort_unstable_by_key(|p| p.add.rs);
     let mut cursor = 0;
     let mut latest_pop_iv = 0u32;
     for &&(v, value) in &v_by_push_iv {
-        while cursor < w_by_push_rs.len() && w_by_push_rs[cursor].push.rs < v.iv {
-            latest_pop_iv = latest_pop_iv.max(w_by_push_rs[cursor].pop.iv);
+        while cursor < w_by_push_rs.len() && w_by_push_rs[cursor].add.rs < v.iv {
+            latest_pop_iv = latest_pop_iv.max(w_by_push_rs[cursor].remove.iv);
             cursor += 1;
         }
         if latest_pop_iv > v.rs {
@@ -201,35 +101,6 @@ fn forced_crossing(matched: &[Pair], unmatched: &[(Span, i64)]) -> Option<BadPat
                 )
                 .with_values(vec![value]),
             );
-        }
-    }
-    None
-}
-
-/// An empty-pop whose whole window is covered by values necessarily on the
-/// stack (same gap semantics as the queue's covered empty-dequeue).
-fn covered_empty_pop(
-    matched: &[Pair],
-    unmatched: &[(Span, i64)],
-    empties: &[Span],
-) -> Option<BadPattern> {
-    if empties.is_empty() {
-        return None;
-    }
-    let mut occupied: Vec<(u32, u32)> = matched
-        .iter()
-        .filter(|p| p.pop.iv > 0)
-        .map(|p| (p.push.rs, p.pop.iv - 1))
-        .collect();
-    occupied.extend(unmatched.iter().map(|&(span, _)| (span.rs, INF)));
-    let union = IntervalUnion::new(occupied);
-    for span in empties {
-        if union.covers(span.iv, span.rs - 1) {
-            return Some(BadPattern::new(
-                "covered-empty",
-                "a pop observed an empty stack inside a window where the stack \
-                 is necessarily non-empty",
-            ));
         }
     }
     None
@@ -251,7 +122,13 @@ fn covered_empty_pop(
 /// The emitted order replays correctly by construction; it is a linearization
 /// iff it also respects real-time precedence, which the caller checks.
 /// Returns `false` when the greedy gets stuck or validation fails.
-fn simulate(matched: &[Pair], unmatched: &[(Span, i64)], empties: &[Span]) -> bool {
+fn simulate(matching: Matching) -> bool {
+    let Matching {
+        matched,
+        unmatched,
+        mut empties,
+        ..
+    } = matching;
     #[derive(Clone, Copy)]
     enum Slot {
         Matched(usize),
@@ -262,14 +139,14 @@ fn simulate(matched: &[Pair], unmatched: &[(Span, i64)], empties: &[Span]) -> bo
     // `matched.len() + i`.
     let push_span = |id: usize| -> Span {
         if id < matched.len() {
-            matched[id].push
+            matched[id].add
         } else {
             unmatched[id - matched.len()].0
         }
     };
     let pop_deadline_key = |id: usize| -> u32 {
         if id < matched.len() {
-            matched[id].pop.rs
+            matched[id].remove.rs
         } else {
             INF
         }
@@ -287,7 +164,6 @@ fn simulate(matched: &[Pair], unmatched: &[(Span, i64)], empties: &[Span]) -> bo
     let mut unlock_cursor = 0;
     let mut unlocked: BinaryHeap<(u32, usize)> = BinaryHeap::new();
 
-    let mut empties: Vec<Span> = empties.to_vec();
     empties.sort_unstable_by_key(|span| span.rs);
     let mut next_empty = 0;
 
@@ -312,7 +188,7 @@ fn simulate(matched: &[Pair], unmatched: &[(Span, i64)], empties: &[Span]) -> bo
                 Slot::Matched(j) => {
                     stack.pop();
                     on_stack[j] = false;
-                    sequence.push(matched[j].pop);
+                    sequence.push(matched[j].remove);
                     if target == Some(j) {
                         return true;
                     }
@@ -382,7 +258,7 @@ fn simulate(matched: &[Pair], unmatched: &[(Span, i64)], empties: &[Span]) -> bo
                 if id < matched.len() {
                     stack.push(Slot::Matched(id));
                     on_stack[id] = true;
-                    on_stack_pops.push(Reverse((matched[id].pop.rs, id)));
+                    on_stack_pops.push(Reverse((matched[id].remove.rs, id)));
                 } else {
                     // Matched values must not end up below this never-popped
                     // one: drain them first.

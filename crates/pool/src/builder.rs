@@ -91,7 +91,7 @@ impl<S: TypedObject + Clone + Send + Sync + 'static> PoolBuilder<S> {
 
     /// Maximum concurrently registered sessions per object (the per-object
     /// monitor's process capacity). Defaults to
-    /// [`DEFAULT_CAPACITY`](linrv::DEFAULT_CAPACITY).
+    /// [`DEFAULT_CAPACITY`].
     pub fn sessions_per_object(mut self, sessions: usize) -> Self {
         self.sessions_per_object = sessions.max(1);
         self

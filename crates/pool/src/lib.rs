@@ -18,14 +18,14 @@
 //!   frontier `linrv check` runs, so a wrong response is latched the moment it
 //!   is drained, overlapping or not. Producers wake a parked checker once per
 //!   batch, not once per event;
-//! * **bounds memory** by never storing what is already decided: whenever
-//!   nothing of an object is open and its frontier holds one state — a
-//!   *settle point* — every linearization of every future extension passes
-//!   through that state, so the events behind it are dropped and the state
-//!   stands in for them. A sequentially used object costs one state whatever
-//!   its age, and an object with overlapping traffic keeps only what happened
-//!   since its last settle point. The effect is observable via
-//!   [`MonitorPool::stats`] (`gced_events` vs `retained_events`).
+//! * **bounds what its checkers retain**: at a *settle point* (nothing of an
+//!   object open, its frontier one state) every linearization of every future
+//!   extension passes through that state, so the events behind it are dropped
+//!   (observable via [`MonitorPool::stats`]: `gced_events` vs
+//!   `retained_events`). This bounds the checker, not the object: each pooled
+//!   object's Observe-mode monitor keeps its announcement array `N` (Figure 7)
+//!   and result array `M` (Figure 10) for life, both growing with its
+//!   operations, and nothing reads `M`.
 //!
 //! Sessions keep the full typed API: [`MonitorPool::session`] returns a
 //! [`PoolSession`] dereferencing to the ordinary [`Session`](linrv::Session).

@@ -451,11 +451,11 @@ fn run_parallel<T: Send + 'static>(
 
 /// Aggregate counters of a [`MonitorPool`] (see [`MonitorPool::stats`]).
 ///
-/// `gced_events > 0` together with a small `retained_events` is the observable
-/// form of the pool's bounded-memory guarantee: whenever nothing of an object
-/// is open and one state is reachable (a settle point), its events so far are
-/// verified and summarised away by that state; only what happened since an
-/// object's last settle point is retained.
+/// `gced_events > 0` with a small `retained_events` shows the checkers'
+/// bound at work: at a settle point an object's events so far are verified
+/// and summarised by one state; only what followed its last settle point is
+/// retained. It bounds the checkers' events, not the pool's memory: each
+/// pooled object's monitor keeps its arrays `N` and `M` for life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Objects with a live monitor.

@@ -1,14 +1,15 @@
 //! Integration tests tied to specific numbered statements of the paper.
 
 use linrv_check::genlin::check_closure_on;
-use linrv_check::{GenLinObject, LinSpec};
+use linrv_check::tasks::ConsensusTask;
+use linrv_check::{GenLinObject, LinSpec, OneShotTaskObject, SetLinCounterSpec, SetLinSpec};
 use linrv_core::enforce::SelfEnforced;
 use linrv_history::OpValue;
-use linrv_runtime::faulty::LossyQueue;
-use linrv_runtime::impls::{MsQueue, SpecObject};
+use linrv_runtime::faulty::{faulty_object, LossyQueue, StutteringCounter};
+use linrv_runtime::impls::{AtomicCounter, CasConsensus, MsQueue, SpecObject};
 use linrv_runtime::{record_execution, RecorderOptions, Workload, WorkloadKind};
-use linrv_spec::ops::queue;
-use linrv_spec::{QueueSpec, StackSpec};
+use linrv_spec::ops::{consensus, counter, queue};
+use linrv_spec::{ObjectKind, QueueSpec, StackSpec};
 use tests_integration::p;
 
 /// Lemma 7.1 (GenLin closure): the linearizability objects used throughout are
@@ -134,4 +135,99 @@ fn remark_7_1_membership_and_verdicts_agree() {
     assert_eq!(object.contains(&bad), !object.check(&bad).is_violation());
     assert!(object.check(&good).is_member());
     assert!(object.check(&bad).is_violation());
+}
+
+/// Section 7 states the verifier for any object of GenLin, not only for
+/// linearizability. Set-linearizability (Neiger) is one: the set-linearizable
+/// counter lets concurrent `Inc`s share a value, but two `Inc`s ordered in
+/// real time must not.
+///
+/// Drives `V_{O,A}` (Figure 11) over a correct and a faulty counter, two
+/// processes taking turns: the correct one is never flagged (Theorem 8.1's
+/// soundness), the faulty one is flagged exactly when it returns a repeated
+/// value, with a witness the object rejects (completeness), and the sketch
+/// certified before that is prefix-closed (Lemma 7.1).
+#[test]
+fn genlin_set_linearizable_counter_is_verified_through_the_wrapper() {
+    let object = || SetLinSpec::new(SetLinCounterSpec);
+    let op = |i: u32| {
+        if i % 3 == 2 {
+            counter::read()
+        } else {
+            counter::inc()
+        }
+    };
+
+    let correct = SelfEnforced::new(AtomicCounter::new(), object(), 2);
+    for i in 0..12 {
+        assert!(
+            correct.apply_verified(p(i % 2), &op(i)).is_verified(),
+            "op {i}"
+        );
+    }
+    let certificate = correct.certificate();
+    assert!(certificate.is_correct() && object().contains(&certificate.sketch));
+    let report = check_closure_on(&object(), &certificate.sketch, &[]);
+    assert!(report.is_clean(), "prefix closure violated: {report:?}");
+
+    // Loses every second increment: Inc returns 0, then 1, then 1 again.
+    let faulty = SelfEnforced::new(StutteringCounter::new(2), object(), 2);
+    for i in 0..2 {
+        assert!(faulty
+            .apply_verified(p(i % 2), &counter::inc())
+            .is_verified());
+    }
+    let before = faulty.certificate();
+    let flagged = faulty.apply_verified(p(0), &counter::inc());
+    assert_eq!(flagged.underlying, OpValue::Int(1));
+    assert_eq!(flagged.value, OpValue::Error);
+    let witness = flagged
+        .witness
+        .expect("a flagged response carries a witness");
+    assert!(object().check(&witness).is_violation());
+    assert!(before.is_correct() && object().contains(&before.sketch));
+    let report = check_closure_on(&object(), &before.sketch, &[]);
+    assert!(report.is_clean(), "prefix closure violated: {report:?}");
+}
+
+/// Section 9.3: a one-shot task is an interval-sequential object, hence in
+/// GenLin, so task solvability is runtime verifiable too. Consensus as a task
+/// through `V_{O,A}` (Figure 11), one `Decide` per process: the CAS object is
+/// never flagged, a consensus object that corrupts every second decision is
+/// flagged on that decision with a witness the task rejects, and the sketches
+/// certified correct are prefix-closed (Lemma 7.1).
+#[test]
+fn genlin_consensus_task_is_verified_through_the_wrapper() {
+    const PROCESSES: u32 = 4;
+    let object = || OneShotTaskObject::new(ConsensusTask, "Decide");
+    let decide = |i: u32| consensus::decide(10 + i64::from(i));
+
+    let correct = SelfEnforced::new(CasConsensus::new(), object(), PROCESSES as usize);
+    for i in 0..PROCESSES {
+        let response = correct.apply_verified(p(i), &decide(i));
+        assert!(response.is_verified(), "process {i}");
+        assert_eq!(response.value, OpValue::Int(10));
+    }
+    let certificate = correct.certificate();
+    assert!(certificate.is_correct() && object().contains(&certificate.sketch));
+    let report = check_closure_on(&object(), &certificate.sketch, &[]);
+    assert!(report.is_clean(), "prefix closure violated: {report:?}");
+
+    // Corrupts every second response: the second process decides 11 + 10⁹.
+    let faulty = SelfEnforced::new(
+        faulty_object(ObjectKind::Consensus, 2),
+        object(),
+        PROCESSES as usize,
+    );
+    assert!(faulty.apply_verified(p(0), &decide(0)).is_verified());
+    let before = faulty.certificate();
+    let flagged = faulty.apply_verified(p(1), &decide(1));
+    assert_eq!(flagged.value, OpValue::Error);
+    let witness = flagged
+        .witness
+        .expect("a flagged response carries a witness");
+    assert!(!object().contains(&witness));
+    assert!(before.is_correct() && object().contains(&before.sketch));
+    let report = check_closure_on(&object(), &before.sketch, &[]);
+    assert!(report.is_clean(), "prefix closure violated: {report:?}");
 }
