@@ -31,8 +31,10 @@ pub(crate) enum Source {
     Implementation,
 }
 
-/// Parses `--mix A,B[,C]` into the kind's operation-class ratio weights.
-fn parse_mix_weights(raw: &str) -> Result<[u32; 3], String> {
+/// Parses `--mix A,B[,C]` into `kind`'s operation-class ratio weights; the
+/// weights of the classes it samples (the first two, all three for the set)
+/// must not all be zero. Consensus samples none, but an all-zero mix is refused.
+fn parse_mix_weights(raw: &str, kind: ObjectKind) -> Result<[u32; 3], String> {
     let parts: Vec<&str> = raw.split(',').collect();
     if parts.len() < 2 || parts.len() > 3 {
         return Err("--mix expects two or three comma-separated weights".into());
@@ -44,8 +46,14 @@ fn parse_mix_weights(raw: &str) -> Result<[u32; 3], String> {
             .parse()
             .map_err(|err| format!("invalid value for --mix: {err}"))?;
     }
-    if weights.iter().all(|&w| w == 0) {
-        return Err("--mix weights must not all be zero".into());
+    let sampled = match kind {
+        ObjectKind::Set | ObjectKind::Consensus => 3,
+        _ => 2,
+    };
+    if weights[..sampled].iter().all(|&w| w == 0) {
+        return Err(format!(
+            "--mix: the first {sampled} weights must not all be zero for kind {kind}"
+        ));
     }
     Ok(weights)
 }
@@ -95,7 +103,7 @@ pub(crate) fn run(parsed: &Parsed, source: Source) -> Result<ExitCode, String> {
     let custom_mix =
         parsed.get("mix").is_some() || parsed.get("keys").is_some() || parsed.get("skew").is_some();
     if let Some(raw) = parsed.get("mix") {
-        mix = mix.with_weights(parse_mix_weights(raw)?);
+        mix = mix.with_weights(parse_mix_weights(raw, kind)?);
     }
     let keys: u32 = parsed.get_or("keys", mix.key_range)?;
     if keys == 0 {

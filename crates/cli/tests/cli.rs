@@ -373,6 +373,11 @@ fn errors_exit_2() {
         "all-zero mix weights"
     );
     assert_eq!(
+        exit_code(&linrv(&["gen", "--kind", "queue", "--mix", "0,0,5"])),
+        2,
+        "a queue samples only the first two classes"
+    );
+    assert_eq!(
         exit_code(&linrv(&["gen", "--kind", "queue", "--mix", "1"])),
         2,
         "one weight is not a mix"

@@ -5,7 +5,8 @@
 //!
 //! * [`view`] — invocation pairs, views and the view properties of Remark 7.2;
 //! * [`sketch`] — the `X(λ)` construction (Section 7.3.3) that turns a set of views
-//!   into the interval-sequential sketch of a tight execution;
+//!   into the sketch of a tight execution: one flat history whose maximal runs of
+//!   invocations and of responses are the steps of Claim 7.2;
 //! * [`drv`] — the `A → A*` transform of Figure 7: wrap any black-box implementation so
 //!   that every response additionally carries a view, making the implementation a
 //!   member of the *Distributed Runtime Verifiable* (`DRV`) class;

@@ -14,6 +14,10 @@
 //! with identical `≺` relations, so `X(λ)` denotes an equivalence class; we return its
 //! canonical representative (events within a step are emitted in `BTreeSet` order).
 //!
+//! `X(λ)` has one representation, that flat [`History`]. It is interval-sequential
+//! (Claim 7.2): every step invokes and answers at least one operation, so the
+//! history's maximal runs of invocations and of responses are exactly its steps.
+//!
 //! Lemma 7.4: for a tight execution `E` of `A*`, `X(λ_E)` is equivalent to `E` with
 //! `≺_E = ≺_{X(λ_E)}` — i.e. the views are a faithful static encoding of real-time
 //! order.
@@ -47,7 +51,7 @@
 use crate::view::{
     check_above, checked_chain, InvocationPair, TupleSet, View, ViewPropertyError, ViewTuple,
 };
-use linrv_history::{Event, History, IntervalHistory};
+use linrv_history::{Event, History};
 use std::cmp::Ordering;
 use std::collections::btree_set::Difference;
 use std::collections::BTreeSet;
@@ -78,36 +82,22 @@ impl From<ViewPropertyError> for SketchError {
     }
 }
 
-/// Builds the interval-sequential sketch `X(λ)` from a set of view tuples.
-///
-/// # Errors
-///
-/// Returns [`SketchError::ViewProperty`] when the tuples violate Remark 7.2.
-pub fn sketch_interval(tuples: &TupleSet) -> Result<IntervalHistory, SketchError> {
-    // Every step invokes and answers at least one operation, so the maximal runs of
-    // invocations and of responses are exactly the steps.
-    Ok(IntervalHistory::group(&build(tuples)?))
-}
-
 /// Builds the canonical flattened history of the sketch `X(λ)`.
 ///
 /// # Errors
 ///
 /// Returns [`SketchError::ViewProperty`] when the tuples violate Remark 7.2.
 pub fn sketch_history(tuples: &TupleSet) -> Result<History, SketchError> {
-    observed(tuples.len(), || build(tuples))
-}
-
-/// `X(λ)` from scratch.
-fn build(tuples: &TupleSet) -> Result<History, SketchError> {
-    // Ascending view size; the checks passed, so this is ascending containment order
-    // and a run of equal sizes is one view with all of its responders.
-    let chain = checked_chain(tuples)?;
-    let mut history = History::new();
-    for (invoked, responders) in steps(&chain, &View::new()) {
-        push_step(&mut history, invoked, responders);
-    }
-    Ok(history)
+    observed(tuples.len(), || {
+        // Ascending view size; the checks passed, so this is ascending containment
+        // order and a run of equal sizes is one view with all of its responders.
+        let chain = checked_chain(tuples)?;
+        let mut history = History::new();
+        for (invoked, responders) in steps(&chain, &View::new()) {
+            push_step(&mut history, invoked, responders);
+        }
+        Ok(history)
+    })
 }
 
 /// Records one verdict's `linrv_verifier_tuples` sample (`|τ|`) and times its sketch
@@ -294,6 +284,22 @@ mod tests {
         pairs.iter().map(|p| (*p).clone()).collect()
     }
 
+    /// The maximal runs of invocations (`true`) and of responses (`false`) of
+    /// `history`, each with its operations in event order: the steps of an
+    /// interval-sequential history (Claim 7.2).
+    fn runs(history: &History) -> Vec<(bool, Vec<OpId>)> {
+        history
+            .events()
+            .chunk_by(|a, b| a.is_invocation() == b.is_invocation())
+            .map(|run| {
+                (
+                    run[0].is_invocation(),
+                    run.iter().map(|e| e.op_id).collect(),
+                )
+            })
+            .collect()
+    }
+
     /// Figure 9 of the paper: three processes, four operations, nested views.
     #[test]
     fn figure9_reconstruction() {
@@ -321,10 +327,20 @@ mod tests {
         // (p2, op2) has no tuple: its operation is pending (as in the figure, where only
         // λ_E's three tuples appear).
 
-        let interval = sketch_interval(&tuples).expect("valid views");
+        let history = sketch_history(&tuples).expect("valid views");
         // Steps: {op1} / resp a / {op1', op2} / resp b / {op3} / resp d
-        assert_eq!(interval.len(), 6);
-        let history = interval.flatten();
+        let id = |ids: &[u64]| -> Vec<OpId> { ids.iter().map(|&i| OpId::new(i)).collect() };
+        assert_eq!(
+            runs(&history),
+            vec![
+                (true, id(&[0])),
+                (false, id(&[0])),
+                (true, id(&[1, 2])),
+                (false, id(&[1])),
+                (true, id(&[3])),
+                (false, id(&[3])),
+            ]
+        );
         assert!(history.is_well_formed());
         assert_eq!(history.complete_operations().count(), 3);
         assert_eq!(history.pending_operations().count(), 1);
@@ -368,7 +384,7 @@ mod tests {
         ));
         tuples.insert(ViewTuple::new(b.clone(), OpValue::Int(1), shared));
         let history = sketch_history(&tuples).unwrap();
-        let order = linrv_history::RealTimeOrder::complete_order(&history);
+        let order = linrv_history::RealTimeOrder::full_order(&history);
         assert!(order.concurrent(OpId::new(0), OpId::new(1)));
     }
 

@@ -191,9 +191,11 @@ impl History {
     /// fills in the latest record invoked under its identifier, so an ill-formed
     /// history still gets a table: a second response overwrites the first and a
     /// response with no invocation is dropped. Every other view of the operations
-    /// ([`History::check_well_formed`], [`History::operations`], the pending and
-    /// complete operations, [`RealTimeOrder`](crate::RealTimeOrder)) reads this
-    /// table; a caller that needs two of them calls `index` once and keeps both.
+    /// ([`History::check_well_formed`], [`History::operations`],
+    /// [`History::complete_operations`], [`History::pending_operations`],
+    /// [`RealTimeOrder::full_order`](crate::RealTimeOrder::full_order) and
+    /// [`similar`](crate::similar)) reads this table; a caller that needs two of
+    /// them calls `index` once and keeps both.
     pub fn index(&self) -> (Vec<OpRecord>, Result<(), WellFormedError>) {
         let mut records: Vec<OpRecord> = Vec::with_capacity(self.events.len().div_ceil(2));
         let mut slot_of: BTreeMap<OpId, usize> = BTreeMap::new();
@@ -280,20 +282,6 @@ impl History {
         self.operations().into_iter().filter(|r| !r.is_complete())
     }
 
-    /// `comp(E)`: the history obtained by removing the invocations of all pending
-    /// operations (Section 4).
-    pub fn completed(&self) -> History {
-        let pending: BTreeSet<OpId> = self.pending_operations().map(|r| r.id).collect();
-        History {
-            events: self
-                .events
-                .iter()
-                .filter(|e| !pending.contains(&e.op_id))
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// `E|p_i`: the subsequence of events performed by `process` (Section 4).
     pub fn project(&self, process: ProcessId) -> History {
         History {
@@ -324,48 +312,6 @@ impl History {
             let b = other.project(p);
             a.events == b.events
         })
-    }
-
-    /// An *extension* of `self` appends responses to some pending operations
-    /// (Section 4). `responses` maps pending operation identifiers to the appended
-    /// response values.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error naming the offending operation if any identifier in
-    /// `responses` is not a pending operation of the history.
-    pub fn extend_with_responses(
-        &self,
-        responses: &BTreeMap<OpId, OpValue>,
-    ) -> Result<History, OpId> {
-        let pending: BTreeMap<OpId, OpRecord> =
-            self.pending_operations().map(|r| (r.id, r)).collect();
-        for id in responses.keys() {
-            if !pending.contains_key(id) {
-                return Err(*id);
-            }
-        }
-        let mut extended = self.clone();
-        for (id, value) in responses {
-            let record = &pending[id];
-            extended.push(Event::response(record.process, *id, value.clone()));
-        }
-        Ok(extended)
-    }
-
-    /// Removes the invocations of the given pending operations, returning the reduced
-    /// history. Identifiers of operations that are not pending are ignored.
-    pub fn remove_pending(&self, ops: &BTreeSet<OpId>) -> History {
-        let pending: BTreeSet<OpId> = self.pending_operations().map(|r| r.id).collect();
-        let to_remove: BTreeSet<OpId> = ops.intersection(&pending).copied().collect();
-        History {
-            events: self
-                .events
-                .iter()
-                .filter(|e| !to_remove.contains(&e.op_id))
-                .cloned()
-                .collect(),
-        }
     }
 
     /// The prefix of the history with the first `len` events.
@@ -561,9 +507,6 @@ mod tests {
         let h = b.build();
         assert_eq!(h.complete_operations().count(), 1);
         assert_eq!(h.pending_operations().count(), 1);
-        let comp = h.completed();
-        assert_eq!(comp.len(), 2);
-        assert_eq!(comp.pending_operations().count(), 0);
     }
 
     #[test]
@@ -578,22 +521,6 @@ mod tests {
         events.swap(0, 1);
         let g = History::from_events(events);
         assert!(h.equivalent(&g));
-    }
-
-    #[test]
-    fn extension_appends_responses_to_pending_only() {
-        let p = ProcessId::new(0);
-        let mut b = HistoryBuilder::new();
-        let pending = b.invoke(p, Operation::nullary("Pop"));
-        let h = b.build();
-        let mut resp = BTreeMap::new();
-        resp.insert(pending, OpValue::Int(3));
-        let ext = h.extend_with_responses(&resp).unwrap();
-        assert_eq!(ext.complete_operations().count(), 1);
-
-        let mut bad = BTreeMap::new();
-        bad.insert(OpId::new(99), OpValue::Int(3));
-        assert_eq!(h.extend_with_responses(&bad), Err(OpId::new(99)));
     }
 
     #[test]
@@ -614,22 +541,5 @@ mod tests {
         assert_eq!(h.prefixes().count(), h.len() + 1);
         assert!(h.prefix(0).is_empty());
         assert_eq!(h.prefix(h.len()), h);
-    }
-
-    #[test]
-    fn remove_pending_only_touches_pending_ops() {
-        let p1 = ProcessId::new(0);
-        let p2 = ProcessId::new(1);
-        let mut b = HistoryBuilder::new();
-        let a = b.invoke(p1, Operation::new("Enqueue", OpValue::Int(1)));
-        let pend = b.invoke(p2, Operation::nullary("Dequeue"));
-        b.respond(a, OpValue::Bool(true));
-        let h = b.build();
-        let mut set = BTreeSet::new();
-        set.insert(pend);
-        set.insert(a); // complete: must be ignored
-        let reduced = h.remove_pending(&set);
-        assert_eq!(reduced.len(), 2);
-        assert_eq!(reduced.pending_operations().count(), 0);
     }
 }

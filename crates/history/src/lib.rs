@@ -10,15 +10,18 @@
 //! the history algebra the paper's definitions are built on:
 //!
 //! * well-formedness (per-process sequentiality, Section 2),
-//! * complete/pending operations, `comp(E)`, extensions (Section 4),
-//! * the real-time partial orders `<_E` (complete operations, Definition 4.2) and
-//!   `≺_E` (all operations, Section 7.1),
+//! * complete and pending operations (Section 4), all read from one operation table,
+//!   [`History::index`],
+//! * the real-time partial order `≺_E` over all operations (Section 7.1), which is
+//!   `<_E` (Definition 4.2) on a history with no pending operation,
 //! * equivalence (`E|p_i = F|p_i` for every process),
 //! * *similarity* between histories (Definition 7.1), the closure property that defines
 //!   the `GenLin` family,
-//! * interval-sequential histories (alternating invocation/response sets) used by the
-//!   `X(λ)` sketch construction and by interval-linearizability,
 //! * ASCII timeline rendering in the style of the paper's figures.
+//!
+//! An interval-sequential history (the shape of the paper's sketch `X(λ)`, Claim 7.2)
+//! is held as a flat [`History`]: its steps are the history's maximal runs of
+//! invocations and of responses.
 //!
 //! ## Example
 //!
@@ -45,7 +48,6 @@ pub mod builder;
 pub mod display;
 pub mod event;
 pub mod history;
-pub mod interval;
 pub mod op;
 pub mod order;
 pub mod process;
@@ -54,7 +56,6 @@ pub mod similarity;
 pub use builder::HistoryBuilder;
 pub use event::{Event, EventKind};
 pub use history::{History, OpRecord, OpStatus, WellFormedError};
-pub use interval::{IntervalHistory, IntervalStep};
 pub use op::{OpId, OpValue, Operation};
 pub use order::RealTimeOrder;
 pub use process::ProcessId;

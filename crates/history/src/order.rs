@@ -1,33 +1,22 @@
-//! Real-time partial orders over the operations of a history.
+//! The real-time order over the operations of a history.
 //!
-//! The paper uses two closely related orders:
+//! The paper uses two closely related orders: `<_E` (Definition 4.2) over the
+//! *complete* operations of `E`, where `op <_E op'` iff `res(op)` precedes `inv(op')`
+//! in `E`, and `≺_E` (Section 7.1), the same relation extended to *all* operations,
+//! complete and pending. Only `≺_E` is materialised: similarity (Definition 7.1)
+//! compares it, and on a history with no pending operation it is `<_E`.
 //!
-//! * `<_E` (Definition 4.2): defined over the *complete* operations of `E`;
-//!   `op <_E op'` iff `res(op)` precedes `inv(op')` in `E`.
-//! * `≺_E` (Section 7.1): the same relation extended to *all* operations,
-//!   complete and pending.
-//!
-//! Both are irreflexive strict partial orders. Two operations unrelated by the order
+//! It is an irreflexive strict partial order. Two operations unrelated by the order
 //! are *concurrent*.
 
 use crate::history::History;
 use crate::op::OpId;
 use std::collections::BTreeSet;
 
-/// Which of the paper's two real-time orders to materialise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OrderKind {
-    /// `<_E`: complete operations only.
-    CompleteOnly,
-    /// `≺_E`: all operations.
-    All,
-}
-
 /// A materialised real-time order over the operations of a history.
 ///
 /// The order is represented as the set of ordered pairs `(a, b)` with `a` before `b`;
-/// this makes subset tests (`<_E ⊆ <_S`, `≺_{E'} ⊆ ≺_F`) direct, as used by
-/// linearizability (Definition 4.2) and similarity (Definition 7.1).
+/// this makes the subset test `≺_{E'} ⊆ ≺_F` of similarity (Definition 7.1) direct.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RealTimeOrder {
     pairs: BTreeSet<(OpId, OpId)>,
@@ -35,41 +24,17 @@ pub struct RealTimeOrder {
 }
 
 impl RealTimeOrder {
-    /// Builds `<_E` over the complete operations of `history`.
-    pub fn complete_order(history: &History) -> Self {
-        Self::build(history, OrderKind::CompleteOnly)
-    }
-
     /// Builds `≺_E` over all (complete and pending) operations of `history`.
     pub fn full_order(history: &History) -> Self {
-        Self::build(history, OrderKind::All)
-    }
-
-    fn build(history: &History, kind: OrderKind) -> Self {
         let records = history.operations();
+        let ops = records.iter().map(|r| r.id).collect();
         let mut pairs = BTreeSet::new();
-        let mut ops = BTreeSet::new();
-        for r in &records {
-            if kind == OrderKind::CompleteOnly && !r.is_complete() {
-                continue;
-            }
-            ops.insert(r.id);
-        }
         for a in &records {
             let Some(res_a) = a.response_index else {
                 continue;
             };
-            if kind == OrderKind::CompleteOnly && !a.is_complete() {
-                continue;
-            }
             for b in &records {
-                if a.id == b.id {
-                    continue;
-                }
-                if kind == OrderKind::CompleteOnly && !b.is_complete() {
-                    continue;
-                }
-                if res_a < b.invocation_index {
+                if a.id != b.id && res_a < b.invocation_index {
                     pairs.insert((a.id, b.id));
                 }
             }
@@ -129,7 +94,7 @@ mod tests {
     #[test]
     fn precedence_and_concurrency() {
         let (h, a, b, c) = overlapping();
-        let order = RealTimeOrder::complete_order(&h);
+        let order = RealTimeOrder::full_order(&h);
         assert!(order.before(a, b));
         assert!(order.before(a, c));
         assert!(!order.before(b, c));
@@ -147,13 +112,9 @@ mod tests {
         let pending = builder.invoke(p2, Operation::nullary("Pop"));
         let h = builder.build();
 
-        let complete = RealTimeOrder::complete_order(&h);
         let full = RealTimeOrder::full_order(&h);
-        assert!(!complete.before(a, pending));
         assert!(full.before(a, pending));
-        assert!(!complete.operations().contains(&pending));
         assert!(full.operations().contains(&pending));
-        assert!(complete.subset_of(&full));
     }
 
     #[test]
@@ -163,14 +124,15 @@ mod tests {
         let x = b.complete(p, Operation::new("Inc", OpValue::Unit), OpValue::Int(1));
         let y = b.complete(p, Operation::new("Inc", OpValue::Unit), OpValue::Int(2));
         let z = b.complete(p, Operation::nullary("Read"), OpValue::Int(2));
-        let order = RealTimeOrder::complete_order(&b.build());
+        let order = RealTimeOrder::full_order(&b.build());
         assert!(order.before(x, y) && order.before(y, z) && order.before(x, z));
     }
 
     #[test]
     fn unknown_operations_are_unrelated() {
         let (h, a, _, _) = overlapping();
-        assert!(!RealTimeOrder::complete_order(&h).before(a, OpId::new(999)));
-        assert!(!RealTimeOrder::full_order(&h).before(OpId::new(999), a));
+        let order = RealTimeOrder::full_order(&h);
+        assert!(!order.before(a, OpId::new(999)));
+        assert!(!order.before(OpId::new(999), a));
     }
 }

@@ -7,7 +7,7 @@ pub use linrv_core::enforce::Mode;
 use linrv_core::enforce::SelfEnforced;
 use linrv_core::view::{TupleSet, View};
 use linrv_runtime::ConcurrentObject;
-use linrv_snapshot::{AfekSnapshot, DoubleCollectSnapshot, LockedSnapshot, Snapshot};
+use linrv_snapshot::{AfekSnapshot, LockedSnapshot, Snapshot};
 use linrv_spec::TypedObject;
 use linrv_trace::EventSink;
 use std::fmt;
@@ -16,16 +16,15 @@ use std::sync::Arc;
 /// Which atomic-snapshot construction the monitor's base objects use.
 ///
 /// The paper's constructions only require a linearizable snapshot object
-/// (Definition 7.3); the choice trades progress guarantees for step complexity.
+/// (Definition 7.3); the facade offers the wait-free one the paper assumes and a
+/// blocking oracle. The lock-free double-collect construction stays in
+/// [`linrv_snapshot`] for the raw API ([`SelfEnforced::with_snapshots`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SnapshotBackend {
     /// The wait-free helping construction of Afek et al. — the paper's reference
     /// base object. `O(n²)` reads per operation. The default.
     #[default]
     Afek,
-    /// Plain double-collect: linearizable but only lock-free (a scan can be
-    /// starved by writers). Cheaper in the uncontended case.
-    DoubleCollect,
     /// A mutex-protected array: trivially linearizable but blocking. The
     /// differential-testing oracle; not wait-free.
     Locked,
@@ -62,7 +61,6 @@ impl SnapshotBackend {
     ) -> Arc<dyn Snapshot<T>> {
         match self {
             SnapshotBackend::Afek => Arc::new(AfekSnapshot::new(n, initial)),
-            SnapshotBackend::DoubleCollect => Arc::new(DoubleCollectSnapshot::new(n, initial)),
             SnapshotBackend::Locked => Arc::new(LockedSnapshot::new(n, initial)),
         }
     }
@@ -146,7 +144,6 @@ impl<S: TypedObject> MonitorBuilder<S> {
         Monitor::from_inner(MonitorInner {
             enforced,
             mode: self.mode,
-            backend: self.backend,
             sink: self.sink,
         })
     }
@@ -164,7 +161,7 @@ mod tests {
         let monitor = builder.build(MsQueue::new());
         assert_eq!(monitor.capacity(), DEFAULT_CAPACITY);
         assert_eq!(monitor.mode(), Mode::Enforce);
-        assert_eq!(monitor.snapshot_backend(), SnapshotBackend::Afek);
+        assert_eq!(SnapshotBackend::default(), SnapshotBackend::Afek);
     }
 
     #[test]
@@ -238,11 +235,7 @@ mod tests {
 
     #[test]
     fn every_backend_builds() {
-        for backend in [
-            SnapshotBackend::Afek,
-            SnapshotBackend::DoubleCollect,
-            SnapshotBackend::Locked,
-        ] {
+        for backend in [SnapshotBackend::Afek, SnapshotBackend::Locked] {
             let monitor = MonitorBuilder::new(QueueSpec::new())
                 .processes(2)
                 .snapshot(backend)
@@ -250,7 +243,6 @@ mod tests {
             let session = monitor.register().unwrap();
             session.enqueue(1).unwrap();
             assert_eq!(session.dequeue().unwrap(), Some(1));
-            assert_eq!(monitor.snapshot_backend(), backend);
         }
     }
 }

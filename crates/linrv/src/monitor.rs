@@ -1,7 +1,7 @@
 //! The [`Monitor`]: a verified wrapper around one black-box implementation,
 //! handing out per-process [`Session`] handles.
 
-use crate::builder::{Mode, MonitorBuilder, SnapshotBackend};
+use crate::builder::{Mode, MonitorBuilder};
 use crate::session::Session;
 use linrv_check::StrategyChecker;
 use linrv_core::certificate::Certificate;
@@ -16,7 +16,6 @@ use std::sync::Arc;
 pub(crate) struct MonitorInner<A, S: TypedObject> {
     pub(crate) enforced: SelfEnforced<A, StrategyChecker<S>>,
     pub(crate) mode: Mode,
-    pub(crate) backend: SnapshotBackend,
     /// Trace tap installed by `MonitorBuilder::trace_to`, fed from every session.
     pub(crate) sink: Option<std::sync::Arc<dyn linrv_trace::EventSink>>,
 }
@@ -132,11 +131,6 @@ impl<A: ConcurrentObject, S: TypedObject> Monitor<A, S> {
     /// The monitor's verification mode.
     pub fn mode(&self) -> Mode {
         self.inner.mode
-    }
-
-    /// The snapshot construction the monitor was built with.
-    pub fn snapshot_backend(&self) -> SnapshotBackend {
-        self.inner.backend
     }
 
     /// Recomputes the verdict over everything published so far (Figure 12,

@@ -101,27 +101,7 @@ pub fn record_execution(
     workload: Workload,
     options: RecorderOptions,
 ) -> RecordedExecution {
-    record_threaded(object, workload, options, None)
-}
-
-/// [`record_execution`], additionally streaming every logged event into `sink`
-/// (e.g. a [`linrv_trace::SharedTraceWriter`]) as it is appended.
-pub fn record_execution_traced(
-    object: &(impl ConcurrentObject + ?Sized),
-    workload: Workload,
-    options: RecorderOptions,
-    sink: &dyn EventSink,
-) -> RecordedExecution {
-    record_threaded(object, workload, options, Some(sink))
-}
-
-fn record_threaded(
-    object: &(impl ConcurrentObject + ?Sized),
-    workload: Workload,
-    options: RecorderOptions,
-    sink: Option<&dyn EventSink>,
-) -> RecordedExecution {
-    let log = EventLog::new(sink);
+    let log = EventLog::new(None);
     let started = Instant::now();
     let operations = std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -575,26 +555,6 @@ mod tests {
     #[test]
     fn traced_runs_stream_exactly_the_recorded_events() {
         use linrv_trace::{read_history, SharedTraceWriter, TraceFormat, TraceHeader};
-        let sink = SharedTraceWriter::new(
-            Vec::new(),
-            TraceFormat::Jsonl,
-            &TraceHeader::new(linrv_spec::ObjectKind::Queue),
-        )
-        .unwrap();
-        let queue = MsQueue::new();
-        let run = record_execution_traced(
-            &queue,
-            Workload::new(WorkloadKind::Queue, 5),
-            RecorderOptions {
-                processes: 3,
-                ops_per_process: 10,
-            },
-            &sink,
-        );
-        let bytes = sink.finish().unwrap();
-        let (_, traced) = read_history(bytes.as_slice()).unwrap();
-        assert_eq!(traced, run.history);
-
         let sink = SharedTraceWriter::new(
             Vec::new(),
             TraceFormat::Binary,

@@ -18,8 +18,8 @@
 //!   from the same writer, *borrow* the embedded scan that writer published. `O(n²)`
 //!   reads per operation, wait-free.
 //! * [`DoubleCollectSnapshot`] — plain double-collect without helping: linearizable,
-//!   but only obstruction-free/lock-free (a scan may be starved by writers). Used as an
-//!   ablation baseline.
+//!   but only lock-free (a scan may be starved by writers). An ablation baseline for the
+//!   raw API and the benchmark; the `linrv` facade's backends are the other two.
 //! * [`LockedSnapshot`] — a mutex-protected array. Trivially linearizable but blocking;
 //!   it serves as the differential-testing oracle, mirroring the lock-based monitors
 //!   the paper's related-work section argues against.

@@ -5,9 +5,9 @@ use linrv_history::Event;
 /// A destination for history events produced by a live execution.
 ///
 /// Implemented by [`SharedTraceWriter`](crate::SharedTraceWriter); accepted by
-/// the runtime recorder (`record_execution_traced`, `record_scheduled_traced`)
-/// and by the `linrv` facade's `MonitorBuilder::trace_to`, so one trait wires
-/// every producer to every trace format.
+/// the runtime recorder's seeded scheduler (`record_scheduled_traced`) and by
+/// the `linrv` facade's `MonitorBuilder::trace_to`, so one trait wires every
+/// producer to every trace format.
 ///
 /// Sinks are called from the producer's hot path, potentially from many
 /// threads, so implementations must be cheap and must not panic. Errors are the

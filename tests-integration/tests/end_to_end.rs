@@ -229,11 +229,7 @@ fn decoupled_roles_split_production_and_verification() {
 fn verifier_is_generic_over_the_snapshot_implementation() {
     use linrv::prelude::*;
 
-    for backend in [
-        SnapshotBackend::Afek,
-        SnapshotBackend::DoubleCollect,
-        SnapshotBackend::Locked,
-    ] {
+    for backend in [SnapshotBackend::Afek, SnapshotBackend::Locked] {
         let monitor = Monitor::builder(QueueSpec::new())
             .processes(2)
             .snapshot(backend)

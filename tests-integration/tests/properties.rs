@@ -134,33 +134,6 @@ proptest! {
         // we only check that similarity never panics.
         let _ = similar(&complete, &truncated);
     }
-
-    /// Interval grouping and flattening are mutually inverse up to equivalence.
-    #[test]
-    fn interval_group_flatten_round_trip(
-        ops in proptest::collection::vec((0..3u32, 1..100i64), 1..12)
-    ) {
-        let mut builder = HistoryBuilder::new();
-        let mut pending = Vec::new();
-        for (proc_index, value) in &ops {
-            // Alternate between completing operations and leaving them pending to get
-            // interesting groupings; each process keeps at most one pending operation.
-            if pending.contains(proc_index) {
-                continue;
-            }
-            if value % 3 == 0 {
-                builder.invoke(p(*proc_index), queue::enqueue(*value));
-                pending.push(*proc_index);
-            } else {
-                builder.complete(p(*proc_index), queue::enqueue(*value), OpValue::Bool(true));
-            }
-        }
-        let history = builder.build();
-        let grouped = linrv_history::IntervalHistory::group(&history);
-        let flat = grouped.flatten();
-        prop_assert!(flat.equivalent(&history));
-        prop_assert_eq!(flat.len(), history.len());
-    }
 }
 
 // Differential test: the wait-free Afek snapshot agrees with the blocking oracle when

@@ -1,14 +1,15 @@
 //! Differential tests of the linear-time verdict path against the all-pairs definitions.
 //!
-//! `linrv_core::view::check_view_properties` and `linrv_core::sketch::sketch_interval`
+//! `linrv_core::view::check_view_properties` and `linrv_core::sketch::sketch_history`
 //! decide Remark 7.2 and build `X(λ)` from one size-sorted pass (chain lemma and
 //! latest-witness lemma, `crates/core/src/view.rs`). The [`reference`] module below keeps
 //! the implementation they replaced — every pair of tuples compared, distinct views
 //! found by whole-set equality — as the oracle:
 //!
 //! * on tuple sets taken from seeded `DRV` schedules (1–5 processes, operations still
-//!   pending, tuples published late) the interval history and the flattened `History`
-//!   must be identical, step for step and event for event;
+//!   pending, tuples published late) the sketch must be the oracle's history event for
+//!   event, built by the oracle one step at a time (each step's invocations, then its
+//!   responses, neither run empty), so the maximal runs are the same steps too;
 //! * on those sets with one fault planted (and on small forged sets) both must reach the
 //!   same `Ok` / error variant — which offending pair an error names may differ;
 //! * a tuple set too large for the all-pairs loop must still go through.
@@ -20,11 +21,11 @@
 //! change the set it came from.
 
 use linrv_core::drv::Drv;
-use linrv_core::sketch::{sketch_history, sketch_interval, SketchError};
+use linrv_core::sketch::{sketch_history, SketchError};
 use linrv_core::view::{
     check_view_properties, InvocationPair, TupleSet, View, ViewPropertyError, ViewTuple,
 };
-use linrv_history::{OpId, OpValue, ProcessId};
+use linrv_history::{History, OpId, OpValue, ProcessId};
 use linrv_runtime::impls::SpecObject;
 use linrv_spec::ops::queue;
 use linrv_spec::QueueSpec;
@@ -37,7 +38,7 @@ use tests_integration::{drive_drv, Rng};
 /// behaviour: O(t²·v) property check, O(m²·v) distinct-view search.
 mod reference {
     use linrv_core::view::{TupleSet, View, ViewPropertyError, ViewTuple};
-    use linrv_history::IntervalHistory;
+    use linrv_history::{Event, History};
     use std::collections::BTreeMap;
 
     pub(crate) fn check_view_properties(tuples: &TupleSet) -> Result<(), ViewPropertyError> {
@@ -74,7 +75,7 @@ mod reference {
         Ok(())
     }
 
-    pub(crate) fn sketch_interval(tuples: &TupleSet) -> Result<IntervalHistory, ViewPropertyError> {
+    pub(crate) fn sketch_history(tuples: &TupleSet) -> Result<History, ViewPropertyError> {
         check_view_properties(tuples)?;
         let mut distinct: Vec<&View> = Vec::new();
         for tuple in tuples {
@@ -91,28 +92,45 @@ mod reference {
                 .expect("view collected above");
             by_view.entry(index).or_default().push(tuple);
         }
-        let mut interval = IntervalHistory::new();
+        let mut history = History::new();
         let mut previous = View::new();
         for (k, view) in distinct.iter().enumerate() {
-            let fresh: Vec<_> = view.difference(&previous).cloned().collect();
-            if !fresh.is_empty() {
-                interval.push_invocations(
-                    fresh
-                        .iter()
-                        .map(|pair| (pair.process, pair.op_id, pair.operation.clone()))
-                        .collect(),
-                );
+            // Claim 7.2: every step invokes and answers at least one operation.
+            let fresh: Vec<_> = view.difference(&previous).collect();
+            assert!(!fresh.is_empty(), "step {k} invokes nothing");
+            for pair in fresh {
+                history.push(Event::invocation(
+                    pair.process,
+                    pair.op_id,
+                    pair.operation.clone(),
+                ));
             }
-            interval.push_responses(
-                by_view[&k]
-                    .iter()
-                    .map(|t| (t.pair.process, t.pair.op_id, t.response.clone()))
-                    .collect(),
-            );
+            for t in &by_view[&k] {
+                history.push(Event::response(
+                    t.pair.process,
+                    t.pair.op_id,
+                    t.response.clone(),
+                ));
+            }
             previous = (*view).clone();
         }
-        Ok(interval)
+        Ok(history)
     }
+}
+
+/// The numbers of maximal runs of invocations and of responses in `history`: the
+/// invocation and response steps of an interval-sequential history (Claim 7.2).
+fn maximal_runs(history: &History) -> (usize, usize) {
+    let runs = history
+        .events()
+        .chunk_by(|a, b| a.is_invocation() == b.is_invocation());
+    runs.fold((0, 0), |(invocations, responses), run| {
+        if run[0].is_invocation() {
+            (invocations + 1, responses)
+        } else {
+            (invocations, responses + 1)
+        }
+    })
 }
 
 /// The tuples of each process, as one set per process.
@@ -192,15 +210,10 @@ fn assert_agree(tuples: &TupleSet, context: &str) -> Result<(), ViewPropertyErro
         expected.as_ref().map_err(discriminant),
         "{context}: check_view_properties says {actual:?}, the all-pairs check {expected:?}"
     );
-    match reference::sketch_interval(tuples) {
-        Ok(interval) => {
-            assert_eq!(
-                sketch_interval(tuples).as_ref(),
-                Ok(&interval),
-                "{context}: interval sketch differs"
-            );
+    match reference::sketch_history(tuples) {
+        Ok(reference) => {
             let history = sketch_history(tuples).expect("valid views");
-            assert_eq!(history, interval.flatten(), "{context}: history differs");
+            assert_eq!(history, reference, "{context}: history differs");
         }
         Err(expected) => {
             let SketchError::ViewProperty(actual) =
@@ -557,5 +570,5 @@ fn two_thousand_tuples_sketch_in_linear_time() {
     assert!(history.is_well_formed());
     assert_eq!(history.pending_operations().count(), 0);
     // 250 shared views + 250 × 4 single ones, an invocation and a response step each.
-    assert_eq!(sketch_interval(&tuples).expect("valid views").len(), 2_500);
+    assert_eq!(maximal_runs(&history), (1_250, 1_250));
 }

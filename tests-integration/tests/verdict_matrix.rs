@@ -24,11 +24,7 @@ use tests_integration::{
     recorded_cases, Case, REFERENCE,
 };
 
-const BACKENDS: [SnapshotBackend; 3] = [
-    SnapshotBackend::Afek,
-    SnapshotBackend::DoubleCollect,
-    SnapshotBackend::Locked,
-];
+const BACKENDS: [SnapshotBackend; 2] = [SnapshotBackend::Afek, SnapshotBackend::Locked];
 
 /// What the matrix saw on one case, for the census checks.
 #[derive(Clone, Copy)]
