@@ -16,7 +16,8 @@
 use crate::args::Parsed;
 use crate::io::{describe, open_output};
 use linrv_runtime::{
-    faulty, impls, record_scheduled_traced, Mix, RecorderOptions, Workload, WorkloadKind,
+    faulty, impls, record_scheduled_traced, schedule_seed, Mix, RecorderOptions, Workload,
+    WorkloadKind,
 };
 use linrv_spec::ObjectKind;
 use linrv_trace::{Provenance, SharedTraceWriter, TraceFormat, TraceHeader};
@@ -56,13 +57,6 @@ fn parse_mix_weights(raw: &str, kind: ObjectKind) -> Result<[u32; 3], String> {
         ));
     }
     Ok(weights)
-}
-
-/// Derives the interleaving seed from the user's seed. Any fixed injective-ish
-/// mixing works; what matters is that it is deterministic and distinct from
-/// the workload seed (so the two RNG streams do not correlate).
-fn schedule_seed(seed: u64) -> u64 {
-    seed ^ 0x5EED_01A7_C0DE
 }
 
 pub(crate) fn run(parsed: &Parsed, source: Source) -> Result<ExitCode, String> {

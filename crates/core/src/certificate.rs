@@ -2,18 +2,17 @@
 
 use crate::view::TupleSet;
 use linrv_history::History;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A certificate of the computation performed so far by a self-enforced implementation
 /// (Theorem 8.2 (3)): the exchanged view tuples, the sketch history they encode, and
 /// whether that history is a member of the verified object.
 ///
-/// Certificates are serialisable (via `serde`) so that a client can persist them for a
-/// later forensic stage, as Section 8.3 suggests: once an incorrect response is
-/// detected at runtime, the certificate names the offending implementation and contains
-/// a history witnessing the violation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Section 8.3 has a client keep certificates for a later forensic stage: once an
+/// incorrect response is detected at runtime, the certificate names the offending
+/// implementation and contains a history witnessing the violation. Nothing serialises
+/// a certificate; its `Display` form is a human-readable report.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Description of the abstract object the implementation claims to implement.
     pub object: String,

@@ -61,7 +61,6 @@
 //! That pass held, so `x ∉ λ_a`. ∎
 
 use linrv_history::{OpId, OpValue, Operation, ProcessId};
-use serde::{Deserialize, Serialize};
 use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -73,7 +72,7 @@ use std::sync::Arc;
 /// The paper assumes all `Apply` inputs are distinct; `op_id` realises that assumption
 /// by tagging each announcement with a unique identifier, so a process may re-issue the
 /// same operation description without creating ambiguity.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InvocationPair {
     /// Announcing process.
     pub process: ProcessId,
@@ -96,7 +95,7 @@ pub type View = BTreeSet<InvocationPair>;
 /// The 4-tuple `(p_i, op_i, y_i, λ_i)` associated with a completed operation of an
 /// implementation in the `DRV` class: the process, the operation, the response obtained
 /// from the underlying implementation, and the view.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ViewTuple {
     /// The invocation pair identifying the operation.
     pub pair: InvocationPair,

@@ -2,11 +2,10 @@
 
 use crate::op::{OpId, OpValue, Operation};
 use crate::process::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two kinds of history events.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// Invocation of `Apply(op)`.
     Invocation {
@@ -22,7 +21,7 @@ pub enum EventKind {
 
 /// A single event of a history: an invocation of or a response from a high-level
 /// operation, performed by a process (Section 2 of the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Event {
     /// Process performing the event.
     pub process: ProcessId,

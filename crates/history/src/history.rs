@@ -12,7 +12,6 @@
 use crate::event::{Event, EventKind};
 use crate::op::{OpId, OpValue, Operation};
 use crate::process::ProcessId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -139,7 +138,7 @@ impl std::error::Error for WellFormedError {}
 /// Histories are the only information a verifier can obtain from a black-box
 /// implementation. All of the paper's correctness machinery (linearizability,
 /// similarity, the `GenLin` family, views and sketches) is defined over histories.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct History {
     events: Vec<Event>,
 }

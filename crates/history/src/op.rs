@@ -1,6 +1,5 @@
 //! Operation descriptors and values.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Globally unique identifier of a high-level operation instance.
@@ -9,7 +8,7 @@ use std::fmt;
 /// each operation instance can be identified unambiguously. `OpId` plays that role: it
 /// is assigned by the [`HistoryBuilder`](crate::HistoryBuilder) or by the runtime when
 /// the operation is invoked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(u64);
 
 impl OpId {
@@ -35,7 +34,7 @@ impl fmt::Display for OpId {
 /// Values are deliberately dynamic (rather than generic) so that histories of different
 /// object types can be manipulated, compared and serialised uniformly by the verifier,
 /// which treats the implementation under inspection as a black box.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpValue {
     /// No value (e.g. the argument of `Pop()`).
     Unit,
@@ -117,7 +116,7 @@ impl From<&str> for OpValue {
 /// Following the paper's convention (Section 2), every object exports a single
 /// `Apply(op)` entry point, where `op` describes the actual operation being applied.
 /// `Operation` is that description.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Operation {
     /// Name of the operation (e.g. `"Enqueue"`, `"Pop"`, `"Read"`).
     pub kind: String,

@@ -1,6 +1,5 @@
 //! Process identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one of the `n` asynchronous processes `p_1, …, p_n` of the system
@@ -12,7 +11,7 @@ use std::fmt;
 /// assert_eq!(p.index(), 2);
 /// assert_eq!(p.to_string(), "p3"); // paper numbering is one-based
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(u32);
 
 impl ProcessId {

@@ -1,9 +1,8 @@
 //! Exporters: Prometheus text exposition, a JSON snapshot document, and the
 //! one-screen human report the CLI prints for `--stats`.
 //!
-//! All three are hand-rolled over [`MetricsSnapshot`] — consistent with the
-//! workspace's vendored-stub dependency policy (the vendored `serde` is a
-//! stub, so no derive-based serialization exists to lean on).
+//! All three are hand-rolled over [`MetricsSnapshot`]: the workspace has no
+//! serialisation dependency to lean on (see `vendor/README.md`).
 
 use crate::metric::{bucket_le, HistogramSnapshot, BUCKETS};
 use crate::registry::{FamilySnapshot, MetricKind, MetricsSnapshot, SeriesValue};

@@ -17,7 +17,8 @@
 //!   [`StreamingChecker`](linrv_check::StreamingChecker), the same per-event
 //!   frontier `linrv check` runs, so a wrong response is latched the moment it
 //!   is drained, overlapping or not. Producers wake a parked checker once per
-//!   batch, not once per event;
+//!   batch, not once per event. Draining is all a checker thread does:
+//!   [`MonitorPool::check_all`] runs the final decisions on its caller;
 //! * **bounds what its checkers retain**: at a *settle point* (nothing of an
 //!   object open, its frontier one state) every linearization of every future
 //!   extension passes through that state, so the events behind it are dropped
@@ -78,8 +79,8 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-    use linrv_runtime::faulty::StaleRegister;
-    use linrv_runtime::impls::{AtomicCounter, AtomicIntRegister};
+    use linrv_runtime::faulty::{LossyQueue, StaleRegister};
+    use linrv_runtime::impls::{AtomicCounter, AtomicIntRegister, MsQueue};
     use std::time::{Duration, Instant};
 
     #[test]
@@ -146,6 +147,62 @@ mod tests {
         let violations = pool.violations();
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].object, bad);
+    }
+
+    /// Drives object 0 through a frontier that falls back: seven enqueues
+    /// are open when a dequeue answers, more orders than the frontier's
+    /// bound, then sequential dequeues drain the queue. No scheduled re-check
+    /// comes before 64 completed operations, so only `check_all`'s final
+    /// decision, on the calling thread, decides the object.
+    fn queue_past_its_frontier_bound<A>(
+        queue: impl Fn() -> A + Send + Sync + 'static,
+    ) -> MonitorPool<A, QueueSpec>
+    where
+        A: linrv::runtime::ConcurrentObject + 'static,
+    {
+        use linrv_spec::typed::queue::{Dequeue, Enqueue};
+        let pool = PoolBuilder::new(QueueSpec::new())
+            .shards(1)
+            .workers(1)
+            .build(move |_| queue());
+        let sessions: Vec<_> = (0..8).map(|_| pool.session(0).unwrap()).collect();
+        let (consumer, producers) = sessions.split_last().unwrap();
+        let enqueues: Vec<_> = producers
+            .iter()
+            .zip(0..)
+            .map(|(session, value)| session.execute(session.stage(Enqueue(value))))
+            .collect();
+        let dequeue = consumer.execute(consumer.stage(Dequeue));
+        consumer.commit(dequeue).unwrap();
+        for (session, enqueue) in producers.iter().zip(enqueues) {
+            session.commit(enqueue).unwrap();
+        }
+        while consumer.dequeue().unwrap().is_some() {}
+        pool.quiesce();
+        assert_eq!(pool.object_stats(0).unwrap().checks, 0);
+        assert!(pool.violations().is_empty(), "undecided before check_all");
+        pool
+    }
+
+    #[test]
+    fn check_all_decides_a_correct_queue_whose_frontier_fell_back() {
+        let pool = queue_past_its_frontier_bound(MsQueue::new);
+        let verdicts = pool.check_all();
+        assert_eq!(verdicts.len(), 1);
+        assert!(verdicts[&0].is_correct());
+        assert!(pool.stats().checks >= 1, "a whole-window decision ran");
+    }
+
+    #[test]
+    fn check_all_catches_a_lossy_queue_whose_frontier_fell_back() {
+        // Loses every second enqueue: a later dequeue finds the queue empty.
+        let pool = queue_past_its_frontier_bound(|| LossyQueue::new(2));
+        let verdicts = pool.check_all();
+        let violation = verdicts[&0].violation().expect("the lost values");
+        assert_eq!(violation.object, 0);
+        assert!(!violation.witness.is_empty());
+        assert!(pool.stats().checks >= 1);
+        assert_eq!(pool.violations().len(), 1, "latched by check_all");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use linrv_history::Event;
 use linrv_runtime::ConcurrentObject;
 use linrv_spec::TypedObject;
 use linrv_trace::TaggedEventSink;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -36,8 +36,8 @@ pub(crate) const QUEUE_CAPACITY: usize = 1024;
 const BATCH: usize = 256;
 
 /// Non-generic ingestion state shared by sessions (producers) and checker
-/// threads (consumers): the per-shard queues, the drain/shutdown signalling and
-/// the injector for out-of-band jobs.
+/// threads (consumers): the per-shard queues and the drain/shutdown signalling.
+/// Draining these queues is a checker thread's only work.
 ///
 /// # The wake protocol
 ///
@@ -45,20 +45,20 @@ const BATCH: usize = 256;
 /// signal per event; they wake *by count*.
 ///
 /// * **Who parks.** A worker whose scan found nothing it could take — every
-///   queue empty or being drained by another worker, no job — takes the
-///   `parked` mutex, looks again, and only if there is still nothing bumps the
-///   count and waits on `work_cv`: count and second look under the one mutex
-///   every signaller takes.
+///   queue empty or being drained by another worker — takes the `parked`
+///   mutex, looks again, and only if there is still nothing bumps the count
+///   and waits on `work_cv`: count and second look under the one mutex every
+///   signaller takes.
 /// * **Who signals, when.** A producer signals when its push brings its
 ///   shard's queue to exactly `wake_at` events ([`BATCH`], capped by the
 ///   queue capacity so that a queue cannot fill up without passing it): one
-///   drain's worth. [`Ingest::quiesce`], [`Ingest::push_job`] (so
-///   `check_all`) and shutdown signal
-///   unconditionally. A signal is `lock(parked)`, read the count, unlock, and
-///   `notify_all` only if a worker is parked.
+///   drain's worth. [`Ingest::quiesce`] (so `check_all`) and shutdown signal
+///   unconditionally. These three are the only signallers. A signal is
+///   `lock(parked)`, read the count, unlock, and `notify_all` only if a worker
+///   is parked.
 /// * **Why no wake-up is lost.** A signaller publishes its work (the push,
-///   the job, the shutdown flag) *before* taking the mutex. Its critical
-///   section either precedes the worker's — then the worker's second look
+///   the shutdown flag) *before* taking the mutex. Its critical section
+///   either precedes the worker's — then the worker's second look
 ///   sees the work and does not park — or follows it — then the worker is
 ///   already waiting (the wait released the mutex) and is notified. A queue
 ///   a worker left non-empty when it parked is held by a worker that is awake
@@ -87,15 +87,10 @@ pub(crate) struct Ingest {
     /// Wakes `quiesce` when processed/dropped catch up with ingested.
     quiesce_mutex: Mutex<()>,
     quiesce_cv: Condvar,
-    /// Out-of-band jobs (final checks) run by the same
-    /// worker threads that drain the shards.
-    injector: Mutex<VecDeque<Job>>,
     /// The user's trace tap: every ingested event is forwarded here, tagged
     /// with its object id, before it enters the shard queue.
     sink: Option<Arc<dyn TaggedEventSink>>,
 }
-
-type Job = Box<dyn FnOnce() + Send>;
 
 impl Ingest {
     fn new(
@@ -124,7 +119,6 @@ impl Ingest {
             work_cv: Condvar::new(),
             quiesce_mutex: Mutex::new(()),
             quiesce_cv: Condvar::new(),
-            injector: Mutex::new(VecDeque::new()),
             sink,
         }
     }
@@ -159,17 +153,8 @@ impl Ingest {
         self.quiesce_cv.notify_all();
     }
 
-    fn push_job(&self, job: Job) {
-        lock(&self.injector).push_back(job);
-        self.wake_workers();
-    }
-
-    fn pop_job(&self) -> Option<Job> {
-        lock(&self.injector).pop_front()
-    }
-
     fn backlog(&self) -> bool {
-        self.queues.iter().any(|q| q.len() > 0) || !lock(&self.injector).is_empty()
+        self.queues.iter().any(|q| q.len() > 0)
     }
 
     /// Whether a worker with nothing left to take should exit.
@@ -302,20 +287,15 @@ where
         lock(&self.shards[shard].registry).get(&object).cloned()
     }
 
-    /// One worker's main loop: injector jobs first, then drain the home shard,
-    /// then steal from the others. `workers` is the pool's worker count:
-    /// worker `i`'s home is shard `i % shards`.
-    fn worker(self: &Arc<Self>, home: usize, workers: usize) {
+    /// One worker's main loop: drain the home shard, else steal from the
+    /// others, one batch at a time; park when nothing is takeable. `workers`
+    /// is the pool's worker count: worker `i`'s home is shard `i % shards`.
+    fn worker(&self, home: usize, workers: usize) {
         let shards = self.shards.len();
         let mut batch: Vec<(u64, Event)> = Vec::with_capacity(BATCH);
         // Consecutive events usually belong to few objects; cache the last hit.
         let mut cached: Option<(u64, Arc<ObjectEntry<A, S>>)> = None;
-        loop {
-            if let Some(job) = self.ingest.pop_job() {
-                job();
-                continue;
-            }
-            let mut drained = false;
+        'scan: loop {
             for k in 0..shards {
                 let shard = (home + k) % shards;
                 if self.ingest.queues[shard].len() == 0 {
@@ -353,11 +333,7 @@ where
                 self.ingest.metrics.processed.add(n as u64);
                 self.ingest.processed.fetch_add(n as u64, Ordering::Release);
                 self.ingest.notify_quiesce();
-                drained = true;
-                break; // recheck the injector between batches
-            }
-            if drained {
-                continue;
+                continue 'scan; // back to the home shard between batches
             }
             if self.ingest.drained_for_shutdown() {
                 return;
@@ -367,8 +343,8 @@ where
         }
     }
 
-    /// Whether a worker's scan would find something: a job, or a non-empty
-    /// queue no other worker is draining (that worker looks again itself).
+    /// Whether a worker's scan would find something: a non-empty queue no
+    /// other worker is draining (that worker looks again itself).
     fn takeable(&self) -> bool {
         let free = |shard: &Shard<A, S>| {
             !matches!(
@@ -376,29 +352,13 @@ where
                 Err(std::sync::TryLockError::WouldBlock)
             )
         };
-        !lock(&self.ingest.injector).is_empty()
-            || (self.shards.iter().zip(&self.ingest.queues))
-                .any(|(shard, queue)| queue.len() > 0 && free(shard))
+        (self.shards.iter().zip(&self.ingest.queues))
+            .any(|(shard, queue)| queue.len() > 0 && free(shard))
     }
 
-    /// Runs the final decision of every object of `shard` and returns the
-    /// shard's verdicts.
-    fn finalize_shard(&self, shard: usize) -> Vec<(u64, PoolVerdict)> {
-        // Snapshot the registry so sessions on new objects are not held up
-        // behind a shard's worth of final checks.
-        let entries: Vec<(u64, Arc<ObjectEntry<A, S>>)> = lock(&self.shards[shard].registry)
-            .iter()
-            .map(|(id, entry)| (*id, Arc::clone(entry)))
-            .collect();
-        entries
-            .into_iter()
-            .map(|(object, entry)| {
-                let counters = &self.ingest.metrics.counters;
-                (object, lock(&entry.state).finalize(object, counters))
-            })
-            .collect()
-    }
-
+    /// Every registered object, ordered by id: a snapshot taken one shard
+    /// lock at a time, so callers read object state outside the registry
+    /// locks and sessions on new objects are not held up behind them.
     fn entries(&self) -> Vec<(u64, Arc<ObjectEntry<A, S>>)> {
         let mut all = Vec::new();
         for shard in &self.shards {
@@ -407,45 +367,6 @@ where
         }
         all.sort_by_key(|(id, _)| *id);
         all
-    }
-}
-
-/// Runs `jobs` on the pool's worker threads and returns their results (in job
-/// order). The calling thread helps drain the injector while it waits, so this
-/// also works when every worker is busy (or the pool was built with one).
-fn run_parallel<T: Send + 'static>(
-    ingest: &Arc<Ingest>,
-    jobs: Vec<Box<dyn FnOnce() -> T + Send>>,
-) -> Vec<T> {
-    type Collector<T> = (Mutex<Vec<(usize, T)>>, Condvar);
-    let total = jobs.len();
-    let collector: Arc<Collector<T>> =
-        Arc::new((Mutex::new(Vec::with_capacity(total)), Condvar::new()));
-    for (index, job) in jobs.into_iter().enumerate() {
-        let collector = Arc::clone(&collector);
-        ingest.push_job(Box::new(move || {
-            let result = job();
-            let (slot, done) = &*collector;
-            lock(slot).push((index, result));
-            done.notify_all();
-        }));
-    }
-    loop {
-        if let Some(job) = ingest.pop_job() {
-            job();
-            continue;
-        }
-        let (slot, done) = &*collector;
-        let mut guard = lock(slot);
-        if guard.len() == total {
-            let mut results = std::mem::take(&mut *guard);
-            drop(guard);
-            results.sort_by_key(|(index, _)| *index);
-            return results.into_iter().map(|(_, result)| result).collect();
-        }
-        let _ = done
-            .wait_timeout(guard, Duration::from_millis(5))
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
     }
 }
 
@@ -480,7 +401,7 @@ pub struct PoolStats {
     /// not a steal).
     pub steals: u64,
     /// Signals that found a worker parked: producers send one when a shard's
-    /// queue reaches a batch, `quiesce`, `check_all` and shutdown whenever
+    /// queue reaches a batch, `quiesce` (so `check_all`) and shutdown whenever
     /// they run. Orders of magnitude below `ingested` under load.
     pub wakeups: u64,
 }
@@ -631,22 +552,19 @@ where
 
     /// Quiesces, finishes every object and returns the per-object verdicts.
     ///
-    /// One job per shard runs on the pool's own checker threads (the caller
-    /// helps). An object whose frontier decided every event only reports; one
-    /// whose frontier fell back gets a final decision over its window.
+    /// The final decisions run on the calling thread, one object after
+    /// another; checker threads only drain shard queues. An object whose
+    /// frontier decided every event only reports. One whose frontier fell back
+    /// (past its bound, or on an ill-formed event) gets a whole-window decision
+    /// here, so such objects are decided one after another, not in parallel.
+    /// The benchmark's pool workload (`pool-short`) has no such object.
     pub fn check_all(&self) -> BTreeMap<u64, PoolVerdict> {
         self.quiesce();
-        let jobs = (0..self.shards())
-            .map(|shard| {
-                let shared = Arc::clone(&self.shared);
-                let job: Box<dyn FnOnce() -> Vec<(u64, PoolVerdict)> + Send> =
-                    Box::new(move || shared.finalize_shard(shard));
-                job
-            })
-            .collect();
-        run_parallel(&self.shared.ingest, jobs)
+        let counters = &self.shared.ingest.metrics.counters;
+        self.shared
+            .entries()
             .into_iter()
-            .flatten()
+            .map(|(object, entry)| (object, lock(&entry.state).finalize(object, counters)))
             .collect()
     }
 

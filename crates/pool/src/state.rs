@@ -9,6 +9,10 @@
 //! witness starts at the last settle point. Only a frontier that fell back
 //! (past its bound, or on an ill-formed event) leaves a growing window,
 //! re-decided on the checker's fallback schedule and by `check_all`.
+//!
+//! Checker threads only drain shard queues into these states
+//! ([`ObjectState::on_event`]). `MonitorPool::check_all` runs each final
+//! decision ([`ObjectState::finalize`]) on its calling thread.
 
 use crate::verdict::{PoolVerdict, PoolViolation};
 use linrv_check::{StreamingChecker, Verdict};

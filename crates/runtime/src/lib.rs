@@ -36,7 +36,7 @@ pub mod workload;
 pub use object::ConcurrentObject;
 pub use recorder::{
     record_execution, record_scheduled, record_scheduled_controlled, record_scheduled_traced,
-    ControlledRun, FaultCmd, NoFaults, OpSource, RecordedExecution, RecorderOptions,
+    schedule_seed, ControlledRun, FaultCmd, NoFaults, OpSource, RecordedExecution, RecorderOptions,
     ScheduleFaults, SourceStep, MAX_IDLE_TICKS,
 };
 pub use workload::{Mix, Workload, WorkloadKind, WorkloadSource};

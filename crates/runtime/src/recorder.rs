@@ -144,6 +144,15 @@ enum Phase {
     Applied(OpId, OpValue),
 }
 
+/// Derives the interleaving seed of [`record_scheduled`] from a user's seed
+/// that also seeds the workload. Any fixed mixing works; what matters is that
+/// it is deterministic and distinct from the workload seed, so the two RNG
+/// streams do not correlate. `linrv gen`/`record` and the scenario runner
+/// both call it, so one `--seed` means one schedule everywhere.
+pub fn schedule_seed(seed: u64) -> u64 {
+    seed ^ 0x5EED_01A7_C0DE
+}
+
 /// Runs `workload` against `object` under a **deterministic seeded scheduler**
 /// and returns the recorded history.
 ///

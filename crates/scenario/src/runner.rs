@@ -16,14 +16,8 @@ use linrv_forensics::check_history;
 use linrv_history::{Event, History, OpId, ProcessId};
 use linrv_pool::{PoolBuilder, PoolSession, PoolVerdict};
 use linrv_runtime::faulty::MutatedObject;
-use linrv_runtime::{impls, record_scheduled_controlled, ConcurrentObject};
+use linrv_runtime::{impls, record_scheduled_controlled, schedule_seed, ConcurrentObject};
 use linrv_spec::{with_spec, ObjectKind, SequentialSpec, TypedObject, TypedOp};
-
-/// Derives the interleaving seed from the scenario seed (the same mixing the
-/// `gen`/`record` commands use, so the two RNG streams never correlate).
-fn schedule_seed(seed: u64) -> u64 {
-    seed ^ 0x5EED_01A7_C0DE
-}
 
 /// The outcome of one executed scenario.
 #[derive(Debug, Clone)]

@@ -1,9 +1,9 @@
 //! A minimal JSON value model, writer and recursive-descent parser.
 //!
-//! The vendored `serde` stub has no real (de)serialisation backend (see
-//! `vendor/README.md`), so the JSONL trace codec hand-rolls the sliver of JSON
-//! it needs: objects, arrays, strings, 64-bit integers, booleans and `null`.
-//! Floats are deliberately rejected — the trace format never emits them, and
+//! The workspace has no serialisation dependency (see `vendor/README.md`), so
+//! the JSONL trace codec hand-rolls the sliver of JSON it needs: objects,
+//! arrays, strings, 64-bit integers, booleans and `null`. Floats are
+//! deliberately rejected — the trace format never emits them, and
 //! refusing them keeps round-trips exact — and so are integers with leading
 //! zeros, which JSON forbids (`007` and `7` would decode to the same trace).
 //!

@@ -14,7 +14,8 @@
 //! [`FORMAT_VERSION`], full layout in `FORMAT.md`):
 //!
 //! * **JSONL** ([`TraceFormat::Jsonl`]) — one JSON object per line; readable,
-//!   diffable, greppable. Hand-rolled codec (the vendored `serde` is a stub).
+//!   diffable, greppable. Hand-rolled codec (the workspace has no
+//!   serialisation dependency).
 //! * **Binary** ([`TraceFormat::Binary`]) — magic + version + length-framed
 //!   records; denser and faster for large recorded runs.
 //!
