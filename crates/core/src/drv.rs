@@ -15,6 +15,12 @@
 //! condition (the added code is wait-free), and adds `O(n)` steps per operation.
 //! The views returned by `A*` are what make it predictively verifiable.
 //!
+//! The local work keeps that bound too, whatever the number of operations before:
+//! `set_i` is an append-only log of `p_i`'s pairs, in `op_id` order (Remark 7.2; the id
+//! is taken under the process's lock), an announce appends to it and publishes a
+//! one-run view of it, and a collect reads `n` prefixes of the logs. No pair is copied
+//! after its announce ([`View`]).
+//!
 //! [`Drv`] also exposes the three phases separately ([`Drv::announce`],
 //! [`Drv::call_inner`], [`Drv::collect`]) so that tests, examples and the
 //! figure-reproduction experiments can interleave them deterministically — this is how
@@ -112,12 +118,16 @@ impl<A: ConcurrentObject> Drv<A> {
     /// Panics when `process` is outside the range the wrapper was created for.
     pub fn announce(&self, process: ProcessId, op: &Operation) -> Announced {
         let span = linrv_obs::Span::start(crate::metrics::announce_ns());
-        let pair = InvocationPair {
-            process,
-            op_id: OpId::new(self.next_op.fetch_add(1, Ordering::Relaxed)),
-            operation: op.clone(),
-        };
-        self.announcements.add(process, pair.clone());
+        // The id is taken under the process's lock, so a process's log stays in
+        // `op_id` order even when two threads misuse one process.
+        let pair = self.announcements.add(process, || {
+            let pair = InvocationPair {
+                process,
+                op_id: OpId::new(self.next_op.fetch_add(1, Ordering::Relaxed)),
+                operation: op.clone(),
+            };
+            (pair.clone(), pair)
+        });
         drop(span);
         if linrv_obs::enabled() {
             crate::metrics::ops_announced().inc();
@@ -186,6 +196,7 @@ mod tests {
     use linrv_runtime::impls::{MsQueue, SpecObject};
     use linrv_spec::ops::queue;
     use linrv_spec::QueueSpec;
+    use std::collections::BTreeMap;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -264,35 +275,85 @@ mod tests {
         let _ = drv.apply_drv(p(5), &queue::dequeue());
     }
 
+    /// Four threads, one per process: the views are containment comparable, sketch to a
+    /// well-formed history, and hold the logs' own pairs: every pair of every
+    /// collected view is the allocation a later collect reads, not a copy.
     #[test]
     fn concurrent_threads_produce_containment_comparable_views() {
-        use std::sync::Arc;
-        let drv = Arc::new(Drv::new(MsQueue::new(), 3));
-        let tuples = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..3u32 {
-                let drv = Arc::clone(&drv);
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    for i in 0..30 {
-                        let op = if i % 2 == 0 {
-                            queue::enqueue(i64::from(t) * 100 + i)
-                        } else {
-                            queue::dequeue()
-                        };
-                        out.push(drv.apply_drv(p(t), &op).tuple());
-                    }
-                    out
-                }));
-            }
+        let drv = Drv::new(MsQueue::new(), 4);
+        let tuples: Vec<ViewTuple> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4u32)
+                .map(|t| {
+                    let drv = &drv;
+                    scope.spawn(move || {
+                        (0..30)
+                            .map(|i| {
+                                let op = if i % 2 == 0 {
+                                    queue::enqueue(i64::from(t) * 100 + i)
+                                } else {
+                                    queue::dequeue()
+                                };
+                                drv.apply_drv(p(t), &op).tuple()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
                 .flat_map(|h| h.join().unwrap())
-                .collect::<TupleSet>()
+                .collect()
         });
-        assert_eq!(check_view_properties(&tuples), Ok(()));
-        // The sketch of the whole run is a well-formed history over 90 operations.
-        let sketch = sketch_history(&tuples).unwrap();
-        assert_eq!(sketch.complete_operations().count(), 90);
+        let set: TupleSet = tuples.iter().cloned().collect();
+        assert_eq!(check_view_properties(&set), Ok(()));
+        // The sketch of the whole run is a well-formed history over 120 operations.
+        let sketch = sketch_history(&set).unwrap();
+        assert_eq!(sketch.complete_operations().count(), 120);
+
+        let last = drv.announcements.union(p(0));
+        assert_eq!(last.len(), 120);
+        let logged: BTreeMap<OpId, &InvocationPair> =
+            last.iter().map(|pair| (pair.op_id, pair)).collect();
+        for tuple in &tuples {
+            for pair in &tuple.view {
+                assert!(
+                    std::ptr::eq(pair, logged[&pair.op_id]),
+                    "the view of {} holds a copy of {pair}",
+                    tuple.pair
+                );
+            }
+        }
+    }
+
+    /// Two threads misusing one process: ids are taken under the process's lock, so
+    /// its log only ever grows in `op_id` order. Every view iterates ascending and
+    /// contains what it yields, and no append fell back to copying the log: the
+    /// process's first pair is one allocation in every view.
+    #[test]
+    fn two_threads_on_one_process_append_in_op_id_order() {
+        let drv = Drv::new(MsQueue::new(), 2);
+        let views: Vec<View> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|t| {
+                    let drv = &drv;
+                    scope.spawn(move || {
+                        (0..200)
+                            .map(|i| drv.apply_drv(p(0), &queue::enqueue(t * 1000 + i)).view)
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        let first: *const InvocationPair = drv.announcements.union(p(1)).iter().next().unwrap();
+        for view in &views {
+            let pairs: Vec<&InvocationPair> = view.iter().collect();
+            assert!(pairs.windows(2).all(|w| w[0] < w[1]), "{view:?}");
+            assert!(pairs.iter().all(|pair| view.contains(pair)), "{view:?}");
+            assert!(std::ptr::eq(pairs[0], first), "the log was copied");
+        }
     }
 }

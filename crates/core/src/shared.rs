@@ -5,9 +5,11 @@
 //!
 //! The two arrays differ only in their [`Entry`] type, and so in what they copy:
 //!
-//! * `N` holds [`View`]s, deep sets of invocation pairs. A write clones `set_i`, and the
-//!   Afek write's embedded scan clones all `n` entries, pair by pair; a scan clones all
-//!   `n` entries again and flattens them into the caller's view.
+//! * `N` holds [`View`]s, each a prefix of its process's append-only announcement log.
+//!   A write appends the pair to `set_i`'s log (under the local lock, the only place
+//!   that log is written) and publishes a one-run view: a reference count, as is each
+//!   of the `n` entries the Afek write's embedded scan clones. A scan reads `n` runs,
+//!   and their union is the caller's view; no pair is copied.
 //! * `M` holds [`TupleSet`]s of shared copy-on-write parts, each tuple behind its own
 //!   `Arc`. A write copies `res_i` once, when the insert reaches the part the snapshot
 //!   still shares, and that copy is `|res_i|` tuple pointers, never a tuple, view or
@@ -39,7 +41,7 @@ impl Entry for View {
     }
 
     fn union(entries: Vec<View>) -> View {
-        entries.into_iter().flatten().collect()
+        View::union_of(entries)
     }
 }
 
@@ -71,19 +73,23 @@ impl<S: Entry> SharedSets<S> {
         self.local.len()
     }
 
-    /// Adds `item` to the set of `process` and publishes that set: one insert, one
-    /// clone, one snapshot write. The write happens under the local lock, so an entry
-    /// only grows even when two threads misuse one process, and successive scans by
-    /// one caller see growing unions. Panics when `process` is out of range.
-    pub(crate) fn add(&self, process: ProcessId, item: S::Item) {
+    /// Adds the item `make` returns to the set of `process` and publishes that set: one
+    /// insert, one clone, one snapshot write; returns what `make` returned with it.
+    /// `make` and the write run under the local lock, so items made for one process
+    /// are added in the order they were made, an entry only grows even when two
+    /// threads misuse one process, and successive scans by one caller see growing
+    /// unions. Panics when `process` is out of range.
+    pub(crate) fn add<R>(&self, process: ProcessId, make: impl FnOnce() -> (S::Item, R)) -> R {
         assert!(
             process.index() < self.processes(),
             "process {process} out of range for a {}-process shared array",
             self.processes()
         );
         let mut local = self.local[process.index()].lock();
+        let (item, made) = make();
         local.add(item);
         self.snapshot.write(process.index(), local.clone());
+        made
     }
 
     /// The union of all entries, in one scan (an out-of-range `scanner` scans as the

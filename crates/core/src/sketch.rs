@@ -30,10 +30,14 @@
 //! ascending containment and equal size *is* equal view. So a run of equal sizes is one
 //! `σ_k` with exactly its responders — no view is compared with another to find the
 //! distinct ones or to group the tuples — and `σ_k \ σ_{k-1}` is one ordered difference
-//! against the borrowed previous view. With `t` tuples and views of at most `v` pairs a
-//! sketch costs the check's `O(t log t + t·v)` pair visits plus `O(m·v)` for the `m ≤ t`
-//! differences; the all-pairs formulation it replaces cost `O(t²·v)`. The sort is
-//! stable and starts from `TupleSet` order, so steps and the events inside them come
+//! against the borrowed previous view. Views of one `Drv` are per-process prefixes of
+//! its announcement logs ([`View`]), so that difference is, per process, the log's tail
+//! between the two prefixes: `O(n)` plus the pairs it yields, each of which is one
+//! invocation of the sketch. With `t` tuples of `n` processes a sketch costs the
+//! check's `O(t log t + t·n)` plus a binary search per lookup, and one step per event;
+//! the all-pairs formulation it replaces cost `O(t²·v)` with views of at most `v`
+//! pairs (views built by hand take the ordered merge, `O(v)` per difference). The sort
+//! is stable and starts from `TupleSet` order, so steps and the events inside them come
 //! out in the same canonical order as before.
 //!
 //! # Only the steps above a stable prefix
@@ -46,14 +50,14 @@
 //! differences from `W`. The stable sort makes that suffix of the chain exactly the
 //! tail of the whole chain, and both write a step's events with one helper, so the
 //! events come out as `sketch_history`'s would. With `n` processes a step costs
-//! `O(t·n)` to read `τ` and split it at `|W|`, plus `O(s log s + s·v)`.
+//! `O(t·n)` to read `τ` and split it at `|W|`, plus `O(s log s + s·n)`, a binary search
+//! per lookup and a step per event it writes.
 
 use crate::view::{
     check_above, checked_chain, InvocationPair, TupleSet, View, ViewPropertyError, ViewTuple,
 };
 use linrv_history::{Event, History};
 use std::cmp::Ordering;
-use std::collections::btree_set::Difference;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -117,7 +121,12 @@ fn observed<R>(tuples: usize, sketch: impl FnOnce() -> R) -> R {
 fn steps<'a>(
     chain: &'a [&'a ViewTuple],
     mut previous: &'a View,
-) -> impl Iterator<Item = (Difference<'a, InvocationPair>, &'a [&'a ViewTuple])> {
+) -> impl Iterator<
+    Item = (
+        impl Iterator<Item = &'a InvocationPair>,
+        &'a [&'a ViewTuple],
+    ),
+> {
     chain
         .chunk_by(|a, b| a.view.len() == b.view.len())
         .map(move |responders| {
@@ -189,9 +198,10 @@ impl IncrementalSketch {
     /// tuple above `W` shares its pair with one of the prefix, which takes a forged
     /// tuple or a `τ` that shrank: the caller must decide from scratch and start over.
     ///
-    /// With `t` tuples read from `n` parts, `s` of them above `W` and views of at most
-    /// `v` pairs, a call costs `O(t·n)` for the merge that reads `τ` plus
-    /// `O(s log s + s·v)` for sorting, checking and sketching the suffix.
+    /// With `t` tuples read from `n` parts and `s` of them above `W`, a call costs
+    /// `O(t·n)` for the merge that reads `τ` plus `O(s log s + s·n)`, a binary search
+    /// per lookup and a step per event for sorting, checking and sketching the suffix
+    /// (views of one `Drv`; [`View`]).
     pub(crate) fn advance(&mut self, tuples: &TupleSet) -> Option<Result<&History, SketchError>> {
         let (boundary, suffix) = self.split(tuples)?;
         if linrv_obs::enabled() {

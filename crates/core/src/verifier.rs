@@ -45,12 +45,14 @@
 //! sorts, checks (Remark 7.2, [`crate::view`]'s passes continued from the prefix's last
 //! tuple) and sketches only the `s` tuples above `W`, then moves `W` up.
 //!
-//! With `t` tuples in `τ`, `n` processes and views of at most `v` pairs, the local work
-//! of a step is `O(t·n)` to read `τ` (an ordered merge of the `n` entries) plus
-//! `O(s log s + s·v)` for the suffix, instead of the `O(t log t + t·v)` of a sketch
-//! from scratch. On a seeded 4-session queue schedule `s` averages 3.6 per step at
-//! 128 operations and 3.8 at 280, while `t` averages 64.5 and 140.5. The
-//! membership test still reads all of `X(τ)`.
+//! With `t` tuples in `τ` and `n` processes, the local work of a step is `O(t·n)` to
+//! read `τ` (an ordered merge of the `n` entries) plus `O(s log s + s·n)` for the
+//! suffix, instead of the `O(t log t + t·n)` of a sketch from scratch; each adds a
+//! binary search per view lookup and a step per event written. Apart from those
+//! searches no term grows with the size of a view: a view is `n` prefixes of the
+//! processes' announcement logs ([`crate::view::View`]). On a seeded 4-session queue
+//! schedule `s` averages 3.6 per step at 128 operations and 3.8 at 280, while `t`
+//! averages 64.5 and 140.5. The membership test still reads all of `X(τ)`.
 //!
 //! The verifier keeps one such sketch. A step takes it with `try_lock` and scans `M`
 //! while holding it, so the scans that continue it happen one after another and the
@@ -129,7 +131,7 @@ impl<O: GenLinObject> Verifier<O> {
     ///
     /// Panics when `process` is outside the range the verifier was created for.
     pub fn record(&self, process: ProcessId, tuple: ViewTuple) {
-        self.results.add(process, tuple);
+        self.results.add(process, || (tuple, ()));
     }
 
     /// The union `τ` of all result sets currently readable from `M`.

@@ -11,11 +11,12 @@
 //! # Checking Remark 7.2 without visiting all pairs
 //!
 //! [`check_view_properties`] decides the three properties exactly on every call, for
-//! `t` tuples with views of at most `v` pairs, in `O(t log t + t·v)` pair visits: one
-//! sort of the tuples by view size, then three linear passes over that order. (The
-//! definitions quantify over all pairs of tuples; taken literally that is `O(t²·v)`
-//! per verdict, which made the check, not the membership test, the cost of a verifier
-//! step.) Two lemmas carry the passes.
+//! `t` tuples of `n` processes, in `O(t log t + t·n)` steps plus a binary search per
+//! lookup: one sort of the tuples by view size, then three linear passes over that
+//! order. (The definitions quantify over all pairs of tuples; taken literally that is
+//! `O(t²·v)` per verdict with views of at most `v` pairs, which made the check, not the
+//! membership test, the cost of a verifier step.) Two lemmas carry the passes; the
+//! representation of a [`View`] makes each step of them cost `n`, not `v`.
 //!
 //! **Chain lemma (containment comparability).** Let `λ_1, …, λ_t` be the views sorted
 //! by size, `|λ_1| ≤ … ≤ |λ_t|`. All pairs of views are ⊆-comparable iff
@@ -24,7 +25,9 @@
 //! `λ_{k+1} ⊆ λ_k`; in the second case `|λ_{k+1}| ≤ |λ_k| ≤ |λ_{k+1}|` makes the two
 //! equal, so the first holds too. Corollary: once the chain holds, views of equal size
 //! are equal, and size order is containment order. One subset test per neighbouring
-//! link is `O(v)`, `O(t·v)` in all.
+//! link is `O(n)` for views of one [`Drv`](crate::drv::Drv) (a length compare per
+//! process), `O(t·n)` in all; views built by hand fall back to an ordered merge,
+//! `O(v)` a link.
 //!
 //! **Latest-witness lemma (process sequentiality).** Assume self-inclusion and the
 //! chain hold (both are checked first), and walk the tuples in chain order. Two
@@ -37,8 +40,8 @@
 //! several tuples with one `op_id`; remembering, per process, the last tuple and the
 //! last one before it with a different `op_id` always yields that witness.)
 //!
-//! Self-inclusion is one lookup per tuple. No pass samples or depends on the build
-//! profile.
+//! Self-inclusion is one lookup per tuple. A lookup is a binary search of one
+//! process's prefix, `O(log v)`. No pass samples or depends on the build profile.
 //!
 //! # Continuing a checked prefix
 //!
@@ -63,7 +66,11 @@
 use linrv_history::{OpId, OpValue, Operation, ProcessId};
 use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::iter::FlatMap;
+use std::ops::Range;
+use std::slice;
+use std::sync::{Arc, OnceLock};
 
 /// The announcement a process publishes before invoking the wrapped implementation:
 /// "process `p` is about to execute operation `op`" (the pair `(p_i, op_i)` of
@@ -88,9 +95,439 @@ impl fmt::Display for InvocationPair {
     }
 }
 
+/// Pairs in the first chunk of an announcement log; each later chunk holds twice as
+/// many as the one before. A log built from `m` pairs at once starts with the next
+/// power of two at or above `m`.
+const FIRST_CHUNK: usize = 4;
+
+/// Chunks per log: room for `FIRST_CHUNK · (2³² − 1)` pairs, more than memory holds.
+const CHUNKS: usize = 32;
+
+/// One process's append-only announcement log (the process's `set_i` of Figure 7, in
+/// order, Remark 7.2): its pairs strictly ascending, so in `op_id` order, held in
+/// chunks that double in size and are allocated when the log first reaches them. Each
+/// slot is written once ([`OnceLock`]), so a reader of a prefix never waits and never
+/// sees it change, whatever is appended after it.
+struct Log {
+    process: ProcessId,
+    /// `log2` of the first chunk's size.
+    shift: u32,
+    chunks: [OnceLock<Box<[OnceLock<InvocationPair>]>>; CHUNKS],
+}
+
+impl Log {
+    /// An empty log of `process` whose first chunk holds at least `capacity` pairs.
+    fn new(process: ProcessId, capacity: usize) -> Self {
+        Log {
+            process,
+            shift: capacity
+                .max(FIRST_CHUNK)
+                .next_power_of_two()
+                .trailing_zeros(),
+            chunks: [const { OnceLock::new() }; CHUNKS],
+        }
+    }
+
+    /// The chunk of slot `index` and the slot's offset in it: chunk `k` holds the
+    /// slots from `(2^k − 1)·first` on.
+    fn locate(&self, index: usize) -> (usize, usize) {
+        let chunk = ((index >> self.shift) + 1).ilog2() as usize;
+        (chunk, index - (((1 << chunk) - 1) << self.shift))
+    }
+
+    /// The pair in slot `index`, once written.
+    fn get(&self, index: usize) -> Option<&InvocationPair> {
+        let (chunk, offset) = self.locate(index);
+        self.chunks[chunk].get()?[offset].get()
+    }
+
+    /// The pair in slot `index` of a prefix that holds it.
+    fn entry(&self, index: usize) -> &InvocationPair {
+        self.get(index).expect("a prefix's slots are written")
+    }
+
+    /// Writes `pair` to slot `index`, allocating its chunk when the log first reaches
+    /// it; gives `pair` back when the slot is already written.
+    fn put(&self, index: usize, pair: InvocationPair) -> Result<(), InvocationPair> {
+        let (chunk, offset) = self.locate(index);
+        let slots = self.chunks[chunk].get_or_init(|| {
+            (0..1usize << (self.shift as usize + chunk))
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        slots[offset].set(pair)
+    }
+}
+
+/// A non-empty prefix of one log: its first `len` pairs.
+struct Run {
+    log: Arc<Log>,
+    len: usize,
+    /// Whether this run may write the log's next slot: only the run the log was made
+    /// for does. A clone does not, so appending to it copies its prefix into a new log,
+    /// unless the next slot already holds that very pair.
+    owned: bool,
+}
+
+impl Clone for Run {
+    fn clone(&self) -> Self {
+        Run {
+            log: Arc::clone(&self.log),
+            len: self.len,
+            owned: false,
+        }
+    }
+}
+
+impl Run {
+    /// The whole of a new log holding `pairs`: non-empty, of one process, strictly
+    /// ascending.
+    fn of(pairs: Vec<InvocationPair>) -> Run {
+        let (log, len) = (Log::new(pairs[0].process, pairs.len()), pairs.len());
+        for (index, pair) in pairs.into_iter().enumerate() {
+            log.put(index, pair).expect("a new log is empty");
+        }
+        Run {
+            log: Arc::new(log),
+            len,
+            owned: true,
+        }
+    }
+
+    fn process(&self) -> ProcessId {
+        self.log.process
+    }
+
+    /// The pairs of slots `range`, which the prefix holds.
+    fn pairs(&self, range: Range<usize>) -> Pairs<'_> {
+        Pairs {
+            log: &self.log,
+            range,
+        }
+    }
+
+    fn iter(&self) -> Pairs<'_> {
+        self.pairs(0..self.len)
+    }
+
+    /// Binary search of the prefix, as `slice::binary_search`.
+    fn search(&self, pair: &InvocationPair) -> Result<usize, usize> {
+        let (mut low, mut high) = (0, self.len);
+        while low < high {
+            let middle = low + (high - low) / 2;
+            match self.log.entry(middle).cmp(pair) {
+                std::cmp::Ordering::Less => low = middle + 1,
+                std::cmp::Ordering::Greater => high = middle,
+                std::cmp::Ordering::Equal => return Ok(middle),
+            }
+        }
+        Err(low)
+    }
+
+    /// Appends `pair`, larger than every pair of the run: to the log itself when the
+    /// run owns it or the log's next slot already holds `pair`, else to a copy.
+    fn push(&mut self, pair: InvocationPair) {
+        let refused = if self.owned {
+            self.log.put(self.len, pair).err()
+        } else {
+            Some(pair)
+        };
+        match refused {
+            Some(pair) if self.log.get(self.len) != Some(&pair) => {
+                *self = Run::of(self.iter().cloned().chain([pair]).collect());
+            }
+            _ => self.len += 1,
+        }
+    }
+
+    /// Containment of two runs of one process: a length compare for two prefixes of
+    /// one log, else an ordered merge.
+    fn is_subset(&self, other: &Run) -> bool {
+        if Arc::ptr_eq(&self.log, &other.log) {
+            return self.len <= other.len;
+        }
+        let mut theirs = other.iter();
+        self.len <= other.len && self.iter().all(|pair| theirs.any(|their| their == pair))
+    }
+}
+
 /// A view: the set of invocation pairs a completed operation observed in its snapshot
 /// (Figure 7, Lines 05–06).
-pub type View = BTreeSet<InvocationPair>;
+///
+/// **Representation.** A view holds, per process with a pair in it, a prefix
+/// `(Arc<log>, len)` of an append-only log of that process's pairs, in process order.
+/// Pairs order by process first and each log is ascending, so the set's ascending
+/// order is the runs one after the other. The [`Drv`](crate::drv::Drv) wrapper appends
+/// each announcement to its process's log (allocated at that process's first
+/// announce) and publishes a one-run view, so `Clone` costs a reference count per
+/// process and the union of a scan reads `n` runs; no pair is ever copied.
+///
+/// **Fast paths and the merge path.** Two runs of one log are nested prefixes: their
+/// containment is a length compare, their union the longer one and their difference
+/// the longer one's tail. [`contains`](View::contains) is one binary search. Views
+/// built by hand ([`FromIterator`], [`insert`](View::insert) out of order,
+/// [`remove`](View::remove) inside a run) get logs of their own, and runs of two
+/// different logs compare, unite and differ by an ordered merge; so every answer,
+/// forged input included, is the set's.
+///
+/// **Set semantics.** `Eq`, `Ord`, `Hash` and `Debug` are those of a
+/// `BTreeSet<InvocationPair>` holding the same pairs: `Ord` compares the ascending
+/// pairs lexicographically, so a [`TupleSet`]'s order, and with it every sketch,
+/// witness and certificate, is what it was with sets.
+#[derive(Clone, Default)]
+pub struct View {
+    /// One run per process with a pair in the view, by process; each run's log holds
+    /// pairs of its process only.
+    runs: Vec<Run>,
+    /// The number of pairs: the runs' lengths summed.
+    len: usize,
+}
+
+impl View {
+    /// An empty view.
+    pub fn new() -> Self {
+        View::default()
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` when the view holds no pair.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The pairs in ascending order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(
+            self.runs
+                .iter()
+                .flat_map(Run::iter as fn(&Run) -> Pairs<'_>),
+        )
+    }
+
+    /// Returns `true` when `pair` is in the view: one binary search.
+    pub fn contains(&self, pair: &InvocationPair) -> bool {
+        self.run(pair.process)
+            .is_some_and(|run| run.search(pair).is_ok())
+    }
+
+    /// Returns `true` when every pair of the view is in `other`: per process, a length
+    /// compare when both runs are of one log.
+    pub fn is_subset(&self, other: &View) -> bool {
+        let mut theirs = other.runs.iter();
+        self.len <= other.len
+            && self.runs.iter().all(|mine| {
+                theirs
+                    .find(|run| run.process() >= mine.process())
+                    .is_some_and(|run| run.process() == mine.process() && mine.is_subset(run))
+            })
+    }
+
+    /// The pairs of the view that are not in `other`, ascending: per process, the tail
+    /// of the run past `other`'s when both are of one log, else the pairs `other`'s run
+    /// does not hold.
+    pub fn difference<'a>(
+        &'a self,
+        other: &'a View,
+    ) -> impl Iterator<Item = &'a InvocationPair> + 'a {
+        self.runs.iter().flat_map(move |mine| {
+            let theirs = other.run(mine.process());
+            let shared = theirs.filter(|theirs| Arc::ptr_eq(&mine.log, &theirs.log));
+            let start = shared.map_or(0, |theirs| theirs.len.min(mine.len));
+            let lookup = theirs.filter(|_| shared.is_none());
+            mine.pairs(start..mine.len)
+                .filter(move |pair| lookup.map_or(true, |theirs| theirs.search(pair).is_err()))
+        })
+    }
+
+    /// Adds `pair`; returns `false` when it was already present. A pair larger than
+    /// every other of its process is appended to that process's run.
+    pub fn insert(&mut self, pair: InvocationPair) -> bool {
+        match self.position(pair.process) {
+            Err(at) => self.runs.insert(at, Run::of(vec![pair])),
+            Ok(at) => {
+                let run = &mut self.runs[at];
+                if *run.log.entry(run.len - 1) < pair {
+                    run.push(pair);
+                } else {
+                    let Err(index) = run.search(&pair) else {
+                        return false;
+                    };
+                    let mut pairs: Vec<InvocationPair> = run.iter().cloned().collect();
+                    pairs.insert(index, pair);
+                    *run = Run::of(pairs);
+                }
+            }
+        }
+        self.len += 1;
+        true
+    }
+
+    /// Removes `pair`; returns `false` when it was absent. Removing the last pair of a
+    /// run keeps the shorter prefix of the same log.
+    pub fn remove(&mut self, pair: &InvocationPair) -> bool {
+        let Ok(at) = self.position(pair.process) else {
+            return false;
+        };
+        let run = &mut self.runs[at];
+        let Ok(index) = run.search(pair) else {
+            return false;
+        };
+        if run.len == 1 {
+            self.runs.remove(at);
+        } else if index + 1 == run.len {
+            run.len -= 1;
+        } else {
+            let rest = run.iter().enumerate().filter(|&(i, _)| i != index);
+            *run = Run::of(rest.map(|(_, pair)| pair.clone()).collect());
+        }
+        self.len -= 1;
+        true
+    }
+
+    /// The union of `views`. Per process: the longest run when all runs are of one log
+    /// (prefixes of one log are nested), else an ordered merge into a new log. The
+    /// union of the `n` one-run views of a scan of `N` is `n` reference counts.
+    pub(crate) fn union_of(views: impl IntoIterator<Item = View>) -> View {
+        let mut runs: Vec<Run> = views.into_iter().flat_map(|view| view.runs).collect();
+        runs.sort_by_key(Run::process);
+        let mut union = View::new();
+        for group in runs.chunk_by(|a, b| a.process() == b.process()) {
+            let run = if group.iter().all(|run| Arc::ptr_eq(&run.log, &group[0].log)) {
+                group
+                    .iter()
+                    .max_by_key(|run| run.len)
+                    .expect("a group is not empty")
+                    .clone()
+            } else {
+                let pairs: BTreeSet<&InvocationPair> = group.iter().flat_map(Run::iter).collect();
+                Run::of(pairs.into_iter().cloned().collect())
+            };
+            union.len += run.len;
+            union.runs.push(run);
+        }
+        union
+    }
+
+    /// Where the run of `process` is, or would go.
+    fn position(&self, process: ProcessId) -> Result<usize, usize> {
+        self.runs.binary_search_by_key(&process, Run::process)
+    }
+
+    fn run(&self, process: ProcessId) -> Option<&Run> {
+        self.position(process).ok().map(|at| &self.runs[at])
+    }
+}
+
+/// Set equality: equal sizes and containment.
+impl PartialEq for View {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.is_subset(other)
+    }
+}
+
+impl Eq for View {}
+
+/// The ascending pairs compared lexicographically, as `BTreeSet`'s `Ord`.
+impl Ord for View {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+impl PartialOrd for View {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The length, then the ascending pairs, as `BTreeSet`'s `Hash`.
+impl Hash for View {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len);
+        for pair in self {
+            pair.hash(state);
+        }
+    }
+}
+
+impl fmt::Debug for View {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<InvocationPair> for View {
+    fn from_iter<I: IntoIterator<Item = InvocationPair>>(pairs: I) -> Self {
+        let sorted: BTreeSet<InvocationPair> = pairs.into_iter().collect();
+        let mut view = View::new();
+        let mut rest = sorted.into_iter().peekable();
+        while let Some(first) = rest.next() {
+            let mut pairs = vec![first];
+            while let Some(pair) = rest.next_if(|pair| pair.process == pairs[0].process) {
+                pairs.push(pair);
+            }
+            view.len += pairs.len();
+            view.runs.push(Run::of(pairs));
+        }
+        view
+    }
+}
+
+impl<const N: usize> From<[InvocationPair; N]> for View {
+    fn from(pairs: [InvocationPair; N]) -> Self {
+        pairs.into_iter().collect()
+    }
+}
+
+impl Extend<InvocationPair> for View {
+    fn extend<I: IntoIterator<Item = InvocationPair>>(&mut self, pairs: I) {
+        for pair in pairs {
+            self.insert(pair);
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a View {
+    type Item = &'a InvocationPair;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// The pairs of some slots of one log.
+struct Pairs<'a> {
+    log: &'a Log,
+    range: Range<usize>,
+}
+
+impl<'a> Iterator for Pairs<'a> {
+    type Item = &'a InvocationPair;
+
+    fn next(&mut self) -> Option<&'a InvocationPair> {
+        self.range.next().map(|index| self.log.entry(index))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+/// The ascending iteration behind [`View::iter`]: the runs one after the other.
+pub struct Iter<'a>(FlatMap<slice::Iter<'a, Run>, Pairs<'a>, fn(&'a Run) -> Pairs<'a>>);
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = &'a InvocationPair;
+
+    fn next(&mut self) -> Option<&'a InvocationPair> {
+        self.0.next()
+    }
+}
 
 /// The 4-tuple `(p_i, op_i, y_i, λ_i)` associated with a completed operation of an
 /// implementation in the `DRV` class: the process, the operation, the response obtained
@@ -355,7 +792,8 @@ impl std::error::Error for ViewPropertyError {}
 ///
 /// Any set of tuples produced by an implementation in the `DRV` class satisfies these
 /// properties; the sketch construction ([`crate::sketch`]) relies on them. All three are
-/// decided exactly, in `O(t log t + t·v)` (see the [module docs](self)); when several
+/// decided exactly, in `O(t log t + t·n)` plus a binary search per lookup for `t` tuples
+/// of `n` processes (see the [module docs](self)); when several
 /// are violated, self-inclusion is reported before comparability before process
 /// sequentiality.
 pub fn check_view_properties(tuples: &TupleSet) -> Result<(), ViewPropertyError> {
@@ -563,5 +1001,212 @@ mod tests {
         assert!(t.to_string().contains("Enqueue(3)"));
         let err = ViewPropertyError::SelfInclusion { pair: a };
         assert!(err.to_string().contains("does not contain"));
+    }
+
+    /// A seeded `splitmix64` stream: the differential runs are pure functions of
+    /// their seeds.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+    }
+
+    /// A view and the `BTreeSet` it must behave as.
+    type Pair = (View, BTreeSet<InvocationPair>);
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    /// Asserts that `view` is the set `oracle` to every query of one view.
+    fn assert_is(view: &View, oracle: &BTreeSet<InvocationPair>, known: &[InvocationPair]) {
+        assert_eq!(view.len(), oracle.len(), "len of {view:?}");
+        assert_eq!(view.is_empty(), oracle.is_empty());
+        assert!(view.iter().eq(oracle.iter()), "{view:?} against {oracle:?}");
+        for pair in known {
+            assert_eq!(
+                view.contains(pair),
+                oracle.contains(pair),
+                "{pair} in {view:?}"
+            );
+        }
+        assert_eq!(format!("{view:?}"), format!("{oracle:?}"));
+        assert_eq!(hash_of(view), hash_of(oracle), "hash of {view:?}");
+    }
+
+    /// Asserts that two views relate as their oracles do, and counts whether they
+    /// shared a log for some process (`.0`) or held different logs for one (`.1`).
+    fn assert_relate(a: &Pair, b: &Pair, coverage: &mut (usize, usize)) {
+        let ((x, xs), (y, ys)) = (a, b);
+        assert_eq!(x.is_subset(y), xs.is_subset(ys), "{x:?} ⊆ {y:?}");
+        assert_eq!(y.is_subset(x), ys.is_subset(xs), "{y:?} ⊆ {x:?}");
+        assert!(x.difference(y).eq(xs.difference(ys)), "{x:?} \\ {y:?}");
+        assert!(y.difference(x).eq(ys.difference(xs)), "{y:?} \\ {x:?}");
+        assert_eq!(x == y, xs == ys, "{x:?} = {y:?}");
+        assert_eq!(x.cmp(y), xs.cmp(ys), "{x:?} against {y:?}");
+        for mine in &x.runs {
+            if let Some(theirs) = y.run(mine.process()) {
+                if Arc::ptr_eq(&mine.log, &theirs.log) {
+                    coverage.0 += usize::from(mine.len != theirs.len);
+                } else {
+                    coverage.1 += 1;
+                }
+            }
+        }
+    }
+
+    /// One seeded run: three owners append their processes' pairs as `Drv` does, and
+    /// a pool of views is fed by their clones (`collect`) and unions, then written to
+    /// by hand: inserts in and out of order, appends that find the owner's next pair
+    /// already in the log, removes, `FromIterator`, `Extend`. Every written view is
+    /// checked against its oracle, and a random two of them against each other.
+    /// Returns the coverage counts of [`assert_relate`].
+    fn differential_run(seed: u64, steps: usize) -> (usize, usize) {
+        const PROCESSES: usize = 3;
+        let mut rng = Rng(seed);
+        let mut next_id = 0;
+        let mut fresh = |process: usize| {
+            next_id += 1;
+            pair(process as u32, next_id)
+        };
+        let mut owners: Vec<Pair> = (0..PROCESSES).map(|_| Pair::default()).collect();
+        let mut pool: Vec<Pair> = vec![Pair::default()];
+        let mut known: Vec<InvocationPair> = vec![pair(0, u64::MAX)];
+        let mut coverage = (0, 0);
+        for _ in 0..steps {
+            let process = rng.below(PROCESSES);
+            let at = rng.below(pool.len());
+            let touched: Pair = match rng.below(10) {
+                0..=2 => {
+                    let added = fresh(process);
+                    known.push(added.clone());
+                    let (view, set) = &mut owners[process];
+                    assert!(view.insert(added.clone()));
+                    set.insert(added);
+                    owners[process].clone()
+                }
+                3 => {
+                    let views = owners.iter().map(|(view, _)| view.clone());
+                    let set = owners.iter().flat_map(|(_, set)| set.iter().cloned());
+                    (View::union_of(views), set.collect())
+                }
+                4 => {
+                    let (view, set) = &mut pool[at];
+                    let added = if rng.below(2) == 0 {
+                        known[rng.below(known.len())].clone()
+                    } else {
+                        let added = fresh(process);
+                        known.push(added.clone());
+                        added
+                    };
+                    assert_eq!(view.insert(added.clone()), set.insert(added));
+                    pool[at].clone()
+                }
+                5 => {
+                    // The pair after the view's last one of `process` in the owner's
+                    // log: that slot already holds it, so the append shares the log.
+                    let (view, set) = &mut pool[at];
+                    let last = set
+                        .iter()
+                        .rev()
+                        .find(|pair| pair.process.index() == process);
+                    let next = owners[process]
+                        .1
+                        .iter()
+                        .find(|pair| last.map_or(true, |last| *pair > last));
+                    if let Some(next) = next.cloned() {
+                        assert_eq!(view.insert(next.clone()), set.insert(next));
+                    }
+                    pool[at].clone()
+                }
+                6 => {
+                    let (view, set) = &mut pool[at];
+                    let gone = if rng.below(3) > 0 && !set.is_empty() {
+                        set.iter().nth(rng.below(set.len())).cloned().unwrap()
+                    } else {
+                        known[rng.below(known.len())].clone()
+                    };
+                    assert_eq!(view.remove(&gone), set.remove(&gone));
+                    pool[at].clone()
+                }
+                7 => {
+                    let set: BTreeSet<InvocationPair> = known
+                        .iter()
+                        .filter(|_| rng.below(3) == 0)
+                        .cloned()
+                        .collect();
+                    (set.iter().rev().cloned().collect(), set)
+                }
+                8 => {
+                    let other = &pool[rng.below(pool.len())];
+                    let views = [pool[at].0.clone(), other.0.clone()];
+                    let set = pool[at].1.union(&other.1).cloned().collect();
+                    (View::union_of(views), set)
+                }
+                _ => {
+                    let (view, set) = &mut pool[at];
+                    let added: Vec<InvocationPair> = (0..rng.below(4))
+                        .map(|_| known[rng.below(known.len())].clone())
+                        .collect();
+                    view.extend(added.iter().cloned());
+                    set.extend(added);
+                    pool[at].clone()
+                }
+            };
+            assert_is(&touched.0, &touched.1, &known);
+            pool.push(touched);
+            if pool.len() > 8 {
+                pool.swap_remove(rng.below(pool.len()));
+            }
+            let others = pool.len() + owners.len();
+            let pick = |i: usize| {
+                if i < pool.len() {
+                    &pool[i]
+                } else {
+                    &owners[i - pool.len()]
+                }
+            };
+            let (a, b) = (pick(rng.below(others)), pick(rng.below(others)));
+            assert_relate(a, b, &mut coverage);
+        }
+        for (view, set) in owners.iter().chain(&pool) {
+            assert_is(view, set, &known);
+        }
+        coverage
+    }
+
+    fn differential(seeds: std::ops::Range<u64>) {
+        let mut coverage = (0, 0);
+        for seed in seeds.clone() {
+            let (shared, merged) = differential_run(seed, 300);
+            coverage = (coverage.0 + shared, coverage.1 + merged);
+        }
+        let runs = (seeds.end - seeds.start) as usize;
+        assert!(
+            coverage.0 > 20 * runs && coverage.1 > 20 * runs,
+            "{coverage:?}: too few comparisons on one log or on two"
+        );
+    }
+
+    /// `View` against a `BTreeSet<InvocationPair>` oracle on seeded sequences of
+    /// writes, on the shared-log fast paths and on the merge path.
+    #[test]
+    fn views_behave_as_btree_sets() {
+        differential(0..40);
+    }
+
+    /// The same on ten times the seeds (`--release -- --ignored`).
+    #[test]
+    #[ignore = "ten times the seeds of views_behave_as_btree_sets; CI runs it in release"]
+    fn views_behave_as_btree_sets_on_many_seeds() {
+        differential(0..400);
     }
 }

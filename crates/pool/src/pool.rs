@@ -458,12 +458,14 @@ pub struct MonitorPool<A, S: TypedObject> {
 ///
 /// # Per-object operation cost
 ///
-/// The pool's GC bounds how much *history* each object retains, but the DRV
-/// wrapper underneath follows Figure 7 of the paper: announce views grow with
-/// the object's total operation count, so each operation on one object costs
-/// time linear in how many that object has already served (Section 9.1
-/// discusses bounded-size representations). Spreading load across many
-/// objects is cheap; funnelling millions of operations through a single
+/// The pool's GC bounds how much *history* each object retains, but the
+/// monitor underneath follows Figures 7 and 10 of the paper: views and result
+/// sets grow with the object's total operation count. Announce and collect
+/// cost `O(n)` whatever that count, but recording a tuple copies one pointer
+/// per tuple the process published before (`res_i`), so each operation on one
+/// object still costs time linear in how many that object has already served
+/// (Section 9.1 discusses bounded-size representations). Spreading load across
+/// many objects is cheap; funnelling millions of operations through a single
 /// object is quadratic overall — at the monitor layer, independently of this
 /// crate.
 pub struct PoolSession<A: ConcurrentObject, S: TypedObject> {
