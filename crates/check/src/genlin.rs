@@ -1,6 +1,6 @@
 //! The `GenLin` family of abstract objects (Definition 7.2).
 
-use linrv_history::{similar, History};
+use linrv_history::{similar, History, OpTable};
 
 /// An abstract object in the sense of Section 7.1: a set of well-formed finite
 /// histories, represented by its membership predicate. The associated correctness
@@ -25,6 +25,15 @@ pub trait GenLinObject: Send + Sync {
     /// Histories that are not well formed are never members.
     fn contains(&self, history: &History) -> bool;
 
+    /// [`contains`](Self::contains) for a caller that already holds `table`, the
+    /// operation table of `history` (what [`History::index`] returns), so that an
+    /// object that reads the table need not index `history` again. The verifier's
+    /// sketch keeps its table across steps and decides through this.
+    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
+        let _ = table;
+        self.contains(history)
+    }
+
     /// Human-readable description of the object (used in ERROR reports).
     fn description(&self) -> String;
 }
@@ -32,6 +41,10 @@ pub trait GenLinObject: Send + Sync {
 impl<T: GenLinObject + ?Sized> GenLinObject for &T {
     fn contains(&self, history: &History) -> bool {
         (**self).contains(history)
+    }
+
+    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
+        (**self).contains_indexed(history, table)
     }
 
     fn description(&self) -> String {
@@ -44,6 +57,10 @@ impl<T: GenLinObject + ?Sized> GenLinObject for std::sync::Arc<T> {
         (**self).contains(history)
     }
 
+    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
+        (**self).contains_indexed(history, table)
+    }
+
     fn description(&self) -> String {
         (**self).description()
     }
@@ -52,6 +69,10 @@ impl<T: GenLinObject + ?Sized> GenLinObject for std::sync::Arc<T> {
 impl<T: GenLinObject + ?Sized> GenLinObject for Box<T> {
     fn contains(&self, history: &History) -> bool {
         (**self).contains(history)
+    }
+
+    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
+        (**self).contains_indexed(history, table)
     }
 
     fn description(&self) -> String {

@@ -18,7 +18,7 @@
 
 use crate::genlin::GenLinObject;
 use crate::witness::{SearchFrontier, Verdict, Violation};
-use linrv_history::{History, HistoryBuilder, OpRecord, OpValue, WellFormedError};
+use linrv_history::{History, HistoryBuilder, OpRecord, OpTable, OpValue, WellFormedError};
 use linrv_spec::SequentialSpec;
 use std::collections::HashSet;
 
@@ -98,6 +98,12 @@ impl<S: SequentialSpec> LinSpec<S> {
 impl<S: SequentialSpec> GenLinObject for LinSpec<S> {
     fn contains(&self, history: &History) -> bool {
         !self.check(history).is_violation()
+    }
+
+    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
+        !self
+            .decide(history, table.records(), table.well_formed())
+            .is_violation()
     }
 
     fn description(&self) -> String {

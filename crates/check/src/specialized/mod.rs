@@ -64,14 +64,16 @@
 //!
 //! A monitor reads the caller's operation table (`&[OpRecord]`), never the
 //! events: [`StrategyChecker`] indexes a history once ([`History::index`]) and
-//! hands the table to the monitor and, on a fallback, to [`LinSpec`].
+//! hands the table to the monitor and, on a fallback, to [`LinSpec`]. A caller
+//! that keeps a table ([`OpTable`]; the verifier's sketch does) hands it in
+//! through [`GenLinObject::contains_indexed`] and nothing is indexed.
 //! [`check_specialized`] is the standalone entry that indexes on its own.
 
 use crate::genlin::GenLinObject;
 use crate::linearizability::LinSpec;
 use crate::pattern::BadPattern;
 use crate::witness::{Verdict, Violation};
-use linrv_history::{History, OpRecord};
+use linrv_history::{History, OpRecord, OpTable, WellFormedError};
 use linrv_spec::{ObjectKind, SequentialSpec};
 use std::fmt;
 
@@ -216,7 +218,19 @@ impl<S: SequentialSpec> StrategyChecker<S> {
     /// Decides membership and reports which procedure produced the verdict.
     pub fn check_routed(&self, history: &History) -> (Verdict, Route) {
         let (records, well_formed) = history.index();
-        match monitor(self.kind, &records, well_formed.is_ok()) {
+        self.decide_routed(history, &records, well_formed)
+    }
+
+    /// [`Self::check_routed`] over the operation table and well-formedness of
+    /// `history`, as [`History::index`] returns them, for a caller that already
+    /// indexed it.
+    fn decide_routed(
+        &self,
+        history: &History,
+        records: &[OpRecord],
+        well_formed: Result<(), WellFormedError>,
+    ) -> (Verdict, Route) {
+        match monitor(self.kind, records, well_formed.is_ok()) {
             SpecializedResult::Member => (
                 Verdict::Member {
                     linearization: None,
@@ -234,7 +248,7 @@ impl<S: SequentialSpec> StrategyChecker<S> {
                 Route::Specialized,
             ),
             SpecializedResult::Fallback(reason) => (
-                self.general.decide(history, &records, well_formed),
+                self.general.decide(history, records, well_formed),
                 Route::GeneralFallback(reason),
             ),
         }
@@ -244,6 +258,13 @@ impl<S: SequentialSpec> StrategyChecker<S> {
 impl<S: SequentialSpec> GenLinObject for StrategyChecker<S> {
     fn contains(&self, history: &History) -> bool {
         !self.check(history).is_violation()
+    }
+
+    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
+        !self
+            .decide_routed(history, table.records(), table.well_formed())
+            .0
+            .is_violation()
     }
 
     /// Names the object, not the procedure: the same text as

@@ -102,14 +102,18 @@ fn fifo_inversion(matching: &Matching) -> Option<BadPattern> {
 }
 
 /// Two-gate Kahn topological sort producing a FIFO value order that extends
-/// both the enqueue and the dequeue real-time interval orders.
+/// the real-time constraints between the values: the enqueue and the dequeue
+/// interval orders, and the cross-chain one — when `deq(v)` responds before
+/// `enq(w)` is invoked, `w` is enqueued after `v` is dequeued, so `v` comes
+/// first. (Its converse, `enq(w)` before `deq(v)`, constrains nothing.)
 ///
-/// A value is emitted once it is minimal in *both* orders among the values
-/// not yet emitted: its enqueue invocation precedes every remaining enqueue
-/// response, and likewise for dequeues. Both minima only grow as values are
-/// emitted, so eligibility is monotone and the whole sort is O(n log n).
-/// Returns `None` if the two orders have no common extension the greedy can
-/// find (callers fall back to the general search).
+/// A value is emitted once it is minimal among the values not yet emitted
+/// under both gates: its enqueue invocation precedes every remaining enqueue
+/// response *and* every remaining dequeue response, and its dequeue
+/// invocation precedes every remaining dequeue response. The minima only grow
+/// as values are emitted, so eligibility is monotone and the whole sort is
+/// O(n log n). Returns `None` if the constraints have no common extension the
+/// greedy can find (callers fall back to the general search).
 fn fifo_value_order(matched: &[Pair]) -> Option<Vec<usize>> {
     let n = matched.len();
     let mut by_enq_iv: Vec<usize> = (0..n).collect();
@@ -145,7 +149,8 @@ fn fifo_value_order(matched: &[Pair]) -> Option<Vec<usize>> {
             let min_enq_rs = enq_rs.peek().map_or(INF, |std::cmp::Reverse((rs, _))| *rs);
             let min_deq_rs = deq_rs.peek().map_or(INF, |std::cmp::Reverse((rs, _))| *rs);
             let mut advanced = false;
-            while epos < n && matched[by_enq_iv[epos]].add.iv < min_enq_rs {
+            let enq_gate = min_enq_rs.min(min_deq_rs);
+            while epos < n && matched[by_enq_iv[epos]].add.iv < enq_gate {
                 let i = by_enq_iv[epos];
                 epos += 1;
                 advanced = true;
@@ -310,10 +315,12 @@ fn merge_schedule(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{check_specialized, FallbackReason, SpecializedResult};
+    use super::super::{
+        check_specialized, FallbackReason, Route, SpecializedResult, StrategyChecker,
+    };
     use linrv_history::{HistoryBuilder, OpValue, ProcessId};
     use linrv_spec::ops::queue as ops;
-    use linrv_spec::ObjectKind;
+    use linrv_spec::{ObjectKind, QueueSpec};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -463,6 +470,34 @@ mod tests {
         let mut b = HistoryBuilder::new();
         b.complete(p(0), linrv_spec::ops::stack::pop(), OpValue::Empty);
         assert!(matches!(run(b), SpecializedResult::NotMember(_)));
+    }
+
+    #[test]
+    fn a_dequeue_answered_before_an_enqueue_is_invoked_orders_their_values() {
+        // deq→4 is invoked before deq→3, but deq→3 answers before enq(4) is
+        // invoked, so 3 precedes 4: the FIFO order is 2, 3, 4.
+        let mut b = HistoryBuilder::new();
+        let deq2 = b.invoke(p(0), ops::dequeue()); // 0
+        let enq2 = b.invoke(p(1), ops::enqueue(2)); // 1
+        b.respond(deq2, OpValue::Int(2)); // 2
+        let deq4 = b.invoke(p(0), ops::dequeue()); // 3
+        b.respond(enq2, OpValue::Bool(true)); // 4
+        let enq3 = b.invoke(p(1), ops::enqueue(3)); // 5
+        let deq3 = b.invoke(p(2), ops::dequeue()); // 6
+        b.respond(deq3, OpValue::Int(3)); // 7
+        let enq4 = b.invoke(p(2), ops::enqueue(4)); // 8
+        b.respond(enq3, OpValue::Bool(true)); // 9
+        b.respond(deq4, OpValue::Int(4)); // 10
+        b.respond(enq4, OpValue::Bool(true)); // 11
+        let history = b.build();
+        assert_eq!(
+            check_specialized(ObjectKind::Queue, &history),
+            SpecializedResult::Member
+        );
+        let checker = StrategyChecker::new(QueueSpec::new());
+        let (verdict, route) = checker.check_routed(&history);
+        assert!(verdict.is_member());
+        assert_eq!(route, Route::Specialized);
     }
 
     #[test]

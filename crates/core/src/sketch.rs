@@ -52,11 +52,19 @@
 //! events come out as `sketch_history`'s would. With `n` processes a step costs
 //! `O(t·n)` to read `τ` and split it at `|W|`, plus `O(s log s + s·n)`, a binary search
 //! per lookup and a step per event it writes.
+//!
+//! The sketch keeps the operation table of its history the same way: an
+//! [`OpTable`] marked after the stable prefix, rolled back to the mark and fed only
+//! the events above it ([`OpTable::reindex`]), so indexing costs `O(n log n)` plus a
+//! map update per re-sketched event, not per event of `X(τ)`. An ill-formed event
+//! since the mark (only forged tuples make one) sends the table back to the first
+//! event, so its first error is always `History::index`'s. The membership test that
+//! reads the table still reads every record.
 
 use crate::view::{
     check_above, checked_chain, InvocationPair, TupleSet, View, ViewPropertyError, ViewTuple,
 };
-use linrv_history::{Event, History};
+use linrv_history::{Event, History, OpTable};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -177,6 +185,10 @@ pub(crate) struct IncrementalSketch {
     /// The pairs of `W` without a tuple in the prefix: at most one per process, whose
     /// tuples lie above `W`.
     open: BTreeSet<InvocationPair>,
+    /// The operation table of `history`, marked after the prefix. Boxed and allocated
+    /// by the first `advance`, so that a verifier that never decides (a pooled
+    /// monitor's) pays one pointer for it.
+    table: Option<Box<OpTable>>,
 }
 
 impl IncrementalSketch {
@@ -192,17 +204,28 @@ impl IncrementalSketch {
         &self.history.events()[..self.stable]
     }
 
+    /// The operation table of the last call's `X(τ)`, once a call has built one.
+    #[cfg(test)]
+    pub(crate) fn table(&self) -> Option<&OpTable> {
+        self.table.as_deref()
+    }
+
     /// `X(tuples)`, built as `sketch_history(tuples)` would build it, where `tuples`
-    /// holds every tuple of the sets passed before. Moves the prefix up to the new
-    /// `W`. `None` when the tuples at or below `W` are not exactly the prefix's, or a
-    /// tuple above `W` shares its pair with one of the prefix, which takes a forged
-    /// tuple or a `τ` that shrank: the caller must decide from scratch and start over.
+    /// holds every tuple of the sets passed before, and its operation table, which
+    /// equals `History::index` of it. Moves the prefix up to the new `W`. `None` when
+    /// the tuples at or below `W` are not exactly the prefix's, or a tuple above `W`
+    /// shares its pair with one of the prefix, which takes a forged tuple or a `τ`
+    /// that shrank: the caller must decide from scratch and start over.
     ///
     /// With `t` tuples read from `n` parts and `s` of them above `W`, a call costs
     /// `O(t·n)` for the merge that reads `τ` plus `O(s log s + s·n)`, a binary search
     /// per lookup and a step per event for sorting, checking and sketching the suffix
-    /// (views of one `Drv`; [`View`]).
-    pub(crate) fn advance(&mut self, tuples: &TupleSet) -> Option<Result<&History, SketchError>> {
+    /// (views of one `Drv`; [`View`]), plus `O(n log n)` and a map update per event
+    /// above the old prefix for the table ([`OpTable::reindex`]).
+    pub(crate) fn advance(
+        &mut self,
+        tuples: &TupleSet,
+    ) -> Option<Result<(&History, &OpTable), SketchError>> {
         let (boundary, suffix) = self.split(tuples)?;
         if linrv_obs::enabled() {
             crate::metrics::suffix_tuples().record(suffix.len() as u64);
@@ -210,7 +233,11 @@ impl IncrementalSketch {
         let sketched = observed(self.settled_tuples + suffix.len(), || {
             self.extend(boundary, suffix)
         });
-        Some(sketched.map(|()| &self.history))
+        Some(sketched.map(|()| {
+            let table = self.table.get_or_insert_with(Box::default);
+            table.reindex(self.history.events(), self.stable);
+            (&self.history, &**table)
+        }))
     }
 
     /// Splits `tuples` at `|W|` into the prefix's last tuple in chain order, whose view
@@ -396,6 +423,19 @@ mod tests {
         let history = sketch_history(&tuples).unwrap();
         let order = linrv_history::RealTimeOrder::full_order(&history);
         assert!(order.concurrent(OpId::new(0), OpId::new(1)));
+    }
+
+    /// The cached operation table adds one pointer to a sketch and allocates nothing
+    /// until the first `advance`: a pooled monitor's verifier never decides, and a
+    /// pool holds one per object.
+    #[test]
+    fn the_table_costs_a_sketch_one_pointer_until_it_advances() {
+        type Untabled = (History, usize, usize, usize, BTreeSet<InvocationPair>);
+        assert!(
+            std::mem::size_of::<IncrementalSketch>()
+                <= std::mem::size_of::<Untabled>() + std::mem::size_of::<Box<OpTable>>()
+        );
+        assert!(IncrementalSketch::default().table().is_none());
     }
 
     #[test]

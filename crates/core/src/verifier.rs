@@ -52,7 +52,14 @@
 //! searches no term grows with the size of a view: a view is `n` prefixes of the
 //! processes' announcement logs ([`crate::view::View`]). On a seeded 4-session queue
 //! schedule `s` averages 3.6 per step at 128 operations and 3.8 at 280, while `t`
-//! averages 64.5 and 140.5. The membership test still reads all of `X(τ)`.
+//! averages 64.5 and 140.5.
+//!
+//! The sketch also keeps the operation table of `X(τ)` ([`linrv_history::OpTable`]),
+//! marked after the stable prefix: a step rolls it back to the mark and pushes only
+//! the events it re-sketched, `O(n log n)` plus a map update per event, where
+//! `History::index` cost one per event of `X(τ)`. A step decides with
+//! [`GenLinObject::contains_indexed`] over that table. The membership test itself
+//! still reads every record of the table, all of `X(τ)`.
 //!
 //! The verifier keeps one such sketch. A step takes it with `try_lock` and scans `M`
 //! while holding it, so the scans that continue it happen one after another and the
@@ -161,8 +168,9 @@ impl<O: GenLinObject> Verifier<O> {
             // Scanned while the sketch is held, so the `τ` it sees only grows.
             let tuples = self.collect_tuples(scanner);
             match sketch.advance(&tuples) {
-                Some(Ok(history)) => {
-                    return Ok((!self.object.contains(history)).then(|| history.clone()))
+                Some(Ok((history, table))) => {
+                    let member = self.object.contains_indexed(history, table);
+                    return Ok((!member).then(|| history.clone()));
                 }
                 Some(Err(err)) => return Err(err),
                 None => *sketch = IncrementalSketch::default(),
@@ -183,7 +191,7 @@ mod tests {
     use crate::enforce::{step, EnforcedResponse, Mode};
     use crate::view::InvocationPair;
     use linrv_check::{LinSpec, StrategyChecker};
-    use linrv_history::{Event, OpId, OpValue, Operation};
+    use linrv_history::{Event, OpId, OpTable, OpValue, Operation, WellFormedError};
     use linrv_runtime::faulty::{self, LossyQueue, StutteringCounter, Theorem51Queue};
     use linrv_runtime::impls::{correct_object, AtomicCounter, MsQueue, SpecObject, TreiberStack};
     use linrv_runtime::{ConcurrentObject, Workload, WorkloadKind};
@@ -345,7 +353,8 @@ mod tests {
 
     /// One seeded single-threaded DRV schedule over `object`, checked after every
     /// `record`: the history of the sketch the decide continued is `X(τ)` of a
-    /// from-scratch audit event for event, the decide agrees with that audit, no decide
+    /// from-scratch audit event for event and its cached operation table is that
+    /// history's `History::index`, the decide agrees with that audit, no decide
     /// falls back unless the sketch was held (and then leaves it as it was), and every
     /// stored prefix is a prefix of every later `X(τ)`. Each step moves one process by one phase; a collected tuple
     /// is recorded only when its process is picked again (slow publishers), and an
@@ -429,6 +438,10 @@ mod tests {
                     assert_eq!(incremental.history().events(), expected.events());
                     assert!(incremental.prefix().starts_with(&prefix), "a prefix shrank");
                     prefix = incremental.prefix().to_vec();
+                    drop(incremental);
+                    if stale.is_none() {
+                        assert_table_is_index(&verifier);
+                    }
                     assert!(
                         sketch.events().starts_with(&prefix),
                         "a stored prefix moved"
@@ -440,12 +453,24 @@ mod tests {
         }
     }
 
-    /// The differential test of the incremental sketch: 1–5 processes, queue, stack
-    /// and register, each correct and faulty, slow publishers and crashed operations.
+    /// The differential test of the incremental sketch and its operation table: 1–5
+    /// processes, queue, stack and register, each correct and faulty, slow publishers
+    /// and crashed operations.
     #[test]
     fn incremental_decides_match_scratch_audits() {
+        incremental_differential(0..6);
+    }
+
+    /// The same on ten times the seeds (`--release -- --ignored`).
+    #[test]
+    #[ignore = "ten times the seeds of incremental_decides_match_scratch_audits; CI runs it in release"]
+    fn incremental_decides_match_scratch_audits_on_many_seeds() {
+        incremental_differential(0..60);
+    }
+
+    fn incremental_differential(seeds: std::ops::Range<u64>) {
         let (mut violations, mut settled) = (0, 0);
-        for seed in 0..6u64 {
+        for seed in seeds {
             for processes in 1..=5 {
                 for faulty in [None, Some(2), Some(3)] {
                     for kind in [ObjectKind::Queue, ObjectKind::Stack, ObjectKind::Register] {
@@ -518,7 +543,9 @@ mod tests {
     /// reports the audit's Remark 7.2 error (its panic message ends with it), checking
     /// the link from `W`'s tuple into the suffix and process sequentiality inside the
     /// suffix; a tuple that shares its pair with one of the prefix sends the decide
-    /// back to the audit, since the suffix's own pass cannot see that violation.
+    /// back to the audit, since the suffix's own pass cannot see that violation; one
+    /// that shares only its identifier makes an ill-formed sketch, which the cached
+    /// operation table reports at the event `History::index` does.
     #[test]
     fn tuples_forged_above_the_prefix_fail_as_the_audit_does() {
         let forged = |pair: &InvocationPair, pairs: &[&InvocationPair]| {
@@ -541,6 +568,7 @@ mod tests {
         verifier.record(p(0), forged(&mine, &[&w[0], &w[1], &w[2], &mine, &extra]));
         assert_decide_panics_as_audit(&verifier);
         assert!(!verifier.sketch.lock().prefix().is_empty(), "fell back");
+        assert_table_is_index(&verifier);
 
         // Two operations of one process in each other's views, the second published a
         // step after the first (which waits above `W` for it as a pending pair).
@@ -552,9 +580,11 @@ mod tests {
         let audit = verifier.audit(p(1));
         let expected = audit.sketch.ok().filter(|_| !audit.member);
         assert_eq!(crate::enforce::decide(&verifier, p(1)), expected);
+        assert_table_is_index(&verifier);
         verifier.record(p(1), forged(&second, &both));
         assert_decide_panics_as_audit(&verifier);
         assert!(!verifier.sketch.lock().prefix().is_empty(), "fell back");
+        assert_table_is_index(&verifier);
 
         // The first operation again, above `W`: over the whole chain it follows the
         // same process's next operation, whose view holds it.
@@ -565,6 +595,42 @@ mod tests {
         verifier.record(p(0), forged(&w[0], &above));
         assert_decide_panics_as_audit(&verifier);
         assert!(verifier.sketch.lock().history().is_empty(), "not reset");
+
+        // A fresh pair above `W` under the identifier of a pair of the prefix, in a
+        // view that also holds a pending pair: Remark 7.2 holds, and the sketch
+        // invokes one identifier twice above its prefix. The cached table reports
+        // it as `History::index` does. Then the pending pair's tuple, with a smaller
+        // view, answers it before that invocation, which moves later: the table,
+        // which holds the error, must index from the first event again to report it
+        // there.
+        let (verifier, tuples) = settled_queue();
+        let w = pairs(&tuples);
+        let reused = InvocationPair {
+            op_id: w[0].op_id,
+            ..fresh(1, 95)
+        };
+        let pending = fresh(0, 94);
+        let above: Vec<&InvocationPair> = w.iter().chain([&reused, &pending]).collect();
+        verifier.record(p(1), forged(&reused, &above));
+        let first = decide_duplicate_as_audit(&verifier);
+        let below: Vec<&InvocationPair> = w.iter().chain([&pending]).collect();
+        verifier.record(p(0), forged(&pending, &below));
+        assert!(decide_duplicate_as_audit(&verifier) > first);
+    }
+
+    /// Decides, asserts that the decide agrees with the audit, continued the sketch
+    /// and cached `History::index` of it, and returns where the sketch invokes an
+    /// identifier twice.
+    fn decide_duplicate_as_audit<O: GenLinObject>(verifier: &Verifier<O>) -> usize {
+        let audit = verifier.audit(p(0));
+        assert!(!audit.member);
+        assert_eq!(crate::enforce::decide(verifier, p(0)), audit.sketch.ok());
+        assert_table_is_index(verifier);
+        let sketch = verifier.sketch.lock();
+        match sketch.table().map(OpTable::well_formed) {
+            Some(Err(WellFormedError::DuplicateInvocation { index, .. })) => index,
+            other => panic!("{other:?}"),
+        }
     }
 
     /// Four sequential enqueues by two processes, each decided: the sketch's stable
@@ -582,7 +648,20 @@ mod tests {
         assert_eq!(sketch.prefix(), sketch.history().events());
         assert_eq!(sketch.prefix().len(), 8);
         drop(sketch);
+        assert_table_is_index(&verifier);
         (verifier, tuples)
+    }
+
+    /// The verifier's sketch holds an operation table, and it is `History::index` of
+    /// the sketch's history: the same records and the same first error.
+    fn assert_table_is_index<O: GenLinObject>(verifier: &Verifier<O>) {
+        let sketch = verifier.sketch.lock();
+        let table = sketch
+            .table()
+            .expect("a decide that continued the sketch indexed it");
+        let (records, well_formed) = sketch.history().index();
+        assert_eq!(table.records(), records.as_slice(), "the cached records");
+        assert_eq!(table.well_formed(), well_formed, "the cached error");
     }
 
     /// `decide` panics on the published tuples, and its message ends with the error a

@@ -4,10 +4,14 @@
 //! operations comes from one left-to-right pass, [`History::index`], which returns
 //! the operation table together with the first well-formedness error: the first in
 //! event order, whatever the kind, and the same error a pass that stopped there
-//! would report. The table is rebuilt per query, never cached on the history or
-//! maintained on `push`: a cache field costs every history its bytes, and a monitor
-//! pool holds two histories per object (see `a_history_is_only_its_events` for the
-//! measured cost). A caller deciding membership indexes once and hands the table on.
+//! would report. That pass is an [`OpTable`] fed every event. The table is never
+//! cached on the history or maintained on `push`: a cache field costs every history
+//! its bytes, and a monitor pool holds two histories per object (see
+//! `a_history_is_only_its_events` for the measured cost). A caller deciding membership
+//! indexes once and hands the table on. The one caller that keeps a table is the
+//! verifier's sketch (`linrv-core`): its events change only above a stable prefix, so
+//! it rolls its [`OpTable`] back to a mark there and pushes only the events above, and
+//! the table is a box that only a monitor that decides allocates.
 
 use crate::event::{Event, EventKind};
 use crate::op::{OpId, OpValue, Operation};
@@ -133,6 +137,165 @@ impl fmt::Display for WellFormedError {
 
 impl std::error::Error for WellFormedError {}
 
+/// The operation table of a sequence of events, built one event at a time: one
+/// [`OpRecord`] per invocation, in invocation order, and the first violation of
+/// well-formedness (Section 2) in event order — the first whatever its kind, and the
+/// same error a pass that stopped there would report. [`History::index`] is this
+/// table fed every event of a history.
+///
+/// A response fills in the latest record invoked under its identifier, so an
+/// ill-formed sequence still gets a table: a second response overwrites the first
+/// and a response with no invocation is dropped.
+///
+/// A caller whose events change only above a prefix that never changes (the
+/// verifier's sketch above its stable prefix) keeps one table and
+/// [`reindex`](Self::reindex)es it: the table marks its state after that prefix and
+/// later rolls back to the mark, so only the events above the prefix are pushed again.
+/// It keeps the slot of each process's open operation for this, and a rollback costs
+/// `O(n log n)` for `n` processes plus a map removal per record invoked since the mark.
+#[derive(Debug, Clone, Default)]
+pub struct OpTable {
+    records: Vec<OpRecord>,
+    first_error: Option<WellFormedError>,
+    /// Events pushed so far: the index of the next one.
+    events: usize,
+    /// The slot of the latest record invoked under each identifier.
+    slot_of: BTreeMap<OpId, usize>,
+    /// The slot of each process's pending operation, tracked only until the first
+    /// error.
+    open: BTreeMap<ProcessId, usize>,
+    /// What a rollback returns to: the event and record counts and the open slots at
+    /// the last mark, at first the empty table.
+    mark: Mark,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Mark {
+    events: usize,
+    records: usize,
+    open: Vec<(ProcessId, usize)>,
+}
+
+impl OpTable {
+    /// Adds the next event: a new record for an invocation, the response of the
+    /// latest record under its identifier for a response.
+    fn push(&mut self, event: &Event) {
+        let index = self.events;
+        self.events += 1;
+        let op = event.op_id;
+        match &event.kind {
+            EventKind::Invocation { op: operation } => {
+                if self.first_error.is_none() {
+                    if self.slot_of.contains_key(&op) {
+                        self.first_error = Some(WellFormedError::DuplicateInvocation { index, op });
+                    } else if self.open.contains_key(&event.process) {
+                        self.first_error = Some(WellFormedError::OverlappingInvocations {
+                            index,
+                            process: event.process,
+                        });
+                    } else {
+                        self.open.insert(event.process, self.records.len());
+                    }
+                }
+                self.slot_of.insert(op, self.records.len());
+                self.records.push(OpRecord {
+                    id: op,
+                    process: event.process,
+                    operation: operation.clone(),
+                    invocation_index: index,
+                    response_index: None,
+                    response: None,
+                });
+            }
+            EventKind::Response { value } => {
+                let Some(&slot) = self.slot_of.get(&op) else {
+                    if self.first_error.is_none() {
+                        self.first_error =
+                            Some(WellFormedError::ResponseWithoutInvocation { index, op });
+                    }
+                    return;
+                };
+                let record = &mut self.records[slot];
+                if self.first_error.is_none() {
+                    if record.response_index.is_some() {
+                        self.first_error = Some(WellFormedError::DuplicateResponse { index, op });
+                    } else if record.process != event.process {
+                        self.first_error = Some(WellFormedError::ProcessMismatch { index, op });
+                    } else {
+                        self.open.remove(&event.process);
+                    }
+                }
+                record.response_index = Some(index);
+                record.response = Some(value.clone());
+            }
+        }
+    }
+
+    /// The records, in invocation order.
+    pub fn records(&self) -> &[OpRecord] {
+        &self.records
+    }
+
+    /// The first violation of well-formedness among the events pushed.
+    pub fn well_formed(&self) -> Result<(), WellFormedError> {
+        self.first_error.clone().map_or(Ok(()), Err)
+    }
+
+    /// Makes this the table of `events`, marked after the first `mark` of them, when
+    /// the events it was last marked after are the first events of `events`: it rolls
+    /// back to that mark and pushes only the events after it. It indexes from the
+    /// first event instead when the table holds a well-formedness violation (an
+    /// ill-formed event may have overwritten a record or a slot from before the mark)
+    /// or when `mark` lies before the old one. A table never marked is marked at 0.
+    ///
+    /// With `n` processes and `k` events after the old mark, this costs `O(n log n)`
+    /// plus `O(log r)` per event for `r` records.
+    pub fn reindex(&mut self, events: &[Event], mark: usize) {
+        if !(mark >= self.mark.events && self.rollback()) {
+            *self = OpTable::default();
+        }
+        for event in &events[self.events..mark] {
+            self.push(event);
+        }
+        self.mark();
+        for event in &events[mark..] {
+            self.push(event);
+        }
+    }
+
+    /// Remembers the current state for [`rollback`](Self::rollback).
+    fn mark(&mut self) {
+        self.mark.events = self.events;
+        self.mark.records = self.records.len();
+        self.mark.open.clear();
+        self.mark
+            .open
+            .extend(self.open.iter().map(|(&process, &slot)| (process, slot)));
+    }
+
+    /// Returns the table to its state at the last [`mark`](Self::mark): drops the
+    /// records invoked since and takes back the responses of the operations open at
+    /// the mark. Only a well-formed table can; this returns `false`, and leaves the
+    /// table as it is, when the events pushed hold a violation.
+    fn rollback(&mut self) -> bool {
+        if self.first_error.is_some() {
+            return false;
+        }
+        for record in self.records.drain(self.mark.records..) {
+            self.slot_of.remove(&record.id);
+        }
+        self.open.clear();
+        for &(process, slot) in &self.mark.open {
+            let record = &mut self.records[slot];
+            record.response_index = None;
+            record.response = None;
+            self.open.insert(process, slot);
+        }
+        self.events = self.mark.events;
+        true
+    }
+}
+
 /// A finite history: a sequence of invocation and response events (Section 2).
 ///
 /// Histories are the only information a verifier can obtain from a black-box
@@ -186,69 +349,23 @@ impl History {
     /// One pass over the events: the operation table and the first violation of
     /// well-formedness (Section 2), in the order the events meet them.
     ///
-    /// The table has one [`OpRecord`] per invocation, in invocation order. A response
-    /// fills in the latest record invoked under its identifier, so an ill-formed
-    /// history still gets a table: a second response overwrites the first and a
-    /// response with no invocation is dropped. Every other view of the operations
+    /// This is an [`OpTable`] fed every event; its docs state what the table holds,
+    /// also for an ill-formed history. Every other view of the operations
     /// ([`History::check_well_formed`], [`History::operations`],
     /// [`History::complete_operations`], [`History::pending_operations`],
     /// [`RealTimeOrder::full_order`](crate::RealTimeOrder::full_order) and
     /// [`similar`](crate::similar)) reads this table; a caller that needs two of
     /// them calls `index` once and keeps both.
     pub fn index(&self) -> (Vec<OpRecord>, Result<(), WellFormedError>) {
-        let mut records: Vec<OpRecord> = Vec::with_capacity(self.events.len().div_ceil(2));
-        let mut slot_of: BTreeMap<OpId, usize> = BTreeMap::new();
-        // Processes with a pending operation, tracked only until the first error.
-        let mut open: BTreeSet<ProcessId> = BTreeSet::new();
-        let mut first_error = Ok(());
-        for (index, event) in self.events.iter().enumerate() {
-            let op = event.op_id;
-            match &event.kind {
-                EventKind::Invocation { op: operation } => {
-                    if first_error.is_ok() {
-                        if slot_of.contains_key(&op) {
-                            first_error = Err(WellFormedError::DuplicateInvocation { index, op });
-                        } else if !open.insert(event.process) {
-                            first_error = Err(WellFormedError::OverlappingInvocations {
-                                index,
-                                process: event.process,
-                            });
-                        }
-                    }
-                    slot_of.insert(op, records.len());
-                    records.push(OpRecord {
-                        id: op,
-                        process: event.process,
-                        operation: operation.clone(),
-                        invocation_index: index,
-                        response_index: None,
-                        response: None,
-                    });
-                }
-                EventKind::Response { value } => {
-                    let Some(&slot) = slot_of.get(&op) else {
-                        if first_error.is_ok() {
-                            first_error =
-                                Err(WellFormedError::ResponseWithoutInvocation { index, op });
-                        }
-                        continue;
-                    };
-                    let record = &mut records[slot];
-                    if first_error.is_ok() {
-                        if record.response_index.is_some() {
-                            first_error = Err(WellFormedError::DuplicateResponse { index, op });
-                        } else if record.process != event.process {
-                            first_error = Err(WellFormedError::ProcessMismatch { index, op });
-                        } else {
-                            open.remove(&event.process);
-                        }
-                    }
-                    record.response_index = Some(index);
-                    record.response = Some(value.clone());
-                }
-            }
+        let mut table = OpTable {
+            records: Vec::with_capacity(self.events.len().div_ceil(2)),
+            ..OpTable::default()
+        };
+        for event in &self.events {
+            table.push(event);
         }
-        (records, first_error)
+        let well_formed = table.well_formed();
+        (table.records, well_formed)
     }
 
     /// Checks the well-formedness conditions of Section 2 and reports the first
@@ -391,6 +508,95 @@ mod tests {
              runs each), 16 bytes of padding cost +12 % verdict_ms and +0.45 % peak_rss_mb, \
              and a boxed OnceLock table cache +17 % verdict_ms"
         );
+    }
+
+    fn inv(process: u32, id: u64) -> Event {
+        Event::invocation(
+            ProcessId::new(process),
+            OpId::new(id),
+            Operation::nullary("Pop"),
+        )
+    }
+
+    fn res(process: u32, id: u64) -> Event {
+        Event::response(
+            ProcessId::new(process),
+            OpId::new(id),
+            OpValue::Int(id as i64),
+        )
+    }
+
+    /// `table.reindex(events, mark)` and asserts that the table is `History::index`
+    /// of `events`: the same records, the same first error.
+    fn reindex_as_index(table: &mut OpTable, events: &[Event], mark: usize) {
+        table.reindex(events, mark);
+        let (records, well_formed) = History::from_events(events.to_vec()).index();
+        assert_eq!(table.records(), records.as_slice());
+        assert_eq!(table.well_formed(), well_formed);
+    }
+
+    #[test]
+    fn a_rollback_takes_back_the_responses_of_operations_open_at_the_mark() {
+        // p0's op 0 and p1's op 1 are open at the mark after three events.
+        let prefix = [inv(0, 0), inv(1, 1), inv(2, 2)];
+        let mut table = OpTable::default();
+        reindex_as_index(&mut table, &prefix, 3);
+        let mut events = prefix.to_vec();
+        events.extend([res(1, 1), res(0, 0), inv(1, 3)]);
+        reindex_as_index(&mut table, &events, 3);
+        assert!(table.records()[0].is_complete() && table.records()[1].is_complete());
+
+        // Back at the mark, a different suffix: only op 2 answers, and p1 invokes
+        // again only after its op 1 did.
+        assert!(table.rollback());
+        assert!(table.records()[..2].iter().all(|r| !r.is_complete()));
+        assert_eq!(table.records().len(), 3);
+        events.truncate(3);
+        events.extend([res(2, 2), res(1, 1), inv(1, 4)]);
+        reindex_as_index(&mut table, &events, 5);
+        assert!(!table.records()[0].is_complete());
+        assert_eq!(table.records()[3].id, OpId::new(4));
+    }
+
+    #[test]
+    fn a_suffix_that_reuses_an_identifier_of_the_prefix_is_a_duplicate_invocation() {
+        let prefix = [inv(0, 0), res(0, 0), inv(1, 1)];
+        let mut table = OpTable::default();
+        reindex_as_index(&mut table, &prefix, 2);
+        let mut events = prefix.to_vec();
+        events.push(inv(2, 0));
+        reindex_as_index(&mut table, &events, 2);
+        assert_eq!(
+            table.well_formed(),
+            Err(WellFormedError::DuplicateInvocation {
+                index: 3,
+                op: OpId::new(0)
+            })
+        );
+    }
+
+    #[test]
+    fn after_an_ill_formed_suffix_the_table_indexes_from_the_first_event() {
+        let prefix = vec![inv(0, 0), res(0, 0), inv(1, 1)];
+        let mut table = OpTable::default();
+        reindex_as_index(&mut table, &prefix, 3);
+        // Op 0 answered twice (its record is below the mark), then p1 twice at once.
+        let mut bad = prefix.clone();
+        bad.push(res(0, 0));
+        reindex_as_index(&mut table, &bad, 3);
+        assert!(!table.rollback(), "an ill-formed table rolled back");
+        let mut overlap = prefix.clone();
+        overlap.push(inv(1, 2));
+        reindex_as_index(&mut table, &overlap, 3);
+        // Well-formed steps after them, the mark moving up each time.
+        let mut events = prefix;
+        for (step, mark) in [(vec![res(1, 1), inv(1, 2)], 4), (vec![res(1, 2)], 6)] {
+            events.extend(step);
+            reindex_as_index(&mut table, &events, mark);
+        }
+        assert!(table.rollback());
+        // A mark below the old one indexes from the first event.
+        reindex_as_index(&mut table, &events, 1);
     }
 
     #[test]

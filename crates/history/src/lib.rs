@@ -55,7 +55,7 @@ pub mod similarity;
 
 pub use builder::HistoryBuilder;
 pub use event::{Event, EventKind};
-pub use history::{History, OpRecord, OpStatus, WellFormedError};
+pub use history::{History, OpRecord, OpStatus, OpTable, WellFormedError};
 pub use op::{OpId, OpValue, Operation};
 pub use order::RealTimeOrder;
 pub use process::ProcessId;
