@@ -36,7 +36,7 @@
 //!    validates a witness, `Fallback(Undecided)` if not.
 //!
 //! The first check that fires decides, so the reported pattern is a function
-//! of the history alone (the tables are ordered maps).
+//! of the history alone (the tables are sorted by value).
 //!
 //! # Pending operations
 //!
@@ -44,11 +44,17 @@
 //!
 //! * a pending insert whose value is removed is matched, with response ∞ (it
 //!   took effect); one whose value is never removed is dropped;
-//! * a pending removal may still consume any value: it is a *wildcard*, and
-//!   [`Matching::wildcard_iv`] keeps the earliest invocation among them. A
-//!   value never removed is then only forced to stay in the object until
-//!   that invocation;
+//! * a pending removal may still consume any value: it is a *wildcard*.
+//!   [`Matching::pending_removals`] keeps the invocation of every one, and
+//!   [`Matching::wildcard_iv`] is the earliest. A value never removed is then
+//!   only forced to stay in the object until that invocation;
 //! * a pending operation of any other name is dropped.
+//!
+//! Dropping is always allowed: a completion may leave out a pending insert
+//! that no removal answers and a pending removal that takes nothing. Which
+//! values the pending removals take is the constructive phase's choice; the
+//! queue's rules, why each is sound and what its retries cost are on its own
+//! module page.
 //!
 //! An order pattern that relies on a value being *never* removed must honour
 //! the wildcard. Today only the queue monitor sees pending operations: the
@@ -71,7 +77,6 @@
 use super::util::{IntervalUnion, Span, INF};
 use super::{BadPattern, FallbackReason, SpecializedResult};
 use linrv_history::{OpRecord, OpValue};
-use std::collections::BTreeMap;
 
 /// One insert/remove kind: what the shared front end needs to scan its
 /// records and word its messages, and the two phases that are its own.
@@ -95,8 +100,10 @@ pub(super) struct Kind {
     pub(super) construct: fn(Matching) -> bool,
 }
 
-/// A value with its forced insert and removal. The removal is complete; the
-/// insert may be pending (`add.rs == INF`).
+/// A value with its insert and removal. The insert may be pending (`add.rs ==
+/// INF`). The removal is the complete one that answered the value, or, once
+/// the queue's constructive phase has assigned the value to a pending removal,
+/// that removal (`remove.rs == INF`).
 #[derive(Clone, Copy)]
 pub(super) struct Pair {
     pub(super) add: Span,
@@ -112,8 +119,9 @@ pub(super) struct Matching {
     pub(super) unmatched: Vec<(Span, i64)>,
     /// The complete removals that answered `empty`, in table order.
     pub(super) empties: Vec<Span>,
-    /// The earliest invocation of a pending removal; `INF` when none.
-    pub(super) wildcard_iv: u32,
+    /// The invocations of the pending removals, ascending (table order is
+    /// invocation order).
+    pub(super) pending_removals: Vec<u32>,
 }
 
 /// Decides an insert/remove history of `kind` (rules on the
@@ -133,16 +141,6 @@ pub(super) fn check(kind: &Kind, records: &[OpRecord]) -> SpecializedResult {
     }
 }
 
-/// Per value: the span of its first operation and how many there were.
-type Table = BTreeMap<i64, (Span, u32)>;
-
-fn count(table: &mut Table, value: i64, span: Span) {
-    table
-        .entry(value)
-        .and_modify(|(_, count)| *count += 1)
-        .or_insert((span, 1));
-}
-
 fn violation(name: &'static str, message: String, values: Vec<i64>) -> SpecializedResult {
     SpecializedResult::NotMember(BadPattern::new(name, message).with_values(values))
 }
@@ -151,10 +149,13 @@ impl Matching {
     /// The scan, the ambiguity gate and the matching; `Err` carries the
     /// decision when one of them settles the history.
     fn new(kind: &Kind, records: &[OpRecord]) -> Result<Self, SpecializedResult> {
-        let mut adds = Table::new();
-        let mut removes = Table::new();
+        // The inserts and the removals that answered a value, as `(value,
+        // span)`; sorted by value below. Only a value with one insert and
+        // one removal goes on to use its spans.
+        let mut adds = Vec::with_capacity(records.len());
+        let mut removes = Vec::with_capacity(records.len());
         let mut empties = Vec::new();
-        let mut wildcard_iv = INF;
+        let mut pending_removals = Vec::new();
         for record in records {
             let span = Span::new(record.invocation_index, record.response_index);
             let name = record.operation.kind.as_str();
@@ -163,7 +164,7 @@ impl Matching {
                     return Err(SpecializedResult::Fallback(FallbackReason::Unsupported));
                 };
                 match &record.response {
-                    None | Some(OpValue::Bool(true)) => count(&mut adds, value, span),
+                    None | Some(OpValue::Bool(true)) => adds.push((value, span)),
                     Some(other) => {
                         let message =
                             format!("{name}({value}) acknowledged with {other} instead of true");
@@ -172,8 +173,8 @@ impl Matching {
                 }
             } else if name == kind.remove {
                 match &record.response {
-                    None => wildcard_iv = wildcard_iv.min(span.iv),
-                    Some(OpValue::Int(value)) => count(&mut removes, *value, span),
+                    None => pending_removals.push(span.iv),
+                    Some(OpValue::Int(value)) => removes.push((*value, span)),
                     Some(OpValue::Empty) => empties.push(span),
                     Some(other) => {
                         let message =
@@ -187,19 +188,31 @@ impl Matching {
             }
         }
 
-        if adds.values().any(|&(_, count)| count > 1) {
+        adds.sort_unstable_by_key(|&(value, _)| value);
+        removes.sort_unstable_by_key(|&(value, _)| value);
+        if adds.windows(2).any(|pair| pair[0].0 == pair[1].0) {
             return Err(SpecializedResult::Fallback(FallbackReason::Ambiguous));
         }
         let (added, removed) = (kind.added, kind.removed);
         let mut matched = Vec::with_capacity(removes.len());
-        for (&value, &(remove, count)) in &removes {
-            if count > 1 {
+        let mut unmatched = Vec::new();
+        // A merge of the two sorted tables: the inserts of values below the
+        // next removed one are unmatched.
+        let mut adds = adds.into_iter().peekable();
+        for run in removes.chunk_by(|a, b| a.0 == b.0) {
+            let (value, remove) = run[0];
+            if run.len() > 1 {
                 // At most one insert of `value` exists, and an extension can
                 // only add responses, never new inserts.
-                let message = format!("value {value} {removed} {count} times");
+                let message = format!("value {value} {removed} {} times", run.len());
                 return Err(violation("duplicate-remove", message, vec![value]));
             }
-            let Some(&(add, _)) = adds.get(&value) else {
+            while let Some((below, span)) = adds.next_if(|&(added, _)| added < value) {
+                if span.rs != INF {
+                    unmatched.push((span, below));
+                }
+            }
+            let Some((_, add)) = adds.next_if(|&(added, _)| added == value) else {
                 let message = format!("value {value} {removed} but never {added}");
                 return Err(violation("never-added", message, vec![value]));
             };
@@ -210,17 +223,19 @@ impl Matching {
             }
             matched.push(Pair { add, remove, value });
         }
-        let unmatched = adds
-            .iter()
-            .filter(|(value, (span, _))| span.rs != INF && !removes.contains_key(value))
-            .map(|(&value, &(span, _))| (span, value))
-            .collect();
+        let rest = adds.filter(|(_, span)| span.rs != INF);
+        unmatched.extend(rest.map(|(value, span)| (span, value)));
         Ok(Matching {
             matched,
             unmatched,
             empties,
-            wildcard_iv,
+            pending_removals,
         })
+    }
+
+    /// The earliest invocation of a pending removal; `INF` when none.
+    pub(super) fn wildcard_iv(&self) -> u32 {
+        self.pending_removals.first().copied().unwrap_or(INF)
     }
 
     /// An empty removal whose whole window is covered by values necessarily
@@ -230,7 +245,7 @@ impl Matching {
         if self.empties.is_empty() {
             return None;
         }
-        let until_wildcard = self.wildcard_iv.saturating_sub(1);
+        let until_wildcard = self.wildcard_iv().saturating_sub(1);
         let occupied = self
             .matched
             .iter()

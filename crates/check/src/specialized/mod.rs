@@ -33,8 +33,9 @@
 //! * It answers [`SpecializedResult::NotMember`] only from individually sound
 //!   bad patterns (e.g. a value dequeued twice, a FIFO inversion forced by
 //!   real-time order, an empty-dequeue whose window is necessarily covered).
-//!   The monitors keep their per-value tables in ordered maps, so when several
-//!   patterns fire the one reported is a function of the history alone.
+//!   The monitors keep their per-value tables ordered by value (ordered maps,
+//!   or vectors sorted by value in `matching`), so when several patterns fire
+//!   the one reported is a function of the history alone.
 //! * In every other situation it returns [`SpecializedResult::Fallback`] and
 //!   the general search decides. A fallback is never wrong, only slower.
 //!
@@ -53,8 +54,11 @@
 //! * the history has **pending operations** the monitor cannot reason about
 //!   (the queue monitor handles them; the others decline);
 //! * the monitor's constructive phase cannot find a witness even though no
-//!   sound bad pattern fired (**undecided** — rare, but possible because the
-//!   greedy construction is not complete);
+//!   sound bad pattern fired (**undecided**). On a member history that is a
+//!   gap in the construction: the queue's, pending operations included, has
+//!   none on the verdict matrix's corpora (its queue census). On a violating
+//!   history it is a bad pattern the monitor lacks, and the general search
+//!   names the violation instead;
 //! * the object kind has no specialized monitor (`Consensus`).
 //!
 //! The queue, stack and priority queue share one front end, `matching`: one

@@ -1,6 +1,7 @@
 //! A small hand-rolled flag parser (no external dependencies are available in
-//! this build environment).
+//! this build environment). Every error it returns is a usage error.
 
+use crate::Failure;
 use std::collections::BTreeMap;
 
 /// Parsed command-line arguments: positionals plus `--key value` options and
@@ -24,32 +25,34 @@ pub(crate) fn parse(
     args: &[String],
     switches: &'static [&'static str],
     options: &'static [&'static str],
-) -> Result<Parsed, String> {
+) -> Result<Parsed, Failure> {
     let mut parsed = Parsed::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if let Some(name) = arg.strip_prefix("--") {
             if let Some((key, value)) = name.split_once('=') {
                 let Some(&option) = options.iter().find(|&&o| o == key) else {
-                    return Err(format!("unknown flag --{key} (or it takes no =value)"));
+                    return Err(Failure::usage(format!(
+                        "unknown flag --{key} (or it takes no =value)"
+                    )));
                 };
                 if parsed.options.insert(option, value.to_string()).is_some() {
-                    return Err(format!("option --{option} given twice"));
+                    return Err(Failure::usage(format!("option --{option} given twice")));
                 }
             } else if let Some(&switch) = switches.iter().find(|&&s| s == name) {
                 if parsed.switches.contains(&switch) {
-                    return Err(format!("flag --{switch} given twice"));
+                    return Err(Failure::usage(format!("flag --{switch} given twice")));
                 }
                 parsed.switches.push(switch);
             } else if let Some(&option) = options.iter().find(|&&o| o == name) {
                 let value = iter
                     .next()
-                    .ok_or_else(|| format!("option --{option} expects a value"))?;
+                    .ok_or_else(|| Failure::usage(format!("option --{option} expects a value")))?;
                 if parsed.options.insert(option, value.clone()).is_some() {
-                    return Err(format!("option --{option} given twice"));
+                    return Err(Failure::usage(format!("option --{option} given twice")));
                 }
             } else {
-                return Err(format!("unknown flag --{name}"));
+                return Err(Failure::usage(format!("unknown flag --{name}")));
             }
         } else {
             parsed.positionals.push(arg.clone());
@@ -72,29 +75,34 @@ impl Parsed {
     }
 
     /// The option's value parsed as `T`, or `default` when absent.
-    pub(crate) fn get_or<T: std::str::FromStr>(&self, option: &str, default: T) -> Result<T, String>
+    pub(crate) fn get_or<T: std::str::FromStr>(
+        &self,
+        option: &str,
+        default: T,
+    ) -> Result<T, Failure>
     where
         T::Err: std::fmt::Display,
     {
         match self.get(option) {
             None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|err| format!("invalid value for --{option}: {err}")),
+            Some(raw) => raw.parse().map_err(|err| invalid(option, err)),
         }
     }
 
     /// The option's value parsed as `T`; an error when absent.
-    pub(crate) fn require<T: std::str::FromStr>(&self, option: &str) -> Result<T, String>
+    pub(crate) fn require<T: std::str::FromStr>(&self, option: &str) -> Result<T, Failure>
     where
         T::Err: std::fmt::Display,
     {
         let raw = self
             .get(option)
-            .ok_or_else(|| format!("missing required option --{option}"))?;
-        raw.parse()
-            .map_err(|err| format!("invalid value for --{option}: {err}"))
+            .ok_or_else(|| Failure::usage(format!("missing required option --{option}")))?;
+        raw.parse().map_err(|err| invalid(option, err))
     }
+}
+
+fn invalid(option: &str, err: impl std::fmt::Display) -> Failure {
+    Failure::usage(format!("invalid value for --{option}: {err}"))
 }
 
 #[cfg(test)]

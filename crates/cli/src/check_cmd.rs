@@ -11,6 +11,7 @@
 
 use crate::args::Parsed;
 use crate::io::{describe, open_input};
+use crate::Failure;
 use linrv_check::stream::StreamingChecker;
 use linrv_check::Verdict;
 use linrv_spec::{with_spec, SequentialSpec};
@@ -19,9 +20,9 @@ use std::collections::BTreeMap;
 use std::io::Read;
 use std::process::ExitCode;
 
-pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, String> {
+pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, Failure> {
     if parsed.positionals().len() > 1 {
-        return Err("check takes at most one trace file".into());
+        return Err(Failure::usage("check takes at most one trace file"));
     }
     let path = parsed.positionals().first().map(String::as_str);
     let quiet = parsed.has("quiet");

@@ -1,13 +1,16 @@
 //! The `convert` subcommand: re-encode a trace (jsonl ↔ binary), streaming.
 
 use crate::args::Parsed;
-use crate::io::{describe, open_input, open_output};
+use crate::io::{describe, open_input, open_output, write_failure};
+use crate::Failure;
 use linrv_trace::{TraceFormat, TraceReader, TraceWriter};
 use std::process::ExitCode;
 
-pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, String> {
+pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, Failure> {
     if !parsed.positionals().is_empty() {
-        return Err("convert takes no positional arguments (use --in/--out)".into());
+        return Err(Failure::usage(
+            "convert takes no positional arguments (use --in/--out)",
+        ));
     }
     let to: TraceFormat = parsed.require("to")?;
     let in_path = parsed.get("in");
@@ -17,7 +20,7 @@ pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, String> {
     let reader = TraceReader::new(input).map_err(|err| format!("cannot read {in_name}: {err}"))?;
     let out = open_output(out_path)?;
     let mut writer = TraceWriter::new(out, to, reader.header())
-        .map_err(|err| format!("cannot write trace header: {err}"))?;
+        .map_err(write_failure("cannot write trace header"))?;
     let mut reader = reader;
     while let Some(item) = reader.next_tagged() {
         // Multi-object traces round-trip: object tags survive the re-encode.
@@ -26,12 +29,12 @@ pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, String> {
             Some(object) => writer.tagged_event(object, &event),
             None => writer.event(&event),
         }
-        .map_err(|err| format!("cannot write event: {err}"))?;
+        .map_err(write_failure("cannot write event"))?;
     }
     let events = writer.events_written();
     writer
         .finish()
-        .map_err(|err| format!("cannot finish trace: {err}"))?;
+        .map_err(write_failure("cannot finish trace"))?;
     eprintln!(
         "linrv: converted {events} events from {in_name} to {} ({to})",
         describe(out_path, "stdout"),

@@ -12,15 +12,16 @@
 
 use crate::args::Parsed;
 use crate::io::{describe, open_input};
+use crate::Failure;
 use linrv_forensics::{explain, render_cert, render_html, render_report, Explanation};
 use linrv_history::History;
 use linrv_trace::read_tagged_history;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, String> {
+pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, Failure> {
     if parsed.positionals().len() > 1 {
-        return Err("explain takes at most one trace file".into());
+        return Err(Failure::usage("explain takes at most one trace file"));
     }
     let path = parsed.positionals().first().map(String::as_str);
     let quiet = parsed.has("quiet");

@@ -8,12 +8,15 @@
 //! violating — so the command doubles as a CI smoke gate.
 
 use crate::args::Parsed;
+use crate::Failure;
 use linrv_scenario::{run_sweep, FuzzConfig};
 use std::process::ExitCode;
 
-pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, String> {
+pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, Failure> {
     if !parsed.positionals().is_empty() {
-        return Err("fuzz takes no positional arguments (use --corpus DIR)".into());
+        return Err(Failure::usage(
+            "fuzz takes no positional arguments (use --corpus DIR)",
+        ));
     }
     let seed: u64 = parsed.get_or("seed", 0)?;
     let mut config = if parsed.has("quick") {
@@ -25,7 +28,9 @@ pub(crate) fn run(parsed: &Parsed) -> Result<ExitCode, String> {
     config.processes = parsed.get_or("processes", config.processes)?;
     config.ops_per_process = parsed.get_or("ops", config.ops_per_process)?;
     if config.scenarios == 0 || config.processes == 0 || config.ops_per_process == 0 {
-        return Err("--scenarios, --processes and --ops must be positive".into());
+        return Err(Failure::usage(
+            "--scenarios, --processes and --ops must be positive",
+        ));
     }
     if let Some(dir) = parsed.get("corpus") {
         config = config.with_corpus(dir);

@@ -14,7 +14,8 @@
 //! `linrv gen --faulty | linrv check` demonstrably exits 1.
 
 use crate::args::Parsed;
-use crate::io::{describe, open_output};
+use crate::io::{describe, open_output, write_failure};
+use crate::Failure;
 use linrv_runtime::{
     faulty, impls, record_scheduled_traced, schedule_seed, Mix, RecorderOptions, Workload,
     WorkloadKind,
@@ -35,33 +36,37 @@ pub(crate) enum Source {
 /// Parses `--mix A,B[,C]` into `kind`'s operation-class ratio weights; the
 /// weights of the classes it samples (the first two, all three for the set)
 /// must not all be zero. Consensus samples none, but an all-zero mix is refused.
-fn parse_mix_weights(raw: &str, kind: ObjectKind) -> Result<[u32; 3], String> {
+fn parse_mix_weights(raw: &str, kind: ObjectKind) -> Result<[u32; 3], Failure> {
     let parts: Vec<&str> = raw.split(',').collect();
     if parts.len() < 2 || parts.len() > 3 {
-        return Err("--mix expects two or three comma-separated weights".into());
+        return Err(Failure::usage(
+            "--mix expects two or three comma-separated weights",
+        ));
     }
     let mut weights = [0u32; 3];
     for (slot, part) in weights.iter_mut().zip(&parts) {
         *slot = part
             .trim()
             .parse()
-            .map_err(|err| format!("invalid value for --mix: {err}"))?;
+            .map_err(|err| Failure::usage(format!("invalid value for --mix: {err}")))?;
     }
     let sampled = match kind {
         ObjectKind::Set | ObjectKind::Consensus => 3,
         _ => 2,
     };
     if weights[..sampled].iter().all(|&w| w == 0) {
-        return Err(format!(
+        return Err(Failure::usage(format!(
             "--mix: the first {sampled} weights must not all be zero for kind {kind}"
-        ));
+        )));
     }
     Ok(weights)
 }
 
-pub(crate) fn run(parsed: &Parsed, source: Source) -> Result<ExitCode, String> {
+pub(crate) fn run(parsed: &Parsed, source: Source) -> Result<ExitCode, Failure> {
     if !parsed.positionals().is_empty() {
-        return Err("gen/record take no positional arguments (use --out FILE)".into());
+        return Err(Failure::usage(
+            "gen/record take no positional arguments (use --out FILE)",
+        ));
     }
     let kind: ObjectKind = parsed.require("kind")?;
     let seed: u64 = parsed.get_or("seed", 0)?;
@@ -70,10 +75,10 @@ pub(crate) fn run(parsed: &Parsed, source: Source) -> Result<ExitCode, String> {
     let every: u64 = parsed.get_or("every", 5)?;
     let format: TraceFormat = parsed.get_or("format", TraceFormat::Jsonl)?;
     if processes == 0 || requested_ops == 0 {
-        return Err("--processes and --ops must be positive".into());
+        return Err(Failure::usage("--processes and --ops must be positive"));
     }
     if every == 0 {
-        return Err("--every must be positive".into());
+        return Err(Failure::usage("--every must be positive"));
     }
     let faulty = parsed.has("faulty");
     let stats = crate::stats::init(parsed);
@@ -101,11 +106,13 @@ pub(crate) fn run(parsed: &Parsed, source: Source) -> Result<ExitCode, String> {
     }
     let keys: u32 = parsed.get_or("keys", mix.key_range)?;
     if keys == 0 {
-        return Err("--keys must be positive".into());
+        return Err(Failure::usage("--keys must be positive"));
     }
     let skew: f64 = parsed.get_or("skew", mix.skew)?;
     if !skew.is_finite() || skew < 0.0 {
-        return Err("--skew must be a finite non-negative number".into());
+        return Err(Failure::usage(
+            "--skew must be a finite non-negative number",
+        ));
     }
     mix = mix.with_key_range(keys).with_skew(skew);
 
@@ -134,7 +141,7 @@ pub(crate) fn run(parsed: &Parsed, source: Source) -> Result<ExitCode, String> {
     let out_path = parsed.get("out");
     let out = open_output(out_path)?;
     let sink = SharedTraceWriter::new(out, format, &header)
-        .map_err(|err| format!("cannot write trace header: {err}"))?;
+        .map_err(write_failure("cannot write trace header"))?;
     let run = record_scheduled_traced(
         &*object,
         Workload::new(workload_kind, seed).with_mix(mix),
@@ -147,7 +154,7 @@ pub(crate) fn run(parsed: &Parsed, source: Source) -> Result<ExitCode, String> {
     );
     let events = sink.events_written();
     sink.finish()
-        .map_err(|err| format!("cannot finish trace: {err}"))?;
+        .map_err(write_failure("cannot finish trace"))?;
     eprintln!(
         "linrv: wrote {events} events ({} operations, {} processes, seed {seed}) from {} to {}",
         run.operations,

@@ -1,5 +1,7 @@
 //! Input/output plumbing shared by the subcommands.
 
+use crate::Failure;
+use linrv_trace::TraceError;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
@@ -30,5 +32,15 @@ pub(crate) fn describe(path: Option<&str>, fallback: &str) -> String {
     match path {
         None | Some("-") => fallback.to_string(),
         Some(path) => Path::new(path).display().to_string(),
+    }
+}
+
+/// The [`Failure`] of a trace write that failed with `error`: `ReaderGone`
+/// when the output's reader closed the pipe, otherwise the error after
+/// `context`.
+pub(crate) fn write_failure(context: &'static str) -> impl FnOnce(TraceError) -> Failure {
+    move |error| match &error {
+        TraceError::Io(io) if io.kind() == io::ErrorKind::BrokenPipe => Failure::ReaderGone,
+        _ => Failure::Error(format!("{context}: {error}")),
     }
 }

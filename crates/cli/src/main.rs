@@ -21,6 +21,30 @@ mod stats;
 
 use std::process::ExitCode;
 
+/// Why a command did not finish; `main` reports each kind its own way.
+#[derive(Debug)]
+pub(crate) enum Failure {
+    /// A malformed command line: the message, then where the usage is.
+    Usage(String),
+    /// An i/o or malformed-trace error: the message alone.
+    Error(String),
+    /// The reader of the trace output closed its end (`linrv gen | head`):
+    /// nothing is left to do, and the command exits 0 without a word.
+    ReaderGone,
+}
+
+impl Failure {
+    pub(crate) fn usage(message: impl Into<String>) -> Self {
+        Failure::Usage(message.into())
+    }
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Error(message)
+    }
+}
+
 const USAGE: &str = "\
 linrv — record, replay and offline-check linearizability traces
 
@@ -74,7 +98,9 @@ KINDS:
     queue, stack, set, priority-queue, counter, register, consensus
 
 EXIT STATUS:
-    0 success (for check: the trace is linearizable)
+    0 success (for check: the trace is linearizable); also gen, record and
+      convert whose output's reader closed the pipe early (`| head`): they
+      stop writing and exit quietly
     1 check found a violation
     2 usage, i/o or malformed-trace error
 ";
@@ -83,15 +109,20 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&argv) {
         Ok(code) => code,
-        Err(message) => {
+        Err(Failure::Usage(message)) => {
             eprintln!("linrv: error: {message}");
             eprintln!("run `linrv --help` for usage");
             ExitCode::from(2)
         }
+        Err(Failure::Error(message)) => {
+            eprintln!("linrv: error: {message}");
+            ExitCode::from(2)
+        }
+        Err(Failure::ReaderGone) => ExitCode::SUCCESS,
     }
 }
 
-fn dispatch(argv: &[String]) -> Result<ExitCode, String> {
+fn dispatch(argv: &[String]) -> Result<ExitCode, Failure> {
     let Some(command) = argv.first() else {
         print!("{USAGE}");
         return Ok(ExitCode::from(2));
@@ -126,7 +157,7 @@ fn dispatch(argv: &[String]) -> Result<ExitCode, String> {
             let parsed = args::parse(rest, FUZZ_SWITCHES, FUZZ_OPTIONS)?;
             fuzz_cmd::run(&parsed)
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => Err(Failure::usage(format!("unknown command {other:?}"))),
     }
 }
 

@@ -395,7 +395,11 @@ fn errors_exit_2() {
         exit_code(&linrv(&["gen", "--kind", "queue", "--seed", "x"])),
         2
     );
-    assert_eq!(exit_code(&linrv(&["check", "/nonexistent/trace.jsonl"])), 2);
+    // An i/o error is no usage error: no pointer to the usage.
+    let missing = linrv(&["check", "/nonexistent/trace.jsonl"]);
+    assert_eq!(exit_code(&missing), 2);
+    let stderr = String::from_utf8_lossy(&missing.stderr);
+    assert!(!stderr.contains("--help"), "{stderr}");
     assert_eq!(exit_code(&linrv(&["convert", "--to", "csv"])), 2);
     assert_eq!(exit_code(&linrv_with_stdin(&["check"], b"not a trace")), 2);
     // A truncated trace is a read error, not a silent verdict.
@@ -409,6 +413,26 @@ fn errors_exit_2() {
         2,
         "no command prints usage, exits 2"
     );
+}
+
+#[test]
+fn gen_stops_quietly_when_its_reader_closes_the_pipe() {
+    use std::io::Read;
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_linrv"))
+        .args(["gen", "--kind", "queue", "--seed", "1", "--ops", "100000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn linrv");
+    let mut head = [0u8; 100];
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    stdout.read_exact(&mut head).expect("the first 100 bytes");
+    drop(stdout);
+    let output = child.wait_with_output().expect("wait for linrv");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(exit_code(&output), 0, "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
 }
 
 #[test]

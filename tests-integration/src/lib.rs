@@ -27,7 +27,8 @@
 //! Each grid is thinned by a fixed seed stride ([`RECORDED_SEED_STRIDE`],
 //! [`DRV_SEED_STRIDE`]) so that the matrix stays within the time of the
 //! differential suites it replaced; no kind, fault setting, cut or source is
-//! dropped.
+//! dropped. [`recorded_grid`] and [`drv_grid`] build one kind's grid at any
+//! stride; the matrix's ignored queue census runs both unthinned.
 //!
 //! # The paths
 //!
@@ -189,32 +190,40 @@ pub fn sources(kind: ObjectKind) -> Vec<(String, Box<dyn ConcurrentObject>)> {
     sources
 }
 
-/// Recorded executions of every kind, correct and faulty, whole and cut short.
-/// Seeds below 60 record on 2–5 processes; the last twelve on one process,
-/// which makes a sequential history. Sized so that the streaming frontier
-/// decides every history within its bound.
+/// Recorded executions of every kind, correct and faulty, whole and cut short:
+/// [`recorded_grid`] of each kind at [`RECORDED_SEED_STRIDE`].
 pub fn recorded_cases() -> Vec<Case> {
+    ObjectKind::ALL
+        .into_iter()
+        .flat_map(|kind| recorded_grid(kind, RECORDED_SEED_STRIDE))
+        .collect()
+}
+
+/// Recorded executions of `kind` over every [`sources`] entry, each cut at its
+/// whole length, at ⅔ and at ½, for every `seed_stride`-th of 72 seeds. Seeds
+/// below 60 record on 2–5 processes; the last twelve on one process, which
+/// makes a sequential history. Sized so that the streaming frontier decides
+/// every history within its bound.
+pub fn recorded_grid(kind: ObjectKind, seed_stride: usize) -> Vec<Case> {
     let mut cases = Vec::new();
-    for kind in ObjectKind::ALL {
-        for seed in (0..72u64).step_by(RECORDED_SEED_STRIDE) {
-            let processes = if seed < 60 { 2 + seed as usize % 4 } else { 1 };
-            let ops_per_process = if processes <= 3 { 24 / processes } else { 4 };
-            let options = RecorderOptions {
-                processes,
-                ops_per_process,
-            };
-            for (source, object) in sources(kind) {
-                let workload = Workload::new(WorkloadKind::for_object(kind), seed);
-                let history = record_scheduled(&*object, workload, options, seed ^ 0xF00D).history;
-                let events = history.events();
-                for length in [events.len(), events.len() * 2 / 3, events.len() / 2] {
-                    let label = format!("recorded {kind} seed {seed} processes {processes}");
-                    cases.push(Case {
-                        label: format!("{label} {source} first {length} events"),
-                        kind,
-                        history: History::from_events(events[..length].to_vec()),
-                    });
-                }
+    for seed in (0..72u64).step_by(seed_stride) {
+        let processes = if seed < 60 { 2 + seed as usize % 4 } else { 1 };
+        let ops_per_process = if processes <= 3 { 24 / processes } else { 4 };
+        let options = RecorderOptions {
+            processes,
+            ops_per_process,
+        };
+        for (source, object) in sources(kind) {
+            let workload = Workload::new(WorkloadKind::for_object(kind), seed);
+            let history = record_scheduled(&*object, workload, options, seed ^ 0xF00D).history;
+            let events = history.events();
+            for length in [events.len(), events.len() * 2 / 3, events.len() / 2] {
+                let label = format!("recorded {kind} seed {seed} processes {processes}");
+                cases.push(Case {
+                    label: format!("{label} {source} first {length} events"),
+                    kind,
+                    history: History::from_events(events[..length].to_vec()),
+                });
             }
         }
     }
@@ -280,43 +289,54 @@ pub fn drive_drv<A: ConcurrentObject>(
     published
 }
 
-/// The sketches `X(τ)` of seeded `DRV` schedules over every kind's
-/// [`sources`], one after every publication. Each process runs five
-/// operations of the kind's workload and publishes its tuple before it
-/// announces again, as a `Session` does; the others move in between, so a
-/// sketch carries their announced, uncollected operations as pending ones.
+/// The sketches `X(τ)` a monitor's verifier decides, for every kind:
+/// [`drv_grid`] of each kind at [`DRV_SEED_STRIDE`].
+///
+/// # Panics
+///
+/// As [`drv_grid`].
+pub fn drv_cases() -> Vec<Case> {
+    ObjectKind::ALL
+        .into_iter()
+        .flat_map(|kind| drv_grid(kind, DRV_SEED_STRIDE))
+        .collect()
+}
+
+/// The sketches `X(τ)` of seeded `DRV` schedules over `kind`'s [`sources`],
+/// one after every publication, for every `seed_stride`-th of 8 seeds and 1–5
+/// processes. Each process runs five operations of the kind's workload and
+/// publishes its tuple before it announces again, as a `Session` does; the
+/// others move in between, so a sketch carries their announced, uncollected
+/// operations as pending ones.
 ///
 /// # Panics
 ///
 /// Panics when a schedule's views do not sketch, which a `DRV` wrapper over a
 /// linearizable snapshot cannot produce (Remark 7.2).
-pub fn drv_cases() -> Vec<Case> {
+pub fn drv_grid(kind: ObjectKind, seed_stride: usize) -> Vec<Case> {
     let mut cases = Vec::new();
-    for kind in ObjectKind::ALL {
-        for seed in (0..8u64).step_by(DRV_SEED_STRIDE) {
-            let runs = (1..=5).flat_map(|n| sources(kind).into_iter().map(move |run| (n, run)));
-            for (processes, (source, object)) in runs {
-                let drv = Drv::new(object, processes);
-                let workload = Workload::new(WorkloadKind::for_object(kind), seed);
-                let mut plans: Vec<_> = (0..processes)
-                    .map(|process| workload.operations_for(process, 5).into_iter())
-                    .collect();
-                let mut rng = Rng(seed ^ 0x5CE7_C4ED);
-                let label =
-                    format!("sketch of {kind} DRV seed {seed} processes {processes} {source}");
-                drive_drv(
-                    &drv,
-                    |process| plans[process].next(),
-                    || Some((rng.below(processes), true)),
-                    |published| {
-                        cases.push(Case {
-                            label: format!("{label} after {} tuples", published.len()),
-                            kind,
-                            history: sketch_history(published).expect("DRV views sketch"),
-                        });
-                    },
-                );
-            }
+    for seed in (0..8u64).step_by(seed_stride) {
+        let runs = (1..=5).flat_map(|n| sources(kind).into_iter().map(move |run| (n, run)));
+        for (processes, (source, object)) in runs {
+            let drv = Drv::new(object, processes);
+            let workload = Workload::new(WorkloadKind::for_object(kind), seed);
+            let mut plans: Vec<_> = (0..processes)
+                .map(|process| workload.operations_for(process, 5).into_iter())
+                .collect();
+            let mut rng = Rng(seed ^ 0x5CE7_C4ED);
+            let label = format!("sketch of {kind} DRV seed {seed} processes {processes} {source}");
+            drive_drv(
+                &drv,
+                |process| plans[process].next(),
+                || Some((rng.below(processes), true)),
+                |published| {
+                    cases.push(Case {
+                        label: format!("{label} after {} tuples", published.len()),
+                        kind,
+                        history: sketch_history(published).expect("DRV views sketch"),
+                    });
+                },
+            );
         }
     }
     cases

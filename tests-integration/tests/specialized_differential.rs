@@ -3,15 +3,21 @@
 //! the general Wing–Gong search on its corpus: here, on random seeded
 //! recordings of a shape the matrix grid has not (3 processes × 12
 //! operations), unambiguous queue histories must take the specialized route
-//! and ambiguous histories the documented fallback.
+//! and ambiguous histories the documented fallback; and so must every sketch a
+//! long Enforce-shaped schedule publishes, and random member queue histories
+//! with operations left pending.
 
 use linrv_check::{FallbackReason, LinSpec, Route, StrategyChecker};
+use linrv_core::drv::Drv;
+use linrv_core::sketch::sketch_history;
 use linrv_history::{History, HistoryBuilder, OpValue, ProcessId};
+use linrv_runtime::impls::MsQueue;
 use linrv_runtime::{record_scheduled, RecorderOptions, Workload, WorkloadKind};
 use linrv_spec::ops::{queue, stack};
 use linrv_spec::{with_spec, ObjectKind, QueueSpec, StackSpec};
 use proptest::prelude::*;
-use tests_integration::implementation;
+use std::collections::VecDeque;
+use tests_integration::{drive_drv, implementation, Rng};
 
 /// Records one seeded execution on 3 processes × 12 operations each: the
 /// kind's correct implementation, or its fault injector corrupting every
@@ -69,6 +75,117 @@ fn unambiguous_queue_histories_take_the_specialized_route() {
                 "seed {seed} faulty {faulty_every:?} fell back ({verdict:?})"
             );
         }
+    }
+}
+
+/// The schedule of the benchmark's Enforce workload, through `DRV` (Figure
+/// 7): 4 sessions run 512 operations on an `MsQueue`, an enqueue or a dequeue
+/// with even odds while at most 4 values are queued (an enqueue when none is,
+/// a dequeue when 4 are), each session publishing before it announces again.
+/// Every sketch `X(τ)` published on the way is a correct queue history with
+/// the other sessions' operations pending; each must decide `Member` on the
+/// specialized route, never through the general search.
+#[test]
+fn every_sketch_of_a_long_enforce_schedule_decides_on_the_specialized_route() {
+    const SESSIONS: usize = 4;
+    const MAX_BACKLOG: usize = 4;
+    let drv = Drv::new(MsQueue::new(), SESSIONS);
+    let strategy = StrategyChecker::new(QueueSpec::new());
+    let mut rng = Rng(42);
+    let mut left = [512 / SESSIONS; SESSIONS];
+    let (mut backlog, mut fresh, mut published) = (0, 0, 0);
+    let mut next_op = |session: usize| {
+        if left[session] == 0 {
+            return None;
+        }
+        left[session] -= 1;
+        if backlog == 0 || (rng.below(2) == 0 && backlog < MAX_BACKLOG) {
+            backlog += 1;
+            fresh += 1;
+            Some(queue::enqueue(fresh))
+        } else {
+            backlog -= 1;
+            Some(queue::dequeue())
+        }
+    };
+    let mut chooser = Rng(7);
+    drive_drv(
+        &drv,
+        &mut next_op,
+        || Some((chooser.below(SESSIONS), true)),
+        |tau| {
+            published += 1;
+            let sketch = sketch_history(tau).expect("DRV views sketch");
+            let (verdict, route) = strategy.check_routed(&sketch);
+            assert!(verdict.is_member(), "publication {published}: {verdict}");
+            assert_eq!(route, Route::Specialized, "publication {published}");
+        },
+    );
+    assert_eq!(published, 512, "one publication per operation");
+}
+
+/// A member queue history with operations left pending: 2–5 processes each
+/// run 1–6 enqueues of fresh values or dequeues back to back, a sequential
+/// queue answers each at a random point inside its window, and the history is
+/// cut at a random event from its middle on.
+fn random_member_queue_history(rng: &mut Rng) -> History {
+    // (time, phase: 0 invoke, 1 take effect, 2 respond, process, operation)
+    let mut timeline = Vec::new();
+    let mut operations = Vec::new();
+    for process in 0..2 + rng.below(4) {
+        let mut time = rng.below(5);
+        for _ in 0..1 + rng.below(6) {
+            let effect = time + 1 + rng.below(6);
+            let response = effect + 1 + rng.below(6);
+            let id = operations.len();
+            let enqueue = rng.below(2) == 0;
+            operations.push((process, enqueue.then_some(id as i64 + 1)));
+            timeline.extend([0, 1, 2].map(|phase| {
+                let at = [time, effect, response][phase];
+                (at, phase, process, id)
+            }));
+            time = response + 1 + rng.below(3);
+        }
+    }
+    timeline.sort_unstable();
+    let mut queue = VecDeque::new();
+    let mut answers = vec![OpValue::Bool(true); operations.len()];
+    for &(_, phase, _, id) in &timeline {
+        match (phase, operations[id].1) {
+            (1, Some(value)) => queue.push_back(value),
+            (1, None) => answers[id] = queue.pop_front().map_or(OpValue::Empty, OpValue::Int),
+            _ => {}
+        }
+    }
+    let cut = timeline.len() / 2 + rng.below(timeline.len() / 2 + 1);
+    let mut b = HistoryBuilder::new();
+    let mut handles = vec![None; operations.len()];
+    for &(_, phase, _, id) in &timeline[..cut] {
+        let (process, value) = operations[id];
+        match phase {
+            0 => {
+                let op = value.map_or_else(queue::dequeue, queue::enqueue);
+                handles[id] = Some(b.invoke(ProcessId::new(process as u32), op));
+            }
+            2 => b.respond(handles[id].expect("invoked"), answers[id].clone()),
+            _ => {}
+        }
+    }
+    b.build()
+}
+
+/// Random member histories, most with pending operations, all decide
+/// `Member` on the specialized route: an oracle for the queue monitor's
+/// constructive phase that does not depend on any recorder's schedule.
+#[test]
+fn random_member_queue_histories_decide_on_the_specialized_route() {
+    let strategy = StrategyChecker::new(QueueSpec::new());
+    let mut rng = Rng(0x51);
+    for case in 0..10_000 {
+        let history = random_member_queue_history(&mut rng);
+        let (verdict, route) = strategy.check_routed(&history);
+        assert!(verdict.is_member(), "case {case}: {verdict}\n{history}");
+        assert_eq!(route, Route::Specialized, "case {case}\n{history}");
     }
 }
 

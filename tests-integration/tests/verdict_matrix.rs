@@ -10,18 +10,18 @@
 use linrv::prelude::*;
 use linrv::runtime::ConcurrentObject;
 use linrv::Staged;
-use linrv_check::{LinSpec, Route, StrategyChecker};
+use linrv_check::{FallbackReason, LinSpec, Route, StrategyChecker};
 use linrv_forensics::check_history;
 use linrv_history::{History, OpValue, Operation, ProcessId};
 use linrv_pool::PoolBuilder;
-use linrv_spec::{with_spec, ObjectKind};
+use linrv_spec::{with_spec, ObjectKind, QueueSpec};
 use linrv_trace::Provenance;
 use std::collections::VecDeque;
 use std::fmt::Debug;
 use std::sync::{Arc, Mutex};
 use tests_integration::{
-    assert_stream_tracks_reference, drv_cases, golden_cases, golden_traces, is_shrunk,
-    recorded_cases, Case, REFERENCE,
+    assert_stream_tracks_reference, drv_cases, drv_grid, golden_cases, golden_traces, is_shrunk,
+    recorded_cases, recorded_grid, Case, REFERENCE,
 };
 
 const BACKENDS: [SnapshotBackend; 2] = [SnapshotBackend::Afek, SnapshotBackend::Locked];
@@ -320,20 +320,72 @@ fn recorded_histories_get_one_verdict_on_every_path() {
         .count();
     assert!(settled >= 7 * 12, "only {settled} streams settled");
 
-    // Workload values are unique, so recorded queue histories are unambiguous
-    // and whole ones are decided by the specialized monitor, member or
-    // violation. (A cut may leave pending operations the greedy construction
-    // cannot place; those fall back as `Undecided`.)
-    for (case, outcome) in cases.iter().zip(&outcomes) {
-        if case.kind == ObjectKind::Queue && case.history.pending_operations().next().is_none() {
-            agree(
-                &case.label,
-                ("the route", outcome.route),
-                ("the census", Route::Specialized),
-            );
+    let undecided = queue_census(
+        cases
+            .iter()
+            .zip(&outcomes)
+            .map(|(case, outcome)| (case, outcome.latch.is_none(), outcome.route)),
+    );
+    assert!(
+        undecided <= RECORDED_UNDECIDED,
+        "{undecided} violating recorded queue cases fell back undecided"
+    );
+}
+
+/// Violating queue cases of the thinned recorded grid that no bad pattern
+/// rejects (they fall back `Undecided`): a pattern added later may only
+/// lower the count.
+const RECORDED_UNDECIDED: usize = 15;
+
+/// [`RECORDED_UNDECIDED`] for the thinned DRV grid.
+const DRV_UNDECIDED: usize = 5;
+
+/// The queue census over `(case, member, route)` rows. Workload values are
+/// unique, so every queue case is unambiguous, and a member one, pending
+/// operations or not, must be decided on the specialized route (how the
+/// queue monitor places pending dequeues is on its module page). Returns the
+/// number of violating queue cases that fell back `Undecided`.
+fn queue_census<'a>(rows: impl IntoIterator<Item = (&'a Case, bool, Route)>) -> usize {
+    let mut undecided = 0;
+    for (case, member, route) in rows {
+        if case.kind != ObjectKind::Queue {
+            continue;
+        }
+        if member {
+            let census = ("the queue census", Route::Specialized);
+            agree(&case.label, ("the route", route), census);
+        } else if route == Route::GeneralFallback(FallbackReason::Undecided) {
+            undecided += 1;
         }
     }
+    undecided
 }
+
+#[test]
+#[ignore = "the queue census on unthinned grids; CI runs it in release"]
+fn queue_census_holds_on_the_unthinned_grids() {
+    let mut cases = recorded_grid(ObjectKind::Queue, 1);
+    cases.extend(drv_grid(ObjectKind::Queue, 1));
+    let (general, strategy) = (
+        LinSpec::new(QueueSpec::new()),
+        StrategyChecker::new(QueueSpec::new()),
+    );
+    let rows = cases.iter().map(|case| {
+        let member = general.check(&case.history).is_member();
+        let (verdict, route) = strategy.check_routed(&case.history);
+        let routed = ("StrategyChecker::check_routed", verdict.is_member());
+        agree(&case.label, routed, ("LinSpec::check", member));
+        (case, member, route)
+    });
+    let undecided = queue_census(rows);
+    assert!(
+        undecided <= UNTHINNED_UNDECIDED,
+        "{undecided} violating queue cases fell back undecided"
+    );
+}
+
+/// [`RECORDED_UNDECIDED`] for both grids unthinned.
+const UNTHINNED_UNDECIDED: usize = 94;
 
 #[test]
 fn drv_sketches_get_one_verdict_on_every_path() {
@@ -362,5 +414,15 @@ fn drv_sketches_get_one_verdict_on_every_path() {
         specialized.iter().any(|case| case.kind == ObjectKind::Queue
             && case.history.pending_operations().next().is_some()),
         "no queue sketch with a pending operation took the specialized route"
+    );
+    let undecided = queue_census(
+        cases
+            .iter()
+            .zip(&outcomes)
+            .map(|(case, outcome)| (case, outcome.latch.is_none(), outcome.route)),
+    );
+    assert!(
+        undecided <= DRV_UNDECIDED,
+        "{undecided} violating queue sketches fell back undecided"
     );
 }
