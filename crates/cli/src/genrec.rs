@@ -17,11 +17,12 @@ use crate::args::Parsed;
 use crate::io::{describe, open_output, write_failure};
 use crate::Failure;
 use linrv_runtime::{
-    faulty, impls, record_scheduled_traced, schedule_seed, Mix, RecorderOptions, Workload,
-    WorkloadKind,
+    faulty, impls, record_scheduled_controlled, schedule_seed, Mix, NoFaults, OpSource, SourceStep,
+    Workload, WorkloadKind, WorkloadSource,
 };
 use linrv_spec::ObjectKind;
 use linrv_trace::{Provenance, SharedTraceWriter, TraceFormat, TraceHeader};
+use std::io::Write;
 use std::process::ExitCode;
 
 /// Which of the two object families to execute (see module docs).
@@ -31,6 +32,24 @@ pub(crate) enum Source {
     Specification,
     /// `record`: the canonical concurrent implementation.
     Implementation,
+}
+
+/// The workload's operations until a write to `sink` fails: once the reader
+/// has closed the pipe, no process starts another operation, and the run ends
+/// with the operations already in flight.
+struct UntilSinkFails<'a, W: Write + Send> {
+    workload: WorkloadSource,
+    sink: &'a SharedTraceWriter<W>,
+}
+
+impl<W: Write + Send> OpSource for UntilSinkFails<'_, W> {
+    fn next_step(&mut self, process: usize) -> Option<SourceStep> {
+        if self.sink.has_failed() {
+            None
+        } else {
+            self.workload.next_step(process)
+        }
+    }
 }
 
 /// Parses `--mix A,B[,C]` into `kind`'s operation-class ratio weights; the
@@ -142,16 +161,20 @@ pub(crate) fn run(parsed: &Parsed, source: Source) -> Result<ExitCode, Failure> 
     let out = open_output(out_path)?;
     let sink = SharedTraceWriter::new(out, format, &header)
         .map_err(write_failure("cannot write trace header"))?;
-    let run = record_scheduled_traced(
+    let workload = Workload::new(workload_kind, seed).with_mix(mix);
+    let mut source = UntilSinkFails {
+        workload: WorkloadSource::new(&workload, processes as usize, ops as usize),
+        sink: &sink,
+    };
+    let run = record_scheduled_controlled(
         &*object,
-        Workload::new(workload_kind, seed).with_mix(mix),
-        RecorderOptions {
-            processes: processes as usize,
-            ops_per_process: ops as usize,
-        },
+        &mut source,
+        processes as usize,
         schedule_seed(seed),
-        &sink,
-    );
+        &mut NoFaults,
+        Some(&sink),
+    )
+    .execution;
     let events = sink.events_written();
     sink.finish()
         .map_err(write_failure("cannot finish trace"))?;

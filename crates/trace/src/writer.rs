@@ -182,6 +182,13 @@ impl<W: Write + Send> SharedTraceWriter<W> {
             .map_or(0, TraceWriter::events_written)
     }
 
+    /// Whether a write has failed. The error stays latched until
+    /// [`SharedTraceWriter::finish`] returns it, and every event until then is
+    /// dropped, so a producer may stop early.
+    pub fn has_failed(&self) -> bool {
+        self.lock().error.is_some()
+    }
+
     /// Finishes the trace: flushes and returns the underlying writer.
     ///
     /// Any handle may call this once; subsequent calls (and events) fail with
@@ -332,9 +339,11 @@ mod tests {
             &TraceHeader::new(ObjectKind::Queue),
         )
         .unwrap();
+        assert!(!shared.has_failed());
         for event in sample_events() {
             shared.event(&event); // first fails and latches, second is dropped
         }
+        assert!(shared.has_failed());
         let err = shared.finish().unwrap_err();
         assert!(err.to_string().contains("disk full"));
     }

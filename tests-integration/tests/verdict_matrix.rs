@@ -332,26 +332,28 @@ fn recorded_histories_get_one_verdict_on_every_path() {
     );
 }
 
-/// Violating queue cases of the thinned recorded grid that no bad pattern
-/// rejects (they fall back `Undecided`): a pattern added later may only
-/// lower the count.
+/// Violating queue cases of the thinned recorded grid, each with a pending
+/// operation, that no bad pattern rejects (they fall back `Undecided`): a
+/// pattern added later may only lower the count.
 const RECORDED_UNDECIDED: usize = 15;
 
 /// [`RECORDED_UNDECIDED`] for the thinned DRV grid.
 const DRV_UNDECIDED: usize = 5;
 
 /// The queue census over `(case, member, route)` rows. Workload values are
-/// unique, so every queue case is unambiguous, and a member one, pending
+/// unique, so every queue case is unambiguous. A member one, pending
 /// operations or not, must be decided on the specialized route (how the
-/// queue monitor places pending dequeues is on its module page). Returns the
-/// number of violating queue cases that fell back `Undecided`.
+/// queue monitor places pending dequeues is on its module page), and so must
+/// a complete one, member or violation. Returns the number of violating
+/// queue cases with a pending operation that fell back `Undecided`.
 fn queue_census<'a>(rows: impl IntoIterator<Item = (&'a Case, bool, Route)>) -> usize {
     let mut undecided = 0;
     for (case, member, route) in rows {
         if case.kind != ObjectKind::Queue {
             continue;
         }
-        if member {
+        let complete = case.history.pending_operations().next().is_none();
+        if member || complete {
             let census = ("the queue census", Route::Specialized);
             agree(&case.label, ("the route", route), census);
         } else if route == Route::GeneralFallback(FallbackReason::Undecided) {
