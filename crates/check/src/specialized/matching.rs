@@ -33,7 +33,9 @@
 //! 3. the kind's order pattern ([`Kind::order_pattern`]);
 //! 4. `covered-empty` ([`Matching::covered_empty`]);
 //! 5. the kind's constructive phase ([`Kind::construct`]): `Member` if it
-//!    validates a witness, `Fallback(Undecided)` if not.
+//!    validates a witness, the bad pattern it meets on the way if one proves
+//!    that none exists (the queue's forced-out values), `Fallback(Undecided)`
+//!    if neither.
 //!
 //! The first check that fires decides, so the reported pattern is a function
 //! of the history alone (the tables are sorted by value).
@@ -96,8 +98,9 @@ pub(super) struct Kind {
     pub(super) covered_empty: &'static str,
     /// The kind's sound pattern over the order of removals.
     pub(super) order_pattern: fn(&Matching) -> Option<BadPattern>,
-    /// Builds and validates a linearization; `false` when it finds none.
-    pub(super) construct: fn(Matching) -> bool,
+    /// Builds and validates a linearization; `Ok(false)` when it finds none,
+    /// `Err` with the bad pattern that shows there is none.
+    pub(super) construct: fn(Matching) -> Result<bool, BadPattern>,
 }
 
 /// A value with its insert and removal. The insert may be pending (`add.rs ==
@@ -132,12 +135,10 @@ pub(super) fn check(kind: &Kind, records: &[OpRecord]) -> SpecializedResult {
         Err(decided) => return decided,
     };
     let pattern = (kind.order_pattern)(&matching).or_else(|| matching.covered_empty(kind));
-    if let Some(pattern) = pattern {
-        SpecializedResult::NotMember(pattern)
-    } else if (kind.construct)(matching) {
-        SpecializedResult::Member
-    } else {
-        SpecializedResult::Fallback(FallbackReason::Undecided)
+    match pattern.map_or_else(|| (kind.construct)(matching), Err) {
+        Ok(true) => SpecializedResult::Member,
+        Ok(false) => SpecializedResult::Fallback(FallbackReason::Undecided),
+        Err(pattern) => SpecializedResult::NotMember(pattern),
     }
 }
 

@@ -312,25 +312,28 @@ mod tests {
     ];
 
     /// One step of a case: an insert of the value with its acknowledgement,
-    /// a removal with its answer, or a foreign operation answered `empty`.
+    /// a removal with its answer, a foreign operation answered `empty`, or a
+    /// removal left pending on a process of its own.
     enum Step {
         Add(i64, OpValue),
         Remove(OpValue),
         Foreign(&'static str),
+        Pending,
     }
 
-    use Step::{Add, Foreign, Remove};
+    use Step::{Add, Foreign, Pending, Remove};
 
     const T: OpValue = OpValue::Bool(true);
 
     fn history(kind: &Kind, steps: &[Step]) -> linrv_history::History {
         let mut b = HistoryBuilder::new();
         let p = ProcessId::new(0);
-        for step in steps {
+        for (index, step) in steps.iter().enumerate() {
             match step {
                 Add(value, ack) => b.complete(p, (kind.add)(*value), ack.clone()),
                 Remove(answer) => b.complete(p, (kind.remove)(), answer.clone()),
                 Foreign(name) => b.complete(p, Operation::nullary(*name), OpValue::Empty),
+                Pending => b.invoke(ProcessId::new(1 + index as u32), (kind.remove)()),
             };
         }
         b.build()
@@ -469,6 +472,20 @@ mod tests {
                          where it is necessarily non-empty",
                         &[],
                     ),
+                ],
+            ),
+            (
+                "more values forced out than pending removals",
+                vec![Pending, Add(1, T), Add(2, T), Add(3, T), Remove(int(3))],
+                [
+                    pattern(
+                        "order-inversion",
+                        "FIFO inversion: 1, 2 enqueued before 3 but only 1 pending dequeue \
+                         can take them",
+                        &[1, 2, 3],
+                    ),
+                    SpecializedResult::Fallback(FallbackReason::Pending),
+                    SpecializedResult::Fallback(FallbackReason::Pending),
                 ],
             ),
             (

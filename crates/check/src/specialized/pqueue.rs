@@ -30,7 +30,7 @@ pub(super) const PRIORITY_QUEUE: Kind = Kind {
     covered_empty: "an extraction observed an empty priority queue inside a window \
                     where it is necessarily non-empty",
     order_pattern: smaller_value_present,
-    construct: simulate,
+    construct: |matching| Ok(simulate(matching)),
 };
 
 /// An extraction returning `w` while some `v < w` is necessarily in the queue

@@ -36,7 +36,10 @@
 //!    (a value whose enqueue responds before the enqueue of a forced-out value
 //!    is invoked) adds nothing, since that invocation is before `θ` too. Only
 //!    a pending dequeue can take a forced-out value: with more of them than
-//!    pending dequeues no witness exists.
+//!    pending dequeues no completion is a member, and the monitor reports
+//!    them as a bad pattern, an `order-inversion` when the last such
+//!    invocation is an enqueue's and a `covered-empty` when it is an empty
+//!    dequeue's.
 //! 3. **Where an empty dequeue lands.** An empty dequeue may have to land
 //!    after a dequeue that was invoked after some unmatched value's enqueue
 //!    responded, though it overlaps that enqueue; then that value must be
@@ -88,8 +91,9 @@ pub(super) const QUEUE: Kind = Kind {
 
 /// Constructive phase: which unmatched values the pending dequeues take
 /// (rules 2 and 3 on the [module page](self)), then a FIFO value order and a
-/// gap-anchored merge, validated.
-fn construct(matching: Matching) -> bool {
+/// gap-anchored merge, validated. More forced-out values than pending
+/// dequeues is a bad pattern ([`forced_out`]).
+fn construct(matching: Matching) -> Result<bool, BadPattern> {
     let Matching {
         mut matched,
         mut unmatched,
@@ -99,22 +103,27 @@ fn construct(matching: Matching) -> bool {
     // Rule 2: a value whose enqueue responds before the last invocation of a
     // dequeued value's enqueue or of an empty dequeue is forced out. In order
     // of enqueue response, the forced values come first.
-    let last_invoked = matched
-        .iter()
-        .map(|p| p.add.iv)
-        .chain(empties.iter().map(|span| span.iv))
-        .max()
-        .unwrap_or(0);
-    let forced = unmatched
+    let last_dequeued = matched.iter().max_by_key(|p| p.add.iv);
+    let last_empty = empties.iter().map(|span| span.iv).max().unwrap_or(0);
+    let last_invoked = last_dequeued.map_or(0, |p| p.add.iv).max(last_empty);
+    let forced: Vec<i64> = unmatched
         .iter()
         .filter(|(span, _)| span.rs < last_invoked)
-        .count();
+        .map(|&(_, value)| value)
+        .collect();
+    let pending = pending_removals.len();
+    if forced.len() > pending {
+        return Err(forced_out(
+            forced,
+            pending,
+            last_dequeued.filter(|p| p.add.iv > last_empty),
+        ));
+    }
     let pairs = matched.len();
     // Rule 3: one more value per failed witness, up to one per pending
-    // dequeue (an empty range when more values are forced out than that;
-    // without pending dequeues the order patterns reject any forced value).
-    let takeable = pending_removals.len().min(unmatched.len());
-    (forced..=takeable).any(|taken| {
+    // dequeue.
+    let takeable = pending.min(unmatched.len());
+    Ok((forced.len()..=takeable).any(|taken| {
         unmatched.sort_unstable_by_key(|(span, _)| span.rs);
         let (out, stay) = unmatched.split_at_mut(taken);
         stay.sort_unstable_by_key(|(span, _)| span.iv);
@@ -128,7 +137,34 @@ fn construct(matching: Matching) -> bool {
                 }),
         );
         witness(&matched, stay, &empties)
-    })
+    }))
+}
+
+/// More values `forced` out than the `pending` dequeues that alone can take
+/// them (rule 2; without pending dequeues the order patterns have rejected any
+/// forced value already). When they are forced out by `dequeued`'s enqueue,
+/// one of them stays while a value enqueued after it is dequeued: a FIFO
+/// inversion. Otherwise an empty dequeue forced them out, and one of them is
+/// in the queue when it answers: a covered empty.
+fn forced_out(mut forced: Vec<i64>, pending: usize, dequeued: Option<&Pair>) -> BadPattern {
+    let values: Vec<String> = forced.iter().map(i64::to_string).collect();
+    let values = values.join(", ");
+    let dequeues = if pending == 1 { "dequeue" } else { "dequeues" };
+    let only = format!("but only {pending} pending {dequeues} can take them");
+    match dequeued {
+        Some(w) => {
+            let message = format!(
+                "FIFO inversion: {values} enqueued before {} {only}",
+                w.value
+            );
+            forced.push(w.value);
+            BadPattern::new("order-inversion", message).with_values(forced)
+        }
+        None => {
+            let message = format!("{values} are in the queue when a dequeue answers empty, {only}");
+            BadPattern::new("covered-empty", message).with_values(forced)
+        }
+    }
 }
 
 /// A FIFO value order of `matched`, merged with the `unmatched` values (by
@@ -578,6 +614,50 @@ mod tests {
         assert_ne!(result, SpecializedResult::Member);
         let (verdict, _) = StrategyChecker::new(QueueSpec::new()).check_routed(&history);
         assert!(verdict.is_violation());
+    }
+
+    #[test]
+    fn more_values_forced_out_than_pending_dequeues_is_a_bad_pattern() {
+        // Forced out by a dequeued value: 1 and 2 must leave before 3.
+        let mut b = HistoryBuilder::new();
+        for value in 1..=3 {
+            b.complete(p(0), ops::enqueue(value), OpValue::Bool(true));
+        }
+        let _pending = b.invoke(p(1), ops::dequeue());
+        b.complete(p(0), ops::dequeue(), OpValue::Int(3));
+        let SpecializedResult::NotMember(pattern) = run(b) else {
+            panic!("expected a violation");
+        };
+        assert_eq!(pattern.name, "order-inversion");
+        assert_eq!(pattern.values, vec![1, 2, 3]);
+        assert!(
+            pattern.message.contains("only 1 pending dequeue "),
+            "{pattern}"
+        );
+
+        // Forced out by an empty dequeue: all three must leave before it.
+        let mut b = HistoryBuilder::new();
+        for value in 1..=3 {
+            b.complete(p(0), ops::enqueue(value), OpValue::Bool(true));
+        }
+        let _first = b.invoke(p(1), ops::dequeue());
+        let _second = b.invoke(p(2), ops::dequeue());
+        b.complete(p(0), ops::dequeue(), OpValue::Empty);
+        let history = b.build();
+        let SpecializedResult::NotMember(pattern) = check_specialized(ObjectKind::Queue, &history)
+        else {
+            panic!("expected a violation");
+        };
+        assert_eq!(pattern.name, "covered-empty");
+        assert_eq!(pattern.values, vec![1, 2, 3]);
+        assert!(
+            pattern.message.contains("only 2 pending dequeues "),
+            "{pattern}"
+        );
+        assert!(!crate::GenLinObject::contains(
+            &LinSpec::new(QueueSpec::new()),
+            &history
+        ));
     }
 
     #[test]

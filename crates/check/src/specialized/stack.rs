@@ -29,7 +29,7 @@ pub(super) const STACK: Kind = Kind {
     covered_empty: "a pop observed an empty stack inside a window where the stack \
                     is necessarily non-empty",
     order_pattern: forced_crossing,
-    construct: simulate,
+    construct: |matching| Ok(simulate(matching)),
 };
 
 /// Forced lifetime crossings.

@@ -70,7 +70,7 @@ pub struct Announced {
 pub struct Drv<A> {
     inner: A,
     /// The shared array `N` of Figure 7; entry `i` holds `set_i`.
-    announcements: SharedSets<View>,
+    announcements: SharedSets<InvocationPair>,
     next_op: AtomicU64,
     registry: ProcessRegistry,
 }

@@ -3,7 +3,9 @@
 //! The primary contribution of Castañeda & Rodríguez, *Asynchronous Wait-Free Runtime
 //! Verification and Enforcement of Linearizability* (PODC 2023), as a Rust library:
 //!
-//! * [`view`] — invocation pairs, views and the view properties of Remark 7.2;
+//! * [`view`] — invocation pairs, view tuples, the one set type both shared arrays
+//!   hold (per-process prefixes of append-only logs, as `View` and `TupleSet`) and the
+//!   view properties of Remark 7.2;
 //! * [`sketch`] — the `X(λ)` construction (Section 7.3.3) that turns a set of views
 //!   into the sketch of a tight execution: one flat history whose maximal runs of
 //!   invocations and of responses are the steps of Claim 7.2;

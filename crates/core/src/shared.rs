@@ -3,68 +3,27 @@
 //! linearizable snapshot object, read as the union of all entries. Only this module
 //! knows how such an array is represented; `Drv` and `Verifier` sit on top of it.
 //!
-//! The two arrays differ only in their [`Entry`] type, and so in what they copy:
-//!
-//! * `N` holds [`View`]s, each a prefix of its process's append-only announcement log.
-//!   A write appends the pair to `set_i`'s log (under the local lock, the only place
-//!   that log is written) and publishes a one-run view: a reference count, as is each
-//!   of the `n` entries the Afek write's embedded scan clones. A scan reads `n` runs,
-//!   and their union is the caller's view; no pair is copied.
-//! * `M` holds [`TupleSet`]s of shared copy-on-write parts, each tuple behind its own
-//!   `Arc`. A write copies `res_i` once, when the insert reaches the part the snapshot
-//!   still shares, and that copy is `|res_i|` tuple pointers, never a tuple, view or
-//!   pair; its clone and the embedded scan are reference counts, and the superseded
-//!   entry frees pointers. A scan copies nothing: the union `τ` holds the `n` parts it
-//!   read.
+//! Both arrays hold one set type, a [`RunSet`] of their items (invocation pairs for `N`,
+//! view tuples for `M`): a prefix of an append-only log per process. A write appends the
+//! item to the writer's own log in place (under the local lock, the only place that log
+//! is written) and publishes a one-run set: a reference count, as is each of the `n`
+//! entries the Afek write's embedded scan clones. A scan reads `n` runs, and their union
+//! is the caller's view or `τ`; no item is copied after its write.
 
-use crate::view::{InvocationPair, TupleSet, View, ViewTuple};
+use crate::view::{Keyed, RunSet};
 use linrv_history::ProcessId;
 use linrv_snapshot::Snapshot;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// What one entry of a shared array holds: a set a single process adds to.
-pub(crate) trait Entry: Clone + Default {
-    type Item;
-
-    fn add(&mut self, item: Self::Item);
-
-    /// The union of the entries of one scan.
-    fn union(entries: Vec<Self>) -> Self;
-}
-
-impl Entry for View {
-    type Item = InvocationPair;
-
-    fn add(&mut self, item: InvocationPair) {
-        self.insert(item);
-    }
-
-    fn union(entries: Vec<View>) -> View {
-        View::union_of(entries)
-    }
-}
-
-impl Entry for TupleSet {
-    type Item = ViewTuple;
-
-    fn add(&mut self, item: ViewTuple) {
-        self.insert(item);
-    }
-
-    fn union(entries: Vec<TupleSet>) -> TupleSet {
-        TupleSet::union_of(entries)
-    }
-}
-
-pub(crate) struct SharedSets<S: Entry> {
-    snapshot: Arc<dyn Snapshot<S>>,
+pub(crate) struct SharedSets<T> {
+    snapshot: Arc<dyn Snapshot<RunSet<T>>>,
     /// The persistent local set of each process; its snapshot entry holds a clone.
-    local: Vec<Mutex<S>>,
+    local: Vec<Mutex<RunSet<T>>>,
 }
 
-impl<S: Entry> SharedSets<S> {
-    pub(crate) fn new(snapshot: Arc<dyn Snapshot<S>>) -> Self {
+impl<T: Keyed> SharedSets<T> {
+    pub(crate) fn new(snapshot: Arc<dyn Snapshot<RunSet<T>>>) -> Self {
         let local = (0..snapshot.entries()).map(|_| Mutex::default()).collect();
         SharedSets { snapshot, local }
     }
@@ -79,7 +38,7 @@ impl<S: Entry> SharedSets<S> {
     /// are added in the order they were made, an entry only grows even when two
     /// threads misuse one process, and successive scans by one caller see growing
     /// unions. Panics when `process` is out of range.
-    pub(crate) fn add<R>(&self, process: ProcessId, make: impl FnOnce() -> (S::Item, R)) -> R {
+    pub(crate) fn add<R>(&self, process: ProcessId, make: impl FnOnce() -> (T, R)) -> R {
         assert!(
             process.index() < self.processes(),
             "process {process} out of range for a {}-process shared array",
@@ -87,15 +46,15 @@ impl<S: Entry> SharedSets<S> {
         );
         let mut local = self.local[process.index()].lock();
         let (item, made) = make();
-        local.add(item);
+        local.insert(item);
         self.snapshot.write(process.index(), local.clone());
         made
     }
 
     /// The union of all entries, in one scan (an out-of-range `scanner` scans as the
     /// last process).
-    pub(crate) fn union(&self, scanner: ProcessId) -> S {
-        S::union(
+    pub(crate) fn union(&self, scanner: ProcessId) -> RunSet<T> {
+        RunSet::union_of(
             self.snapshot
                 .scan(scanner.index().min(self.processes().saturating_sub(1))),
         )

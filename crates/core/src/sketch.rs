@@ -50,7 +50,7 @@
 //! differences from `W`. The stable sort makes that suffix of the chain exactly the
 //! tail of the whole chain, and both write a step's events with one helper, so the
 //! events come out as `sketch_history`'s would. With `n` processes a step costs
-//! `O(t·n)` to read `τ` and split it at `|W|`, plus `O(s log s + s·n)`, a binary search
+//! `O(t + n)` to read `τ` and split it at `|W|`, plus `O(s log s + s·n)`, a binary search
 //! per lookup and a step per event it writes.
 //!
 //! The sketch keeps the operation table of its history the same way: an
@@ -217,8 +217,8 @@ impl IncrementalSketch {
     /// shares its pair with one of the prefix, which takes a forged tuple or a `τ`
     /// that shrank: the caller must decide from scratch and start over.
     ///
-    /// With `t` tuples read from `n` parts and `s` of them above `W`, a call costs
-    /// `O(t·n)` for the merge that reads `τ` plus `O(s log s + s·n)`, a binary search
+    /// With `t` tuples in `n` runs and `s` of them above `W`, a call costs `O(t + n)`
+    /// to read `τ`, its runs one after the other, plus `O(s log s + s·n)`, a binary search
     /// per lookup and a step per event for sorting, checking and sketching the suffix
     /// (views of one `Drv`; [`View`]), plus `O(n log n)` and a map update per event
     /// above the old prefix for the table ([`OpTable::reindex`]).

@@ -45,8 +45,8 @@
 //! sorts, checks (Remark 7.2, [`crate::view`]'s passes continued from the prefix's last
 //! tuple) and sketches only the `s` tuples above `W`, then moves `W` up.
 //!
-//! With `t` tuples in `τ` and `n` processes, the local work of a step is `O(t·n)` to
-//! read `τ` (an ordered merge of the `n` entries) plus `O(s log s + s·n)` for the
+//! With `t` tuples in `τ` and `n` processes, the local work of a step is `O(t + n)` to
+//! read `τ` (its `n` runs one after the other) plus `O(s log s + s·n)` for the
 //! suffix, instead of the `O(t log t + t·n)` of a sketch from scratch; each adds a
 //! binary search per view lookup and a step per event written. Apart from those
 //! searches no term grows with the size of a view: a view is `n` prefixes of the
@@ -92,7 +92,7 @@ pub struct Audit {
 pub struct Verifier<O> {
     object: O,
     /// The shared array `M` of Figure 10; entry `i` holds `res_i`.
-    results: SharedSets<TupleSet>,
+    results: SharedSets<ViewTuple>,
     /// The sketch decides continue (module docs); empty until the first decide.
     sketch: Mutex<IncrementalSketch>,
 }
@@ -128,9 +128,11 @@ impl<O: GenLinObject> Verifier<O> {
 
     /// Records the tuple obtained from `A*` in `res_i` and publishes it through the
     /// snapshot (Figure 10, Lines 06–07), *without* computing a verdict. This is
-    /// all a producer of `D_{O,A}` does (Figure 12). `tuple` moves into `res_i`, and
-    /// `res_i` shares its tuples with the snapshot entry it supersedes, so a record
-    /// copies `|res_i|` pointers and never a tuple, view or pair ([`TupleSet`]).
+    /// all a producer of `D_{O,A}` does (Figure 12). `tuple` moves into the next slot
+    /// of `process`'s result log, whose prefix `res_i` is and which every snapshot
+    /// entry shares, so a record copies no tuple, view or pair, and no pointer to one:
+    /// `O(n)` for the snapshot write plus a walk of `O(log |res_i|)` log chunks
+    /// ([`TupleSet`]).
     /// [`enforce::step`](crate::enforce::step) calls it, followed under `Mode::Enforce`
     /// by [`enforce::decide`](crate::enforce::decide).
     ///
@@ -679,7 +681,7 @@ mod tests {
     }
 
     /// `step` moves the response's view into the tuple it records, and the next
-    /// `record` of the same process, which copies the part the snapshot shares, keeps
+    /// `record` of the same process, which appends to the same result log, keeps
     /// that tuple: the first pair of the collected view is the allocation
     /// `collect_tuples` reads.
     #[test]

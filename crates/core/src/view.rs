@@ -64,11 +64,10 @@
 //! That pass held, so `x ∉ λ_a`. ∎
 
 use linrv_history::{OpId, OpValue, Operation, ProcessId};
-use std::collections::{btree_set, BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::iter::FlatMap;
-use std::ops::Range;
 use std::slice;
 use std::sync::{Arc, OnceLock};
 
@@ -95,146 +94,164 @@ impl fmt::Display for InvocationPair {
     }
 }
 
-/// Pairs in the first chunk of an announcement log; each later chunk holds twice as
-/// many as the one before. A log built from `m` pairs at once starts with the next
-/// power of two at or above `m`.
-const FIRST_CHUNK: usize = 4;
-
-/// Chunks per log: room for `FIRST_CHUNK · (2³² − 1)` pairs, more than memory holds.
-const CHUNKS: usize = 32;
-
-/// One process's append-only announcement log (the process's `set_i` of Figure 7, in
-/// order, Remark 7.2): its pairs strictly ascending, so in `op_id` order, held in
-/// chunks that double in size and are allocated when the log first reaches them. Each
-/// slot is written once ([`OnceLock`]), so a reader of a prefix never waits and never
-/// sees it change, whatever is appended after it.
-struct Log {
-    process: ProcessId,
-    /// `log2` of the first chunk's size.
-    shift: u32,
-    chunks: [OnceLock<Box<[OnceLock<InvocationPair>]>>; CHUNKS],
+/// An item of a [`RunSet`]: it belongs to one process and orders by that process
+/// first, so the set's ascending order is its processes' runs one after the other.
+pub trait Keyed: Clone + Ord {
+    /// The process whose log holds the item.
+    fn process(&self) -> ProcessId;
 }
 
-impl Log {
-    /// An empty log of `process` whose first chunk holds at least `capacity` pairs.
-    fn new(process: ProcessId, capacity: usize) -> Self {
+impl Keyed for InvocationPair {
+    fn process(&self) -> ProcessId {
+        self.process
+    }
+}
+
+/// Slots in the first chunk of a log; each later chunk holds twice as many as the one
+/// before. A log built from `m` items at once starts with the next power of two at or
+/// above `m`.
+const FIRST_CHUNK: usize = 4;
+
+/// One process's append-only log (its `set_i` of Figure 7 or its `res_i` of Figure 10,
+/// in order, Remark 7.2): its items strictly ascending. A log is its first chunk of
+/// slots and, once an append outgrows it, the next log, twice as large; so a log costs
+/// its slots and 32 bytes, and slot `k` is `O(log k)` chunks away. Each slot is
+/// written once ([`OnceLock`]), so a reader of a prefix never waits and never sees it
+/// change, whatever is appended after it.
+struct Log<T> {
+    slots: Box<[OnceLock<T>]>,
+    next: OnceLock<Box<Log<T>>>,
+}
+
+impl<T> Log<T> {
+    /// A log whose first chunk holds `items` and room for at least `capacity` in all.
+    fn new(items: Vec<T>, capacity: usize) -> Self {
+        let size = capacity.max(FIRST_CHUNK).next_power_of_two();
+        let empty = std::iter::repeat_with(OnceLock::new);
         Log {
-            process,
-            shift: capacity
-                .max(FIRST_CHUNK)
-                .next_power_of_two()
-                .trailing_zeros(),
-            chunks: [const { OnceLock::new() }; CHUNKS],
+            slots: items
+                .into_iter()
+                .map(OnceLock::from)
+                .chain(empty)
+                .take(size)
+                .collect(),
+            next: OnceLock::new(),
         }
     }
 
-    /// The chunk of slot `index` and the slot's offset in it: chunk `k` holds the
-    /// slots from `(2^k − 1)·first` on.
-    fn locate(&self, index: usize) -> (usize, usize) {
-        let chunk = ((index >> self.shift) + 1).ilog2() as usize;
-        (chunk, index - (((1 << chunk) - 1) << self.shift))
+    /// The item in slot `index`, once written.
+    fn get(&self, mut index: usize) -> Option<&T> {
+        let mut chunk = self;
+        while index >= chunk.slots.len() {
+            index -= chunk.slots.len();
+            chunk = chunk.next.get()?;
+        }
+        chunk.slots[index].get()
     }
 
-    /// The pair in slot `index`, once written.
-    fn get(&self, index: usize) -> Option<&InvocationPair> {
-        let (chunk, offset) = self.locate(index);
-        self.chunks[chunk].get()?[offset].get()
-    }
-
-    /// The pair in slot `index` of a prefix that holds it.
-    fn entry(&self, index: usize) -> &InvocationPair {
-        self.get(index).expect("a prefix's slots are written")
-    }
-
-    /// Writes `pair` to slot `index`, allocating its chunk when the log first reaches
-    /// it; gives `pair` back when the slot is already written.
-    fn put(&self, index: usize, pair: InvocationPair) -> Result<(), InvocationPair> {
-        let (chunk, offset) = self.locate(index);
-        let slots = self.chunks[chunk].get_or_init(|| {
-            (0..1usize << (self.shift as usize + chunk))
-                .map(|_| OnceLock::new())
-                .collect()
-        });
-        slots[offset].set(pair)
+    /// Writes `item` to slot `index`, allocating the chunks up to it when the log first
+    /// reaches them; gives `item` back when the slot is already written.
+    fn put(&self, mut index: usize, item: T) -> Result<(), T> {
+        let mut chunk = self;
+        while index >= chunk.slots.len() {
+            index -= chunk.slots.len();
+            let size = 2 * chunk.slots.len();
+            chunk = chunk
+                .next
+                .get_or_init(|| Box::new(Log::new(Vec::new(), size)));
+        }
+        chunk.slots[index].set(item)
     }
 }
 
-/// A non-empty prefix of one log: its first `len` pairs.
-struct Run {
-    log: Arc<Log>,
+/// The item of a slot that a prefix holds.
+fn written<T>(slot: &OnceLock<T>) -> &T {
+    slot.get().expect("a prefix's slots are written")
+}
+
+/// A non-empty prefix of one log: its first `len` items, all of `process`.
+struct Run<T> {
+    log: Arc<Log<T>>,
     len: usize,
+    process: ProcessId,
     /// Whether this run may write the log's next slot: only the run the log was made
     /// for does. A clone does not, so appending to it copies its prefix into a new log,
-    /// unless the next slot already holds that very pair.
+    /// unless the next slot already holds that very item.
     owned: bool,
 }
 
-impl Clone for Run {
+impl<T> Clone for Run<T> {
     fn clone(&self) -> Self {
         Run {
             log: Arc::clone(&self.log),
             len: self.len,
+            process: self.process,
             owned: false,
         }
     }
 }
 
-impl Run {
-    /// The whole of a new log holding `pairs`: non-empty, of one process, strictly
+impl<T: Keyed> Run<T> {
+    /// The whole of a new log holding `items`: non-empty, of one process, strictly
     /// ascending.
-    fn of(pairs: Vec<InvocationPair>) -> Run {
-        let (log, len) = (Log::new(pairs[0].process, pairs.len()), pairs.len());
-        for (index, pair) in pairs.into_iter().enumerate() {
-            log.put(index, pair).expect("a new log is empty");
-        }
+    fn of(items: Vec<T>) -> Run<T> {
+        let (len, process) = (items.len(), items[0].process());
         Run {
-            log: Arc::new(log),
+            log: Arc::new(Log::new(items, len)),
             len,
+            process,
             owned: true,
         }
     }
 
-    fn process(&self) -> ProcessId {
-        self.log.process
-    }
-
-    /// The pairs of slots `range`, which the prefix holds.
-    fn pairs(&self, range: Range<usize>) -> Pairs<'_> {
-        Pairs {
-            log: &self.log,
-            range,
+    /// The items of slots `start..len`.
+    fn items(&self, start: usize) -> Items<'_, T> {
+        Items {
+            chunk: &self.log,
+            offset: start,
+            remaining: self.len.saturating_sub(start),
         }
     }
 
-    fn iter(&self) -> Pairs<'_> {
-        self.pairs(0..self.len)
+    fn iter(&self) -> Items<'_, T> {
+        self.items(0)
     }
 
-    /// Binary search of the prefix, as `slice::binary_search`.
-    fn search(&self, pair: &InvocationPair) -> Result<usize, usize> {
-        let (mut low, mut high) = (0, self.len);
-        while low < high {
-            let middle = low + (high - low) / 2;
-            match self.log.entry(middle).cmp(pair) {
-                std::cmp::Ordering::Less => low = middle + 1,
-                std::cmp::Ordering::Greater => high = middle,
-                std::cmp::Ordering::Equal => return Ok(middle),
+    fn last(&self) -> &T {
+        self.log
+            .get(self.len - 1)
+            .expect("a prefix's slots are written")
+    }
+
+    /// Binary search of the prefix, as `slice::binary_search`: the chunks up to the
+    /// one whose last item is not below `item`, then a search of that chunk.
+    fn search(&self, item: &T) -> Result<usize, usize> {
+        let (mut chunk, mut start) = (&*self.log, 0);
+        loop {
+            let end = self.len.min(start + chunk.slots.len());
+            let slots = &chunk.slots[..end - start];
+            if end == self.len || written(&slots[slots.len() - 1]) >= item {
+                return slots
+                    .binary_search_by(|slot| written(slot).cmp(item))
+                    .map(|at| start + at)
+                    .map_err(|at| start + at);
             }
+            start = end;
+            chunk = chunk.next.get().expect("a prefix's chunks are allocated");
         }
-        Err(low)
     }
 
-    /// Appends `pair`, larger than every pair of the run: to the log itself when the
-    /// run owns it or the log's next slot already holds `pair`, else to a copy.
-    fn push(&mut self, pair: InvocationPair) {
+    /// Appends `item`, larger than every item of the run: to the log itself when the
+    /// run owns it or the log's next slot already holds `item`, else to a copy.
+    fn push(&mut self, item: T) {
         let refused = if self.owned {
-            self.log.put(self.len, pair).err()
+            self.log.put(self.len, item).err()
         } else {
-            Some(pair)
+            Some(item)
         };
         match refused {
-            Some(pair) if self.log.get(self.len) != Some(&pair) => {
-                *self = Run::of(self.iter().cloned().chain([pair]).collect());
+            Some(item) if self.log.get(self.len) != Some(&item) => {
+                *self = Run::of(self.iter().cloned().chain([item]).collect());
             }
             _ => self.len += 1,
         }
@@ -242,123 +259,137 @@ impl Run {
 
     /// Containment of two runs of one process: a length compare for two prefixes of
     /// one log, else an ordered merge.
-    fn is_subset(&self, other: &Run) -> bool {
+    fn is_subset(&self, other: &Run<T>) -> bool {
         if Arc::ptr_eq(&self.log, &other.log) {
             return self.len <= other.len;
         }
         let mut theirs = other.iter();
-        self.len <= other.len && self.iter().all(|pair| theirs.any(|their| their == pair))
+        self.len <= other.len && self.iter().all(|item| theirs.any(|their| their == item))
     }
 }
 
-/// A view: the set of invocation pairs a completed operation observed in its snapshot
-/// (Figure 7, Lines 05–06).
+/// A set of items held as one prefix of an append-only log per process: the one set
+/// type of both shared arrays, as [`View`] (`N`'s pairs) and as [`TupleSet`] (`M`'s
+/// tuples).
 ///
-/// **Representation.** A view holds, per process with a pair in it, a prefix
-/// `(Arc<log>, len)` of an append-only log of that process's pairs, in process order.
-/// Pairs order by process first and each log is ascending, so the set's ascending
-/// order is the runs one after the other. The [`Drv`](crate::drv::Drv) wrapper appends
-/// each announcement to its process's log (allocated at that process's first
-/// announce) and publishes a one-run view, so `Clone` costs a reference count per
-/// process and the union of a scan reads `n` runs; no pair is ever copied.
+/// **Representation.** Per process with an item in the set, a run `(Arc<log>, len)`, in
+/// process order. Items order by process first and each log is ascending, so the set's
+/// ascending order is the runs one after the other. A process's entry of a shared
+/// array appends each new item to its own log in place, and publishes a clone: a
+/// reference count per process. The union of a scan reads `n` runs; no item is ever
+/// copied.
 ///
 /// **Fast paths and the merge path.** Two runs of one log are nested prefixes: their
 /// containment is a length compare, their union the longer one and their difference
-/// the longer one's tail. [`contains`](View::contains) is one binary search. Views
-/// built by hand ([`FromIterator`], [`insert`](View::insert) out of order,
-/// [`remove`](View::remove) inside a run) get logs of their own, and runs of two
-/// different logs compare, unite and differ by an ordered merge; so every answer,
+/// the longer one's tail. [`contains`](RunSet::contains) is one binary search. Sets
+/// built by hand ([`FromIterator`], [`insert`](RunSet::insert) out of order or into a
+/// clone, [`remove`](RunSet::remove) inside a run) get logs of their own, and runs of
+/// two different logs compare, unite and differ by an ordered merge; so every answer,
 /// forged input included, is the set's.
 ///
-/// **Set semantics.** `Eq`, `Ord`, `Hash` and `Debug` are those of a
-/// `BTreeSet<InvocationPair>` holding the same pairs: `Ord` compares the ascending
-/// pairs lexicographically, so a [`TupleSet`]'s order, and with it every sketch,
-/// witness and certificate, is what it was with sets.
-#[derive(Clone, Default)]
-pub struct View {
-    /// One run per process with a pair in the view, by process; each run's log holds
-    /// pairs of its process only.
-    runs: Vec<Run>,
-    /// The number of pairs: the runs' lengths summed.
+/// **Set semantics.** `Eq`, `Ord`, `Hash` and `Debug` are those of a `BTreeSet`
+/// holding the same items: `Ord` compares the ascending items lexicographically, so a
+/// [`TupleSet`]'s order, and with it every sketch, witness and certificate, is what it
+/// was with sets.
+#[derive(Clone)]
+pub struct RunSet<T> {
+    /// One run per process with an item in the set, by process; each run's log holds
+    /// items of its process only.
+    runs: Vec<Run<T>>,
+    /// The number of items: the runs' lengths summed.
     len: usize,
 }
 
-impl View {
-    /// An empty view.
+/// A view: the set of invocation pairs a completed operation observed in its snapshot
+/// (Figure 7, Lines 05–06). The [`Drv`](crate::drv::Drv) wrapper appends each
+/// announcement to its process's log and publishes a one-run view, so a view is `n`
+/// prefixes of the announcement logs.
+pub type View = RunSet<InvocationPair>;
+
+/// A set of view tuples — the `λ_E` of Section 7.3.3 and the content the verifier
+/// exchanges through its snapshot object (Figure 10, variable `τ_i`). `res_i` is one
+/// run of `p_i`'s result log: `Verifier::record` moves the tuple into the log's next
+/// slot, and the union `τ` of a scan of `M` holds the `n` runs it read.
+pub type TupleSet = RunSet<ViewTuple>;
+
+impl<T> Default for RunSet<T> {
+    fn default() -> Self {
+        RunSet {
+            runs: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T: Keyed> RunSet<T> {
+    /// An empty set.
     pub fn new() -> Self {
-        View::default()
+        RunSet::default()
     }
 
-    /// Number of pairs.
+    /// Number of items.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Returns `true` when the view holds no pair.
+    /// Returns `true` when the set holds no item.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// The pairs in ascending order.
-    pub fn iter(&self) -> Iter<'_> {
-        Iter(
-            self.runs
-                .iter()
-                .flat_map(Run::iter as fn(&Run) -> Pairs<'_>),
-        )
+    /// The items in ascending order.
+    pub fn iter(&self) -> Iter<'_, T> {
+        Iter(self.runs.iter().flat_map(Run::iter as RunItems<'_, T>))
     }
 
-    /// Returns `true` when `pair` is in the view: one binary search.
-    pub fn contains(&self, pair: &InvocationPair) -> bool {
-        self.run(pair.process)
-            .is_some_and(|run| run.search(pair).is_ok())
+    /// Returns `true` when `item` is in the set: one binary search.
+    pub fn contains(&self, item: &T) -> bool {
+        self.run(item.process())
+            .is_some_and(|run| run.search(item).is_ok())
     }
 
-    /// Returns `true` when every pair of the view is in `other`: per process, a length
+    /// Returns `true` when every item of the set is in `other`: per process, a length
     /// compare when both runs are of one log.
-    pub fn is_subset(&self, other: &View) -> bool {
+    pub fn is_subset(&self, other: &RunSet<T>) -> bool {
         let mut theirs = other.runs.iter();
         self.len <= other.len
             && self.runs.iter().all(|mine| {
                 theirs
-                    .find(|run| run.process() >= mine.process())
-                    .is_some_and(|run| run.process() == mine.process() && mine.is_subset(run))
+                    .find(|run| run.process >= mine.process)
+                    .is_some_and(|run| run.process == mine.process && mine.is_subset(run))
             })
     }
 
-    /// The pairs of the view that are not in `other`, ascending: per process, the tail
-    /// of the run past `other`'s when both are of one log, else the pairs `other`'s run
+    /// The items of the set that are not in `other`, ascending: per process, the tail
+    /// of the run past `other`'s when both are of one log, else the items `other`'s run
     /// does not hold.
-    pub fn difference<'a>(
-        &'a self,
-        other: &'a View,
-    ) -> impl Iterator<Item = &'a InvocationPair> + 'a {
+    pub fn difference<'a>(&'a self, other: &'a RunSet<T>) -> impl Iterator<Item = &'a T> + 'a {
         self.runs.iter().flat_map(move |mine| {
-            let theirs = other.run(mine.process());
+            let theirs = other.run(mine.process);
             let shared = theirs.filter(|theirs| Arc::ptr_eq(&mine.log, &theirs.log));
             let start = shared.map_or(0, |theirs| theirs.len.min(mine.len));
             let lookup = theirs.filter(|_| shared.is_none());
-            mine.pairs(start..mine.len)
-                .filter(move |pair| lookup.map_or(true, |theirs| theirs.search(pair).is_err()))
+            mine.items(start)
+                .filter(move |item| lookup.map_or(true, |theirs| theirs.search(item).is_err()))
         })
     }
 
-    /// Adds `pair`; returns `false` when it was already present. A pair larger than
+    /// Adds `item`; returns `false` when it was already present. An item larger than
     /// every other of its process is appended to that process's run.
-    pub fn insert(&mut self, pair: InvocationPair) -> bool {
-        match self.position(pair.process) {
-            Err(at) => self.runs.insert(at, Run::of(vec![pair])),
+    pub fn insert(&mut self, item: T) -> bool {
+        match self.position(item.process()) {
+            Err(at) => self.runs.insert(at, Run::of(vec![item])),
             Ok(at) => {
                 let run = &mut self.runs[at];
-                if *run.log.entry(run.len - 1) < pair {
-                    run.push(pair);
+                if *run.last() < item {
+                    run.push(item);
                 } else {
-                    let Err(index) = run.search(&pair) else {
+                    let Err(index) = run.search(&item) else {
                         return false;
                     };
-                    let mut pairs: Vec<InvocationPair> = run.iter().cloned().collect();
-                    pairs.insert(index, pair);
-                    *run = Run::of(pairs);
+                    let mut items: Vec<T> = run.iter().cloned().collect();
+                    items.insert(index, item);
+                    *run = Run::of(items);
                 }
             }
         }
@@ -366,14 +397,14 @@ impl View {
         true
     }
 
-    /// Removes `pair`; returns `false` when it was absent. Removing the last pair of a
+    /// Removes `item`; returns `false` when it was absent. Removing the last item of a
     /// run keeps the shorter prefix of the same log.
-    pub fn remove(&mut self, pair: &InvocationPair) -> bool {
-        let Ok(at) = self.position(pair.process) else {
+    pub fn remove(&mut self, item: &T) -> bool {
+        let Ok(at) = self.position(item.process()) else {
             return false;
         };
         let run = &mut self.runs[at];
-        let Ok(index) = run.search(pair) else {
+        let Ok(index) = run.search(item) else {
             return false;
         };
         if run.len == 1 {
@@ -382,20 +413,20 @@ impl View {
             run.len -= 1;
         } else {
             let rest = run.iter().enumerate().filter(|&(i, _)| i != index);
-            *run = Run::of(rest.map(|(_, pair)| pair.clone()).collect());
+            *run = Run::of(rest.map(|(_, item)| item.clone()).collect());
         }
         self.len -= 1;
         true
     }
 
-    /// The union of `views`. Per process: the longest run when all runs are of one log
+    /// The union of `sets`. Per process: the longest run when all runs are of one log
     /// (prefixes of one log are nested), else an ordered merge into a new log. The
-    /// union of the `n` one-run views of a scan of `N` is `n` reference counts.
-    pub(crate) fn union_of(views: impl IntoIterator<Item = View>) -> View {
-        let mut runs: Vec<Run> = views.into_iter().flat_map(|view| view.runs).collect();
-        runs.sort_by_key(Run::process);
-        let mut union = View::new();
-        for group in runs.chunk_by(|a, b| a.process() == b.process()) {
+    /// union of the `n` entries of a scan of a shared array is `n` reference counts.
+    pub fn union_of(sets: impl IntoIterator<Item = RunSet<T>>) -> Self {
+        let mut runs: Vec<Run<T>> = sets.into_iter().flat_map(|set| set.runs).collect();
+        runs.sort_by_key(|run| run.process);
+        let mut union = RunSet::new();
+        for group in runs.chunk_by(|a, b| a.process == b.process) {
             let run = if group.iter().all(|run| Arc::ptr_eq(&run.log, &group[0].log)) {
                 group
                     .iter()
@@ -403,8 +434,8 @@ impl View {
                     .expect("a group is not empty")
                     .clone()
             } else {
-                let pairs: BTreeSet<&InvocationPair> = group.iter().flat_map(Run::iter).collect();
-                Run::of(pairs.into_iter().cloned().collect())
+                let items: BTreeSet<&T> = group.iter().flat_map(Run::iter).collect();
+                Run::of(items.into_iter().cloned().collect())
             };
             union.len += run.len;
             union.runs.push(run);
@@ -414,117 +445,134 @@ impl View {
 
     /// Where the run of `process` is, or would go.
     fn position(&self, process: ProcessId) -> Result<usize, usize> {
-        self.runs.binary_search_by_key(&process, Run::process)
+        self.runs.binary_search_by_key(&process, |run| run.process)
     }
 
-    fn run(&self, process: ProcessId) -> Option<&Run> {
+    fn run(&self, process: ProcessId) -> Option<&Run<T>> {
         self.position(process).ok().map(|at| &self.runs[at])
     }
 }
 
 /// Set equality: equal sizes and containment.
-impl PartialEq for View {
+impl<T: Keyed> PartialEq for RunSet<T> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.is_subset(other)
     }
 }
 
-impl Eq for View {}
+impl<T: Keyed> Eq for RunSet<T> {}
 
-/// The ascending pairs compared lexicographically, as `BTreeSet`'s `Ord`.
-impl Ord for View {
+/// The ascending items compared lexicographically, as `BTreeSet`'s `Ord`.
+impl<T: Keyed> Ord for RunSet<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.iter().cmp(other.iter())
     }
 }
 
-impl PartialOrd for View {
+impl<T: Keyed> PartialOrd for RunSet<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// The length, then the ascending pairs, as `BTreeSet`'s `Hash`.
-impl Hash for View {
+/// The length, then the ascending items, as `BTreeSet`'s `Hash`.
+impl<T: Keyed + Hash> Hash for RunSet<T> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_usize(self.len);
-        for pair in self {
-            pair.hash(state);
+        for item in self {
+            item.hash(state);
         }
     }
 }
 
-impl fmt::Debug for View {
+impl<T: Keyed + fmt::Debug> fmt::Debug for RunSet<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.iter()).finish()
     }
 }
 
-impl FromIterator<InvocationPair> for View {
-    fn from_iter<I: IntoIterator<Item = InvocationPair>>(pairs: I) -> Self {
-        let sorted: BTreeSet<InvocationPair> = pairs.into_iter().collect();
-        let mut view = View::new();
+impl<T: Keyed> FromIterator<T> for RunSet<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        let sorted: BTreeSet<T> = items.into_iter().collect();
+        let mut set = RunSet::new();
         let mut rest = sorted.into_iter().peekable();
         while let Some(first) = rest.next() {
-            let mut pairs = vec![first];
-            while let Some(pair) = rest.next_if(|pair| pair.process == pairs[0].process) {
-                pairs.push(pair);
+            let mut items = vec![first];
+            while let Some(item) = rest.next_if(|item| item.process() == items[0].process()) {
+                items.push(item);
             }
-            view.len += pairs.len();
-            view.runs.push(Run::of(pairs));
+            set.len += items.len();
+            set.runs.push(Run::of(items));
         }
-        view
+        set
     }
 }
 
-impl<const N: usize> From<[InvocationPair; N]> for View {
-    fn from(pairs: [InvocationPair; N]) -> Self {
-        pairs.into_iter().collect()
+impl<T: Keyed, const N: usize> From<[T; N]> for RunSet<T> {
+    fn from(items: [T; N]) -> Self {
+        items.into_iter().collect()
     }
 }
 
-impl Extend<InvocationPair> for View {
-    fn extend<I: IntoIterator<Item = InvocationPair>>(&mut self, pairs: I) {
-        for pair in pairs {
-            self.insert(pair);
+impl<T: Keyed> Extend<T> for RunSet<T> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, items: I) {
+        for item in items {
+            self.insert(item);
         }
     }
 }
 
-impl<'a> IntoIterator for &'a View {
-    type Item = &'a InvocationPair;
-    type IntoIter = Iter<'a>;
+impl<'a, T: Keyed> IntoIterator for &'a RunSet<T> {
+    type Item = &'a T;
+    type IntoIter = Iter<'a, T>;
 
-    fn into_iter(self) -> Iter<'a> {
+    fn into_iter(self) -> Iter<'a, T> {
         self.iter()
     }
 }
 
-/// The pairs of some slots of one log.
-struct Pairs<'a> {
-    log: &'a Log,
-    range: Range<usize>,
+/// The items of some slots of one log: `remaining` of them from slot `offset` of
+/// `chunk` on.
+struct Items<'a, T> {
+    chunk: &'a Log<T>,
+    offset: usize,
+    remaining: usize,
 }
 
-impl<'a> Iterator for Pairs<'a> {
-    type Item = &'a InvocationPair;
+impl<'a, T> Iterator for Items<'a, T> {
+    type Item = &'a T;
 
-    fn next(&mut self) -> Option<&'a InvocationPair> {
-        self.range.next().map(|index| self.log.entry(index))
+    fn next(&mut self) -> Option<&'a T> {
+        if self.remaining == 0 {
+            return None;
+        }
+        while self.offset >= self.chunk.slots.len() {
+            self.offset -= self.chunk.slots.len();
+            self.chunk = self
+                .chunk
+                .next
+                .get()
+                .expect("a prefix's chunks are allocated");
+        }
+        self.remaining -= 1;
+        self.offset += 1;
+        Some(written(&self.chunk.slots[self.offset - 1]))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.range.size_hint()
+        (self.remaining, Some(self.remaining))
     }
 }
 
-/// The ascending iteration behind [`View::iter`]: the runs one after the other.
-pub struct Iter<'a>(FlatMap<slice::Iter<'a, Run>, Pairs<'a>, fn(&'a Run) -> Pairs<'a>>);
+/// The ascending iteration behind [`RunSet::iter`]: the runs one after the other.
+pub struct Iter<'a, T>(FlatMap<slice::Iter<'a, Run<T>>, Items<'a, T>, RunItems<'a, T>>);
 
-impl<'a> Iterator for Iter<'a> {
-    type Item = &'a InvocationPair;
+type RunItems<'a, T> = fn(&'a Run<T>) -> Items<'a, T>;
 
-    fn next(&mut self) -> Option<&'a InvocationPair> {
+impl<'a, T> Iterator for Iter<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
         self.0.next()
     }
 }
@@ -553,6 +601,12 @@ impl ViewTuple {
     }
 }
 
+impl Keyed for ViewTuple {
+    fn process(&self) -> ProcessId {
+        self.pair.process
+    }
+}
+
 impl fmt::Display for ViewTuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -566,173 +620,6 @@ impl fmt::Display for ViewTuple {
                 .collect::<Vec<_>>()
                 .join(", ")
         )
-    }
-}
-
-/// A set of view tuples — the `λ_E` of Section 7.3.3 and the content the verifier
-/// exchanges through its snapshot object (Figure 10, variable `τ_i`).
-///
-/// **Representation.** The set is the union of a list of *parts*, each an
-/// `Arc<BTreeSet<Arc<ViewTuple>>>` that other sets may share, and each tuple is held
-/// once, behind its own `Arc`, however many parts and sets hold it. A process's `res_i`
-/// is one part; the union `τ` of a scan of `M` holds the `n` parts the scan read. So
-/// `Clone` and [`TupleSet::union_of`] cost one reference count per part and copy no
-/// tuple, and a snapshot write of `res_i` (whose embedded scan clones all `n` entries)
-/// copies none either. `Arc<ViewTuple>` orders, compares and looks up as the
-/// `ViewTuple` it points to, so the sharing changes no order and no set semantics.
-///
-/// **Iteration is an ordered merge** of the parts: each step yields the smallest head
-/// and advances every part whose head equals it. Parts may overlap (a forged union can
-/// hold one tuple in two parts), so a tuple is yielded once, and the order is exactly a
-/// `BTreeSet<ViewTuple>`'s — which every sketch, witness and certificate depends on.
-/// With `n` parts a step costs `O(n)` comparisons; tuples of different processes differ
-/// in their first field, so those comparisons do not reach the views.
-///
-/// **Copy-on-write copies pointers.** [`insert`](TupleSet::insert),
-/// [`extend`](Extend::extend) and [`remove`](TupleSet::remove) write to one part through
-/// [`Arc::make_mut`], which copies that part only while another set still shares it; a
-/// set of several parts is first merged into one. Either copy clones the part's
-/// `Arc<ViewTuple>`s, never a tuple, a view or a pair. A clone or a union therefore
-/// never changes the set it came from, `Verifier::record` copies `|res_i|` pointers when
-/// it adds to the part the snapshot still holds, and dropping a superseded part frees
-/// pointers, not views.
-#[derive(Clone, Default)]
-pub struct TupleSet {
-    parts: Vec<Arc<BTreeSet<Arc<ViewTuple>>>>,
-}
-
-impl TupleSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        TupleSet::default()
-    }
-
-    /// The union of `sets`, sharing their parts: no tuple is copied.
-    pub fn union_of(sets: impl IntoIterator<Item = TupleSet>) -> Self {
-        TupleSet {
-            parts: sets
-                .into_iter()
-                .flat_map(|set| set.parts)
-                .filter(|part| !part.is_empty())
-                .collect(),
-        }
-    }
-
-    /// The tuples in ascending order, each once.
-    pub fn iter(&self) -> TupleSetIter<'_> {
-        TupleSetIter {
-            heads: self
-                .parts
-                .iter()
-                .filter_map(|part| {
-                    let mut rest = part.iter();
-                    rest.next().map(|head| (&**head, rest))
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of distinct tuples (a merge when the set has several parts).
-    pub fn len(&self) -> usize {
-        match self.parts.as_slice() {
-            [part] => part.len(),
-            _ => self.iter().count(),
-        }
-    }
-
-    /// Returns `true` when the set holds no tuple.
-    pub fn is_empty(&self) -> bool {
-        self.parts.iter().all(|part| part.is_empty())
-    }
-
-    /// Returns `true` when `tuple` is in the set.
-    pub fn contains(&self, tuple: &ViewTuple) -> bool {
-        self.parts.iter().any(|part| part.contains(tuple))
-    }
-
-    /// Adds `tuple`; returns `false` when it was already present.
-    pub fn insert(&mut self, tuple: ViewTuple) -> bool {
-        self.part_mut().insert(Arc::new(tuple))
-    }
-
-    /// Removes `tuple`; returns `false` when it was absent.
-    pub fn remove(&mut self, tuple: &ViewTuple) -> bool {
-        self.part_mut().remove(tuple)
-    }
-
-    /// The one part a write goes to, unshared.
-    fn part_mut(&mut self) -> &mut BTreeSet<Arc<ViewTuple>> {
-        if self.parts.len() != 1 {
-            let merged = self
-                .parts
-                .iter()
-                .flat_map(|part| part.iter().cloned())
-                .collect();
-            self.parts = vec![Arc::new(merged)];
-        }
-        Arc::make_mut(&mut self.parts[0])
-    }
-}
-
-/// Set equality.
-impl PartialEq for TupleSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for TupleSet {}
-
-impl fmt::Debug for TupleSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-impl FromIterator<ViewTuple> for TupleSet {
-    fn from_iter<I: IntoIterator<Item = ViewTuple>>(tuples: I) -> Self {
-        TupleSet {
-            parts: vec![Arc::new(tuples.into_iter().map(Arc::new).collect())],
-        }
-    }
-}
-
-impl Extend<ViewTuple> for TupleSet {
-    fn extend<I: IntoIterator<Item = ViewTuple>>(&mut self, tuples: I) {
-        self.part_mut().extend(tuples.into_iter().map(Arc::new));
-    }
-}
-
-impl<'a> IntoIterator for &'a TupleSet {
-    type Item = &'a ViewTuple;
-    type IntoIter = TupleSetIter<'a>;
-
-    fn into_iter(self) -> TupleSetIter<'a> {
-        self.iter()
-    }
-}
-
-/// The ordered merge behind [`TupleSet::iter`].
-pub struct TupleSetIter<'a> {
-    /// Per part not yet exhausted: its smallest tuple not yet yielded, and the rest.
-    heads: Vec<(&'a ViewTuple, btree_set::Iter<'a, Arc<ViewTuple>>)>,
-}
-
-impl<'a> Iterator for TupleSetIter<'a> {
-    type Item = &'a ViewTuple;
-
-    fn next(&mut self) -> Option<&'a ViewTuple> {
-        let min = self.heads.iter().map(|&(head, _)| head).min()?;
-        self.heads.retain_mut(|(head, rest)| {
-            if std::ptr::eq(*head, min) || *head == min {
-                match rest.next() {
-                    Some(next) => *head = next,
-                    None => return false,
-                }
-            }
-            true
-        });
-        Some(min)
     }
 }
 
@@ -957,41 +844,50 @@ mod tests {
         ));
     }
 
-    /// A write to a clone copies the part the two sets share, and a write to a union
-    /// merges its parts; both copies hold the original tuples themselves, so no tuple,
-    /// view or pair is cloned.
+    fn tuple(p: u32, id: u64) -> ViewTuple {
+        let own = pair(p, id);
+        ViewTuple::new(own.clone(), OpValue::Bool(true), view_of(&[&own]))
+    }
+
+    fn addresses(set: &TupleSet) -> Vec<*const ViewTuple> {
+        set.iter().map(|tuple| tuple as *const ViewTuple).collect()
+    }
+
+    /// An owner's append moves the tuple into its log's next slot: every tuple recorded
+    /// before keeps its allocation, in the owner and in every clone taken before, across
+    /// chunk boundaries. A write to a clone copies only the clone's run of the process
+    /// it writes to, as a view's does: the original keeps its tuples, and the clone
+    /// still shares every other process's run.
     #[test]
-    fn a_write_to_a_clone_shares_every_tuple() {
-        let pairs: Vec<InvocationPair> = (0..4).map(|i| pair(i % 2, u64::from(i))).collect();
-        let original: TupleSet = (1..=pairs.len())
-            .map(|k| {
-                let view = pairs[..k].iter().cloned().collect();
-                ViewTuple::new(pairs[k - 1].clone(), OpValue::Bool(true), view)
-            })
-            .collect();
-        let mut copy = original.clone();
-        let extra = pair(2, 9);
-        assert!(copy.insert(ViewTuple::new(
-            extra.clone(),
-            OpValue::Bool(true),
-            view_of(&[&extra])
-        )));
-        assert_eq!((original.len(), copy.len()), (4, 5));
-        for tuple in &original {
-            let shared = copy.iter().find(|t| *t == tuple).expect("kept by the copy");
-            assert!(std::ptr::eq(tuple, shared), "{} was copied", tuple.pair);
+    fn a_write_to_a_clone_copies_only_its_own_run() {
+        let mut owner = TupleSet::new();
+        let mut clones: Vec<(TupleSet, Vec<*const ViewTuple>)> = Vec::new();
+        for id in 0..40 {
+            assert!(owner.insert(tuple(0, id)));
+            let now = addresses(&owner);
+            for (clone, then) in &clones {
+                assert!(now.starts_with(then), "record {id} moved a tuple");
+                assert_eq!(&addresses(clone), then, "record {id} changed a clone");
+            }
+            clones.push((owner.clone(), now));
         }
-        let merged = TupleSet::union_of([original.clone(), copy]);
-        let mut written = merged.clone();
-        assert!(written.remove(original.iter().next().expect("four tuples")));
-        for tuple in written.iter() {
-            let shared = merged.iter().find(|t| *t == tuple).expect("from the union");
+
+        let mut both = owner.clone();
+        both.extend((0..6).map(|id| tuple(1, 100 + id)));
+        let before = addresses(&both);
+        let mut copy = both.clone();
+        assert!(copy.insert(tuple(1, 200)));
+        assert_eq!((both.len(), copy.len()), (46, 47));
+        assert_eq!(addresses(&both), before, "the write reached the original");
+        let (mine, theirs) = (addresses(&copy), &before);
+        assert_eq!(mine[..40], theirs[..40], "process 0's run was copied");
+        for (at, (mine, theirs)) in mine[40..46].iter().zip(&theirs[40..]).enumerate() {
             assert!(
-                std::ptr::eq(tuple, shared),
-                "the merge copied {}",
-                tuple.pair
+                !std::ptr::eq(*mine, *theirs),
+                "tuple {at} of process 1 is shared"
             );
         }
+        assert!(copy.iter().zip(&both).all(|(a, b)| a == b));
     }
 
     #[test]
@@ -1017,8 +913,44 @@ mod tests {
         }
     }
 
-    /// A view and the `BTreeSet` it must behave as.
-    type Pair = (View, BTreeSet<InvocationPair>);
+    /// The items a differential run writes, of both arrays.
+    trait Item: Keyed + fmt::Debug + Hash {
+        /// A new item of process `p`, above every earlier one of it when `id` is.
+        fn fresh(p: u32, id: u64) -> Self;
+
+        /// Another item under the same process and identifier, as a forged second
+        /// announcement or response of one operation is.
+        fn twin(&self) -> Self;
+    }
+
+    impl Item for InvocationPair {
+        fn fresh(p: u32, id: u64) -> Self {
+            pair(p, id)
+        }
+
+        fn twin(&self) -> Self {
+            InvocationPair {
+                operation: queue::dequeue(),
+                ..self.clone()
+            }
+        }
+    }
+
+    impl Item for ViewTuple {
+        fn fresh(p: u32, id: u64) -> Self {
+            tuple(p, id)
+        }
+
+        fn twin(&self) -> Self {
+            ViewTuple {
+                response: OpValue::Error,
+                ..self.clone()
+            }
+        }
+    }
+
+    /// A set and the `BTreeSet` it must behave as.
+    type Pair<T> = (RunSet<T>, BTreeSet<T>);
 
     fn hash_of(value: &impl Hash) -> u64 {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -1026,25 +958,22 @@ mod tests {
         hasher.finish()
     }
 
-    /// Asserts that `view` is the set `oracle` to every query of one view.
-    fn assert_is(view: &View, oracle: &BTreeSet<InvocationPair>, known: &[InvocationPair]) {
-        assert_eq!(view.len(), oracle.len(), "len of {view:?}");
-        assert_eq!(view.is_empty(), oracle.is_empty());
-        assert!(view.iter().eq(oracle.iter()), "{view:?} against {oracle:?}");
-        for pair in known {
-            assert_eq!(
-                view.contains(pair),
-                oracle.contains(pair),
-                "{pair} in {view:?}"
-            );
+    /// Asserts that `set` is the set `oracle` to every query of one set.
+    fn assert_is<T: Item>(set: &RunSet<T>, oracle: &BTreeSet<T>, known: &[T]) {
+        assert_eq!(set.len(), oracle.len(), "len of {set:?}");
+        assert_eq!(set.is_empty(), oracle.is_empty());
+        assert!(set.iter().eq(oracle.iter()), "{set:?} against {oracle:?}");
+        for item in known {
+            let expected = oracle.contains(item);
+            assert_eq!(set.contains(item), expected, "{item:?} in {set:?}");
         }
-        assert_eq!(format!("{view:?}"), format!("{oracle:?}"));
-        assert_eq!(hash_of(view), hash_of(oracle), "hash of {view:?}");
+        assert_eq!(format!("{set:?}"), format!("{oracle:?}"));
+        assert_eq!(hash_of(set), hash_of(oracle), "hash of {set:?}");
     }
 
-    /// Asserts that two views relate as their oracles do, and counts whether they
+    /// Asserts that two sets relate as their oracles do, and counts whether they
     /// shared a log for some process (`.0`) or held different logs for one (`.1`).
-    fn assert_relate(a: &Pair, b: &Pair, coverage: &mut (usize, usize)) {
+    fn assert_relate<T: Item>(a: &Pair<T>, b: &Pair<T>, coverage: &mut (usize, usize)) {
         let ((x, xs), (y, ys)) = (a, b);
         assert_eq!(x.is_subset(y), xs.is_subset(ys), "{x:?} ⊆ {y:?}");
         assert_eq!(y.is_subset(x), ys.is_subset(xs), "{y:?} ⊆ {x:?}");
@@ -1053,7 +982,7 @@ mod tests {
         assert_eq!(x == y, xs == ys, "{x:?} = {y:?}");
         assert_eq!(x.cmp(y), xs.cmp(ys), "{x:?} against {y:?}");
         for mine in &x.runs {
-            if let Some(theirs) = y.run(mine.process()) {
+            if let Some(theirs) = y.run(mine.process) {
                 if Arc::ptr_eq(&mine.log, &theirs.log) {
                     coverage.0 += usize::from(mine.len != theirs.len);
                 } else {
@@ -1063,101 +992,112 @@ mod tests {
         }
     }
 
-    /// One seeded run: three owners append their processes' pairs as `Drv` does, and
-    /// a pool of views is fed by their clones (`collect`) and unions, then written to
-    /// by hand: inserts in and out of order, appends that find the owner's next pair
-    /// already in the log, removes, `FromIterator`, `Extend`. Every written view is
-    /// checked against its oracle, and a random two of them against each other.
+    /// One seeded run: three owners append items as `SharedSets` does (now and then
+    /// one of another process, as a `record` of a foreign tuple does), and a pool of
+    /// sets is fed by their clones (`collect`, a publication) and unions, then written
+    /// to by hand: inserts in and out of order, twins, appends that find the owner's
+    /// next item already in the log, removes, `FromIterator`, `Extend`. Every written
+    /// set is checked against its oracle, and a random two of them against each other.
     /// Returns the coverage counts of [`assert_relate`].
-    fn differential_run(seed: u64, steps: usize) -> (usize, usize) {
+    fn differential_run<T: Item>(seed: u64, steps: usize) -> (usize, usize) {
         const PROCESSES: usize = 3;
         let mut rng = Rng(seed);
         let mut next_id = 0;
         let mut fresh = |process: usize| {
             next_id += 1;
-            pair(process as u32, next_id)
+            T::fresh(process as u32, next_id)
         };
-        let mut owners: Vec<Pair> = (0..PROCESSES).map(|_| Pair::default()).collect();
-        let mut pool: Vec<Pair> = vec![Pair::default()];
-        let mut known: Vec<InvocationPair> = vec![pair(0, u64::MAX)];
+        let mut owners: Vec<Pair<T>> = (0..PROCESSES).map(|_| Pair::default()).collect();
+        let mut pool: Vec<Pair<T>> = vec![Pair::default()];
+        let mut known: Vec<T> = vec![T::fresh(0, u64::MAX)];
         let mut coverage = (0, 0);
         for _ in 0..steps {
             let process = rng.below(PROCESSES);
             let at = rng.below(pool.len());
-            let touched: Pair = match rng.below(10) {
+            let touched: Pair<T> = match rng.below(10) {
                 0..=2 => {
-                    let added = fresh(process);
+                    let foreign = rng.below(8) == 0;
+                    let added = fresh(if foreign {
+                        rng.below(PROCESSES)
+                    } else {
+                        process
+                    });
                     known.push(added.clone());
-                    let (view, set) = &mut owners[process];
-                    assert!(view.insert(added.clone()));
-                    set.insert(added);
+                    let (set, oracle) = &mut owners[process];
+                    assert!(set.insert(added.clone()));
+                    oracle.insert(added);
                     owners[process].clone()
                 }
                 3 => {
-                    let views = owners.iter().map(|(view, _)| view.clone());
-                    let set = owners.iter().flat_map(|(_, set)| set.iter().cloned());
-                    (View::union_of(views), set.collect())
+                    let sets = owners.iter().map(|(set, _)| set.clone());
+                    let oracle = owners.iter().flat_map(|(_, oracle)| oracle.iter().cloned());
+                    (RunSet::union_of(sets), oracle.collect())
                 }
                 4 => {
-                    let (view, set) = &mut pool[at];
-                    let added = if rng.below(2) == 0 {
-                        known[rng.below(known.len())].clone()
-                    } else {
-                        let added = fresh(process);
-                        known.push(added.clone());
-                        added
+                    let (set, oracle) = &mut pool[at];
+                    let added = match rng.below(4) {
+                        0 => {
+                            let twin = known[rng.below(known.len())].twin();
+                            known.push(twin.clone());
+                            twin
+                        }
+                        1 => known[rng.below(known.len())].clone(),
+                        _ => {
+                            let added = fresh(process);
+                            known.push(added.clone());
+                            added
+                        }
                     };
-                    assert_eq!(view.insert(added.clone()), set.insert(added));
+                    assert_eq!(set.insert(added.clone()), oracle.insert(added));
                     pool[at].clone()
                 }
                 5 => {
-                    // The pair after the view's last one of `process` in the owner's
+                    // The item after the set's last one of `process` in the owner's
                     // log: that slot already holds it, so the append shares the log.
-                    let (view, set) = &mut pool[at];
-                    let last = set
-                        .iter()
-                        .rev()
-                        .find(|pair| pair.process.index() == process);
+                    let (set, oracle) = &mut pool[at];
+                    let of_process = |item: &&T| item.process().index() == process;
+                    let last = oracle.iter().rev().find(of_process);
                     let next = owners[process]
                         .1
                         .iter()
-                        .find(|pair| last.map_or(true, |last| *pair > last));
+                        .filter(of_process)
+                        .find(|item| last.map_or(true, |last| *item > last));
                     if let Some(next) = next.cloned() {
-                        assert_eq!(view.insert(next.clone()), set.insert(next));
+                        assert_eq!(set.insert(next.clone()), oracle.insert(next));
                     }
                     pool[at].clone()
                 }
                 6 => {
-                    let (view, set) = &mut pool[at];
-                    let gone = if rng.below(3) > 0 && !set.is_empty() {
-                        set.iter().nth(rng.below(set.len())).cloned().unwrap()
+                    let (set, oracle) = &mut pool[at];
+                    let gone = if rng.below(3) > 0 && !oracle.is_empty() {
+                        oracle.iter().nth(rng.below(oracle.len())).cloned().unwrap()
                     } else {
                         known[rng.below(known.len())].clone()
                     };
-                    assert_eq!(view.remove(&gone), set.remove(&gone));
+                    assert_eq!(set.remove(&gone), oracle.remove(&gone));
                     pool[at].clone()
                 }
                 7 => {
-                    let set: BTreeSet<InvocationPair> = known
+                    let oracle: BTreeSet<T> = known
                         .iter()
                         .filter(|_| rng.below(3) == 0)
                         .cloned()
                         .collect();
-                    (set.iter().rev().cloned().collect(), set)
+                    (oracle.iter().rev().cloned().collect(), oracle)
                 }
                 8 => {
                     let other = &pool[rng.below(pool.len())];
-                    let views = [pool[at].0.clone(), other.0.clone()];
-                    let set = pool[at].1.union(&other.1).cloned().collect();
-                    (View::union_of(views), set)
+                    let sets = [pool[at].0.clone(), other.0.clone()];
+                    let oracle = pool[at].1.union(&other.1).cloned().collect();
+                    (RunSet::union_of(sets), oracle)
                 }
                 _ => {
-                    let (view, set) = &mut pool[at];
-                    let added: Vec<InvocationPair> = (0..rng.below(4))
+                    let (set, oracle) = &mut pool[at];
+                    let added: Vec<T> = (0..rng.below(4))
                         .map(|_| known[rng.below(known.len())].clone())
                         .collect();
-                    view.extend(added.iter().cloned());
-                    set.extend(added);
+                    set.extend(added.iter().cloned());
+                    oracle.extend(added);
                     pool[at].clone()
                 }
             };
@@ -1177,16 +1117,16 @@ mod tests {
             let (a, b) = (pick(rng.below(others)), pick(rng.below(others)));
             assert_relate(a, b, &mut coverage);
         }
-        for (view, set) in owners.iter().chain(&pool) {
-            assert_is(view, set, &known);
+        for (set, oracle) in owners.iter().chain(&pool) {
+            assert_is(set, oracle, &known);
         }
         coverage
     }
 
-    fn differential(seeds: std::ops::Range<u64>) {
+    fn differential<T: Item>(seeds: std::ops::Range<u64>) {
         let mut coverage = (0, 0);
         for seed in seeds.clone() {
-            let (shared, merged) = differential_run(seed, 300);
+            let (shared, merged) = differential_run::<T>(seed, 300);
             coverage = (coverage.0 + shared, coverage.1 + merged);
         }
         let runs = (seeds.end - seeds.start) as usize;
@@ -1200,13 +1140,27 @@ mod tests {
     /// writes, on the shared-log fast paths and on the merge path.
     #[test]
     fn views_behave_as_btree_sets() {
-        differential(0..40);
+        differential::<InvocationPair>(0..40);
     }
 
     /// The same on ten times the seeds (`--release -- --ignored`).
     #[test]
     #[ignore = "ten times the seeds of views_behave_as_btree_sets; CI runs it in release"]
     fn views_behave_as_btree_sets_on_many_seeds() {
-        differential(0..400);
+        differential::<InvocationPair>(0..400);
+    }
+
+    /// `TupleSet` against a `BTreeSet<ViewTuple>` oracle on the same sequences of
+    /// writes, foreign-process tuples and twins included.
+    #[test]
+    fn tuple_sets_behave_as_btree_sets() {
+        differential::<ViewTuple>(0..40);
+    }
+
+    /// The same on ten times the seeds (`--release -- --ignored`).
+    #[test]
+    #[ignore = "ten times the seeds of tuple_sets_behave_as_btree_sets; CI runs it in release"]
+    fn tuple_sets_behave_as_btree_sets_on_many_seeds() {
+        differential::<ViewTuple>(0..400);
     }
 }

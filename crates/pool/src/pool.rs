@@ -459,15 +459,16 @@ pub struct MonitorPool<A, S: TypedObject> {
 /// # Per-object operation cost
 ///
 /// The pool's GC bounds how much *history* each object retains, but the
-/// monitor underneath follows Figures 7 and 10 of the paper: views and result
-/// sets grow with the object's total operation count. Announce and collect
-/// cost `O(n)` whatever that count, but recording a tuple copies one pointer
-/// per tuple the process published before (`res_i`), so each operation on one
-/// object still costs time linear in how many that object has already served
-/// (Section 9.1 discusses bounded-size representations). Spreading load across
-/// many objects is cheap; funnelling millions of operations through a single
-/// object is quadratic overall — at the monitor layer, independently of this
-/// crate.
+/// monitor underneath follows Figures 7 and 10 of the paper: its announcement
+/// and result logs grow with the object's total operation count, and so does
+/// the view each tuple holds. An operation's work does not: announce, collect
+/// and record each cost `O(n)` plus a walk of `O(log k)` log chunks on an
+/// object that has served `k` operations, and none copies an earlier pair or
+/// tuple. Memory, though, stays linear in `k` per object (Section 9.1
+/// discusses bounded-size representations): spreading load across many
+/// objects is cheap, while funnelling millions of operations through a single
+/// object grows its logs without bound — at the monitor layer, independently
+/// of this crate.
 pub struct PoolSession<A: ConcurrentObject, S: TypedObject> {
     object: u64,
     session: Session<A, S>,

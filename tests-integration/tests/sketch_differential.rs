@@ -15,10 +15,10 @@
 //! * a tuple set too large for the all-pairs loop must still go through.
 //!
 //! Every generated and forged set is also built two more ways — as the union of one
-//! shared part per process (what a scan of `M` delivers) and as a union of two parts
-//! that share a tuple — and each form must iterate, count, look up, compare, check and
-//! sketch exactly like the single-part set; writing to a clone or a union must never
-//! change the set it came from.
+//! set per process (what a scan of `M` delivers) and as a union of two sets that share
+//! a tuple (two logs for one process) — and each form must iterate, count, look up,
+//! compare, check and sketch exactly like the set built at once; writing to a clone or
+//! a union must never change the set it came from.
 
 use linrv_core::drv::Drv;
 use linrv_core::sketch::{sketch_history, SketchError};
@@ -165,7 +165,7 @@ fn overlapping(tuples: &TupleSet) -> TupleSet {
 /// plain `BTreeSet`, and that the verdict path cannot tell them apart.
 fn assert_shared_forms_agree(tuples: &TupleSet, context: &str) {
     let oracle: BTreeSet<ViewTuple> = tuples.iter().cloned().collect();
-    assert!(tuples.iter().eq(oracle.iter()), "{context}: single part");
+    assert!(tuples.iter().eq(oracle.iter()), "{context}: built at once");
     let properties = check_view_properties(tuples);
     let sketch = sketch_history(tuples).map(|history| history.to_string());
     let absent = ViewTuple::new(foreign_pair(0), OpValue::Bool(true), View::new());
@@ -455,8 +455,8 @@ fn forged_sets_are_accepted_and_rejected_alike() {
     );
 }
 
-/// Writing to a clone or to a union copies the part it writes to first: the set it
-/// came from, and every set sharing its parts, stay as they were.
+/// Writing to a clone or to a union copies the run it writes to first: the set it
+/// came from, and every set sharing its runs, stay as they were.
 #[test]
 fn clones_and_unions_are_copy_on_write() {
     let foreign = ViewTuple::new(
