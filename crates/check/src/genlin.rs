@@ -1,5 +1,6 @@
 //! The `GenLin` family of abstract objects (Definition 7.2).
 
+use crate::specialized::Settled;
 use linrv_history::{similar, History, OpTable};
 
 /// An abstract object in the sense of Section 7.1: a set of well-formed finite
@@ -25,12 +26,19 @@ pub trait GenLinObject: Send + Sync {
     /// Histories that are not well formed are never members.
     fn contains(&self, history: &History) -> bool;
 
-    /// [`contains`](Self::contains) for a caller that already holds `table`, the
-    /// operation table of `history` (what [`History::index`] returns), so that an
-    /// object that reads the table need not index `history` again. The verifier's
-    /// sketch keeps its table across steps and decides through this.
-    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
-        let _ = table;
+    /// [`contains`](Self::contains) for a caller that decides a growing history
+    /// and already holds `table`, the operation table of `history` (what
+    /// [`History::index`] returns), and `settled`, a settled cut of `history`
+    /// whose prefix was decided a member ([`Settled`]). An object that reads the
+    /// table need not index `history` again, and one with a base rule decides
+    /// only the base and the records since the cut: the queue's
+    /// [`StrategyChecker`](crate::StrategyChecker). The verifier's sketch keeps
+    /// both across steps and decides through this. While `settled` keeps that
+    /// contract the answer is `contains(history)`: the cut only lets an object
+    /// read less. By default it decides the whole history. A smart pointer must
+    /// forward this, not take the default, or the cut it is handed goes unused.
+    fn contains_settled(&self, history: &History, table: &OpTable, settled: &Settled) -> bool {
+        let _ = (table, settled);
         self.contains(history)
     }
 
@@ -43,8 +51,8 @@ impl<T: GenLinObject + ?Sized> GenLinObject for &T {
         (**self).contains(history)
     }
 
-    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
-        (**self).contains_indexed(history, table)
+    fn contains_settled(&self, history: &History, table: &OpTable, settled: &Settled) -> bool {
+        (**self).contains_settled(history, table, settled)
     }
 
     fn description(&self) -> String {
@@ -57,8 +65,8 @@ impl<T: GenLinObject + ?Sized> GenLinObject for std::sync::Arc<T> {
         (**self).contains(history)
     }
 
-    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
-        (**self).contains_indexed(history, table)
+    fn contains_settled(&self, history: &History, table: &OpTable, settled: &Settled) -> bool {
+        (**self).contains_settled(history, table, settled)
     }
 
     fn description(&self) -> String {
@@ -71,8 +79,8 @@ impl<T: GenLinObject + ?Sized> GenLinObject for Box<T> {
         (**self).contains(history)
     }
 
-    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
-        (**self).contains_indexed(history, table)
+    fn contains_settled(&self, history: &History, table: &OpTable, settled: &Settled) -> bool {
+        (**self).contains_settled(history, table, settled)
     }
 
     fn description(&self) -> String {
@@ -192,5 +200,43 @@ mod tests {
             (&Anything as &dyn GenLinObject).description(),
             "any well-formed history"
         );
+    }
+
+    /// Every smart pointer forwards `contains_settled` to the queue checker it holds,
+    /// which decides from the cut: here a cut taken, against its contract, after a
+    /// prefix that is no member (an enqueue, then a dequeue that finds the queue
+    /// empty) lets the window (the enqueue, then a dequeue of its value) answer
+    /// member, where the whole history is none. A pointer that fell back to the
+    /// default would decide the whole history.
+    #[test]
+    fn smart_pointers_forward_the_settled_cut() {
+        use crate::{Settled, StrategyChecker};
+        use linrv_spec::{ops::queue, QueueSpec};
+        let p = ProcessId::new(0);
+        let mut b = HistoryBuilder::new();
+        b.complete(p, queue::enqueue(1), OpValue::Bool(true));
+        b.complete(p, queue::dequeue(), OpValue::Empty);
+        b.complete(p, queue::dequeue(), OpValue::Int(1));
+        let history = b.build();
+        let (records, _) = history.index();
+        let mut table = OpTable::default();
+        table.reindex(history.events(), 0);
+        let mut settled = Settled::default();
+        assert!(settled.advance(&records, 4));
+        assert_eq!((settled.cut(), settled.base().len()), (4, 1));
+
+        let checker = || StrategyChecker::new(QueueSpec::new());
+        assert!(!checker().contains(&history));
+        assert!(!checker().contains_settled(&history, &table, &Settled::default()));
+        assert!(checker().contains_settled(&history, &table, &settled));
+        let boxed: Box<dyn GenLinObject> = Box::new(checker());
+        assert!(boxed.contains_settled(&history, &table, &settled), "Box");
+        let arc: std::sync::Arc<dyn GenLinObject> = std::sync::Arc::new(checker());
+        assert!(arc.contains_settled(&history, &table, &settled), "Arc");
+        let owned = checker();
+        let borrowed: &dyn GenLinObject = &owned;
+        let forwarded =
+            <&dyn GenLinObject>::contains_settled(&borrowed, &history, &table, &settled);
+        assert!(forwarded, "&T");
     }
 }

@@ -56,7 +56,7 @@ pub use linearizability::LinSpec;
 pub use pattern::BadPattern;
 pub use setlin::{SetLinCounterSpec, SetLinSpec, SetSequentialSpec};
 pub use specialized::{
-    check_specialized, FallbackReason, Route, SpecializedResult, StrategyChecker,
+    check_specialized, FallbackReason, Route, Settled, SpecializedResult, StrategyChecker,
 };
 pub use stream::{check_events, StreamingChecker};
 pub use tasks::{OneShotTaskObject, Task, TaskInstance};

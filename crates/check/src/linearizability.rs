@@ -17,6 +17,7 @@
 //! the common cases fast.
 
 use crate::genlin::GenLinObject;
+use crate::specialized::Settled;
 use crate::witness::{SearchFrontier, Verdict, Violation};
 use linrv_history::{History, HistoryBuilder, OpRecord, OpTable, OpValue, WellFormedError};
 use linrv_spec::SequentialSpec;
@@ -100,7 +101,7 @@ impl<S: SequentialSpec> GenLinObject for LinSpec<S> {
         !self.check(history).is_violation()
     }
 
-    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
+    fn contains_settled(&self, history: &History, table: &OpTable, _: &Settled) -> bool {
         !self
             .decide(history, table.records(), table.well_formed())
             .is_violation()

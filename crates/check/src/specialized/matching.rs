@@ -128,8 +128,14 @@ pub(super) struct Matching {
 }
 
 /// Decides an insert/remove history of `kind` (rules on the
-/// [module page](self)).
-pub(super) fn check(kind: &Kind, records: &[OpRecord]) -> SpecializedResult {
+/// [module page](self)) from its records: a history's operation table, or
+/// the queue's settled base (complete enqueues only) followed by the records
+/// invoked since its cut (`queue`'s settled-cut lemma). Either way the
+/// removals come in invocation order.
+pub(super) fn check<'r>(
+    kind: &Kind,
+    records: impl IntoIterator<Item = &'r OpRecord>,
+) -> SpecializedResult {
     let matching = match Matching::new(kind, records) {
         Ok(matching) => matching,
         Err(decided) => return decided,
@@ -149,12 +155,17 @@ fn violation(name: &'static str, message: String, values: Vec<i64>) -> Specializ
 impl Matching {
     /// The scan, the ambiguity gate and the matching; `Err` carries the
     /// decision when one of them settles the history.
-    fn new(kind: &Kind, records: &[OpRecord]) -> Result<Self, SpecializedResult> {
+    fn new<'r>(
+        kind: &Kind,
+        records: impl IntoIterator<Item = &'r OpRecord>,
+    ) -> Result<Self, SpecializedResult> {
+        let records = records.into_iter();
+        let (len, _) = records.size_hint();
         // The inserts and the removals that answered a value, as `(value,
         // span)`; sorted by value below. Only a value with one insert and
         // one removal goes on to use its spans.
-        let mut adds = Vec::with_capacity(records.len());
-        let mut removes = Vec::with_capacity(records.len());
+        let mut adds = Vec::with_capacity(len);
+        let mut removes = Vec::with_capacity(len);
         let mut empties = Vec::new();
         let mut pending_removals = Vec::new();
         for record in records {

@@ -70,8 +70,18 @@
 //! events: [`StrategyChecker`] indexes a history once ([`History::index`]) and
 //! hands the table to the monitor and, on a fallback, to [`LinSpec`]. A caller
 //! that keeps a table ([`OpTable`]; the verifier's sketch does) hands it in
-//! through [`GenLinObject::contains_indexed`] and nothing is indexed.
+//! through [`GenLinObject::contains_settled`] and nothing is indexed.
 //! [`check_specialized`] is the standalone entry that indexes on its own.
+//!
+//! That caller also hands in a [`Settled`] cut of its growing history. For the
+//! queue, once the cut is past the first event, the monitor's input is the
+//! cut's base (the enqueues before the cut still in the queue there, at their
+//! original event indices) followed by the window, the table's records invoked
+//! since the cut: an input of the operations open and the values queued, not of
+//! the length of the history (the settled-cut lemma, `queue`'s module page). The
+//! same `matching` scan reads both, so there is no second monitor. Only its
+//! `Member` or `NotMember` decides; a fallback decides the whole table. Every
+//! other kind, and every caller without a cut, decides the whole table.
 
 use crate::genlin::GenLinObject;
 use crate::linearizability::LinSpec;
@@ -89,6 +99,8 @@ mod register;
 mod set;
 mod stack;
 mod util;
+
+pub use queue::Settled;
 
 /// Why the specialized monitor declined and the general search ran instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,7 +276,20 @@ impl<S: SequentialSpec> GenLinObject for StrategyChecker<S> {
         !self.check(history).is_violation()
     }
 
-    fn contains_indexed(&self, history: &History, table: &OpTable) -> bool {
+    /// The queue decides from the settled cut when it has one and the
+    /// history is well formed: only the monitor's `Member` or `NotMember` on
+    /// the base and window answers (the settled-cut lemma, `queue` module
+    /// page); on a fallback, and for every other kind, the whole table is
+    /// decided as [`Self::check`] would.
+    fn contains_settled(&self, history: &History, table: &OpTable, settled: &Settled) -> bool {
+        if self.kind == ObjectKind::Queue && settled.cut() > 0 && table.well_formed().is_ok() {
+            let window = settled.base().iter().chain(settled.window(table.records()));
+            match matching::check(&queue::QUEUE, window) {
+                SpecializedResult::Member => return true,
+                SpecializedResult::NotMember(_) => return false,
+                SpecializedResult::Fallback(_) => {}
+            }
+        }
         !self
             .decide_routed(history, table.records(), table.well_formed())
             .0

@@ -72,10 +72,155 @@
 //!   512-operation Enforce-shaped schedule and none of 10 000 random member
 //!   histories falls back `Undecided` (`tests-integration`'s queue census and
 //!   `specialized_differential`).
+//!
+//! # Deciding from a settled cut
+//!
+//! A *clean cut* of a history `H` is an event index `c` before which every
+//! operation invoked has responded. Split `H = H1·H2` there. Let `U` be the
+//! values of `H1`'s enqueues that no dequeue of `H1` answers, and `E_U` those
+//! enqueues at their places in `H1`: complete operations, all before `c`.
+//!
+//! **Lemma (settled cut).** If `H1` is a member and no two of its enqueues
+//! have one value, then `H ∈ Lin(queue)` iff `E_U·H2 ∈ Lin(queue)`.
+//!
+//! *Proof.* Every operation of `H1` (and of `E_U`) responds before any
+//! operation of `H2` is invoked, so a linearization of a completion of
+//! either history puts the first part wholly before `H2`'s operations.
+//!
+//! * (⇒) Let `L1·L2` linearize `H`, `L1` the operations of `H1`. No value is
+//!   enqueued twice in `H1`, so each dequeue of `L1` removes the one enqueue
+//!   of its value, and after `L1` the queue holds exactly `U`, in an order
+//!   `π` that extends `E_U`'s real-time order. So `π·L2`, the restriction of
+//!   `L1·L2` to `E_U·H2`, reaches the same state and replays `L2`: it
+//!   linearizes `E_U·H2`.
+//! * (⇐) Let `π·L2` linearize `E_U·H2`; `π` orders `U` and extends `E_U`'s
+//!   real-time order. Take a linearization of `H1` as distinct points, one
+//!   inside each operation's interval. Every `u ∈ U` has its point after the
+//!   point of every empty dequeue (else `u` is in the queue when it answers)
+//!   and of every enqueue of a dequeued value `w` (else `u` is ahead of `w`
+//!   and is dequeued first). Let `B` be the last of those points, so
+//!   `B < p_u ≤ rs_u`. Moving `U`'s points anywhere after `B`, in any order,
+//!   changes no answer: the values dequeued in `H1` stay ahead of `U` and
+//!   every empty dequeue stays before it, and the queue ends holding `U` in
+//!   the new order. Points in the order `π` exist: take each `u` in turn at
+//!   the first point after the previous one and after `max(B, iv_u)`. If that
+//!   passes `rs_u`, some `v` before `u` in `π` has `iv_v > rs_u` (as
+//!   `rs_u > B`), so real time puts `u` before `v`, against `π`. Points
+//!   inside the intervals respect real time, so this linearizes `H1` and
+//!   leaves `π` in the queue, and `L2` continues it: `H` is a member. ∎
+//!
+//! [`Settled`] carries a cut and its base `E_U` along a growing member
+//! history. Moving from `c` to a later clean cut `c'` applies the lemma to
+//! `G = E_U·H_{≥c}`, which is a member iff `H` is: `c'` is a clean cut of
+//! `G` too, and `G`'s part before it is `E_U` and the records invoked in
+//! `[c, c')`. So the new base is the old one plus those records' enqueues,
+//! minus the values their dequeues answer, and no record from before `c` is
+//! read again. The fold checks the lemma's one condition on that part: a
+//! value enqueued twice in it, a dequeue answering no value of it, or an
+//! operation that is neither an enqueue nor a dequeue leaves the cut where it
+//! is. A value enqueued and dequeued before `c` is not in `G` at all, so its
+//! enqueue again after `c` makes the whole history ambiguous but not the
+//! window.
 
 use super::matching::{Kind, Matching, Pair};
 use super::util::{respects_precedence, Span, INF};
 use super::BadPattern;
+use linrv_history::{OpRecord, OpValue};
+
+/// A clean cut of a member queue history and its base: the enqueues before
+/// the cut whose values no dequeue before it answers, at their original event
+/// indices, in ascending value order. By the settled-cut lemma (proved in
+/// the queue monitor's module docs, `specialized/queue.rs`), an extension of
+/// that history is a member iff its [`base`](Self::base) followed by its
+/// [`window`](Self::window) is, which is what a
+/// [`StrategyChecker`](super::StrategyChecker) of the queue decides from one
+/// ([`GenLinObject::contains_settled`](crate::GenLinObject::contains_settled)).
+///
+/// The default is the cut at the first event, where the base is empty and the
+/// window is the whole history. Only the queue has a base rule so far: on any
+/// other kind's history the first [`advance`](Self::advance) meets a foreign
+/// operation and the cut stays at 0.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Settled {
+    cut: usize,
+    base: Vec<OpRecord>,
+}
+
+impl Settled {
+    /// The cut: an event index before which every operation has responded.
+    pub fn cut(&self) -> usize {
+        self.cut
+    }
+
+    /// The enqueues before the cut still in the queue there, in ascending
+    /// value order.
+    pub fn base(&self) -> &[OpRecord] {
+        &self.base
+    }
+
+    /// The records of `records`, an operation table in invocation order,
+    /// invoked at or after the cut.
+    pub fn window<'t>(&self, records: &'t [OpRecord]) -> &'t [OpRecord] {
+        &records[records.partition_point(|r| r.invocation_index < self.cut)..]
+    }
+
+    /// Moves the cut to `cut` and folds into the base the records of
+    /// `records` invoked between the two cuts: their enqueues join it, the
+    /// values their dequeues answer leave it. `records` is the operation
+    /// table of a history that extends the one the cut was taken in, `cut` a
+    /// clean cut of it and the history up to `cut` a member. Returns `false`,
+    /// and leaves the cut where it is, when `cut` lies before the cut or the
+    /// folded part is not an unambiguous queue history: a value enqueued twice
+    /// (base included), a dequeue of a value neither the base nor the part
+    /// enqueued, or an operation that is neither an enqueue nor a dequeue. Costs `O((b + f) log(b + f))` for a base of `b` records and
+    /// `f` folded ones.
+    pub fn advance(&mut self, records: &[OpRecord], cut: usize) -> bool {
+        if cut < self.cut {
+            return false;
+        }
+        let folded = self.window(records);
+        let folded = &folded[..folded.partition_point(|r| r.invocation_index < cut)];
+        let (mut enqueued, mut answered) = (Vec::new(), Vec::new());
+        for record in folded {
+            match (record.operation.kind.as_str(), &record.response) {
+                ("Enqueue", Some(OpValue::Bool(true))) => enqueued.push(record),
+                ("Dequeue", Some(OpValue::Int(value))) => answered.push(*value),
+                ("Dequeue", Some(OpValue::Empty)) => {}
+                _ => return false,
+            }
+        }
+        let mut values = Vec::with_capacity(self.base.len() + enqueued.len());
+        for record in self.base.iter().chain(enqueued) {
+            let Some(value) = record.operation.arg.as_int() else {
+                return false;
+            };
+            values.push((value, record));
+        }
+        values.sort_unstable_by_key(|&(value, _)| value);
+        answered.sort_unstable();
+        if values.windows(2).any(|pair| pair[0].0 == pair[1].0)
+            || answered.windows(2).any(|pair| pair[0] == pair[1])
+        {
+            return false;
+        }
+        // A dequeue answering a value that no enqueue of the part holds
+        // leaves fewer than `kept` records, or more answers than values.
+        let Some(kept) = values.len().checked_sub(answered.len()) else {
+            return false;
+        };
+        let base: Vec<OpRecord> = values
+            .into_iter()
+            .filter(|(value, _)| answered.binary_search(value).is_err())
+            .map(|(_, record)| record.clone())
+            .collect();
+        if base.len() != kept {
+            return false;
+        }
+        self.cut = cut;
+        self.base = base;
+        true
+    }
+}
 
 pub(super) const QUEUE: Kind = Kind {
     add: "Enqueue",
@@ -454,6 +599,51 @@ mod tests {
 
     fn run(b: HistoryBuilder) -> SpecializedResult {
         check_specialized(ObjectKind::Queue, &b.build())
+    }
+
+    /// A settled cut folds the enqueues still queued into its base and moves only
+    /// over an unambiguous queue part: a value enqueued twice, a dequeue of a value
+    /// the part never enqueued, a foreign operation or an earlier cut leave it as it
+    /// is.
+    #[test]
+    fn a_settled_cut_folds_only_unambiguous_queue_parts() {
+        use super::Settled;
+        let mut b = HistoryBuilder::new();
+        b.complete(p(0), ops::enqueue(1), OpValue::Bool(true));
+        b.complete(p(0), ops::enqueue(2), OpValue::Bool(true));
+        b.complete(p(0), ops::dequeue(), OpValue::Int(1));
+        b.complete(p(0), ops::dequeue(), OpValue::Empty);
+        b.complete(p(0), ops::enqueue(3), OpValue::Bool(true));
+        b.complete(p(0), ops::enqueue(2), OpValue::Bool(true));
+        let (records, _) = b.build().index();
+        let mut settled = Settled::default();
+        assert!(settled.advance(&records, 4));
+        assert!(settled.advance(&records, 8));
+        let base: Vec<_> = settled
+            .base()
+            .iter()
+            .map(|r| r.operation.arg.as_int())
+            .collect();
+        assert_eq!(base, [Some(2)], "enqueue(1) was answered");
+        assert_eq!(settled.window(&records).len(), 2);
+        assert!(!settled.advance(&records, 4), "an earlier cut");
+        assert!(settled.advance(&records, 10));
+        assert!(!settled.advance(&records, 12), "2 is enqueued twice");
+        assert_eq!(settled.cut(), 10);
+
+        let mut b = HistoryBuilder::new();
+        b.complete(p(0), ops::dequeue(), OpValue::Int(5));
+        let (records, _) = b.build().index();
+        assert!(
+            !Settled::default().advance(&records, 2),
+            "5 was never enqueued"
+        );
+        let mut b = HistoryBuilder::new();
+        b.complete(p(0), linrv_spec::ops::stack::push(5), OpValue::Bool(true));
+        let (records, _) = b.build().index();
+        let mut settled = Settled::default();
+        assert!(!settled.advance(&records, 2), "a push");
+        assert_eq!(settled, Settled::default());
     }
 
     #[test]

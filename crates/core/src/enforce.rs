@@ -70,7 +70,9 @@ pub enum Mode {
 /// verifier code): `None` when the sketch is a member of the object, else the witness.
 ///
 /// The step continues the verifier's sketch from its stable prefix ([`crate::verifier`]
-/// module docs), so it sorts, checks and sketches only the tuples above that prefix. It
+/// module docs), so it sorts, checks and sketches only the tuples above that prefix,
+/// and decides from the sketch's settled cut: for a queue, the membership test reads
+/// the cut's base and the records invoked since it, not all of `X(τ)`. It
 /// takes the sketch with `try_lock` and scans `M` while holding it. When another step
 /// holds the sketch (a `Monitor::check` racing a process's step), or when `τ` does not
 /// extend the prefix (a forged `record`, which also resets the sketch), the step

@@ -7,7 +7,9 @@
 //! `linrv_verifier_tuples` does the same for the verdict path: the size of
 //! `τ` per verdict, to read a `linrv_drv_sketch_ns` sample against.
 //! `linrv_verifier_suffix_tuples` is the part of `τ` a verifier step still
-//! sketches above its stable prefix, and `linrv_verifier_rebuilds_total`
+//! sketches above its stable prefix, `linrv_verifier_window_records` the
+//! records its membership test reads from the settled cut on (an exact count
+//! to read a slow decide against), and `linrv_verifier_rebuilds_total`
 //! counts the decides that sketched all of `τ` from scratch instead.
 //!
 //! Everything here is gated on [`linrv_obs::enabled`] at the call sites in
@@ -29,6 +31,9 @@ const VERIFIER_TUPLES_HELP: &str = "tuples in the set a sketch is built from, pe
 const SUFFIX_TUPLES: &str = "linrv_verifier_suffix_tuples";
 const SUFFIX_TUPLES_HELP: &str =
     "tuples above the stable prefix that a verifier step sorts, checks and sketches";
+const WINDOW_RECORDS: &str = "linrv_verifier_window_records";
+const WINDOW_RECORDS_HELP: &str =
+    "records a verifier step's membership test reads: the settled base and the records since its cut";
 const REBUILDS: &str = "linrv_verifier_rebuilds_total";
 const REBUILDS_HELP: &str = "verifier decides that sketched the whole tuple set from scratch";
 const VIEW_SIZE: &str = "linrv_drv_view_size";
@@ -70,6 +75,14 @@ pub fn suffix_tuples() -> &'static Histogram {
     SLOT.get_or_init(|| Registry::global().histogram(SUFFIX_TUPLES, SUFFIX_TUPLES_HELP))
 }
 
+/// Records per incremental decide that its membership test reads: the settled
+/// base and the records invoked since the settled cut, the whole operation table
+/// while the cut is at the first event (one sample per such verdict).
+pub fn window_records() -> &'static Histogram {
+    static SLOT: OnceLock<Histogram> = OnceLock::new();
+    SLOT.get_or_init(|| Registry::global().histogram(WINDOW_RECORDS, WINDOW_RECORDS_HELP))
+}
+
 /// Decides that fell back to sketching all of `τ`: another decide held the
 /// verifier's sketch, or `τ` held a forged tuple that the stable prefix cannot take.
 pub fn rebuilds() -> &'static Counter {
@@ -106,6 +119,7 @@ pub fn declare() {
     registry.declare(SKETCH_NS, MetricKind::Histogram, SKETCH_NS_HELP);
     registry.declare(VERIFIER_TUPLES, MetricKind::Histogram, VERIFIER_TUPLES_HELP);
     registry.declare(SUFFIX_TUPLES, MetricKind::Histogram, SUFFIX_TUPLES_HELP);
+    registry.declare(WINDOW_RECORDS, MetricKind::Histogram, WINDOW_RECORDS_HELP);
     registry.declare(REBUILDS, MetricKind::Counter, REBUILDS_HELP);
     registry.declare(VIEW_SIZE, MetricKind::Histogram, VIEW_SIZE_HELP);
     registry.declare(OPS_ANNOUNCED, MetricKind::Counter, OPS_ANNOUNCED_HELP);

@@ -58,12 +58,20 @@
 //! the events above it ([`OpTable::reindex`]), so indexing costs `O(n log n)` plus a
 //! map update per re-sketched event, not per event of `X(τ)`. An ill-formed event
 //! since the mark (only forged tuples make one) sends the table back to the first
-//! event, so its first error is always `History::index`'s. The membership test that
-//! reads the table still reads every record.
+//! event, so its first error is always `History::index`'s.
+//!
+//! With the table the sketch keeps the settled cut its decides start from
+//! ([`linrv_check::Settled`]): after a decide that answered member,
+//! `IncrementalSketch::settle` moves it to the last clean cut of the stable prefix,
+//! where no operation is open, found by one counter that reads each prefix event
+//! once. The queue's membership test then reads the cut's base and the table's
+//! records from the cut on, not every record ([`crate::verifier`] module docs). The
+//! cut lives behind the table's one `Box` and is reset with the sketch.
 
 use crate::view::{
     check_above, checked_chain, InvocationPair, TupleSet, View, ViewPropertyError, ViewTuple,
 };
+use linrv_check::Settled;
 use linrv_history::{Event, History, OpTable};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -185,10 +193,37 @@ pub(crate) struct IncrementalSketch {
     /// The pairs of `W` without a tuple in the prefix: at most one per process, whose
     /// tuples lie above `W`.
     open: BTreeSet<InvocationPair>,
-    /// The operation table of `history`, marked after the prefix. Boxed and allocated
-    /// by the first `advance`, so that a verifier that never decides (a pooled
-    /// monitor's) pays one pointer for it.
-    table: Option<Box<OpTable>>,
+    /// The operation table of `history`, marked after the prefix, and the settled
+    /// cut. Boxed and allocated by the first `advance`, so that a verifier that never
+    /// decides (a pooled monitor's) pays one pointer for them.
+    table: Option<Box<Tabled>>,
+}
+
+/// What a sketch that decides keeps besides its events.
+#[derive(Debug, Default)]
+struct Tabled {
+    table: OpTable,
+    /// The cut the decides start from: a clean cut of the prefix, moved only after a
+    /// decide that answered member.
+    settled: Settled,
+    /// The clean-cut scan of the prefix: the events it has read, the operations open
+    /// after them (one counter), and the last clean cut among them.
+    scanned: usize,
+    open: usize,
+    clean: usize,
+    /// Decides made, and the records their windows held.
+    #[cfg(test)]
+    decides: usize,
+    #[cfg(test)]
+    window_records: usize,
+}
+
+impl Tabled {
+    /// The records a decide reads: the base and the records invoked since the cut,
+    /// all of the table while the cut is at the first event.
+    fn window_records(&self) -> usize {
+        self.settled.base().len() + self.settled.window(self.table.records()).len()
+    }
 }
 
 impl IncrementalSketch {
@@ -207,12 +242,29 @@ impl IncrementalSketch {
     /// The operation table of the last call's `X(τ)`, once a call has built one.
     #[cfg(test)]
     pub(crate) fn table(&self) -> Option<&OpTable> {
-        self.table.as_deref()
+        self.table.as_deref().map(|tabled| &tabled.table)
+    }
+
+    /// The settled cut, once a call has built the table.
+    #[cfg(test)]
+    pub(crate) fn settled(&self) -> Option<&Settled> {
+        self.table.as_deref().map(|tabled| &tabled.settled)
+    }
+
+    /// The decides made since the sketch was last reset, and the records their windows
+    /// held ([`Tabled::window_records`]).
+    #[cfg(test)]
+    pub(crate) fn window_records(&self) -> (usize, usize) {
+        self.table
+            .as_deref()
+            .map_or((0, 0), |tabled| (tabled.decides, tabled.window_records))
     }
 
     /// `X(tuples)`, built as `sketch_history(tuples)` would build it, where `tuples`
-    /// holds every tuple of the sets passed before, and its operation table, which
-    /// equals `History::index` of it. Moves the prefix up to the new `W`. `None` when
+    /// holds every tuple of the sets passed before, its operation table, which
+    /// equals `History::index` of it, and the settled cut to decide it from. Moves the
+    /// prefix up to the new `W`. The caller decides membership next, and calls
+    /// [`settle`](Self::settle) when it is a member. `None` when
     /// the tuples at or below `W` are not exactly the prefix's, or a tuple above `W`
     /// shares its pair with one of the prefix, which takes a forged tuple or a `τ`
     /// that shrank: the caller must decide from scratch and start over.
@@ -225,7 +277,7 @@ impl IncrementalSketch {
     pub(crate) fn advance(
         &mut self,
         tuples: &TupleSet,
-    ) -> Option<Result<(&History, &OpTable), SketchError>> {
+    ) -> Option<Result<(&History, &OpTable, &Settled), SketchError>> {
         let (boundary, suffix) = self.split(tuples)?;
         if linrv_obs::enabled() {
             crate::metrics::suffix_tuples().record(suffix.len() as u64);
@@ -234,10 +286,43 @@ impl IncrementalSketch {
             self.extend(boundary, suffix)
         });
         Some(sketched.map(|()| {
-            let table = self.table.get_or_insert_with(Box::default);
-            table.reindex(self.history.events(), self.stable);
-            (&self.history, &**table)
+            let tabled = self.table.get_or_insert_with(Box::default);
+            tabled.table.reindex(self.history.events(), self.stable);
+            if linrv_obs::enabled() {
+                crate::metrics::window_records().record(tabled.window_records() as u64);
+            }
+            #[cfg(test)]
+            {
+                tabled.decides += 1;
+                tabled.window_records += tabled.window_records();
+            }
+            (&self.history, &tabled.table, &tabled.settled)
         }))
+    }
+
+    /// After a decide of the last call's `X(τ)` that answered member: moves the
+    /// settled cut to the last clean cut of the stable prefix, when the base folds
+    /// ([`Settled::advance`]). The prefix's events never change, so one counter of
+    /// the operations open reads each of them once. `X(τ)` and hence its prefix up
+    /// to that cut are members, which is what the fold needs.
+    pub(crate) fn settle(&mut self) {
+        let Some(tabled) = self.table.as_deref_mut() else {
+            return;
+        };
+        for event in &self.history.events()[tabled.scanned..self.stable] {
+            if event.is_invocation() {
+                tabled.open += 1;
+            } else {
+                tabled.open = tabled.open.saturating_sub(1);
+            }
+            tabled.scanned += 1;
+            if tabled.open == 0 {
+                tabled.clean = tabled.scanned;
+            }
+        }
+        if tabled.clean > tabled.settled.cut() {
+            tabled.settled.advance(tabled.table.records(), tabled.clean);
+        }
     }
 
     /// Splits `tuples` at `|W|` into the prefix's last tuple in chain order, whose view

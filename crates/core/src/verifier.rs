@@ -58,8 +58,34 @@
 //! marked after the stable prefix: a step rolls it back to the mark and pushes only
 //! the events it re-sketched, `O(n log n)` plus a map update per event, where
 //! `History::index` cost one per event of `X(τ)`. A step decides with
-//! [`GenLinObject::contains_indexed`] over that table. The membership test itself
-//! still reads every record of the table, all of `X(τ)`.
+//! [`GenLinObject::contains_settled`] over that table.
+//!
+//! # Deciding from the last clean cut
+//!
+//! A *clean cut* is an event index of the sketch before which every operation has
+//! responded. After a decide that answers member, the sketch moves its settled cut
+//! ([`linrv_check::Settled`]) to the last clean cut of the stable prefix, found by
+//! one counter of the operations open, advanced once per prefix event. Later steps
+//! hand the object that cut with the table, and the queue's
+//! [`StrategyChecker`](linrv_check::StrategyChecker) decides only the cut's *base*
+//! (the enqueues before it whose values no dequeue before it answers) followed by the
+//! *window*, the records invoked since, a borrowed suffix of the table: by the
+//! settled-cut lemma (`linrv_check`'s queue monitor docs) that is a member iff
+//! `X(τ)` is. The base is carried from cut to cut: moving it folds in only the
+//! records between the two cuts, and a part that is not an unambiguous queue
+//! history leaves the cut where it is. Only a `Member` or `NotMember` on the window
+//! decides; a fallback decides all of `X(τ)`, and so does every kind without a base
+//! rule. The witness is `X(τ)` either way. The cut never moves after a non-member
+//! decide, so once `X(τ)` fails every later window fails too, and it is reset with
+//! the sketch.
+//!
+//! So a queue step's membership test reads the base and the window, which depend on
+//! the operations open and the values queued, not on the length of the history: on
+//! the seeded 4-session Enforce-shaped queue schedule of this module's tests, a
+//! decide reads 38.8 records on average at 512 operations and 34.5 at 1 024, where
+//! the whole table holds about 256 and 512 (`linrv_verifier_window_records`). Reading
+//! the table, rolling it back and sketching the suffix cost what they did above,
+//! and reading `τ` is still `O(t)`.
 //!
 //! The verifier keeps one such sketch. A step takes it with `try_lock` and scans `M`
 //! while holding it, so the scans that continue it happen one after another and the
@@ -170,9 +196,12 @@ impl<O: GenLinObject> Verifier<O> {
             // Scanned while the sketch is held, so the `τ` it sees only grows.
             let tuples = self.collect_tuples(scanner);
             match sketch.advance(&tuples) {
-                Some(Ok((history, table))) => {
-                    let member = self.object.contains_indexed(history, table);
-                    return Ok((!member).then(|| history.clone()));
+                Some(Ok((history, table, settled))) => {
+                    if self.object.contains_settled(history, table, settled) {
+                        sketch.settle();
+                        return Ok(None);
+                    }
+                    return Ok(Some(history.clone()));
                 }
                 Some(Err(err)) => return Err(err),
                 None => *sketch = IncrementalSketch::default(),
@@ -362,15 +391,16 @@ mod tests {
     /// is recorded only when its process is picked again (slow publishers), and an
     /// announced operation may crash, never to be collected. Now and then the sketch is
     /// held, so the decide audits from scratch and the next one catches up over a
-    /// longer suffix. Returns the verdicts that found a violation and the events of the
-    /// longest stored prefix.
+    /// longer suffix. Returns the verdicts that found a violation, the events of the
+    /// longest stored prefix and the decides made from a settled cut above the first
+    /// event.
     fn incremental_matches_scratch<O: GenLinObject>(
         object: Box<dyn ConcurrentObject>,
         checker: O,
         workload: WorkloadKind,
         processes: usize,
         seed: u64,
-    ) -> (usize, usize) {
+    ) -> (usize, usize, usize) {
         const OPS_PER_PROCESS: usize = 8;
         let drv = Drv::new(object, processes);
         let verifier = Verifier::new(checker, processes);
@@ -380,7 +410,7 @@ mod tests {
             .collect();
         let mut phases: Vec<Phase> = (0..processes).map(|_| Phase::Idle).collect();
         let mut prefix: Vec<Event> = Vec::new();
-        let mut violations = 0;
+        let (mut violations, mut windowed) = (0, 0);
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = |bound: usize| {
             // xorshift64: the schedule is a pure function of the seed.
@@ -398,7 +428,7 @@ mod tests {
                 })
                 .collect();
             if movable.is_empty() {
-                return (violations, prefix.len());
+                return (violations, prefix.len(), windowed);
             }
             let i = movable[next(movable.len())];
             let process = p(i as u32);
@@ -420,6 +450,11 @@ mod tests {
                     verifier.record(process, response.tuple());
                     let held = (next(4) == 0).then(|| verifier.sketch.lock());
                     let stale = held.as_ref().map(|sketch| sketch.history().clone());
+                    if held.is_none()
+                        && (verifier.sketch.lock().settled()).is_some_and(|s| s.cut() > 0)
+                    {
+                        windowed += 1;
+                    }
                     let decided = crate::enforce::decide(&verifier, process);
                     drop(held);
                     let audit = verifier.audit(process);
@@ -470,18 +505,23 @@ mod tests {
         incremental_differential(0..60);
     }
 
+    /// Also counts, per kind, the decides made from a settled cut above the first
+    /// event: only the queue has a base rule, so the stack and the register must
+    /// keep deciding whole histories.
     fn incremental_differential(seeds: std::ops::Range<u64>) {
         let (mut violations, mut settled) = (0, 0);
+        let mut windowed = [0; 3];
         for seed in seeds {
             for processes in 1..=5 {
                 for faulty in [None, Some(2), Some(3)] {
-                    for kind in [ObjectKind::Queue, ObjectKind::Stack, ObjectKind::Register] {
+                    let kinds = [ObjectKind::Queue, ObjectKind::Stack, ObjectKind::Register];
+                    for (k, kind) in kinds.into_iter().enumerate() {
                         let object = match faulty {
                             Some(every) => faulty::faulty_object(kind, every),
                             None => correct_object(kind),
                         };
                         let workload = WorkloadKind::for_object(kind);
-                        let (found, prefix) = match kind {
+                        let (found, prefix, windows) = match kind {
                             ObjectKind::Queue => incremental_matches_scratch(
                                 object,
                                 StrategyChecker::new(QueueSpec::new()),
@@ -506,12 +546,93 @@ mod tests {
                         };
                         violations += found;
                         settled = settled.max(prefix);
+                        windowed[k] += windows;
                     }
                 }
             }
         }
         assert!(violations > 0, "no schedule exercised a witness");
         assert!(settled >= 20, "prefixes never settled: {settled} events");
+        let [queue, stack, register] = windowed;
+        assert!(queue > 0, "no queue decide started from a settled cut");
+        assert_eq!(
+            (stack, register),
+            (0, 0),
+            "a kind without a base rule settled"
+        );
+    }
+
+    /// The mean number of records a membership decide reads on `ops` operations of
+    /// the benchmark's Enforce schedule shape: 4 sessions over an `MsQueue`, an
+    /// enqueue of a fresh value or a dequeue with even odds while at most 4 values
+    /// are queued (an enqueue when none is, a dequeue when 4 are), one session
+    /// moved by one phase (announce, call, collect and decide) at a time, seeded.
+    fn mean_window_records(ops: usize, seed: u64) -> f64 {
+        const SESSIONS: usize = 4;
+        const MAX_BACKLOG: usize = 4;
+        let drv = Drv::new(MsQueue::new(), SESSIONS);
+        let verifier = Verifier::new(StrategyChecker::new(QueueSpec::new()), SESSIONS);
+        let mut left = [ops / SESSIONS; SESSIONS];
+        let mut phases: Vec<Phase> = (0..SESSIONS).map(|_| Phase::Idle).collect();
+        let (mut backlog, mut fresh) = (0, 0);
+        let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % bound as u64) as usize
+        };
+        loop {
+            let movable: Vec<usize> = (0..SESSIONS)
+                .filter(|&s| !matches!(phases[s], Phase::Idle) || left[s] > 0)
+                .collect();
+            if movable.is_empty() {
+                break;
+            }
+            let s = movable[next(movable.len())];
+            let process = p(s as u32);
+            phases[s] = match std::mem::replace(&mut phases[s], Phase::Idle) {
+                Phase::Idle => {
+                    left[s] -= 1;
+                    let op = if backlog == 0 || (next(2) == 0 && backlog < MAX_BACKLOG) {
+                        backlog += 1;
+                        fresh += 1;
+                        queue::enqueue(fresh)
+                    } else {
+                        backlog -= 1;
+                        queue::dequeue()
+                    };
+                    Phase::Announced(drv.announce(process, &op))
+                }
+                Phase::Announced(announced) => {
+                    let value = drv.call_inner(&announced);
+                    Phase::Called(announced, value)
+                }
+                Phase::Called(announced, value) => {
+                    let response = drv.collect(announced, value);
+                    assert!(step(&verifier, process, response, Mode::Enforce).is_verified());
+                    Phase::Idle
+                }
+                _ => unreachable!("the schedule neither delays publication nor crashes"),
+            };
+        }
+        let (decides, records) = verifier.sketch.lock().window_records();
+        assert_eq!(decides, ops, "one decide per operation, none from scratch");
+        records as f64 / decides as f64
+    }
+
+    /// A queue decide reads the records from the settled cut on, not all of `X(τ)`:
+    /// on the Enforce schedule shape the mean window stays flat from 512 to 1 024
+    /// operations (38.8 and 34.5 records at seed 42), where the whole table holds
+    /// about 256 and 512 records on average.
+    #[test]
+    fn a_queue_decide_reads_a_window_that_stays_flat_as_the_history_grows() {
+        let (at_512, at_1024) = (mean_window_records(512, 42), mean_window_records(1024, 42));
+        assert!(
+            at_1024 <= 1.2 * at_512,
+            "window grew: {at_512:.1} → {at_1024:.1} records"
+        );
+        assert!(at_1024 <= 64.0, "{at_1024:.1} records per decide");
     }
 
     /// A tuple forged below a sketch's stable prefix sends its decide back to a
@@ -519,6 +640,12 @@ mod tests {
     #[test]
     fn a_forged_tuple_below_the_prefix_rebuilds_from_scratch() {
         let (verifier, tuples) = settled_queue();
+        let cut = verifier.sketch.lock().settled().cloned().expect("decided");
+        assert_eq!(
+            (cut.cut(), cut.base().len()),
+            (8, 4),
+            "four enqueues settled"
+        );
 
         // The first tuple again with another response: Remark 7.2 holds (one view,
         // one pair), yet the sketch answers one operation twice.
@@ -528,10 +655,13 @@ mod tests {
         let audit = verifier.audit(p(1));
         assert!(!audit.member);
         assert_eq!(crate::enforce::decide(&verifier, p(1)), audit.sketch.ok());
+        let sketch = verifier.sketch.lock();
+        assert!(sketch.history().is_empty(), "the sketch was not reset");
         assert!(
-            verifier.sketch.lock().history().is_empty(),
-            "the sketch was not reset"
+            sketch.settled().is_none(),
+            "the cut and base were not reset"
         );
+        drop(sketch);
 
         // A view that leaves out every earlier pair is incomparable with theirs.
         let mut alone = tuples[3].clone();

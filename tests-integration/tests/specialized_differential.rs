@@ -7,10 +7,10 @@
 //! long Enforce-shaped schedule publishes, and random member queue histories
 //! with operations left pending.
 
-use linrv_check::{FallbackReason, LinSpec, Route, StrategyChecker};
+use linrv_check::{FallbackReason, GenLinObject, LinSpec, Route, Settled, StrategyChecker};
 use linrv_core::drv::Drv;
 use linrv_core::sketch::sketch_history;
-use linrv_history::{History, HistoryBuilder, OpValue, ProcessId};
+use linrv_history::{Event, EventKind, History, HistoryBuilder, OpTable, OpValue, ProcessId};
 use linrv_runtime::impls::MsQueue;
 use linrv_runtime::{record_scheduled, RecorderOptions, Workload, WorkloadKind};
 use linrv_spec::ops::{queue, stack};
@@ -218,4 +218,135 @@ fn ambiguous_histories_fall_back_to_the_general_search() {
     let (verdict, route) = StrategyChecker::new(StackSpec::new()).check_routed(&violating);
     assert_eq!(route, Route::GeneralFallback(FallbackReason::Ambiguous));
     assert!(verdict.is_violation());
+}
+
+/// `history` with one of its responses changed, so that it is rarely a
+/// member: two dequeue answers swapped, or one dequeue answering another
+/// enqueued value. `None` when the history has no such change to make.
+fn near_member(history: &History, rng: &mut Rng) -> Option<History> {
+    let mut events = history.events().to_vec();
+    let (records, _) = history.index();
+    let answered: Vec<usize> = records
+        .iter()
+        .filter(|r| r.operation.kind == "Dequeue" && r.response.is_some())
+        .filter_map(|r| r.response_index)
+        .collect();
+    let enqueued: Vec<i64> = records
+        .iter()
+        .filter(|r| r.operation.kind == "Enqueue")
+        .filter_map(|r| r.operation.arg.as_int())
+        .collect();
+    fn answer(events: &mut [Event], index: usize) -> &mut OpValue {
+        match &mut events[index].kind {
+            EventKind::Response { value } => value,
+            EventKind::Invocation { .. } => unreachable!("a response index"),
+        }
+    }
+    if rng.below(2) == 0 && answered.len() >= 2 {
+        let (i, j) = (
+            answered[rng.below(answered.len())],
+            answered[rng.below(answered.len())],
+        );
+        let first = answer(&mut events, i).clone();
+        let second = std::mem::replace(answer(&mut events, j), first);
+        *answer(&mut events, i) = second;
+    } else if !answered.is_empty() && !enqueued.is_empty() {
+        let value = enqueued[rng.below(enqueued.len())];
+        *answer(&mut events, answered[rng.below(answered.len())]) = OpValue::Int(value);
+    } else {
+        return None;
+    }
+    Some(History::from_events(events))
+}
+
+/// `E_U·H2` of the settled-cut lemma (`linrv_check`'s queue module page):
+/// the base's enqueues at their places, then every event from the cut on.
+fn base_and_window(history: &History, settled: &Settled) -> History {
+    let mut indices: Vec<usize> = settled
+        .base()
+        .iter()
+        .flat_map(|r| [Some(r.invocation_index), r.response_index])
+        .map(|index| index.expect("base enqueues are complete"))
+        .collect();
+    indices.sort_unstable();
+    indices.extend(settled.cut()..history.len());
+    History::from_events(
+        indices
+            .into_iter()
+            .map(|i| history.events()[i].clone())
+            .collect(),
+    )
+}
+
+/// The settled-cut lemma on random queue histories: members from
+/// `random_member_queue_history` and near-members drawn from them. At every
+/// clean cut above the first event whose prefix `LinSpec` accepts, the cut is
+/// carried forward as a verifier's sketch carries it (one [`Settled`] folded
+/// from cut to cut, equal to one folded from the first event), and then
+/// `LinSpec` on the whole history, `LinSpec` on the base followed by the
+/// window, and the queue `StrategyChecker`'s decide from the cut all agree.
+fn settled_cut_lemma(seeds: std::ops::Range<u64>) {
+    let strategy = StrategyChecker::new(QueueSpec::new());
+    let spec = LinSpec::new(QueueSpec::new());
+    let (mut cuts, mut rejected, mut specialized) = (0, 0, 0);
+    for seed in seeds {
+        let mut rng = Rng(seed ^ 0x05E7_71ED);
+        let member = random_member_queue_history(&mut rng);
+        let near = near_member(&member, &mut rng);
+        for history in std::iter::once(member).chain(near) {
+            let mut table = OpTable::default();
+            table.reindex(history.events(), 0);
+            let records = table.records();
+            let whole = spec.contains(&history);
+            let mut settled = Settled::default();
+            let mut open = 0_usize;
+            for (at, event) in history.events().iter().enumerate() {
+                open = if event.is_invocation() {
+                    open + 1
+                } else {
+                    open - 1
+                };
+                let cut = at + 1;
+                if open > 0 || !spec.contains(&history.prefix(cut)) {
+                    continue;
+                }
+                let mut fresh = Settled::default();
+                assert_eq!(
+                    settled.advance(records, cut),
+                    fresh.advance(records, cut),
+                    "seed {seed} cut {cut}\n{history}"
+                );
+                if settled.cut() != cut {
+                    continue;
+                }
+                assert_eq!(settled, fresh, "seed {seed}: the carried base differs");
+                let window = base_and_window(&history, &settled);
+                let label = format!("seed {seed} cut {cut}\n{history}\nwindow\n{window}");
+                assert_eq!(spec.contains(&window), whole, "lemma: {label}");
+                let decided = strategy.contains_settled(&history, &table, &settled);
+                assert_eq!(decided, whole, "decide from the cut: {label}");
+                cuts += 1;
+                rejected += usize::from(!whole);
+                let (_, route) = strategy.check_routed(&window);
+                specialized += usize::from(route == Route::Specialized);
+            }
+        }
+    }
+    assert!(cuts >= 100, "only {cuts} clean cuts were decided from");
+    assert!(rejected > 0, "no near-member was decided from a clean cut");
+    assert!(
+        specialized * 10 >= cuts * 9,
+        "{specialized} of {cuts} windows decided specialized"
+    );
+}
+
+#[test]
+fn the_settled_cut_lemma_holds_on_random_queue_histories() {
+    settled_cut_lemma(0..400);
+}
+
+#[test]
+#[ignore = "ten times the seeds of the tier-1 test; CI runs it in release"]
+fn the_settled_cut_lemma_holds_on_random_queue_histories_on_many_seeds() {
+    settled_cut_lemma(0..4_000);
 }
